@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionError, as_cmatrix
+from .linalg import BATCH_ELEMS, DimensionError, as_cmatrix
 
 # Leading stream tags keep the independent random streams of one seed
 # (LOS phase, scattered fading, estimation noise) from colliding.
@@ -96,28 +96,39 @@ def fixed_grid(h, n_sc: int) -> ChannelGrid:
     return ChannelGrid(np.tile(h, (n_sc, 1, 1)), coherence_block_id=0, flat=True)
 
 
-def rice1_grid(seed: int, k_factor: float, n_tx: int, n_sc: int,
-               block_id: int = 0) -> ChannelGrid:
-    """Single-tap Rician block-fading draw, frequency flat across the band.
+def rice1_blocks(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray:
+    """Single-tap Rician block-fading draws, one ``(2, n_tx)`` matrix per block.
 
     The line-of-sight component is the all-ones matrix carrying one
     uniform phase drawn per ``seed`` (shared by all blocks of a drop);
     the scattered component is redrawn i.i.d. CN(0, 1) per
-    ``(seed, block_id)``.  Entry powers satisfy ``E|h|^2 == 1`` for every
-    K factor.
+    ``(seed, block_id)``, so a block's draw does not depend on which other
+    blocks are drawn with it.  Entry powers satisfy ``E|h|^2 == 1`` for
+    every K factor.  Returns shape ``(len(block_ids), 2, n_tx)``.
     """
     if k_factor < 0:
         raise ValueError(f"k_factor must be >= 0, got {k_factor}")
     if n_tx not in (2, 4):
         raise ValueError(f"n_tx must be 2 or 4, got {n_tx}")
-    if n_sc < 1:
-        raise ValueError(f"n_sc must be >= 1, got {n_sc}")
     theta = np.random.default_rng([_LOS_STREAM, seed]).uniform(0.0, 2.0 * np.pi)
     los = np.full((2, n_tx), np.exp(1j * theta), dtype=np.complex128)
-    rng = np.random.default_rng([_NLOS_STREAM, seed, block_id])
-    scat = (rng.standard_normal((2, n_tx)) + 1j * rng.standard_normal((2, n_tx)))
+    scat = np.empty((len(block_ids), 2, n_tx), dtype=np.complex128)
+    for i, block_id in enumerate(block_ids):
+        rng = np.random.default_rng([_NLOS_STREAM, seed, block_id])
+        scat[i] = rng.standard_normal((2, n_tx)) + 1j * rng.standard_normal((2, n_tx))
     scat /= np.sqrt(2.0)
     h = np.sqrt(k_factor / (k_factor + 1.0)) * los + np.sqrt(1.0 / (k_factor + 1.0)) * scat
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel entries must be finite")
+    return h
+
+
+def rice1_grid(seed: int, k_factor: float, n_tx: int, n_sc: int,
+               block_id: int = 0) -> ChannelGrid:
+    """One block of :func:`rice1_blocks`, frequency flat across ``n_sc``."""
+    if n_sc < 1:
+        raise ValueError(f"n_sc must be >= 1, got {n_sc}")
+    h = rice1_blocks(seed, k_factor, n_tx, [block_id])[0]
     return ChannelGrid(np.tile(h, (n_sc, 1, 1)), coherence_block_id=block_id, flat=True)
 
 
@@ -130,6 +141,36 @@ def mean_rx_power(grid: ChannelGrid) -> float:
     return float(np.mean(np.abs(grid.matrices) ** 2))
 
 
+def block_rx_power(h: np.ndarray, n_sc: int) -> np.ndarray:
+    """:func:`mean_rx_power` of each flat block ``h[b]`` spread over ``n_sc``.
+
+    The mean runs over the ``n_sc`` identical copies, not over one matrix:
+    a mean of the 8 entries of one matrix differs in the last bits from
+    the mean over the tiled grid, and the two must agree for a drop's
+    noise levels not to depend on how its blocks were drawn.  Returns
+    shape ``(n_blocks,)``.
+    """
+    shape = (n_sc,) + h.shape[1:]
+    step = max(1, BATCH_ELEMS // (n_sc * h[0].size))
+    out = np.empty(h.shape[0])
+    for lo in range(0, h.shape[0], step):
+        part = h[lo:lo + step, None]
+        tiled = np.broadcast_to(part, part.shape[:1] + shape)
+        out[lo:lo + step] = np.mean(np.abs(tiled) ** 2, axis=(1, 2, 3))
+    return out
+
+
+def snr_noise_variance(snr_db: float, p_rx):
+    """Per-receive-antenna noise variance ``P_rx / 10^(snr/10)``.
+
+    ``p_rx`` is a mean received power per transmit antenna, or an array of
+    them; every one must be positive.
+    """
+    if np.any(np.asarray(p_rx) <= 0.0):
+        raise ValueError("cannot set an SNR on a zero channel; use a direct variance")
+    return p_rx / 10.0 ** (snr_db / 10.0)
+
+
 def noise_variance(snr_db: float | None, grid: ChannelGrid) -> NoiseSpec:
     """Resolve a target SNR against a grid into a noise variance.
 
@@ -140,10 +181,17 @@ def noise_variance(snr_db: float | None, grid: ChannelGrid) -> NoiseSpec:
     """
     if snr_db is None:
         return NoiseSpec("noise_free", 0.0, None)
-    p_rx = mean_rx_power(grid)
-    if p_rx <= 0.0:
-        raise ValueError("cannot set an SNR on a zero channel; use a direct variance")
-    return NoiseSpec("snr", p_rx / 10.0 ** (snr_db / 10.0), float(snr_db))
+    return NoiseSpec("snr", snr_noise_variance(snr_db, mean_rx_power(grid)),
+                     float(snr_db))
+
+
+def _estimation_error(shape: tuple, est_error_var: float, seed: int,
+                      block_id: int) -> np.ndarray:
+    """CN(0, est_error_var) perturbation of one block, drawn from ``(seed, block_id)``."""
+    rng = np.random.default_rng([_EST_STREAM, seed, block_id])
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise *= np.sqrt(est_error_var / 2.0)
+    return noise
 
 
 def estimate(grid: ChannelGrid, est_error_var: float, seed: int) -> ChannelGrid:
@@ -158,12 +206,27 @@ def estimate(grid: ChannelGrid, est_error_var: float, seed: int) -> ChannelGrid:
         raise ValueError(f"est_error_var must be >= 0, got {est_error_var}")
     if est_error_var == 0:
         return grid
-    rng = np.random.default_rng([_EST_STREAM, seed, grid.coherence_block_id])
-    shape = grid.matrices.shape
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    noise *= np.sqrt(est_error_var / 2.0)
+    noise = _estimation_error(grid.matrices.shape, est_error_var, seed,
+                              grid.coherence_block_id)
     return ChannelGrid(grid.matrices + noise,
                        coherence_block_id=grid.coherence_block_id, flat=False)
+
+
+def estimate_blocks(h: np.ndarray, est_error_var: float, seed: int,
+                    block_ids, n_sc: int) -> np.ndarray:
+    """:func:`estimate` of each flat block ``h[i]`` with id ``block_ids[i]``.
+
+    Returns the subcarriers that need evaluating, shape
+    ``(n_blocks, n_eval, 2, n_tx)``: one per block when the error variance
+    is zero (the estimate is the flat channel itself), else all ``n_sc``.
+    """
+    if est_error_var < 0:
+        raise ValueError(f"est_error_var must be >= 0, got {est_error_var}")
+    if est_error_var == 0:
+        return h[:, None]
+    shape = (n_sc,) + h.shape[1:]
+    return np.stack([hb + _estimation_error(shape, est_error_var, seed, b)
+                     for hb, b in zip(h, block_ids)])
 
 
 def derive_seed(*parts: int) -> int:

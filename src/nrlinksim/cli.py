@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--drops", type=int, help="override number of drops")
             p.add_argument("--slots", type=int, help="override slots per drop")
             p.add_argument("--workers", type=int, default=1,
-                           help="drop-level process parallelism (default 1)")
+                           help="processes to run drops in, one pool per sweep (default 1)")
             p.add_argument("--gnuplot",
                            help="also write a two-column (x, goodput) file")
 
@@ -79,7 +79,10 @@ def _maybe_gnuplot(args, points: list[tuple[float, float]]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
         if args.command == "codebook":
             with _out_handle(args.out) as fh:

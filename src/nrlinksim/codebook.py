@@ -123,6 +123,9 @@ class PrecoderCodebook:
         self.rank = rank
         self.entries: tuple[tuple[PmiIndex, np.ndarray], ...] = tuple(entries)
         self._by_key = {idx.key(): w for idx, w in self.entries}
+        # Every precoder in enumeration order, shape (n_entries, ports, rank).
+        self.precoders = np.stack([w for _, w in self.entries])
+        self.precoders.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .channel import ChannelGrid
 from .codebook import ConfigurationError, PmiIndex, PrecoderCodebook
-from .linalg import DB_CEIL, DB_FLOOR, gamma_stack, inv2_stack, lin_to_int_db
+from .linalg import (BATCH_ELEMS, DB_CEIL, DB_FLOOR, gamma_stack, inv2_stack,
+                     lin_to_int_db)
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -86,33 +87,41 @@ def gamma_per_subcarrier(grid: ChannelGrid) -> np.ndarray:
     return vals
 
 
-def compute_ri(grid: ChannelGrid, cfg: CsiConfig) -> int:
-    """Rank decision from the per-subcarrier condition metric.
+def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
+    """Rank decision of each block from its per-subcarrier condition metric.
 
-    A subcarrier votes for two layers when its metric is strictly below
-    ``gamma_th``; the block reports rank 2 only when rank-2 votes strictly
-    outnumber rank-1 votes (ties fall back to the safe single layer).
-    Single-column channels always report rank 1; ``force_ri`` overrides
+    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``: the subcarriers of
+    each block that need evaluating (one for a flat block, which stands
+    for all of its identical subcarriers).  A subcarrier votes for two
+    layers when its metric is strictly below ``gamma_th``; a block reports
+    rank 2 only when rank-2 votes strictly outnumber rank-1 votes (ties
+    fall back to the safe single layer).  Rank-deficient channels, single
+    columns included, never vote for two layers; ``force_ri`` overrides
     everything.
     """
     if cfg.force_ri is not None:
-        return cfg.force_ri
-    if grid.n_tx == 1:
-        return 1
-    gammas = gamma_per_subcarrier(grid)
-    votes2 = int(np.count_nonzero(gammas < cfg.gamma_th))
-    return 2 if 2 * votes2 > grid.n_sc else 1
+        return np.full(mats.shape[0], cfg.force_ri)
+    votes2 = np.count_nonzero(gamma_stack(mats) < cfg.gamma_th, axis=-1)
+    return np.where(2 * votes2 > mats.shape[1], 2, 1)
 
 
-def _split_batch(g: np.ndarray, noise_var: float) -> LayerSinrs:
+def compute_ri(grid: ChannelGrid, cfg: CsiConfig) -> int:
+    """:func:`compute_ri_blocks` of one grid."""
+    return int(compute_ri_blocks(grid.eval_matrices()[None], cfg)[0])
+
+
+def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
     """MMSE per-layer SINR split for a stack of effective channels.
 
     ``g`` has shape ``(..., 2, n_layers)`` (effective channel ``H @ W``
-    per subcarrier/candidate).  With zero noise, layers with nonzero
-    effective gain clamp to ``NOISE_FREE_LAYER_SINR`` (split as that value
-    over 1); zero-gain layers get SINR 0.
+    per block/subcarrier/candidate); ``noise_var`` is a scalar or an array
+    broadcasting against ``g.shape[:-2]``, either all zero or all
+    positive.  With zero noise, layers with nonzero effective gain clamp
+    to ``NOISE_FREE_LAYER_SINR`` (split as that value over 1); zero-gain
+    layers get SINR 0.
     """
-    if noise_var == 0.0:
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    if not np.any(noise_var):
         norms = np.sum(np.abs(g) ** 2, axis=-2)
         signal = np.where(norms > 0.0, NOISE_FREE_LAYER_SINR, 0.0)
         denom = np.ones_like(signal)
@@ -126,7 +135,7 @@ def _split_batch(g: np.ndarray, noise_var: float) -> LayerSinrs:
     diag = np.einsum("...ll->...l", a)
     signal = np.abs(diag) ** 2
     interf = np.sum(np.abs(a) ** 2, axis=-1) - signal
-    denom = interf + noise_var * np.sum(np.abs(wc) ** 2, axis=-1)
+    denom = interf + noise_var[..., None] * np.sum(np.abs(wc) ** 2, axis=-1)
     sinr = np.divide(signal, denom, out=np.zeros_like(signal), where=denom > 0.0)
     return LayerSinrs(sinr, signal, denom)
 
@@ -161,6 +170,16 @@ def layer_sinrs(h, w, noise_var: float) -> LayerSinrs:
     return LayerSinrs(split.sinr[0], split.signal[0], split.noise_interf[0])
 
 
+def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
+    """Per-layer linear SINRs of each block under its own precoder.
+
+    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``, ``w`` shape
+    ``(n_blocks, n_tx, n_layers)`` and ``noise_var`` one value per block.
+    Returns shape ``(n_blocks, n_eval, n_layers)``.
+    """
+    return _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
+
+
 def grid_layer_sinrs(grid: ChannelGrid, w, noise_var: float) -> np.ndarray:
     """Per-layer linear SINRs across a grid's evaluated subcarriers.
 
@@ -168,39 +187,48 @@ def grid_layer_sinrs(grid: ChannelGrid, w, noise_var: float) -> np.ndarray:
     grids (every subcarrier is identical, so one row carries the band).
     """
     w = np.asarray(w, dtype=np.complex128)
-    return _split_batch(grid.eval_matrices() @ w, noise_var).sinr
+    return block_layer_sinrs(grid.eval_matrices()[None], w[None], [noise_var])[0]
+
+
+def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive codebook search maximizing each block's wideband SINR.
+
+    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
+    holds one value per block.  Signal and interference+noise powers are
+    accumulated separately over all subcarriers and layers; the candidate
+    with the highest ratio of the two sums wins.  Candidates within
+    ``PMI_TIE_REL_TOL`` (relative) of the maximum count as tied and the
+    lowest enumeration index is returned, so float noise between matrices
+    that are equivalent in exact arithmetic cannot flip the choice.
+
+    Returns the winning position in ``cb.entries`` and the winning linear
+    wideband ratio, one of each per block.
+    """
+    if cb.ports != mats.shape[-1]:
+        raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
+    g = np.einsum("bsij,cjl->bcsil", mats, cb.precoders)
+    split = _split_batch(g, np.asarray(noise_var)[:, None, None])
+    sig = split.signal.sum(axis=(-2, -1))
+    nin = split.noise_interf.sum(axis=(-2, -1))
+    ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
+    best = np.max(ratios, axis=-1, keepdims=True)
+    winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
+    return winners, np.take_along_axis(ratios, winners[:, None], axis=-1)[:, 0]
 
 
 def select_pmi(grid: ChannelGrid, rank: int, noise_var: float,
                cb: PrecoderCodebook,
                sinr_clamp_db: tuple[int, int] = (DB_FLOOR, DB_CEIL),
                ) -> tuple[PmiIndex, int]:
-    """Exhaustive codebook search maximizing the wideband SINR.
-
-    Signal and interference+noise powers are accumulated separately over
-    all subcarriers and layers; the candidate with the highest ratio of
-    the two sums wins.  Candidates within ``PMI_TIE_REL_TOL`` (relative)
-    of the maximum count as tied and the lowest enumeration index is
-    returned, so float noise between matrices that are equivalent in
-    exact arithmetic cannot flip the choice.
+    """:func:`select_pmi_blocks` of one grid at one rank.
 
     Returns the winning index and the integer-dB quantized wideband SINR.
     """
     if cb.rank != rank:
         raise ConfigurationError(f"codebook rank {cb.rank} != requested rank {rank}")
-    if cb.ports != grid.n_tx:
-        raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {grid.n_tx}")
-    mats = grid.eval_matrices()
-    stack = np.stack([w for _, w in cb.entries])  # (n_cand, n_tx, rank)
-    g = np.einsum("sij,cjl->csil", mats, stack)
-    split = _split_batch(g, noise_var)
-    sig = split.signal.sum(axis=(1, 2))
-    nin = split.noise_interf.sum(axis=(1, 2))
-    ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
-    best = float(np.max(ratios))
-    winner = int(np.argmax(ratios >= best - PMI_TIE_REL_TOL * abs(best)))
-    idx = cb.entries[winner][0]
-    return idx, lin_to_int_db(float(ratios[winner]), *sinr_clamp_db)
+    winners, ratios = select_pmi_blocks(grid.eval_matrices()[None], [noise_var], cb)
+    return cb.entries[winners[0]][0], lin_to_int_db(float(ratios[0]), *sinr_clamp_db)
 
 
 # Wideband integer SINR (dB) -> CQI, per reporting rank.  Outside the
@@ -233,15 +261,47 @@ def select_cqi(wideband_sinr_db: int, ri: int) -> int:
     return _CQI_FROM_SINR_RANK2.get(sinr, 13)
 
 
+def blocks_per_search(n_eval: int,
+                      codebooks: Mapping[tuple[int, int], PrecoderCodebook]) -> int:
+    """Blocks of ``n_eval`` subcarriers one call of :func:`make_reports` should get.
+
+    Sized so that the effective-channel array of the largest search,
+    (blocks, candidates, subcarriers, 2, layers), stays within
+    ``BATCH_ELEMS``.
+    """
+    per_block = n_eval * 2 * max(len(cb) * cb.rank for cb in codebooks.values())
+    return max(1, BATCH_ELEMS // per_block)
+
+
+def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
+                 codebooks: Mapping[tuple[int, int], PrecoderCodebook],
+                 ) -> list[CsiReport]:
+    """Full UE feedback for each block: RI, PMI, SINR, CQI.
+
+    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
+    holds one value per block.  ``codebooks`` maps ``(ports, rank)`` to
+    prebuilt codebooks covering the port count at both ranks.  Memory
+    grows with the number of blocks; see :func:`blocks_per_search`.
+    """
+    n_tx = mats.shape[-1]
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    ri = compute_ri_blocks(mats, cfg)
+    reports: list[CsiReport] = [None] * len(mats)
+    for rank in (1, 2):
+        rows = np.flatnonzero(ri == rank)
+        if rows.size == 0:
+            continue
+        cb = codebooks[(n_tx, rank)]
+        winners, ratios = select_pmi_blocks(mats[rows], noise_var[rows], cb)
+        for row, w, ratio in zip(rows.tolist(), winners.tolist(), ratios.tolist()):
+            sinr_db = lin_to_int_db(ratio, *cfg.sinr_clamp_db)
+            cqi = cfg.force_cqi if cfg.force_cqi is not None else select_cqi(sinr_db, rank)
+            reports[row] = CsiReport(ri=rank, pmi=cb.entries[w][0],
+                                     wideband_sinr_db=sinr_db, cqi=cqi)
+    return reports
+
+
 def make_report(grid: ChannelGrid, noise_var: float, cfg: CsiConfig,
                 codebooks: Mapping[tuple[int, int], PrecoderCodebook]) -> CsiReport:
-    """Full UE feedback for one coherence block: RI, PMI, SINR, CQI.
-
-    ``codebooks`` maps ``(ports, rank)`` to prebuilt codebooks covering
-    the grid's port count at both ranks.
-    """
-    ri = compute_ri(grid, cfg)
-    cb = codebooks[(grid.n_tx, ri)]
-    pmi, sinr_db = select_pmi(grid, ri, noise_var, cb, cfg.sinr_clamp_db)
-    cqi = cfg.force_cqi if cfg.force_cqi is not None else select_cqi(sinr_db, ri)
-    return CsiReport(ri=ri, pmi=pmi, wideband_sinr_db=sinr_db, cqi=cqi)
+    """:func:`make_reports` of one grid."""
+    return make_reports(grid.eval_matrices()[None], [noise_var], cfg, codebooks)[0]

@@ -20,6 +20,12 @@ DET_EPS = 1e-12
 DB_FLOOR = -10
 DB_CEIL = 40
 
+# Upper bound on the elements of the largest temporary array one batched
+# step over coherence blocks builds.  Flat blocks fit by the dozen; a
+# block of full-band estimates gets a step of its own, which keeps memory
+# as low as processing blocks one by one.
+BATCH_ELEMS = 1 << 13
+
 
 class DimensionError(ValueError):
     """Raised when a matrix does not have the shape an operation requires."""
@@ -114,20 +120,20 @@ def gamma_stack(mats: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     mats : np.ndarray
-        Shape ``(n, 2, n_tx)`` stack of channel matrices (not Grams).
+        Shape ``(..., 2, n_tx)`` stack of channel matrices (not Grams).
 
     Returns
     -------
     np.ndarray
-        Shape ``(n,)`` array of condition metrics, ``+inf`` where the Gram
-        determinant vanishes.
+        Shape ``mats.shape[:-2]`` array of condition metrics, ``+inf``
+        where the Gram determinant vanishes.
     """
-    g = mats @ np.conj(np.transpose(mats, (0, 2, 1)))
-    num = np.sum(np.abs(g) ** 2, axis=(1, 2))
-    tr = (g[:, 0, 0] + g[:, 1, 1]).real
-    det = (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]).real
+    g = mats @ np.conj(np.swapaxes(mats, -1, -2))
+    num = np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    tr = (g[..., 0, 0] + g[..., 1, 1]).real
+    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
     ok = det > DET_EPS * tr * tr
-    out = np.full(len(mats), np.inf)
+    out = np.full(mats.shape[:-2], np.inf)
     np.divide(num, det, out=out, where=ok)
     return out
 

@@ -5,18 +5,24 @@ transport-block size); the PHY abstraction collapses the per-layer MMSE
 SINRs into one capped effective SINR and a logistic block-error
 probability anchored 1 dB above the Shannon limit of the scheme; a
 single-process stop-and-wait HARQ loop produces throughput statistics.
+
+A drop runs in three phases, so that sweeps can share the first two:
+:func:`drop_channel` draws every coherence block of the drop (shared by
+all sweep points), :func:`drop_csi` computes the reports and the
+effective SINRs for one noise point (shared by all forced CQIs), and
+:func:`run_harq` runs the slot loop for one sweep point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelGrid, estimate
+from .channel import ChannelGrid, block_rx_power, estimate_blocks
 from .codebook import PmiIndex, build_codebook_set, precoder_for
-from .csi import CsiReport, grid_layer_sinrs, make_report
+from .csi import CsiReport, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
 from .tables import load_cqi_table, load_mcs_table
 
@@ -118,20 +124,28 @@ def schedule(report: CsiReport, n_prb: int) -> DownlinkGrant:
     )
 
 
+def effective_sinrs_db(mats: np.ndarray, w: np.ndarray, noise_var,
+                       cap_db: float) -> np.ndarray:
+    """Mean per-layer linear SINR over the band, in dB, ceilinged at ``cap_db``.
+
+    One value per block: ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``,
+    ``w`` holds each block's precoder, all of one rank, with the ceiling
+    ``cap_db`` of that rank, and ``noise_var`` one value per block.  The
+    rank-dependent ceiling models the fixed receiver impairment that keeps
+    high modulation orders from becoming error free even when the channel
+    SNR grows without bound.
+    """
+    mean_lin = np.mean(block_layer_sinrs(mats, w, noise_var), axis=(1, 2))
+    return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
+                     for m in mean_lin.tolist()])
+
+
 def effective_sinr_db(grid: ChannelGrid, grant: DownlinkGrant,
                       noise_var: float, sinr_cap_db: dict[int, float]) -> float:
-    """Mean per-layer linear SINR over the band, in dB, ceilinged per rank.
-
-    The rank-dependent ceiling models the fixed receiver impairment that
-    keeps high modulation orders from becoming error free even when the
-    channel SNR grows without bound.
-    """
-    sinrs = grid_layer_sinrs(grid, grant.precoder, noise_var)
-    mean_lin = float(np.mean(sinrs))
+    """:func:`effective_sinrs_db` of one grid under one grant."""
     cap = float(sinr_cap_db[grant.n_layers])
-    if mean_lin <= 0.0:
-        return -math.inf
-    return min(10.0 * math.log10(mean_lin), cap)
+    return float(effective_sinrs_db(grid.eval_matrices()[None], grant.precoder[None],
+                                    [noise_var], cap)[0])
 
 
 def decode_threshold_db(mcs: int) -> float:
@@ -174,80 +188,184 @@ class ThroughputStats:
         return self.goodput_bps / 1e6
 
 
-def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
-    """One closed-loop drop: fading blocks, periodic CSI, HARQ, accounting.
+@dataclass(frozen=True, eq=False)
+class DropChannel:
+    """What one drop fixes for all of its sweep points.
 
-    Fully deterministic in ``(scenario, seed)``.  Per slot: advance the
-    fading block if needed, refresh CSI on reporting-period boundaries
-    (the UE sees the *estimated* channel, decoding uses the true one),
-    transmit the pending transport block, and draw exactly one uniform
-    variate against the block-error probability.  A transport block is
-    retransmitted with its original grant up to ``max_harq_tx`` attempts,
-    then dropped.
+    ``h`` holds the true channel of each coherence block of drop ``seed``,
+    shape ``(n_blocks, 2, n_tx)``, and ``p_rx`` its mean received power.
+    A block carries a report at its first slot on the reporting grid, if
+    it has one: ``report_block`` lists those blocks.  Per slot,
+    ``slot_block`` and ``slot_report`` give the block and the report in
+    force, and ``ack_draws`` the one uniform variate drawn against the
+    block-error probability.
+
+    A transport block keeps the grant of the report in force when it was
+    first sent, for up to ``max_harq_tx`` attempts, so it can meet the
+    blocks that follow.  The (report, block) pairs that can occur are
+    numbered report by report: ``(k, b)`` is pair ``report_pair_base[k] + b``
+    of ``pair_report`` and ``pair_block``.
     """
-    codebooks = build_codebook_set(scenario.n_tx)
-    ack_rng = np.random.default_rng([_ACK_STREAM, seed])
+
+    seed: int
+    h: np.ndarray
+    p_rx: np.ndarray
+    report_block: np.ndarray
+    slot_block: list[int]
+    slot_report: list[int]
+    ack_draws: list[float]
+    pair_report: np.ndarray
+    pair_block: np.ndarray
+    report_pair_base: list[int]
+
+
+def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
+    """Draw the channel and the slot plan of drop ``seed``.
+
+    Nothing here depends on the noise point or on a forced CQI.  Every
+    random stream is keyed by ``(seed, block)`` or by ``seed`` alone, so
+    a drop is the same whichever sweep point runs it.
+    """
+    n = scenario.n_slots
+    slots = np.arange(n)
     coh = scenario.coherence_slots
+    slot_block = slots // coh if coh is not None else np.zeros(n, dtype=np.intp)
+    h = scenario.block_channels(seed, int(slot_block[-1]) + 1)
 
-    cur_block = -1
-    grid = noise = est = None
-    report: CsiReport | None = None
-    grant: DownlinkGrant | None = None
-    report_block = -1
-    eff_cache: dict[tuple, float] = {}
+    on_grid = slots[slots % scenario.csi_period == 0]
+    first = np.r_[True, slot_block[on_grid][1:] != slot_block[on_grid][:-1]]
+    report_slot = on_grid[first]
+    report_block = slot_block[report_slot]
+    slot_report = np.searchsorted(report_slot, slots, side="right") - 1
 
-    tb_grant: DownlinkGrant | None = None
-    tb_tries = 0
-    attempts = acks = 0
-    delivered = 0
-    sum_mcs = sum_ri = sum_cqi = 0
+    # A grant from report k is first sent at the latest in the slot before
+    # the next report, and resent at most max_harq_tx - 1 slots later.
+    last_sent = np.minimum(np.r_[report_slot[1:] - 1, n - 1] + scenario.max_harq_tx - 1,
+                           n - 1)
+    n_pairs = slot_block[last_sent] - report_block + 1
+    first_pair = np.cumsum(n_pairs) - n_pairs
+    pair_report = np.repeat(np.arange(report_slot.size), n_pairs)
+    pair_block = np.arange(n_pairs.sum()) - (first_pair - report_block)[pair_report]
 
-    for slot in range(scenario.n_slots):
-        block = 0 if coh is None else slot // coh
-        if block != cur_block:
-            cur_block = block
-            grid = scenario.grid_for_block(seed, block)
-            est = estimate(grid, scenario.est_error_var, seed)
-            noise = scenario.noise_for(grid)
-        if slot % scenario.csi_period == 0 and report_block != block:
-            report = make_report(est, noise.variance, scenario.csi, codebooks)
-            grant = schedule(report, scenario.n_prb)
-            report_block = block
+    return DropChannel(
+        seed=seed,
+        h=h,
+        p_rx=block_rx_power(h, scenario.n_prb),
+        report_block=report_block,
+        slot_block=slot_block.tolist(),
+        slot_report=slot_report.tolist(),
+        ack_draws=np.random.default_rng([_ACK_STREAM, seed]).random(n).tolist(),
+        pair_report=pair_report,
+        pair_block=pair_block,
+        report_pair_base=(first_pair - report_block).tolist(),
+    )
 
-        if tb_grant is None:
-            tb_grant = grant
-            tb_tries = 0
 
-        key = (block, tb_grant.pmi.key(), tb_grant.n_layers)
-        eff = eff_cache.get(key)
-        if eff is None:
-            eff = effective_sinr_db(grid, tb_grant, noise.variance,
-                                    scenario.sinr_cap_db)
-            eff_cache[key] = eff
-        p_err = bler(eff, tb_grant.mcs)
+@dataclass(frozen=True, eq=False)
+class DropCsi:
+    """CSI of one drop at one noise point.
 
-        attempts += 1
-        tb_tries += 1
-        sum_mcs += tb_grant.mcs
-        sum_ri += tb_grant.n_layers
-        sum_cqi += tb_grant.cqi
-        if ack_rng.random() >= p_err:
+    ``reports`` holds one report per reporting block of ``chan`` and
+    ``pair_eff_db`` the effective SINR of each (report, block) pair: the
+    report's precoder on the block's true channel and noise.
+    """
+
+    chan: DropChannel
+    reports: list[CsiReport]
+    pair_eff_db: list[float]
+
+
+def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
+    """Reports and effective SINRs of ``chan`` at the scenario's noise point.
+
+    The UE reports from its estimate, decoding sees the true channel.  A
+    forced CQI changes neither, so one result serves every forced CQI.
+    Estimates are drawn a few blocks at a time, which bounds memory when
+    they span the whole band.
+    """
+    n_tx = scenario.n_tx
+    codebooks = build_codebook_set(n_tx)
+    noise_var = scenario.noise_var_for_power(chan.p_rx)
+    n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
+    step = blocks_per_search(n_eval, codebooks)
+    reports = []
+    for lo in range(0, chan.report_block.size, step):
+        blocks = chan.report_block[lo:lo + step]
+        est = estimate_blocks(chan.h[blocks], scenario.est_error_var, chan.seed,
+                              blocks.tolist(), scenario.n_prb)
+        reports += make_reports(est, noise_var[blocks], scenario.csi, codebooks)
+    precoders = [codebooks[(n_tx, rep.ri)].matrix(rep.pmi) for rep in reports]
+    pair_rank = np.array([rep.ri for rep in reports])[chan.pair_report]
+    eff = np.empty(chan.pair_report.size)
+    for rank in (1, 2):
+        rows = np.flatnonzero(pair_rank == rank)
+        if rows.size == 0:
+            continue
+        blocks = chan.pair_block[rows]
+        w = np.stack([precoders[k] for k in chan.pair_report[rows].tolist()])
+        eff[rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
+                                       float(scenario.sinr_cap_db[rank]))
+    return DropCsi(chan=chan, reports=reports, pair_eff_db=eff.tolist())
+
+
+def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
+    """Stop-and-wait HARQ over one drop at one sweep point.
+
+    Each slot carries one transport block: a new one on the grant of the
+    report in force (its CQI replaced by ``scenario.csi.force_cqi`` when
+    set), or the pending one, resent with its original grant up to
+    ``max_harq_tx`` attempts and then dropped.  Exactly one uniform
+    variate per slot is drawn against the block-error probability.
+    """
+    chan = csi.chan
+    force_cqi = scenario.csi.force_cqi
+    grants: dict[tuple[PmiIndex, int], DownlinkGrant] = {}
+    sent = []  # per report: what a transport block granted from it carries
+    for rep, pair_base in zip(csi.reports, chan.report_pair_base):
+        cqi = rep.cqi if force_cqi is None else force_cqi
+        grant = grants.get((rep.pmi, cqi))
+        if grant is None:
+            grant = grants[(rep.pmi, cqi)] = schedule(replace(rep, cqi=cqi), scenario.n_prb)
+        sent.append((grant.mcs, grant.n_layers, grant.cqi, grant.tbs_bits, pair_base))
+    p_err = [bler(eff, sent[k][0])
+             for eff, k in zip(csi.pair_eff_db, chan.pair_report.tolist())]
+
+    slot_report, max_tx = chan.slot_report, scenario.max_harq_tx
+    tries = acks = delivered = sum_mcs = sum_ri = sum_cqi = 0
+    for slot, (u, block) in enumerate(zip(chan.ack_draws, chan.slot_block)):
+        if tries == 0:
+            mcs, layers, cqi, bits, pair_base = sent[slot_report[slot]]
+        tries += 1
+        sum_mcs += mcs
+        sum_ri += layers
+        sum_cqi += cqi
+        if u >= p_err[pair_base + block]:
             acks += 1
-            delivered += tb_grant.tbs_bits
-            tb_grant = None
-        elif tb_tries >= scenario.max_harq_tx:
-            tb_grant = None  # block dropped after the last allowed attempt
+            delivered += bits
+            tries = 0
+        elif tries >= max_tx:
+            tries = 0  # block dropped after the last allowed attempt
 
     n = scenario.n_slots
     goodput = delivered / n / SLOT_DURATION_S * scenario.dl_duty_factor
     return ThroughputStats(
         slots=n,
-        tb_attempts=attempts,
+        tb_attempts=n,
         tb_acks=acks,
         delivered_bits=delivered,
         goodput_bps=goodput,
-        mean_bler=(attempts - acks) / attempts if attempts else 0.0,
+        mean_bler=(n - acks) / n,
         mean_mcs=sum_mcs / n,
         mean_ri=sum_ri / n,
         mean_cqi=sum_cqi / n,
     )
+
+
+def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
+    """One closed-loop drop: fading blocks, periodic CSI, HARQ, accounting.
+
+    Fully deterministic in ``(scenario, seed)``: the three phases of
+    :func:`drop_channel`, :func:`drop_csi` and :func:`run_harq` at the
+    scenario's own noise point and CQI setting.
+    """
+    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))

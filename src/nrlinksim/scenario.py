@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from math import inf
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelGrid, NoiseSpec, fixed_grid, noise_variance, rice1_grid
+from .channel import (ChannelGrid, NoiseSpec, fixed_grid, mean_rx_power, rice1_blocks,
+                      rice1_grid, snr_noise_variance)
 from .csi import CsiConfig
 
 DEFAULT_N_PRB = 106
@@ -50,6 +51,8 @@ class ChannelModel:
             raise ScenarioError(f"channel.type must be 'fixed' or 'rice1', got {self.kind!r}")
         if self.kind == "fixed" and self.matrix is None:
             raise ScenarioError("channel.matrix is required for a fixed channel")
+        if self.kind == "fixed" and not np.all(np.isfinite(self.matrix)):
+            raise ScenarioError("channel.matrix entries must be finite")
         if self.k_factor < 0:
             raise ScenarioError(f"channel.k_factor must be >= 0, got {self.k_factor}")
         if self.coherence_slots < 1:
@@ -140,6 +143,10 @@ class Scenario:
                 raise ScenarioError(
                     f"channel.matrix shape {m.shape} does not match "
                     f"(n_rx, n_tx) = ({self.n_rx}, {self.n_tx})")
+            if self.noise.mode in ("snr", "snr_sweep") and not np.mean(np.abs(m) ** 2) > 0.0:
+                raise ScenarioError(
+                    f"noise.mode {self.noise.mode!r} needs a channel.matrix with "
+                    "nonzero power; use noise.mode 'variance'")
 
     @property
     def is_fading(self) -> bool:
@@ -157,15 +164,32 @@ class Scenario:
         return rice1_grid(drop_seed, self.channel.k_factor, self.n_tx,
                           self.n_prb, block_id)
 
+    def block_channels(self, drop_seed: int, n_blocks: int) -> np.ndarray:
+        """True channel of blocks ``0 .. n_blocks - 1`` of one drop.
+
+        Shape ``(n_blocks, 2, n_tx)``; row ``b`` is the matrix every
+        subcarrier of :meth:`grid_for_block` ``(drop_seed, b)`` holds.
+        """
+        if self.channel.kind == "fixed":
+            h = np.asarray(self.channel.matrix, dtype=np.complex128)
+            return np.broadcast_to(h, (n_blocks,) + h.shape)
+        return rice1_blocks(drop_seed, self.channel.k_factor, self.n_tx, range(n_blocks))
+
+    def noise_var_for_power(self, p_rx: np.ndarray) -> np.ndarray:
+        """Noise variance of each block, given its mean received power."""
+        if self.noise.mode == "noise_free":
+            return np.zeros(p_rx.shape)
+        if self.noise.mode == "snr":
+            return snr_noise_variance(self.noise.snr_db, p_rx)
+        if self.noise.mode == "variance":
+            return np.full(p_rx.shape, float(self.noise.variance))
+        raise ScenarioError("an snr_sweep scenario must be expanded per sweep point")
+
     def noise_for(self, grid: ChannelGrid) -> NoiseSpec:
         """Resolve the scenario's noise model against one block's grid."""
-        if self.noise.mode == "noise_free":
-            return NoiseSpec("noise_free", 0.0, None)
-        if self.noise.mode == "snr":
-            return noise_variance(self.noise.snr_db, grid)
-        if self.noise.mode == "variance":
-            return NoiseSpec("variance", float(self.noise.variance), None)
-        raise ScenarioError("an snr_sweep scenario must be expanded per sweep point")
+        variance = self.noise_var_for_power(np.array([mean_rx_power(grid)]))[0]
+        snr_db = float(self.noise.snr_db) if self.noise.mode == "snr" else None
+        return NoiseSpec(self.noise.mode, float(variance), snr_db)
 
     def at_snr(self, snr_db: float) -> "Scenario":
         """Copy of this scenario pinned to one SNR point."""
@@ -186,6 +210,11 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
     _require(not unknown, f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number other than NaN and +-Infinity (booleans are not numbers)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v)
+
+
 def _parse_matrix(rows, where: str) -> np.ndarray:
     """Parse a matrix given as rows of numbers or [re, im] pairs."""
     _require(isinstance(rows, list) and rows, f"{where} must be a nonempty list of rows")
@@ -194,14 +223,15 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
         _require(isinstance(row, list) and row, f"{where}[{i}] must be a nonempty list")
         vals = []
         for j, cell in enumerate(row):
-            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+            if _is_finite_number(cell):
                 vals.append(complex(cell))
             elif (isinstance(cell, list) and len(cell) == 2
-                  and all(isinstance(c, (int, float)) for c in cell)):
+                  and all(_is_finite_number(c) for c in cell)):
                 vals.append(complex(cell[0], cell[1]))
             else:
                 raise ScenarioError(
-                    f"{where}[{i}][{j}] must be a number or an [re, im] pair")
+                    f"{where}[{i}][{j}] must be a finite number or an [re, im] "
+                    "pair of finite numbers")
         out.append(vals)
     lens = {len(r) for r in out}
     _require(len(lens) == 1, f"{where} rows must all have the same length")
@@ -216,12 +246,11 @@ def _get_num(d: dict, key: str, where: str, default, *, integer=False):
         _require(isinstance(v, int) and not isinstance(v, bool),
                  f"{where}.{key} must be an integer")
         return v
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"{where}.{key} must be a number")
+    _require(_is_finite_number(v), f"{where}.{key} must be a finite number")
     return float(v)
 
 
-def _parse_channel(d, n_tx_hint: int | None) -> ChannelModel:
+def _parse_channel(d) -> ChannelModel:
     if isinstance(d, str):
         # Shorthand: "channel": "rice1" means the model with all defaults.
         _require(d == "rice1", f"channel shorthand must be 'rice1', got {d!r}")
@@ -253,10 +282,8 @@ def _parse_noise(d) -> NoiseModel:
     mode = d.get("mode", "noise_free")
     if mode == "snr_sweep":
         pts = d.get("snr_db_list")
-        _require(isinstance(pts, list) and pts
-                 and all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                         for p in pts),
-                 "noise.snr_db_list must be a nonempty list of numbers")
+        _require(isinstance(pts, list) and pts and all(_is_finite_number(p) for p in pts),
+                 "noise.snr_db_list must be a nonempty list of finite numbers")
         return NoiseModel(mode=mode, snr_db_list=tuple(float(p) for p in pts))
     return NoiseModel(
         mode=mode,
@@ -310,11 +337,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     _require(isinstance(cfg, dict), "scenario document must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "scenario")
     _require("channel" in cfg, "scenario is missing required key 'channel'")
-    channel = _parse_channel(cfg["channel"], cfg.get("n_tx"))
-    n_tx = cfg.get("n_tx")
-    if n_tx is None:
-        # For a fixed channel the matrix width pins the port count.
-        n_tx = channel.matrix.shape[1] if channel.kind == "fixed" else 4
+    channel = _parse_channel(cfg["channel"])
+    # For a fixed channel the matrix width pins the default port count.
+    n_tx = _get_num(cfg, "n_tx", "scenario",
+                    channel.matrix.shape[1] if channel.kind == "fixed" else 4, integer=True)
     band = cfg.get("band")
     _require(band is None or isinstance(band, str), "band must be a string")
     try:

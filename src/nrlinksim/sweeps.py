@@ -4,7 +4,8 @@ Each driver returns plain result rows (which tests consume directly) and
 has a matching CSV writer with a fixed column contract.  Results are
 bitwise reproducible for a given scenario: drop seeds derive only from
 ``(scenario.seed, drop_index)``, never from the sweep point, so sweep
-points share common random numbers.
+points share common random numbers.  Sweeps therefore run drop-major:
+each drop is drawn once and serves every sweep point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .channel import NoiseSpec, derive_seed, estimate
 from .codebook import build_codebook, build_codebook_set
 from .csi import CsiReport, gamma_per_subcarrier, make_report
-from .link import ThroughputStats, mcs_from_cqi, simulate_drop
+from .link import (ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq,
+                   simulate_drop)
 from .scenario import Scenario, ScenarioError
 
 N_CQI_POINTS = 16
@@ -63,26 +65,41 @@ class CsiInspection:
     gamma_max: float
 
 
-def run_drops(scenario: Scenario, workers: int = 1) -> list[ThroughputStats]:
-    """All drops of one scenario, in drop order.
+def run_drops(scenario: Scenario, workers: int = 1, drop=simulate_drop) -> list:
+    """``drop(scenario, seed)`` for every drop of one scenario, in drop order.
 
-    ``workers > 1`` fans drops out to a process pool; the ordered gather
-    keeps results identical to the sequential run.
+    ``workers > 1`` fans the drops out to one process pool; the ordered
+    gather keeps results identical to the sequential run.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
-    if workers <= 1:
-        return [simulate_drop(scenario, s) for s in seeds]
+    if workers == 1:
+        return [drop(scenario, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(simulate_drop, repeat(scenario), seeds))
+        return list(ex.map(drop, repeat(scenario), seeds))
+
+
+def _cqi_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
+    """One drop at every forced CQI: one channel and CSI pass, then HARQ per CQI."""
+    csi = drop_csi(scenario, drop_channel(scenario, seed))
+    return [run_harq(scenario.with_forced_cqi(cqi), csi) for cqi in range(N_CQI_POINTS)]
+
+
+def _snr_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
+    """One drop at every SNR point: one channel pass, then CSI and HARQ per point."""
+    chan = drop_channel(scenario, seed)
+    points = [scenario.at_snr(snr) for snr in scenario.noise.snr_db_list]
+    return [run_harq(point, drop_csi(point, chan)) for point in points]
 
 
 def run_sweep_cqi(scenario: Scenario, workers: int = 1) -> list[CqiSweepRow]:
-    """Force each CQI 0..15 in turn and simulate all drops per point."""
+    """Force each CQI 0..15 in turn over the same drops."""
     if scenario.noise.mode == "snr_sweep":
         raise ScenarioError("sweep-cqi needs a single noise point, not snr_sweep")
+    per_drop = run_drops(scenario, workers, _cqi_points)
     rows = []
-    for cqi in range(N_CQI_POINTS):
-        stats = run_drops(scenario.with_forced_cqi(cqi), workers)
+    for cqi, stats in enumerate(zip(*per_drop)):
         g = np.array([s.goodput_mbps for s in stats])
         rows.append(CqiSweepRow(
             cqi=cqi,
@@ -90,18 +107,18 @@ def run_sweep_cqi(scenario: Scenario, workers: int = 1) -> list[CqiSweepRow]:
             goodput_mbps_mean=float(np.mean(g)),
             goodput_mbps_std=float(np.std(g, ddof=1)) if len(g) > 1 else 0.0,
             mean_bler=float(np.mean([s.mean_bler for s in stats])),
-            drops=tuple(stats),
+            drops=stats,
         ))
     return rows
 
 
 def run_sweep_snr(scenario: Scenario, workers: int = 1) -> list[SnrSweepRow]:
-    """Simulate every SNR point of an ``snr_sweep`` scenario, in order."""
+    """Simulate every SNR point of an ``snr_sweep`` scenario over the same drops."""
     if scenario.noise.mode != "snr_sweep":
         raise ScenarioError("sweep-snr needs noise.mode = 'snr_sweep'")
+    per_drop = run_drops(scenario, workers, _snr_points)
     rows = []
-    for snr in scenario.noise.snr_db_list:
-        stats = run_drops(scenario.at_snr(snr), workers)
+    for snr, stats in zip(scenario.noise.snr_db_list, zip(*per_drop)):
         g = np.array([s.goodput_mbps for s in stats])
         rows.append(SnrSweepRow(
             snr_db=float(snr),
@@ -111,7 +128,7 @@ def run_sweep_snr(scenario: Scenario, workers: int = 1) -> list[SnrSweepRow]:
             mean_bler=float(np.mean([s.mean_bler for s in stats])),
             goodput_mbps=float(np.mean(g)),
             goodput_mbps_std=float(np.std(g, ddof=1)) if len(g) > 1 else 0.0,
-            drops=tuple(stats),
+            drops=stats,
         ))
     return rows
 

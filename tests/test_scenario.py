@@ -135,6 +135,33 @@ class TestValidation:
             scenario_from_dict({"channel": "rice1", "noise": {"mode": "variance"}})
 
 
+@pytest.mark.parametrize("doc,field", [
+    ('{"channel": {"type": "rice1", "k_factor": NaN}}', "channel.k_factor"),
+    ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": Infinity}}',
+     "noise.snr_db"),
+    ('{"channel": "rice1", "noise": {"mode": "variance", "variance": Infinity}}',
+     "noise.variance"),
+    ('{"channel": "rice1", "est_error_var": NaN}', "scenario.est_error_var"),
+    ('{"channel": {"type": "fixed", "matrix": [[1, NaN], [0, 1]]}}',
+     "channel.matrix[0][1]"),
+    ('{"channel": {"type": "fixed", "matrix": [[1, [0, -Infinity]], [0, 1]]}}',
+     "channel.matrix[0][1]"),
+    ('{"channel": {"type": "fixed", "matrix": [[[true, false], 1], [0, 1]]}}',
+     "channel.matrix[0][0]"),
+    ('{"channel": "rice1", "noise": {"mode": "snr_sweep", "snr_db_list": [0, NaN]}}',
+     "noise.snr_db_list"),
+    ('{"channel": "rice1", "n_tx": 4.0}', "scenario.n_tx"),
+    ('{"channel": {"type": "fixed", "matrix": [[0, 0], [0, 0]]},'
+     ' "noise": {"mode": "snr", "snr_db": 10}}', "channel.matrix"),
+])
+def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(doc, encoding="utf-8")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(p)
+    assert field in str(exc.value)
+
+
 class TestCaps:
     def test_partial_override(self):
         sc = scenario_from_dict({"channel": "rice1", "sinr_cap_db": {"2": 12.5}})

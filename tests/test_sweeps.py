@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from nrlinksim import cli
+from nrlinksim import cli, sweeps
 from nrlinksim.link import mcs_from_cqi, tbs
 from nrlinksim.scenario import ScenarioError, parse_scenario, scenario_from_dict
 from nrlinksim.sweeps import (run_csi_inspect, run_drops, run_sweep_cqi,
@@ -56,6 +56,11 @@ class TestRunDrops:
         sc = _small_rice()
         assert run_drops(sc, workers=2) == run_drops(sc, workers=1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_drops(_small_rice(), workers=workers)
+
 
 class TestRunSweepCqi:
     def test_row_contract(self):
@@ -81,6 +86,19 @@ class TestRunSweepCqi:
     def test_goodput_bound(self):
         for r in run_sweep_cqi(_small_fixed()):
             assert r.goodput_mbps_mean <= GOODPUT_BOUND_MBPS
+
+    def test_workers_match_sequential_in_one_pool(self, monkeypatch):
+        started = []
+
+        class CountingPool(sweeps.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
+        sc = _small_rice(n_drops=2, n_slots=40)
+        assert run_sweep_cqi(sc, workers=2) == run_sweep_cqi(sc, workers=1)
+        assert len(started) == 1
 
 
 class TestRunSweepSnr:
@@ -268,6 +286,17 @@ class TestCli:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, workers, tmp_path):
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.main(["sweep-cqi", "--config",
+                      str(scenario_path("cqi_sweep_fixed_2x4.json")),
+                      "--workers", workers, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--workers" in err.getvalue()
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_fails(self, tmp_path):
         err = io.StringIO()

@@ -4,18 +4,18 @@ A compact model of the 5G NR CSI feedback loop: the UE derives RI, PMI,
 and CQI from a (possibly noisy) channel estimate; the gNB follows the
 report to schedule layers, precoder, MCS, and transport-block size; a
 logistic block-error abstraction with stop-and-wait HARQ turns the loop
-into goodput numbers.
+into goodput numbers.  Channels are block arrays, one ``(2, n_tx)``
+matrix per coherence block.
 """
 
-from .channel import (ChannelGrid, NoiseSpec, derive_seed, estimate,
-                      fixed_grid, noise_variance, rice1_grid)
+from .channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
 from .codebook import (PmiIndex, PrecoderCodebook, build_codebook,
                        build_codebook_set, precoder_for)
-from .csi import (CsiConfig, CsiReport, compute_ri, layer_sinrs, make_report,
-                  select_cqi, select_pmi)
-from .linalg import EigenPair2, eig2, gamma_metric, gram2, lin_to_int_db
-from .link import (DownlinkGrant, ThroughputStats, bler, effective_sinr_db,
-                   mcs_from_cqi, schedule, simulate_drop, tb_bits, tbs)
+from .csi import (CsiConfig, CsiReport, compute_ri_blocks, make_reports,
+                  select_cqi, select_pmi_blocks)
+from .linalg import gamma_stack, lin_to_int_db
+from .link import (DownlinkGrant, ThroughputStats, bler, effective_sinrs_db,
+                   mcs_from_cqi, schedule, simulate_drop, tbs)
 from .scenario import (ChannelModel, NoiseModel, Scenario, ScenarioError,
                        parse_scenario, scenario_from_dict)
 from .sweeps import (CqiSweepRow, CsiInspection, SnrSweepRow, run_csi_inspect,
@@ -25,15 +25,14 @@ from .tables import CqiEntry, McsEntry, load_cqi_table, load_mcs_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelGrid", "NoiseSpec", "derive_seed", "estimate", "fixed_grid",
-    "noise_variance", "rice1_grid",
+    "block_rx_power", "derive_seed", "estimate_blocks", "rice1_blocks",
     "PmiIndex", "PrecoderCodebook", "build_codebook", "build_codebook_set",
     "precoder_for",
-    "CsiConfig", "CsiReport", "compute_ri", "layer_sinrs", "make_report",
-    "select_cqi", "select_pmi",
-    "EigenPair2", "eig2", "gamma_metric", "gram2", "lin_to_int_db",
-    "DownlinkGrant", "ThroughputStats", "bler", "effective_sinr_db",
-    "mcs_from_cqi", "schedule", "simulate_drop", "tb_bits", "tbs",
+    "CsiConfig", "CsiReport", "compute_ri_blocks", "make_reports",
+    "select_cqi", "select_pmi_blocks",
+    "gamma_stack", "lin_to_int_db",
+    "DownlinkGrant", "ThroughputStats", "bler", "effective_sinrs_db",
+    "mcs_from_cqi", "schedule", "simulate_drop", "tbs",
     "ChannelModel", "NoiseModel", "Scenario", "ScenarioError",
     "parse_scenario", "scenario_from_dict",
     "CqiSweepRow", "CsiInspection", "SnrSweepRow", "run_csi_inspect",

@@ -1,99 +1,22 @@
-"""Channel realizations: fixed matrices and single-tap Rician block fading."""
+"""Channel realizations: single-tap Rician block fading, received power, estimates.
+
+Every channel is a block array: one ``(2, n_tx)`` matrix per coherence
+block, shape ``(n_blocks, 2, n_tx)``.  Both channel models are flat in
+frequency, so one matrix stands for every subcarrier of its block; only
+an estimate with error spans the band, shape ``(n_blocks, n_sc, 2, n_tx)``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .linalg import BATCH_ELEMS, DimensionError, as_cmatrix
+from .linalg import BATCH_ELEMS
 
 # Leading stream tags keep the independent random streams of one seed
 # (LOS phase, scattered fading, estimation noise) from colliding.
 _LOS_STREAM = 11
 _NLOS_STREAM = 12
 _EST_STREAM = 13
-
-ALLOWED_N_TX = (1, 2, 4)
-
-
-@dataclass
-class ChannelGrid:
-    """Per-subcarrier channel matrices for one coherence block.
-
-    ``matrices`` has shape ``(n_sc, n_rx, n_tx)``.  ``flat`` records that
-    every subcarrier holds the same matrix (true for single-tap models),
-    which lets consumers evaluate a single subcarrier and scale the
-    accumulated sums; the results are identical because the summands are.
-    """
-
-    matrices: np.ndarray
-    coherence_block_id: int = 0
-    flat: bool = False
-
-    def __post_init__(self):
-        arr = np.asarray(self.matrices, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise DimensionError(f"expected (n_sc, n_rx, n_tx), got shape {arr.shape}")
-        n_sc, n_rx, n_tx = arr.shape
-        if n_sc < 1:
-            raise DimensionError("grid needs at least one subcarrier")
-        if n_rx != 2:
-            raise DimensionError(f"n_rx must be 2, got {n_rx}")
-        if n_tx not in ALLOWED_N_TX:
-            raise DimensionError(f"n_tx must be one of {ALLOWED_N_TX}, got {n_tx}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("channel entries must be finite")
-        self.matrices = arr
-
-    @property
-    def n_sc(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def n_rx(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.matrices.shape[2]
-
-    def eval_matrices(self) -> np.ndarray:
-        """Subcarriers that actually need evaluating (one if flat)."""
-        return self.matrices[:1] if self.flat else self.matrices
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Resolved receiver-noise description for one coherence block.
-
-    ``mode`` is ``"noise_free"`` (variance exactly 0), ``"snr"`` (variance
-    derived from a target SNR and the grid's mean per-antenna power), or
-    ``"variance"`` (directly specified).
-    """
-
-    mode: str
-    variance: float
-    snr_db: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("noise_free", "snr", "variance"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "noise_free":
-            if self.variance != 0.0:
-                raise ValueError("noise_free requires variance 0")
-        elif not self.variance > 0.0:
-            raise ValueError(f"{self.mode} mode requires variance > 0, got {self.variance}")
-
-
-def fixed_grid(h, n_sc: int) -> ChannelGrid:
-    """Grid holding the same 2-row matrix on every subcarrier."""
-    h = as_cmatrix(h)
-    if h.shape[0] != 2:
-        raise DimensionError(f"channel must have 2 rows, got {h.shape[0]}")
-    if n_sc < 1:
-        raise ValueError(f"n_sc must be >= 1, got {n_sc}")
-    return ChannelGrid(np.tile(h, (n_sc, 1, 1)), coherence_block_id=0, flat=True)
 
 
 def rice1_blocks(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray:
@@ -123,32 +46,14 @@ def rice1_blocks(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray
     return h
 
 
-def rice1_grid(seed: int, k_factor: float, n_tx: int, n_sc: int,
-               block_id: int = 0) -> ChannelGrid:
-    """One block of :func:`rice1_blocks`, frequency flat across ``n_sc``."""
-    if n_sc < 1:
-        raise ValueError(f"n_sc must be >= 1, got {n_sc}")
-    h = rice1_blocks(seed, k_factor, n_tx, [block_id])[0]
-    return ChannelGrid(np.tile(h, (n_sc, 1, 1)), coherence_block_id=block_id, flat=True)
-
-
-def mean_rx_power(grid: ChannelGrid) -> float:
-    """Mean received power per transmit antenna: grand mean of ``|h|^2``.
-
-    Equals the mean over subcarriers and receive antennas of
-    ``row_norm^2 / n_tx``.
-    """
-    return float(np.mean(np.abs(grid.matrices) ** 2))
-
-
 def block_rx_power(h: np.ndarray, n_sc: int) -> np.ndarray:
-    """:func:`mean_rx_power` of each flat block ``h[b]`` spread over ``n_sc``.
+    """Mean received power per transmit antenna of each block: mean of ``|h|^2``.
 
-    The mean runs over the ``n_sc`` identical copies, not over one matrix:
-    a mean of the 8 entries of one matrix differs in the last bits from
-    the mean over the tiled grid, and the two must agree for a drop's
-    noise levels not to depend on how its blocks were drawn.  Returns
-    shape ``(n_blocks,)``.
+    The mean runs over the band, ``n_sc`` identical copies of ``h[b]``, and
+    not over the one matrix: the two differ in the last bits, and the
+    noise levels, hence every output, were fixed with the mean over the
+    band.  Equals the mean over subcarriers and receive antennas of
+    ``row_norm^2 / n_tx``.  Returns shape ``(n_blocks,)``.
     """
     shape = (n_sc,) + h.shape[1:]
     step = max(1, BATCH_ELEMS // (n_sc * h[0].size))
@@ -171,62 +76,30 @@ def snr_noise_variance(snr_db: float, p_rx):
     return p_rx / 10.0 ** (snr_db / 10.0)
 
 
-def noise_variance(snr_db: float | None, grid: ChannelGrid) -> NoiseSpec:
-    """Resolve a target SNR against a grid into a noise variance.
-
-    ``snr_db=None`` means noise free.  Otherwise the per-receive-antenna
-    noise variance is ``P_rx / 10^(snr/10)`` with ``P_rx`` the grid's mean
-    received power per transmit antenna, so the stated SNR holds at each
-    receive antenna for unit-power channels.
-    """
-    if snr_db is None:
-        return NoiseSpec("noise_free", 0.0, None)
-    return NoiseSpec("snr", snr_noise_variance(snr_db, mean_rx_power(grid)),
-                     float(snr_db))
-
-
-def _estimation_error(shape: tuple, est_error_var: float, seed: int,
-                      block_id: int) -> np.ndarray:
-    """CN(0, est_error_var) perturbation of one block, drawn from ``(seed, block_id)``."""
-    rng = np.random.default_rng([_EST_STREAM, seed, block_id])
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    noise *= np.sqrt(est_error_var / 2.0)
-    return noise
-
-
-def estimate(grid: ChannelGrid, est_error_var: float, seed: int) -> ChannelGrid:
-    """Channel estimate seen by the UE.
-
-    Adds i.i.d. CN(0, est_error_var) perturbation to every entry, drawn
-    deterministically from ``(seed, coherence_block_id)``.  A zero error
-    variance returns the grid unchanged.  Perturbed grids lose the
-    ``flat`` property.
-    """
-    if est_error_var < 0:
-        raise ValueError(f"est_error_var must be >= 0, got {est_error_var}")
-    if est_error_var == 0:
-        return grid
-    noise = _estimation_error(grid.matrices.shape, est_error_var, seed,
-                              grid.coherence_block_id)
-    return ChannelGrid(grid.matrices + noise,
-                       coherence_block_id=grid.coherence_block_id, flat=False)
-
-
 def estimate_blocks(h: np.ndarray, est_error_var: float, seed: int,
                     block_ids, n_sc: int) -> np.ndarray:
-    """:func:`estimate` of each flat block ``h[i]`` with id ``block_ids[i]``.
+    """Channel estimate seen by the UE for each block ``h[i]`` with id ``block_ids[i]``.
 
-    Returns the subcarriers that need evaluating, shape
-    ``(n_blocks, n_eval, 2, n_tx)``: one per block when the error variance
-    is zero (the estimate is the flat channel itself), else all ``n_sc``.
+    Adds i.i.d. CN(0, est_error_var) perturbation to every entry of every
+    one of the ``n_sc`` subcarriers, drawn from ``(seed, block_ids[i])``,
+    so a block's estimate does not depend on which other blocks are
+    estimated with it.  Returns the subcarriers that need evaluating,
+    shape ``(n_blocks, n_eval, 2, n_tx)``: one per block when the error
+    variance is zero (the estimate is the flat channel itself), else all
+    ``n_sc``.
     """
     if est_error_var < 0:
         raise ValueError(f"est_error_var must be >= 0, got {est_error_var}")
     if est_error_var == 0:
         return h[:, None]
     shape = (n_sc,) + h.shape[1:]
-    return np.stack([hb + _estimation_error(shape, est_error_var, seed, b)
-                     for hb, b in zip(h, block_ids)])
+    out = np.empty((len(h),) + shape, dtype=np.complex128)
+    for i, block_id in enumerate(block_ids):
+        rng = np.random.default_rng([_EST_STREAM, seed, block_id])
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noise *= np.sqrt(est_error_var / 2.0)
+        out[i] = h[i] + noise
+    return out
 
 
 def derive_seed(*parts: int) -> int:

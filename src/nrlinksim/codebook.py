@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -141,12 +142,14 @@ class PrecoderCodebook:
             raise IndexError(f"index {idx.key()} not in this codebook") from None
 
 
+@lru_cache(maxsize=None)
 def build_codebook(ports: int, rank: int) -> PrecoderCodebook:
     """Enumerate the full codebook for ``(ports, rank)``.
 
     Sizes: 32 entries for 4 ports at either rank, 4 for 2 ports rank 1,
     2 for 2 ports rank 2.  Raises :class:`ConfigurationError` for any
-    other combination.
+    other combination.  Built once per process and shared: its indices
+    are frozen, its entries a tuple and its precoders read-only.
     """
     if (ports, rank) not in SUPPORTED:
         raise ConfigurationError(f"unsupported codebook: ports={ports}, rank={rank}")

@@ -14,10 +14,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .channel import ChannelGrid
 from .codebook import ConfigurationError, PmiIndex, PrecoderCodebook
-from .linalg import (BATCH_ELEMS, DB_CEIL, DB_FLOOR, gamma_stack, inv2_stack,
-                     lin_to_int_db)
+from .linalg import BATCH_ELEMS, gamma_stack, inv2_stack, lin_to_int_db
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -43,7 +41,6 @@ class CsiConfig:
     gamma_th: float = 2.5
     force_ri: int | None = None
     force_cqi: int | None = None
-    sinr_clamp_db: tuple[int, int] = (DB_FLOOR, DB_CEIL)
 
     def __post_init__(self):
         if not self.gamma_th >= 2.0:
@@ -52,9 +49,6 @@ class CsiConfig:
             raise ValueError(f"force_ri must be 1 or 2, got {self.force_ri}")
         if self.force_cqi is not None and not 0 <= self.force_cqi <= 15:
             raise ValueError(f"force_cqi must be in [0, 15], got {self.force_cqi}")
-        lo, hi = self.sinr_clamp_db
-        if not lo < hi:
-            raise ValueError(f"bad SINR clamp range {self.sinr_clamp_db}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +73,6 @@ class LayerSinrs(NamedTuple):
     noise_interf: np.ndarray
 
 
-def gamma_per_subcarrier(grid: ChannelGrid) -> np.ndarray:
-    """Condition metric evaluated on every subcarrier of a grid."""
-    vals = gamma_stack(grid.eval_matrices())
-    if grid.flat:
-        return np.full(grid.n_sc, vals[0])
-    return vals
-
-
 def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     """Rank decision of each block from its per-subcarrier condition metric.
 
@@ -103,11 +89,6 @@ def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
         return np.full(mats.shape[0], cfg.force_ri)
     votes2 = np.count_nonzero(gamma_stack(mats) < cfg.gamma_th, axis=-1)
     return np.where(2 * votes2 > mats.shape[1], 2, 1)
-
-
-def compute_ri(grid: ChannelGrid, cfg: CsiConfig) -> int:
-    """:func:`compute_ri_blocks` of one grid."""
-    return int(compute_ri_blocks(grid.eval_matrices()[None], cfg)[0])
 
 
 def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
@@ -140,36 +121,6 @@ def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
     return LayerSinrs(sinr, signal, denom)
 
 
-def layer_sinrs(h, w, noise_var: float) -> LayerSinrs:
-    """Per-layer linear MMSE SINR for one subcarrier and one precoder.
-
-    Parameters
-    ----------
-    h : array_like
-        Channel matrix, shape ``(2, n_tx)``.
-    w : array_like
-        Precoder, shape ``(n_tx, n_layers)``.
-    noise_var : float
-        Per-antenna noise variance (0 means noise free).
-
-    Returns
-    -------
-    LayerSinrs
-        SINR per layer plus the (signal, interference+noise) powers whose
-        ratio it is; wideband aggregation sums the two parts separately.
-    """
-    if noise_var < 0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    h = np.asarray(h, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != 2:
-        raise ValueError(f"channel must be (2, n_tx), got {h.shape}")
-    if w.ndim != 2 or w.shape[0] != h.shape[1]:
-        raise ValueError(f"precoder shape {w.shape} does not match channel {h.shape}")
-    split = _split_batch((h @ w)[None], noise_var)
-    return LayerSinrs(split.sinr[0], split.signal[0], split.noise_interf[0])
-
-
 def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
     """Per-layer linear SINRs of each block under its own precoder.
 
@@ -178,16 +129,6 @@ def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
     Returns shape ``(n_blocks, n_eval, n_layers)``.
     """
     return _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
-
-
-def grid_layer_sinrs(grid: ChannelGrid, w, noise_var: float) -> np.ndarray:
-    """Per-layer linear SINRs across a grid's evaluated subcarriers.
-
-    Returns shape ``(n_eval, n_layers)`` where ``n_eval`` is 1 for flat
-    grids (every subcarrier is identical, so one row carries the band).
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    return block_layer_sinrs(grid.eval_matrices()[None], w[None], [noise_var])[0]
 
 
 def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
@@ -215,20 +156,6 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     best = np.max(ratios, axis=-1, keepdims=True)
     winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
     return winners, np.take_along_axis(ratios, winners[:, None], axis=-1)[:, 0]
-
-
-def select_pmi(grid: ChannelGrid, rank: int, noise_var: float,
-               cb: PrecoderCodebook,
-               sinr_clamp_db: tuple[int, int] = (DB_FLOOR, DB_CEIL),
-               ) -> tuple[PmiIndex, int]:
-    """:func:`select_pmi_blocks` of one grid at one rank.
-
-    Returns the winning index and the integer-dB quantized wideband SINR.
-    """
-    if cb.rank != rank:
-        raise ConfigurationError(f"codebook rank {cb.rank} != requested rank {rank}")
-    winners, ratios = select_pmi_blocks(grid.eval_matrices()[None], [noise_var], cb)
-    return cb.entries[winners[0]][0], lin_to_int_db(float(ratios[0]), *sinr_clamp_db)
 
 
 # Wideband integer SINR (dB) -> CQI, per reporting rank.  Outside the
@@ -294,14 +221,8 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
         cb = codebooks[(n_tx, rank)]
         winners, ratios = select_pmi_blocks(mats[rows], noise_var[rows], cb)
         for row, w, ratio in zip(rows.tolist(), winners.tolist(), ratios.tolist()):
-            sinr_db = lin_to_int_db(ratio, *cfg.sinr_clamp_db)
+            sinr_db = lin_to_int_db(ratio)
             cqi = cfg.force_cqi if cfg.force_cqi is not None else select_cqi(sinr_db, rank)
             reports[row] = CsiReport(ri=rank, pmi=cb.entries[w][0],
                                      wideband_sinr_db=sinr_db, cqi=cqi)
     return reports
-
-
-def make_report(grid: ChannelGrid, noise_var: float, cfg: CsiConfig,
-                codebooks: Mapping[tuple[int, int], PrecoderCodebook]) -> CsiReport:
-    """:func:`make_reports` of one grid."""
-    return make_reports(grid.eval_matrices()[None], [noise_var], cfg, codebooks)[0]

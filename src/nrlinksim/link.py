@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelGrid, block_rx_power, estimate_blocks
+from .channel import block_rx_power, estimate_blocks
 from .codebook import PmiIndex, build_codebook_set, precoder_for
 from .csi import CsiReport, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
@@ -52,21 +52,6 @@ def mcs_from_cqi(cqi: int) -> int:
         if entry.efficiency <= eff:
             best = entry.index
     return best
-
-
-def tb_bits(modulation_order: int, code_rate: float, n_layers: int,
-            n_prb: int) -> int:
-    """Transport-block size for an explicit modulation and code rate.
-
-    ``floor(DATA_RE_PER_PRB * n_prb * n_layers * modulation_order * code_rate)``.
-    """
-    if n_layers not in (1, 2):
-        raise ValueError(f"n_layers must be 1 or 2, got {n_layers}")
-    if n_prb < 1:
-        raise ValueError(f"n_prb must be >= 1, got {n_prb}")
-    if not 0 < code_rate <= 1:
-        raise ValueError(f"code_rate must be in (0, 1], got {code_rate}")
-    return math.floor(DATA_RE_PER_PRB * n_prb * n_layers * modulation_order * code_rate)
 
 
 def tbs(mcs: int, n_layers: int, n_prb: int) -> int:
@@ -138,14 +123,6 @@ def effective_sinrs_db(mats: np.ndarray, w: np.ndarray, noise_var,
     mean_lin = np.mean(block_layer_sinrs(mats, w, noise_var), axis=(1, 2))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
                      for m in mean_lin.tolist()])
-
-
-def effective_sinr_db(grid: ChannelGrid, grant: DownlinkGrant,
-                      noise_var: float, sinr_cap_db: dict[int, float]) -> float:
-    """:func:`effective_sinrs_db` of one grid under one grant."""
-    cap = float(sinr_cap_db[grant.n_layers])
-    return float(effective_sinrs_db(grid.eval_matrices()[None], grant.precoder[None],
-                                    [noise_var], cap)[0])
 
 
 def decode_threshold_db(mcs: int) -> float:

@@ -16,12 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelGrid, NoiseSpec, fixed_grid, mean_rx_power, rice1_blocks,
-                      rice1_grid, snr_noise_variance)
+from .channel import rice1_blocks, snr_noise_variance
 from .csi import CsiConfig
 
 DEFAULT_N_PRB = 106
-DEFAULT_SCS_KHZ = 30
 DEFAULT_N_SLOTS = 2000
 DEFAULT_N_DROPS = 20
 DEFAULT_CSI_PERIOD = 10
@@ -94,9 +92,7 @@ class Scenario:
     noise: NoiseModel = NoiseModel()
     csi: CsiConfig = CsiConfig()
     n_tx: int = 4
-    n_rx: int = 2
     n_prb: int = DEFAULT_N_PRB
-    scs_khz: int = DEFAULT_SCS_KHZ
     n_slots: int = DEFAULT_N_SLOTS
     n_drops: int = DEFAULT_N_DROPS
     csi_period: int = DEFAULT_CSI_PERIOD
@@ -106,17 +102,12 @@ class Scenario:
     max_harq_tx: int = DEFAULT_MAX_HARQ_TX
     sinr_cap_db: dict[int, float] = field(
         default_factory=lambda: dict(DEFAULT_SINR_CAP_DB))
-    band: str | None = None
 
     def __post_init__(self):
         if self.n_tx not in (2, 4):
             raise ScenarioError(f"n_tx must be 2 or 4, got {self.n_tx}")
-        if self.n_rx != 2:
-            raise ScenarioError(f"n_rx must be 2, got {self.n_rx}")
         if self.n_prb < 1:
             raise ScenarioError(f"n_prb must be >= 1, got {self.n_prb}")
-        if self.scs_khz != 30:
-            raise ScenarioError(f"scs_khz must be 30, got {self.scs_khz}")
         if self.n_slots < 1:
             raise ScenarioError(f"n_slots must be >= 1, got {self.n_slots}")
         if self.n_drops < 1:
@@ -139,10 +130,10 @@ class Scenario:
                 raise ScenarioError(f"sinr_cap_db[{r}] must be > 0, got {cap}")
         if self.channel.kind == "fixed":
             m = self.channel.matrix
-            if m.shape != (self.n_rx, self.n_tx):
+            if m.shape != (2, self.n_tx):
                 raise ScenarioError(
                     f"channel.matrix shape {m.shape} does not match "
-                    f"(n_rx, n_tx) = ({self.n_rx}, {self.n_tx})")
+                    f"(n_rx, n_tx) = (2, {self.n_tx})")
             if self.noise.mode in ("snr", "snr_sweep") and not np.mean(np.abs(m) ** 2) > 0.0:
                 raise ScenarioError(
                     f"noise.mode {self.noise.mode!r} needs a channel.matrix with "
@@ -157,18 +148,12 @@ class Scenario:
         """Slots per fading block; None means one block forever (fixed)."""
         return self.channel.coherence_slots if self.is_fading else None
 
-    def grid_for_block(self, drop_seed: int, block_id: int) -> ChannelGrid:
-        """True channel grid of one coherence block of one drop."""
-        if self.channel.kind == "fixed":
-            return fixed_grid(self.channel.matrix, self.n_prb)
-        return rice1_grid(drop_seed, self.channel.k_factor, self.n_tx,
-                          self.n_prb, block_id)
-
     def block_channels(self, drop_seed: int, n_blocks: int) -> np.ndarray:
         """True channel of blocks ``0 .. n_blocks - 1`` of one drop.
 
         Shape ``(n_blocks, 2, n_tx)``; row ``b`` is the matrix every
-        subcarrier of :meth:`grid_for_block` ``(drop_seed, b)`` holds.
+        subcarrier of block ``b`` holds.  A fixed channel is the same
+        read-only matrix in every block.
         """
         if self.channel.kind == "fixed":
             h = np.asarray(self.channel.matrix, dtype=np.complex128)
@@ -184,12 +169,6 @@ class Scenario:
         if self.noise.mode == "variance":
             return np.full(p_rx.shape, float(self.noise.variance))
         raise ScenarioError("an snr_sweep scenario must be expanded per sweep point")
-
-    def noise_for(self, grid: ChannelGrid) -> NoiseSpec:
-        """Resolve the scenario's noise model against one block's grid."""
-        variance = self.noise_var_for_power(np.array([mean_rx_power(grid)]))[0]
-        snr_db = float(self.noise.snr_db) if self.noise.mode == "snr" else None
-        return NoiseSpec(self.noise.mode, float(variance), snr_db)
 
     def at_snr(self, snr_db: float) -> "Scenario":
         """Copy of this scenario pinned to one SNR point."""
@@ -211,8 +190,14 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
 
 
 def _is_finite_number(v) -> bool:
-    """A JSON number other than NaN and +-Infinity (booleans are not numbers)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v)
+    """A JSON number other than NaN, +-Infinity and integers beyond the float
+    range (booleans are not numbers)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _parse_matrix(rows, where: str) -> np.ndarray:
@@ -319,7 +304,7 @@ def _parse_caps(d) -> dict[int, float]:
             if v is None:
                 caps[rank] = inf  # explicit null disables the ceiling
             else:
-                _require(isinstance(v, (int, float)) and not isinstance(v, bool),
+                _require(_is_finite_number(v) or v == inf,
                          f"sinr_cap_db.{key} must be a number or null")
                 caps[rank] = float(v)
     return caps
@@ -341,17 +326,20 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     # For a fixed channel the matrix width pins the default port count.
     n_tx = _get_num(cfg, "n_tx", "scenario",
                     channel.matrix.shape[1] if channel.kind == "fixed" else 4, integer=True)
-    band = cfg.get("band")
-    _require(band is None or isinstance(band, str), "band must be a string")
+    # Accepted so that scenario files can state the numerology, which the
+    # model fixes: two receive antennas and 30 kHz subcarrier spacing.
+    for key, only in (("n_rx", 2), ("scs_khz", 30)):
+        v = _get_num(cfg, key, "scenario", only, integer=True)
+        _require(v == only, f"scenario.{key} must be {only}, got {v}")
+    _require(cfg.get("band") is None or isinstance(cfg["band"], str),
+             "scenario.band must be a string")
     try:
         return Scenario(
             channel=channel,
             noise=_parse_noise(cfg.get("noise")),
             csi=_parse_csi(cfg.get("csi")),
             n_tx=n_tx,
-            n_rx=_get_num(cfg, "n_rx", "scenario", 2, integer=True),
             n_prb=_get_num(cfg, "n_prb", "scenario", DEFAULT_N_PRB, integer=True),
-            scs_khz=_get_num(cfg, "scs_khz", "scenario", DEFAULT_SCS_KHZ, integer=True),
             n_slots=_get_num(cfg, "n_slots", "scenario", DEFAULT_N_SLOTS, integer=True),
             n_drops=_get_num(cfg, "n_drops", "scenario", DEFAULT_N_DROPS, integer=True),
             csi_period=_get_num(cfg, "csi_period", "scenario", DEFAULT_CSI_PERIOD,
@@ -362,7 +350,6 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             max_harq_tx=_get_num(cfg, "max_harq_tx", "scenario",
                                  DEFAULT_MAX_HARQ_TX, integer=True),
             sinr_cap_db=_parse_caps(cfg.get("sinr_cap_db")),
-            band=band,
         )
     except ScenarioError:
         raise

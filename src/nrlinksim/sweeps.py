@@ -18,9 +18,10 @@ from typing import TextIO
 
 import numpy as np
 
-from .channel import NoiseSpec, derive_seed, estimate
+from .channel import block_rx_power, derive_seed, estimate_blocks
 from .codebook import build_codebook, build_codebook_set
-from .csi import CsiReport, gamma_per_subcarrier, make_report
+from .csi import CsiReport, make_reports
+from .linalg import gamma_stack
 from .link import (ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq,
                    simulate_drop)
 from .scenario import Scenario, ScenarioError
@@ -56,10 +57,11 @@ class SnrSweepRow:
 
 @dataclass(frozen=True)
 class CsiInspection:
-    """CSI of the first coherence block of drop 0, with grid diagnostics."""
+    """CSI of the first coherence block of drop 0, with its noise variance
+    and the condition metric over the estimate's subcarriers."""
 
     report: CsiReport
-    noise: NoiseSpec
+    noise_var: float
     gamma_min: float
     gamma_median: float
     gamma_max: float
@@ -93,6 +95,13 @@ def _snr_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
     return [run_harq(point, drop_csi(point, chan)) for point in points]
 
 
+def _goodput_and_bler(stats) -> tuple[float, float, float]:
+    """Goodput mean and sample std (0 for one drop), in Mbit/s, and mean BLER."""
+    g = np.array([s.goodput_mbps for s in stats])
+    std = float(np.std(g, ddof=1)) if len(g) > 1 else 0.0
+    return float(np.mean(g)), std, float(np.mean([s.mean_bler for s in stats]))
+
+
 def run_sweep_cqi(scenario: Scenario, workers: int = 1) -> list[CqiSweepRow]:
     """Force each CQI 0..15 in turn over the same drops."""
     if scenario.noise.mode == "snr_sweep":
@@ -100,15 +109,9 @@ def run_sweep_cqi(scenario: Scenario, workers: int = 1) -> list[CqiSweepRow]:
     per_drop = run_drops(scenario, workers, _cqi_points)
     rows = []
     for cqi, stats in enumerate(zip(*per_drop)):
-        g = np.array([s.goodput_mbps for s in stats])
-        rows.append(CqiSweepRow(
-            cqi=cqi,
-            mcs=mcs_from_cqi(cqi),
-            goodput_mbps_mean=float(np.mean(g)),
-            goodput_mbps_std=float(np.std(g, ddof=1)) if len(g) > 1 else 0.0,
-            mean_bler=float(np.mean([s.mean_bler for s in stats])),
-            drops=stats,
-        ))
+        mean, std, mean_bler = _goodput_and_bler(stats)
+        rows.append(CqiSweepRow(cqi=cqi, mcs=mcs_from_cqi(cqi), goodput_mbps_mean=mean,
+                                goodput_mbps_std=std, mean_bler=mean_bler, drops=stats))
     return rows
 
 
@@ -119,15 +122,15 @@ def run_sweep_snr(scenario: Scenario, workers: int = 1) -> list[SnrSweepRow]:
     per_drop = run_drops(scenario, workers, _snr_points)
     rows = []
     for snr, stats in zip(scenario.noise.snr_db_list, zip(*per_drop)):
-        g = np.array([s.goodput_mbps for s in stats])
+        mean, std, mean_bler = _goodput_and_bler(stats)
         rows.append(SnrSweepRow(
             snr_db=float(snr),
             mean_ri=float(np.mean([s.mean_ri for s in stats])),
             mean_cqi=float(np.mean([s.mean_cqi for s in stats])),
             mean_mcs=float(np.mean([s.mean_mcs for s in stats])),
-            mean_bler=float(np.mean([s.mean_bler for s in stats])),
-            goodput_mbps=float(np.mean(g)),
-            goodput_mbps_std=float(np.std(g, ddof=1)) if len(g) > 1 else 0.0,
+            mean_bler=mean_bler,
+            goodput_mbps=mean,
+            goodput_mbps_std=std,
             drops=stats,
         ))
     return rows
@@ -138,15 +141,14 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     if scenario.noise.mode == "snr_sweep":
         raise ScenarioError("csi inspection needs a single noise point, not snr_sweep")
     drop_seed = derive_seed(scenario.seed, 0)
-    grid = scenario.grid_for_block(drop_seed, 0)
-    est = estimate(grid, scenario.est_error_var, drop_seed)
-    noise = scenario.noise_for(grid)
-    report = make_report(est, noise.variance, scenario.csi,
-                         build_codebook_set(scenario.n_tx))
-    gammas = gamma_per_subcarrier(est)
+    h = scenario.block_channels(drop_seed, 1)
+    noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
+    est = estimate_blocks(h, scenario.est_error_var, drop_seed, [0], scenario.n_prb)
+    report, = make_reports(est, noise_var, scenario.csi, build_codebook_set(scenario.n_tx))
+    gammas = gamma_stack(est[0])
     return CsiInspection(
         report=report,
-        noise=noise,
+        noise_var=float(noise_var[0]),
         gamma_min=float(np.min(gammas)),
         gamma_median=float(np.median(gammas)),
         gamma_max=float(np.max(gammas)),

@@ -12,10 +12,9 @@ import time
 import numpy as np
 
 from nrlinksim import cli
-from nrlinksim.channel import ChannelGrid, fixed_grid
 from nrlinksim.codebook import build_codebook, build_codebook_set
-from nrlinksim.csi import CsiConfig, compute_ri, select_cqi, select_pmi
-from nrlinksim.linalg import gamma_metric, gram2
+from nrlinksim.csi import CsiConfig, compute_ri_blocks, select_cqi, select_pmi_blocks
+from nrlinksim.linalg import gamma_stack, lin_to_int_db
 from nrlinksim.link import SLOT_DURATION_S, tbs
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr, write_snr_sweep_csv
@@ -54,9 +53,8 @@ def test_01_gamma_identity_on_random_channels():
             n_tx = 4 if i % 2 == 0 else 2
             h = (rng.standard_normal((2, n_tx))
                  + 1j * rng.standard_normal((2, n_tx))) / math.sqrt(2.0)
-            m = gram2(h)
-            g_entry = gamma_metric(m)
-            s2, s1 = np.linalg.eigvalsh(m)
+            g_entry = float(gamma_stack(h))
+            s2, s1 = np.linalg.eigvalsh(h @ h.conj().T)
             g_eig = s1 / s2 + s2 / s1
             rel = abs(g_entry - g_eig) / g_eig
             assert rel <= 1e-9, f"rel gap {rel:.3e} at sample {i}"
@@ -73,11 +71,12 @@ def test_01_gamma_identity_on_random_channels():
 
 def test_02_reference_channel_gamma_and_rank():
     def check():
-        g4 = gamma_metric(gram2(H_2X4_REF))
-        g5 = gamma_metric(gram2(H_2X2_REF))
+        h4 = np.asarray(H_2X4_REF, dtype=complex)
+        g4 = float(gamma_stack(h4))
+        g5 = float(gamma_stack(np.asarray(H_2X2_REF, dtype=complex)))
         assert abs(g4 - 2.6605) <= 1e-3, f"2x4 gamma {g4}"
         assert abs(g5 - 9.111) <= 1e-3, f"2x2 gamma {g5}"
-        ri = compute_ri(fixed_grid(H_2X4_REF, 106), CsiConfig())
+        ri = int(compute_ri_blocks(h4[None, None], CsiConfig())[0])
         assert ri == 1, f"2x4 reference rank {ri}"
         return f"gamma {g4:.4f} / {g5:.4f}, reported rank {ri}"
 
@@ -108,13 +107,13 @@ def test_03_codebook_structure():
     _verdict(3, "codebook sizes, unit power, orthogonal layers", check)
 
 
-def _brute_force_pmi(grid, noise_var, cb):
+def _brute_force_pmi(mats, noise_var, cb):
     """Independent exhaustive search: explicit MMSE quadratic form per
     layer, split power sums, same first-index tie rule and quantizer."""
     ratios = []
     for _, w in cb.entries:
         sig = nin = 0.0
-        for h in grid.eval_matrices():
+        for h in mats:
             g = h @ w
             cinv = np.linalg.inv(g @ g.conj().T + noise_var * np.eye(2))
             for layer in range(g.shape[1]):
@@ -142,12 +141,13 @@ def test_04_pmi_matches_brute_force():
             n_sc = 1 + i % 3
             mats = (rng.standard_normal((n_sc, 2, n_tx))
                     + 1j * rng.standard_normal((n_sc, 2, n_tx))) / math.sqrt(2)
-            grid = ChannelGrid(mats)
             for rank in (1, 2):
                 cb = books[n_tx][(n_tx, rank)]
                 for noise_var in (1.0, 0.1, 0.01):
-                    idx, db = select_pmi(grid, rank, noise_var, cb)
-                    ref_key, ref_db = _brute_force_pmi(grid, noise_var, cb)
+                    winners, ratios = select_pmi_blocks(mats[None], [noise_var], cb)
+                    idx = cb.entries[winners[0]][0]
+                    db = lin_to_int_db(float(ratios[0]))
+                    ref_key, ref_db = _brute_force_pmi(mats, noise_var, cb)
                     assert idx.key() == ref_key, \
                         f"sample {i} rank {rank} noise {noise_var}: " \
                         f"{idx.key()} != {ref_key}"

@@ -1,166 +1,178 @@
-"""Unit tests for channel grids, Rician fading, noise resolution, seeding."""
+"""Unit tests for block-array channels, Rician fading, noise resolution, seeding."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nrlinksim.channel import (ChannelGrid, NoiseSpec, derive_seed, estimate,
-                               fixed_grid, mean_rx_power, noise_variance,
-                               rice1_grid)
-from nrlinksim.linalg import DimensionError
+from nrlinksim.channel import (block_rx_power, derive_seed, estimate_blocks,
+                               rice1_blocks, snr_noise_variance)
+from nrlinksim.scenario import NoiseModel, ScenarioError, scenario_from_dict
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 
 
+def _fixed(matrix, **extra):
+    return scenario_from_dict(dict({"channel": {"type": "fixed", "matrix": matrix}},
+                                   **extra))
+
+
 class TestChannelGrid:
+    """The block-array channel form: one (2, n_tx) matrix per coherence block."""
+
     def test_shape_properties(self):
-        g = ChannelGrid(np.zeros((5, 2, 4), dtype=complex))
-        assert (g.n_sc, g.n_rx, g.n_tx) == (5, 2, 4)
+        assert _fixed(H_2X4_REF).block_channels(drop_seed=1, n_blocks=5).shape == (5, 2, 4)
+        rice = scenario_from_dict({"channel": "rice1", "n_tx": 2})
+        assert rice.block_channels(drop_seed=1, n_blocks=3).shape == (3, 2, 2)
 
     def test_eval_matrices_flat(self):
-        g = fixed_grid(H_2X4_REF, n_sc=10)
-        assert g.flat
-        assert g.eval_matrices().shape == (1, 2, 4)
-        assert np.array_equal(g.eval_matrices()[0], np.asarray(H_2X4_REF, dtype=complex))
+        # Without estimation error a block is evaluated on one subcarrier,
+        # which stands for all of its identical ones.
+        h = rice1_blocks(seed=3, k_factor=1.0, n_tx=4, block_ids=range(4))
+        est = estimate_blocks(h, 0.0, seed=3, block_ids=range(4), n_sc=10)
+        assert est.shape == (4, 1, 2, 4)
+        assert np.array_equal(est[:, 0], h)
 
     def test_eval_matrices_full(self):
-        g = ChannelGrid(np.ones((3, 2, 2), dtype=complex), flat=False)
-        assert g.eval_matrices().shape == (3, 2, 2)
+        h = rice1_blocks(seed=3, k_factor=1.0, n_tx=2, block_ids=range(4))
+        est = estimate_blocks(h, 0.01, seed=3, block_ids=range(4), n_sc=3)
+        assert est.shape == (4, 3, 2, 2)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionError):
-            ChannelGrid(np.zeros((2, 4), dtype=complex))       # not 3-D
-        with pytest.raises(DimensionError):
-            ChannelGrid(np.zeros((0, 2, 4), dtype=complex))    # empty grid
-        with pytest.raises(DimensionError):
-            ChannelGrid(np.zeros((3, 3, 4), dtype=complex))    # n_rx != 2
-        with pytest.raises(DimensionError):
-            ChannelGrid(np.zeros((3, 2, 3), dtype=complex))    # bad n_tx
+        # Channels enter as a scenario's fixed matrix or as Rician draws;
+        # both take only 2 receive rows and 2 or 4 transmit columns.
+        with pytest.raises(ScenarioError, match="shape"):
+            _fixed([[1.0, 0.0, 0.0, 0.0]] * 3)                   # 3 rows
+        with pytest.raises(ScenarioError, match="n_tx"):
+            _fixed([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])           # 3 columns
+        with pytest.raises(ScenarioError, match="shape"):
+            _fixed(H_2X4_REF, n_tx=2)                            # width != n_tx
+        with pytest.raises(ValueError, match="n_tx"):
+            rice1_blocks(seed=0, k_factor=1.0, n_tx=3, block_ids=[0])
 
     def test_rejects_non_finite(self):
-        bad = np.ones((2, 2, 2), dtype=complex)
-        bad[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ChannelGrid(bad)
+        with pytest.raises(ValueError, match="finite"):
+            rice1_blocks(seed=0, k_factor=math.inf, n_tx=4, block_ids=[0])
+        with pytest.raises(ScenarioError):
+            _fixed([[1.0, math.nan], [0.0, 1.0]])
 
 
 class TestFixedGrid:
     def test_tiles_matrix(self):
-        g = fixed_grid(H_2X4_REF, n_sc=4)
-        assert g.matrices.shape == (4, 2, 4)
-        for sc in range(4):
-            assert np.array_equal(g.matrices[sc], np.asarray(H_2X4_REF, dtype=complex))
+        h = _fixed(H_2X4_REF).block_channels(drop_seed=1, n_blocks=4)
+        for b in range(4):
+            assert np.array_equal(h[b], np.asarray(H_2X4_REF, dtype=complex))
 
     def test_rejects_bad_input(self):
-        with pytest.raises(DimensionError):
-            fixed_grid(np.ones((3, 4)), n_sc=1)
-        with pytest.raises(ValueError):
-            fixed_grid(H_2X4_REF, n_sc=0)
+        # The band a fixed channel spans must be nonempty.
+        with pytest.raises(ScenarioError, match="n_prb"):
+            _fixed(H_2X4_REF, n_prb=0)
 
 
 class TestRice1Grid:
+    """Single-tap Rician block draws (``rice1_blocks``)."""
+
     def test_deterministic_per_seed_and_block(self):
-        a = rice1_grid(seed=42, k_factor=1.0, n_tx=4, n_sc=3, block_id=5)
-        b = rice1_grid(seed=42, k_factor=1.0, n_tx=4, n_sc=3, block_id=5)
-        assert np.array_equal(a.matrices, b.matrices)
-        assert a.coherence_block_id == 5 and a.flat
+        a = rice1_blocks(seed=42, k_factor=1.0, n_tx=4, block_ids=[5])
+        b = rice1_blocks(seed=42, k_factor=1.0, n_tx=4, block_ids=[5])
+        assert np.array_equal(a, b)
+        # A block's draw does not depend on the blocks drawn with it.
+        batch = rice1_blocks(seed=42, k_factor=1.0, n_tx=4, block_ids=range(8))
+        assert np.array_equal(batch[5], a[0])
 
     def test_blocks_differ_but_share_los_phase(self):
         k = 1e12  # essentially pure line of sight
-        a = rice1_grid(seed=7, k_factor=k, n_tx=2, n_sc=1, block_id=0)
-        b = rice1_grid(seed=7, k_factor=k, n_tx=2, n_sc=1, block_id=9)
+        a, b = rice1_blocks(seed=7, k_factor=k, n_tx=2, block_ids=[0, 9])
         # The LOS term is an all-ones matrix with one common phase per seed.
-        assert np.allclose(a.matrices, b.matrices, rtol=1e-5)
-        assert np.allclose(np.abs(a.matrices), 1.0, rtol=1e-5)
-        theta = np.angle(a.matrices[0, 0, 0])
-        assert np.allclose(np.angle(a.matrices[0]), theta)
+        assert np.allclose(a, b, rtol=1e-5)
+        assert np.allclose(np.abs(a), 1.0, rtol=1e-5)
+        theta = np.angle(a[0, 0])
+        assert np.allclose(np.angle(a), theta)
 
     def test_scatter_varies_with_block(self):
-        a = rice1_grid(seed=7, k_factor=0.0, n_tx=4, n_sc=1, block_id=0)
-        b = rice1_grid(seed=7, k_factor=0.0, n_tx=4, n_sc=1, block_id=1)
-        assert not np.allclose(a.matrices, b.matrices)
+        a, b = rice1_blocks(seed=7, k_factor=0.0, n_tx=4, block_ids=[0, 1])
+        assert not np.allclose(a, b)
 
     def test_seeds_differ(self):
-        a = rice1_grid(seed=1, k_factor=1.0, n_tx=4, n_sc=1, block_id=0)
-        b = rice1_grid(seed=2, k_factor=1.0, n_tx=4, n_sc=1, block_id=0)
-        assert not np.allclose(a.matrices, b.matrices)
+        a = rice1_blocks(seed=1, k_factor=1.0, n_tx=4, block_ids=[0])
+        b = rice1_blocks(seed=2, k_factor=1.0, n_tx=4, block_ids=[0])
+        assert not np.allclose(a, b)
 
     def test_unit_mean_entry_power(self):
         for k in (0.0, 1.0, 5.0):
-            p = np.mean([mean_rx_power(rice1_grid(seed=s, k_factor=k, n_tx=4,
-                                                  n_sc=1, block_id=b))
-                         for s in range(8) for b in range(40)])
+            p = np.mean([block_rx_power(rice1_blocks(seed=s, k_factor=k, n_tx=4,
+                                                     block_ids=range(40)), 1)
+                         for s in range(8)])
             assert p == pytest.approx(1.0, rel=0.08), k
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            rice1_grid(seed=0, k_factor=-0.1, n_tx=4, n_sc=1)
+            rice1_blocks(seed=0, k_factor=-0.1, n_tx=4, block_ids=[0])
         with pytest.raises(ValueError):
-            rice1_grid(seed=0, k_factor=1.0, n_tx=3, n_sc=1)
-        with pytest.raises(ValueError):
-            rice1_grid(seed=0, k_factor=1.0, n_tx=4, n_sc=0)
+            rice1_blocks(seed=0, k_factor=1.0, n_tx=3, block_ids=[0])
 
 
 class TestNoise:
     def test_mean_rx_power_reference(self):
-        g = fixed_grid(H_2X4_REF, n_sc=6)
+        h = np.asarray([H_2X4_REF, H_2X4_REF], dtype=complex)
         # grand mean of |h|^2 = 2*(1 + 1/4 + 1/16 + 1/64)/8, an exact dyadic
-        assert mean_rx_power(g) == 0.33203125
+        assert np.array_equal(block_rx_power(h, n_sc=6), [0.33203125, 0.33203125])
 
     def test_noise_free(self):
-        spec = noise_variance(None, fixed_grid(H_2X4_REF, 1))
-        assert spec == NoiseSpec("noise_free", 0.0, None)
+        sc = _fixed(H_2X4_REF)
+        assert np.array_equal(sc.noise_var_for_power(np.array([0.5, 2.0])), [0.0, 0.0])
 
     def test_snr_resolution_unit_power(self):
-        g = fixed_grid([[1.0, 1.0], [1.0, 1.0]], n_sc=2)
-        spec = noise_variance(10.0, g)
-        assert spec.mode == "snr"
-        assert spec.variance == 0.1
-        assert spec.snr_db == 10.0
+        p = block_rx_power(np.ones((1, 2, 2), dtype=complex), n_sc=2)
+        assert snr_noise_variance(10.0, p)[0] == 0.1
 
     def test_snr_resolution_formula(self):
-        g = fixed_grid(H_2X4_REF, n_sc=2)
-        spec = noise_variance(7.0, g)
-        assert spec.variance == pytest.approx(0.33203125 / 10 ** 0.7, rel=1e-15)
-
-    def test_snr_on_zero_channel_rejected(self):
-        g = ChannelGrid(np.zeros((1, 2, 2), dtype=complex))
-        with pytest.raises(ValueError):
-            noise_variance(0.0, g)
+        p = block_rx_power(np.asarray([H_2X4_REF], dtype=complex), n_sc=2)
+        assert snr_noise_variance(7.0, p)[0] == pytest.approx(0.33203125 / 10 ** 0.7,
+                                                             rel=1e-15)
 
     def test_spec_validation(self):
+        with pytest.raises(ScenarioError):
+            NoiseModel("weird")
+        with pytest.raises(ScenarioError):
+            NoiseModel("variance", variance=0.0)
+        with pytest.raises(ScenarioError):
+            NoiseModel("snr")  # no SNR given
+
+    def test_snr_on_zero_channel_rejected(self):
+        p = block_rx_power(np.zeros((1, 2, 2), dtype=complex), n_sc=1)
         with pytest.raises(ValueError):
-            NoiseSpec("noise_free", 0.5)
-        with pytest.raises(ValueError):
-            NoiseSpec("variance", 0.0)
-        with pytest.raises(ValueError):
-            NoiseSpec("weird", 1.0)
+            snr_noise_variance(0.0, p)
 
 
 class TestEstimate:
     def test_zero_error_returns_same_grid(self):
-        g = fixed_grid(H_2X4_REF, 3)
-        assert estimate(g, 0.0, seed=1) is g
+        h = rice1_blocks(seed=1, k_factor=1.0, n_tx=4, block_ids=range(3))
+        est = estimate_blocks(h, 0.0, seed=1, block_ids=range(3), n_sc=3)
+        assert np.shares_memory(est, h)
+        assert np.array_equal(est[:, 0], h)
 
     def test_perturbation_properties(self):
-        g = fixed_grid(H_2X4_REF, 3)
-        e = estimate(g, 0.01, seed=1)
-        assert e is not g and not e.flat
-        assert e.coherence_block_id == g.coherence_block_id
-        assert not np.array_equal(e.matrices, g.matrices)
-        # deterministic in (seed, block)
-        assert np.array_equal(estimate(g, 0.01, seed=1).matrices, e.matrices)
-        assert not np.array_equal(estimate(g, 0.01, seed=2).matrices, e.matrices)
+        h = np.broadcast_to(np.asarray(H_2X4_REF, dtype=complex), (2, 2, 4))
+        e = estimate_blocks(h, 0.01, seed=1, block_ids=[0, 3], n_sc=3)
+        assert not np.array_equal(e[0, 0], h[0])
+        assert not np.array_equal(e[0, 0], e[0, 1])  # varies over the band
+        # deterministic in (seed, block), whatever else is estimated with it
+        alone = estimate_blocks(h[:1], 0.01, seed=1, block_ids=[3], n_sc=3)
+        assert np.array_equal(alone[0], e[1])
+        assert np.array_equal(estimate_blocks(h, 0.01, seed=1, block_ids=[0, 3], n_sc=3), e)
+        assert not np.array_equal(estimate_blocks(h, 0.01, seed=2, block_ids=[0, 3],
+                                                  n_sc=3), e)
 
     def test_error_variance_scale(self):
-        g = ChannelGrid(np.zeros((2000, 2, 4), dtype=complex))
-        e = estimate(g, 0.04, seed=3)
-        assert np.mean(np.abs(e.matrices) ** 2) == pytest.approx(0.04, rel=0.05)
+        e = estimate_blocks(np.zeros((1, 2, 4), dtype=complex), 0.04, seed=3,
+                            block_ids=[0], n_sc=2000)
+        assert np.mean(np.abs(e) ** 2) == pytest.approx(0.04, rel=0.05)
 
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
-            estimate(fixed_grid(H_2X4_REF, 1), -1e-9, seed=0)
+            estimate_blocks(np.asarray([H_2X4_REF], dtype=complex), -1e-9, seed=0,
+                            block_ids=[0], n_sc=1)
 
 
 class TestDeriveSeed:

@@ -146,6 +146,17 @@ class TestCodebookContainer:
         cb = build_codebook(4, 1)
         assert (cb.ports, cb.rank) == (4, 1)
 
+    def test_built_once_and_read_only(self):
+        for ports, rank in sorted(SUPPORTED):
+            cb = build_codebook(ports, rank)
+            assert build_codebook(ports, rank) is cb
+            assert build_codebook_set(ports)[(ports, rank)] is cb
+            with pytest.raises(ValueError):
+                cb.precoders[0, 0, 0] = 0.0
+            with pytest.raises(ValueError):
+                cb.entries[0][1][0, 0] = 0.0
+        assert build_codebook_set(4) is not build_codebook_set(4)
+
     def test_build_codebook_set(self):
         for ports in (2, 4):
             cbs = build_codebook_set(ports)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nrlinksim.channel import ChannelGrid, estimate, fixed_grid, rice1_grid
+from nrlinksim.channel import estimate_blocks, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
 from nrlinksim.csi import (NOISE_FREE_LAYER_SINR, CsiConfig, CsiReport,
-                           compute_ri, gamma_per_subcarrier, grid_layer_sinrs,
-                           layer_sinrs, make_report, select_cqi, select_pmi)
+                           _split_batch, block_layer_sinrs, compute_ri_blocks,
+                           make_reports, select_cqi, select_pmi_blocks)
+from nrlinksim.linalg import gamma_stack, lin_to_int_db
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
@@ -24,8 +25,34 @@ def _chan_with_gamma(gamma: float) -> np.ndarray:
     return np.diag([1.0, math.sqrt(t)]).astype(complex)
 
 
-def _grid_of(*channels) -> ChannelGrid:
-    return ChannelGrid(np.stack(channels), flat=False)
+def _grid_of(*channels) -> np.ndarray:
+    """One block holding one channel per subcarrier, shape (1, n_sc, 2, n_tx)."""
+    return np.stack(channels).astype(complex)[None]
+
+
+def _flat(h) -> np.ndarray:
+    """One flat block: a single matrix standing for every subcarrier."""
+    return np.asarray(h, dtype=complex)[None, None]
+
+
+def _ri(mats, cfg) -> int:
+    return int(compute_ri_blocks(mats, cfg)[0])
+
+
+def _pmi(mats, noise_var, cb):
+    """Winning index and integer-dB wideband SINR of a one-block search."""
+    winners, ratios = select_pmi_blocks(mats, [noise_var], cb)
+    return cb.entries[winners[0]][0], lin_to_int_db(float(ratios[0]))
+
+
+def _layer_sinrs(h, w, noise_var):
+    """Per-layer MMSE split of one subcarrier under one precoder."""
+    return _split_batch(np.asarray(h, dtype=complex) @ np.asarray(w, dtype=complex),
+                        noise_var)
+
+
+def _report(mats, noise_var, cfg, cbs) -> CsiReport:
+    return make_reports(mats, [noise_var], cfg, cbs)[0]
 
 
 def _oracle_layer_sinrs(h, w, noise_var):
@@ -55,66 +82,67 @@ def _oracle_wideband_ratios(mats, cb, noise_var):
 
 class TestGammaPerSubcarrier:
     def test_flat_grid_broadcasts(self):
-        g = fixed_grid(H_2X4_REF, n_sc=7)
-        out = gamma_per_subcarrier(g)
-        assert out.shape == (7,)
+        # One evaluated matrix stands for a flat block's identical subcarriers:
+        # its metric is each subcarrier's, and its vote is the band's.
+        tiled = np.broadcast_to(np.asarray(H_2X4_REF, dtype=complex), (1, 7, 2, 4))
+        out = gamma_stack(tiled)
+        assert out.shape == (1, 7)
         assert np.allclose(out, GAMMA_2X4_REF, rtol=1e-12)
+        assert np.array_equal(out[0], np.full(7, gamma_stack(_flat(H_2X4_REF))[0, 0]))
+        for cfg in (CsiConfig(), CsiConfig(gamma_th=2.7)):
+            assert _ri(tiled, cfg) == _ri(_flat(H_2X4_REF), cfg)
 
     def test_per_subcarrier_values(self):
         grid = _grid_of(_chan_with_gamma(2.1), _chan_with_gamma(3.0))
-        out = gamma_per_subcarrier(grid)
+        out = gamma_stack(grid)[0]
         assert out == pytest.approx([2.1, 3.0], rel=1e-12)
 
 
 class TestComputeRi:
     def test_reference_channels_report_rank1(self):
         cfg = CsiConfig()
-        assert compute_ri(fixed_grid(H_2X4_REF, 4), cfg) == 1
-        assert compute_ri(fixed_grid(H_2X2_REF, 4), cfg) == 1
+        assert _ri(_flat(H_2X4_REF), cfg) == 1
+        assert _ri(_flat(H_2X2_REF), cfg) == 1
 
     def test_orthonormal_rows_report_rank2(self):
-        assert compute_ri(fixed_grid(H_ORTHO, 4), CsiConfig()) == 2
+        assert _ri(_flat(H_ORTHO), CsiConfig()) == 2
 
     def test_majority_vote(self):
         low = [_chan_with_gamma(2.1)] * 60
         high = [_chan_with_gamma(3.0)] * 46
-        assert compute_ri(_grid_of(*low, *high), CsiConfig()) == 2
+        assert _ri(_grid_of(*low, *high), CsiConfig()) == 2
 
     def test_tie_votes_rank1(self):
         grid = _grid_of(_chan_with_gamma(2.1), _chan_with_gamma(3.0))
-        assert compute_ri(grid, CsiConfig()) == 1
+        assert _ri(grid, CsiConfig()) == 1
 
     def test_singular_channel_votes_rank1(self):
         h = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-        assert compute_ri(_grid_of(h, h, h), CsiConfig()) == 1
+        assert _ri(_grid_of(h, h, h), CsiConfig()) == 1
 
     def test_threshold_is_strict(self):
         # Orthogonal rows with squared norms 2 and 1 give exactly
         # gamma = (4 + 1) / 2 = 2.5, which must NOT vote for rank 2.
         h = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], dtype=complex)
         at_threshold = _grid_of(h, h, h)
-        assert gamma_per_subcarrier(at_threshold)[0] == 2.5
-        assert compute_ri(at_threshold, CsiConfig(gamma_th=2.5)) == 1
+        assert gamma_stack(at_threshold)[0, 0] == 2.5
+        assert _ri(at_threshold, CsiConfig(gamma_th=2.5)) == 1
         # Just below the threshold the vote flips.
-        assert compute_ri(at_threshold, CsiConfig(gamma_th=2.5000001)) == 2
+        assert _ri(at_threshold, CsiConfig(gamma_th=2.5000001)) == 2
 
     def test_force_ri(self):
-        grid = fixed_grid(H_2X4_REF, 4)
-        assert compute_ri(grid, CsiConfig(force_ri=2)) == 2
-        assert compute_ri(fixed_grid(H_ORTHO, 4), CsiConfig(force_ri=1)) == 1
+        assert _ri(_flat(H_2X4_REF), CsiConfig(force_ri=2)) == 2
+        assert _ri(_flat(H_ORTHO), CsiConfig(force_ri=1)) == 1
 
     def test_single_column_channel_is_rank1(self):
-        grid = ChannelGrid(np.ones((3, 2, 1), dtype=complex))
-        assert compute_ri(grid, CsiConfig()) == 1
+        assert _ri(np.ones((1, 3, 2, 1), dtype=complex), CsiConfig()) == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(11)
         mats = rng.standard_normal((9, 2, 4)) + 1j * rng.standard_normal((9, 2, 4))
-        grid = ChannelGrid(mats, flat=False)
-        base = compute_ri(grid, CsiConfig())
+        base = _ri(mats[None], CsiConfig())
         for c in (2.0 ** -10, 3.7, 2.0 ** 10):
-            scaled = ChannelGrid(mats * c, flat=False)
-            assert compute_ri(scaled, CsiConfig()) == base
+            assert _ri(mats[None] * c, CsiConfig()) == base
 
 
 class TestCsiConfig:
@@ -122,14 +150,13 @@ class TestCsiConfig:
         cfg = CsiConfig()
         assert cfg.gamma_th == 2.5
         assert cfg.force_ri is None and cfg.force_cqi is None
-        assert cfg.sinr_clamp_db == (-10, 40)
 
     @pytest.mark.parametrize("kwargs", [
         dict(gamma_th=1.9),
         dict(force_ri=3),
         dict(force_cqi=16),
         dict(force_cqi=-1),
-        dict(sinr_clamp_db=(10, 10)),
+        dict(gamma_th=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -139,16 +166,18 @@ class TestCsiConfig:
 class TestLayerSinrs:
     def test_rank1_reference(self):
         w = 0.5 * np.ones((4, 1), dtype=complex)
-        out = layer_sinrs(H_ORTHO, w, 0.1)
+        out = _layer_sinrs(H_ORTHO, w, 0.1)
         assert out.sinr == pytest.approx([5.0], rel=1e-12)
         assert out.signal / out.noise_interf == pytest.approx(out.sinr)
+        got = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])
+        assert np.array_equal(got[0, 0], out.sinr)
 
     def test_rank2_reference(self):
         w = build_codebook(4, 2).matrix(
             build_codebook(4, 2).entries[2][0])  # key (0, 0, 1, 0)
         assert build_codebook(4, 2).entries[2][0].key() == (0, 0, 1, 0)
-        out = layer_sinrs(H_ORTHO, w, 0.1)
-        assert out.sinr == pytest.approx([2.5, 2.5], rel=1e-12)
+        out = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])[0, 0]
+        assert out == pytest.approx([2.5, 2.5], rel=1e-12)
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(12)
@@ -159,13 +188,13 @@ class TestLayerSinrs:
             for cb in (cb1, cb2):
                 _, w = cb.entries[rng.integers(len(cb))]
                 for nv in (1.0, 0.1, 0.01):
-                    got = layer_sinrs(h, w, nv).sinr
+                    got = block_layer_sinrs(_flat(h), w[None], [nv])[0, 0]
                     assert got == pytest.approx(_oracle_layer_sinrs(h, w, nv),
                                                 rel=1e-9)
 
     def test_noise_free_clamps(self):
         w = 0.5 * np.ones((4, 1), dtype=complex)
-        out = layer_sinrs(H_2X4_REF, w, 0.0)
+        out = _layer_sinrs(H_2X4_REF, w, 0.0)
         assert out.sinr == pytest.approx([NOISE_FREE_LAYER_SINR])
         assert out.noise_interf == pytest.approx([1.0])
 
@@ -173,53 +202,43 @@ class TestLayerSinrs:
         # Second precoder column is in the null space of this channel.
         h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         w = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        out = layer_sinrs(h, w, 0.0)
-        assert out.sinr[0] == NOISE_FREE_LAYER_SINR
-        assert out.sinr[1] == 0.0
+        out = block_layer_sinrs(_flat(h), w[None], [0.0])[0, 0]
+        assert out[0] == NOISE_FREE_LAYER_SINR
+        assert out[1] == 0.0
 
     def test_zero_channel_zero_sinr(self):
         h = np.zeros((2, 2), dtype=complex)
         w = np.eye(2, dtype=complex) / math.sqrt(2.0)
-        assert np.array_equal(layer_sinrs(h, w, 0.5).sinr, [0.0, 0.0])
-
-    def test_validation(self):
-        w = 0.5 * np.ones((4, 1), dtype=complex)
-        with pytest.raises(ValueError):
-            layer_sinrs(H_2X4_REF, w, -0.1)
-        with pytest.raises(ValueError):
-            layer_sinrs(np.ones((3, 4)), w, 0.1)
-        with pytest.raises(ValueError):
-            layer_sinrs(H_2X2_REF, w, 0.1)  # 2 columns vs 4-row precoder
+        assert np.array_equal(block_layer_sinrs(_flat(h), w[None], [0.5])[0, 0], [0.0, 0.0])
 
 
 class TestGridLayerSinrs:
     def test_flat_grid_single_row(self):
-        grid = fixed_grid(H_ORTHO, 10)
         w = 0.5 * np.ones((4, 1), dtype=complex)
-        out = grid_layer_sinrs(grid, w, 0.1)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(5.0, rel=1e-12)
+        out = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == pytest.approx(5.0, rel=1e-12)
 
     def test_full_grid_rows(self):
         grid = _grid_of(_chan_with_gamma(2.1), _chan_with_gamma(3.0),
                         _chan_with_gamma(4.0))
         w = np.eye(2, dtype=complex) / math.sqrt(2.0)
-        out = grid_layer_sinrs(grid, w, 0.3)
-        assert out.shape == (3, 2)
-        for sc, h in enumerate(grid.matrices):
-            assert out[sc] == pytest.approx(_oracle_layer_sinrs(h, w, 0.3),
-                                            rel=1e-9)
+        out = block_layer_sinrs(grid, w[None], [0.3])
+        assert out.shape == (1, 3, 2)
+        for sc, h in enumerate(grid[0]):
+            assert out[0, sc] == pytest.approx(_oracle_layer_sinrs(h, w, 0.3),
+                                               rel=1e-9)
 
 
 class TestSelectPmi:
     def test_orthonormal_rows_rank2_tie(self):
-        grid = fixed_grid(H_ORTHO, 4)
+        grid = _flat(H_ORTHO)
         cb = build_codebook(4, 2)
-        idx, sinr_db = select_pmi(grid, 2, 0.1, cb)
+        idx, sinr_db = _pmi(grid, 0.1, cb)
         assert idx.key() == (0, 0, 1, 0)
         assert sinr_db == 4  # wideband ratio 2.5 -> 3.98 dB -> 4
 
-        ratios = _oracle_wideband_ratios(grid.eval_matrices(), cb, 0.1)
+        ratios = _oracle_wideband_ratios(grid[0], cb, 0.1)
         best = max(ratios)
         tied = [i for i, r in enumerate(ratios) if r >= best * (1 - 1e-9)]
         assert len(tied) == 16
@@ -229,10 +248,10 @@ class TestSelectPmi:
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("noise_var", [1.0, 0.1, 0.01])
     def test_matches_brute_force(self, rank, noise_var):
-        grid = fixed_grid(H_2X4_REF, 3)
+        grid = _flat(H_2X4_REF)
         cb = build_codebook(4, rank)
-        idx, sinr_db = select_pmi(grid, rank, noise_var, cb)
-        ratios = _oracle_wideband_ratios(grid.eval_matrices(), cb, noise_var)
+        idx, sinr_db = _pmi(grid, noise_var, cb)
+        ratios = _oracle_wideband_ratios(grid[0], cb, noise_var)
         best = max(ratios)
         winner = next(i for i, r in enumerate(ratios) if r >= best * (1 - 1e-12))
         assert idx.key() == cb.entries[winner][0].key()
@@ -242,23 +261,19 @@ class TestSelectPmi:
         full = build_codebook(4, 1)
         only = full.entries[5]
         cb = PrecoderCodebook(4, 1, [only])
-        idx, _ = select_pmi(fixed_grid(H_2X4_REF, 2), 1, 0.1, cb)
+        idx, _ = _pmi(_flat(H_2X4_REF), 0.1, cb)
         assert idx.key() == only[0].key()
 
     def test_mismatched_codebook_rejected(self):
-        grid = fixed_grid(H_2X4_REF, 2)
         with pytest.raises(ConfigurationError):
-            select_pmi(grid, 2, 0.1, build_codebook(4, 1))
-        with pytest.raises(ConfigurationError):
-            select_pmi(grid, 1, 0.1, build_codebook(2, 1))
+            select_pmi_blocks(_flat(H_2X4_REF), [0.1], build_codebook(2, 1))
 
     def test_noise_monotonicity(self):
         rng = np.random.default_rng(13)
         cb = build_codebook(4, 1)
         for _ in range(10):
             h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-            grid = fixed_grid(h, 2)
-            reported = [select_pmi(grid, 1, nv, cb)[1]
+            reported = [_pmi(_flat(h), nv, cb)[1]
                         for nv in (3.0, 1.0, 0.3, 0.1, 0.03)]
             assert reported == sorted(reported)
 
@@ -266,17 +281,16 @@ class TestSelectPmi:
         rng = np.random.default_rng(14)
         mats = rng.standard_normal((6, 2, 4)) + 1j * rng.standard_normal((6, 2, 4))
         cb = build_codebook(4, 2)
-        base = select_pmi(ChannelGrid(mats, flat=False), 2, 0.2, cb)
+        base = _pmi(mats[None], 0.2, cb)
         for _ in range(4):
             perm = rng.permutation(6)
-            got = select_pmi(ChannelGrid(mats[perm], flat=False), 2, 0.2, cb)
+            got = _pmi(mats[perm][None], 0.2, cb)
             assert got[0].key() == base[0].key()
             assert got[1] == base[1]
 
     def test_noise_free_search(self):
         # With zero noise all candidates saturate; the first index wins.
-        grid = fixed_grid(H_2X4_REF, 2)
-        idx, sinr_db = select_pmi(grid, 1, 0.0, build_codebook(4, 1))
+        idx, sinr_db = _pmi(_flat(H_2X4_REF), 0.0, build_codebook(4, 1))
         assert idx.key() == (0, 0, 0, 0)
         assert sinr_db == 40
 
@@ -318,24 +332,21 @@ class TestSelectCqi:
 
 class TestMakeReport:
     def test_reference_grid_report(self):
-        grid = fixed_grid(H_2X4_REF, 4)
-        rep = make_report(grid, 0.1, CsiConfig(), build_codebook_set(4))
+        rep = _report(_flat(H_2X4_REF), 0.1, CsiConfig(), build_codebook_set(4))
         assert rep == CsiReport(ri=1, pmi=rep.pmi, wideband_sinr_db=12, cqi=10)
         assert rep.pmi.key() == (0, 0, 0, 0)
         assert rep.pmi.rank == 1 and rep.pmi.ports == 4
 
     def test_force_ri_switches_codebook(self):
-        grid = fixed_grid(H_2X4_REF, 4)
-        rep = make_report(grid, 0.1, CsiConfig(force_ri=2), build_codebook_set(4))
+        rep = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_ri=2), build_codebook_set(4))
         assert rep.ri == 2
         assert rep.pmi.rank == 2
         assert rep.cqi <= 13
 
     def test_force_cqi_verbatim(self):
-        grid = fixed_grid(H_2X4_REF, 4)
         for forced in (0, 9, 15):
-            rep = make_report(grid, 0.1, CsiConfig(force_cqi=forced),
-                              build_codebook_set(4))
+            rep = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_cqi=forced),
+                          build_codebook_set(4))
             assert rep.cqi == forced
 
     def test_report_invariants_random(self):
@@ -343,10 +354,10 @@ class TestMakeReport:
         for n_tx in (2, 4):
             cbs = build_codebook_set(n_tx)
             for seed in range(12):
-                grid = rice1_grid(seed=seed, k_factor=1.0, n_tx=n_tx, n_sc=5)
-                noisy = estimate(grid, 0.02, seed=seed)
+                h = rice1_blocks(seed=seed, k_factor=1.0, n_tx=n_tx, block_ids=[0])
+                noisy = estimate_blocks(h, 0.02, seed=seed, block_ids=[0], n_sc=5)
                 for nv in (0.5, 0.05):
-                    rep = make_report(noisy, nv, cfg, cbs)
+                    rep = _report(noisy, nv, cfg, cbs)
                     assert rep.ri in (1, 2)
                     assert rep.pmi.rank == rep.ri
                     assert rep.pmi.ports == n_tx

@@ -1,24 +1,32 @@
 """Property tests of the drop engine against the slot-by-slot reference loop.
 
 ``oracle_drop`` is the closed-loop drop as one loop over slots: it draws
-each block's channel and estimate when the block starts, makes a report
-on reporting slots and evaluates every transport block's effective SINR
-in the slot that sends it.  The engine in ``nrlinksim.link`` reorders that
-work (all blocks of a drop at once, CSI shared across sweep points), so
-its statistics must equal the loop's exactly.
+each block's channel, noise level and estimate when the block starts,
+one block at a time, makes a report on reporting slots and evaluates
+every transport block's effective SINR in the slot that sends it.  The
+engine in ``nrlinksim.link`` reorders that work (all blocks of a drop at
+once, CSI shared across sweep points), so its statistics must equal the
+loop's exactly.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrlinksim.channel import derive_seed, estimate
+from nrlinksim.channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
 from nrlinksim.codebook import build_codebook_set
-from nrlinksim.csi import make_report
+from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
-                            effective_sinr_db, schedule, simulate_drop)
+                            effective_sinrs_db, schedule, simulate_drop)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
+
+
+def block_channel(scenario, seed: int, block: int) -> np.ndarray:
+    """True channel of one coherence block, shape (1, 2, n_tx)."""
+    if scenario.channel.kind == "fixed":
+        return np.asarray(scenario.channel.matrix, dtype=np.complex128)[None]
+    return rice1_blocks(seed, scenario.channel.k_factor, scenario.n_tx, [block])
 
 
 def oracle_drop(scenario, seed: int) -> ThroughputStats:
@@ -28,7 +36,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
     coh = scenario.coherence_slots
 
     cur_block = -1
-    grid = noise = est = None
+    h = noise_var = est = None
     grant = None
     report_block = -1
 
@@ -42,11 +50,11 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
         block = 0 if coh is None else slot // coh
         if block != cur_block:
             cur_block = block
-            grid = scenario.grid_for_block(seed, block)
-            est = estimate(grid, scenario.est_error_var, seed)
-            noise = scenario.noise_for(grid)
+            h = block_channel(scenario, seed, block)
+            est = estimate_blocks(h, scenario.est_error_var, seed, [block], scenario.n_prb)
+            noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
         if slot % scenario.csi_period == 0 and report_block != block:
-            report = make_report(est, noise.variance, scenario.csi, codebooks)
+            report = make_reports(est, noise_var, scenario.csi, codebooks)[0]
             grant = schedule(report, scenario.n_prb)
             report_block = block
 
@@ -54,7 +62,8 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             tb_grant = grant
             tb_tries = 0
 
-        eff = effective_sinr_db(grid, tb_grant, noise.variance, scenario.sinr_cap_db)
+        cap = float(scenario.sinr_cap_db[tb_grant.n_layers])
+        eff = effective_sinrs_db(h[:, None], tb_grant.precoder[None], noise_var, cap)[0]
         p_err = bler(eff, tb_grant.mcs)
 
         attempts += 1

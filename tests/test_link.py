@@ -1,18 +1,16 @@
 """Unit tests for gNB link adaptation, PHY abstraction, and the drop loop."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nrlinksim.channel import fixed_grid
-from nrlinksim.codebook import PmiIndex, build_codebook_set, precoder_for
-from nrlinksim.csi import CsiConfig, CsiReport, make_report
+from nrlinksim.codebook import PmiIndex, precoder_for
+from nrlinksim.csi import CsiReport
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, DownlinkGrant,
                             ThroughputStats, bler, decode_threshold_db,
-                            effective_sinr_db, mcs_from_cqi, schedule,
-                            simulate_drop, tb_bits, tbs)
+                            effective_sinrs_db, mcs_from_cqi, schedule,
+                            simulate_drop, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
@@ -22,6 +20,22 @@ H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
 # Every CQI and the MCS the scheduler maps it to.
 MCS_FROM_CQI = {0: 0, 1: 0, 2: 0, 3: 2, 4: 4, 5: 6, 6: 8, 7: 11, 8: 13,
                 9: 15, 10: 18, 11: 20, 12: 22, 13: 24, 14: 26, 15: 28}
+
+
+def tb_bits(modulation_order: int, code_rate: float, n_layers: int,
+            n_prb: int) -> int:
+    """Reference transport-block size for an explicit modulation and code rate.
+
+    ``floor(DATA_RE_PER_PRB * n_prb * n_layers * modulation_order * code_rate)``,
+    in floating point: the oracle for the exact integer :func:`tbs`.
+    """
+    if n_layers not in (1, 2):
+        raise ValueError(f"n_layers must be 1 or 2, got {n_layers}")
+    if n_prb < 1:
+        raise ValueError(f"n_prb must be >= 1, got {n_prb}")
+    if not 0 < code_rate <= 1:
+        raise ValueError(f"code_rate must be in (0, 1], got {code_rate}")
+    return math.floor(DATA_RE_PER_PRB * n_prb * n_layers * modulation_order * code_rate)
 
 
 def _report(ri, cqi, key=(0, 0, 0, 0), ports=4, sinr_db=10) -> CsiReport:
@@ -120,37 +134,39 @@ class TestSchedule:
                           cqi=4)
 
 
+def effective_sinr_db(h, grant, noise_var, caps) -> float:
+    """Effective SINR of one flat block under one grant, capped per rank."""
+    mats = np.asarray(h, dtype=complex)[None, None]
+    return float(effective_sinrs_db(mats, grant.precoder[None], [noise_var],
+                                    float(caps[grant.n_layers]))[0])
+
+
 class TestEffectiveSinr:
     CAPS = {1: 19.0, 2: 16.0}
 
     def test_below_cap_matches_mean(self):
-        grid = fixed_grid(H_ORTHO, 4)
         grant = schedule(_report(ri=1, cqi=5), 106)
         # per-layer linear SINR is exactly 5.0 at this noise level
-        eff = effective_sinr_db(grid, grant, 0.1, self.CAPS)
+        eff = effective_sinr_db(H_ORTHO, grant, 0.1, self.CAPS)
         assert eff == pytest.approx(10 * math.log10(5.0), rel=1e-12)
 
     def test_noise_free_rank1_cap(self):
-        grid = fixed_grid(H_2X4_REF, 4)
         grant = schedule(_report(ri=1, cqi=15), 106)
-        assert effective_sinr_db(grid, grant, 0.0, self.CAPS) == 19.0
+        assert effective_sinr_db(H_2X4_REF, grant, 0.0, self.CAPS) == 19.0
 
     def test_noise_free_rank2_caps(self):
-        grid = fixed_grid(H_2X4_REF, 4)
         grant = schedule(_report(ri=2, cqi=13, key=(0, 0, 1, 0)), 106)
-        assert effective_sinr_db(grid, grant, 0.0, self.CAPS) == 16.0
-        assert effective_sinr_db(grid, grant, 0.0, {1: 19.0, 2: 14.0}) == 14.0
+        assert effective_sinr_db(H_2X4_REF, grant, 0.0, self.CAPS) == 16.0
+        assert effective_sinr_db(H_2X4_REF, grant, 0.0, {1: 19.0, 2: 14.0}) == 14.0
 
     def test_disabled_cap_saturates_at_reporting_ceiling(self):
-        grid = fixed_grid(H_2X4_REF, 4)
         grant = schedule(_report(ri=1, cqi=15), 106)
         caps = {1: math.inf, 2: math.inf}
-        assert effective_sinr_db(grid, grant, 0.0, caps) == pytest.approx(40.0)
+        assert effective_sinr_db(H_2X4_REF, grant, 0.0, caps) == pytest.approx(40.0)
 
     def test_zero_channel_is_minus_inf(self):
-        grid = fixed_grid(np.zeros((2, 4)), 4)
         grant = schedule(_report(ri=1, cqi=4), 106)
-        assert effective_sinr_db(grid, grant, 0.5, self.CAPS) == -math.inf
+        assert effective_sinr_db(np.zeros((2, 4)), grant, 0.5, self.CAPS) == -math.inf
 
 
 class TestBler:

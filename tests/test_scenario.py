@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nrlinksim.channel import block_rx_power
 from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, NoiseModel, Scenario,
                                 ScenarioError, parse_scenario,
                                 scenario_from_dict)
@@ -28,8 +31,7 @@ class TestDefaults:
         assert sc.channel.k_factor == 1.0
         assert sc.channel.coherence_slots == 10
         assert sc.n_prb == 106
-        assert sc.scs_khz == 30
-        assert sc.n_tx == 4 and sc.n_rx == 2
+        assert sc.n_tx == 4
         assert sc.n_slots == 2000 and sc.n_drops == 20
         assert sc.csi_period == 10
         assert sc.seed == 0
@@ -38,6 +40,11 @@ class TestDefaults:
         assert sc.sinr_cap_db == DEFAULT_SINR_CAP_DB
         assert sc.noise.mode == "noise_free"
         assert sc.dl_duty_factor == 1.0
+
+    def test_fixed_numerology_keys_accepted(self):
+        sc = scenario_from_dict({"channel": "rice1", "n_rx": 2, "scs_khz": 30,
+                                 "band": "n78"})
+        assert sc == scenario_from_dict({"channel": "rice1"})
 
     def test_bad_shorthand(self):
         with pytest.raises(ScenarioError):
@@ -153,6 +160,9 @@ class TestValidation:
     ('{"channel": "rice1", "n_tx": 4.0}', "scenario.n_tx"),
     ('{"channel": {"type": "fixed", "matrix": [[0, 0], [0, 0]]},'
      ' "noise": {"mode": "snr", "snr_db": 10}}', "channel.matrix"),
+    ('{"channel": "rice1", "n_rx": 3}', "scenario.n_rx"),
+    ('{"channel": "rice1", "scs_khz": 15}', "scenario.scs_khz"),
+    ('{"channel": "rice1", "band": 5}', "scenario.band"),
 ])
 def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
     p = tmp_path / "bad.json"
@@ -160,6 +170,59 @@ def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(p)
     assert field in str(exc.value)
+
+
+# Any JSON value: null, booleans, integers of any size, floats including
+# NaN and +-Infinity (Python's json accepts both), strings, lists, objects.
+_EXTREME = st.sampled_from([10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _EXTREME | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                                inner, max_size=3),
+    max_leaves=4)
+
+
+def _object(keys: dict, required=()) -> st.SearchStrategy:
+    """JSON objects over ``keys``, each value from its own strategy or any value.
+
+    Keys in ``required`` are always present, so that parsing gets past them.
+    """
+    values = {k: v | JSON_VALUES for k, v in keys.items()}
+    return st.fixed_dictionaries({k: keys[k] for k in required},
+                                 optional={k: v for k, v in values.items()
+                                           if k not in required})
+
+
+_NUM = st.integers(-3, 200) | st.floats(-1.0, 40.0) | _EXTREME
+_CELL = _NUM | st.lists(_NUM, min_size=2, max_size=2)
+SCENARIO_DOCS = _object({
+    "channel": st.just("rice1") | _object({
+        "type": st.sampled_from(["fixed", "rice1"]),
+        "matrix": st.lists(st.lists(_CELL, min_size=1, max_size=4), min_size=1, max_size=3),
+        "k_factor": _NUM, "coherence_slots": _NUM}) | JSON_VALUES,
+    "noise": _object({
+        "mode": st.sampled_from(["noise_free", "snr", "snr_sweep", "variance"]),
+        "snr_db": _NUM, "snr_db_list": st.lists(_NUM, max_size=3), "variance": _NUM}),
+    "csi": _object({"gamma_th": _NUM, "force_ri": _NUM, "force_cqi": _NUM}),
+    "sinr_cap_db": _object({"1": _NUM, "2": _NUM}),
+    **{k: _NUM for k in ("n_tx", "n_rx", "n_prb", "scs_khz", "n_slots", "n_drops",
+                         "csi_period", "dl_duty_factor", "seed", "est_error_var",
+                         "max_harq_tx")},
+    "band": st.text(max_size=4),
+}, required=("channel",))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=SCENARIO_DOCS)
+@example(doc={"channel": "rice1", "dl_duty_factor": 10 ** 400})
+@example(doc={"channel": "rice1", "sinr_cap_db": {"1": -10 ** 400}})
+@example(doc={"channel": {"type": "fixed", "matrix": [[1, [0, 10 ** 400]], [0, 1]]}})
+def test_any_json_document_parses_or_raises_scenario_error(doc):
+    try:
+        sc = scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    assert isinstance(sc, Scenario)
 
 
 class TestCaps:
@@ -184,34 +247,34 @@ class TestCaps:
 class TestDerivedHelpers:
     def test_grid_for_block_fixed(self):
         sc = scenario_from_dict(_fixed_cfg(n_prb=5))
-        grid = sc.grid_for_block(drop_seed=1, block_id=0)
-        assert grid.n_sc == 5 and grid.flat
-        assert np.array_equal(grid.matrices[0], np.asarray(H_2X4_REF, complex))
+        h = sc.block_channels(drop_seed=1, n_blocks=3)
+        assert h.shape == (3, 2, 4)
+        assert np.array_equal(h[2], np.asarray(H_2X4_REF, complex))
         assert sc.coherence_slots is None and not sc.is_fading
 
     def test_grid_for_block_rice(self):
         sc = scenario_from_dict({"channel": "rice1", "n_prb": 3, "n_tx": 2})
-        a = sc.grid_for_block(drop_seed=9, block_id=2)
-        b = sc.grid_for_block(drop_seed=9, block_id=2)
-        assert np.array_equal(a.matrices, b.matrices)
-        assert a.n_tx == 2 and a.n_sc == 3
+        a = sc.block_channels(drop_seed=9, n_blocks=3)
+        b = sc.block_channels(drop_seed=9, n_blocks=3)
+        assert np.array_equal(a, b)
+        assert a.shape == (3, 2, 2)
         assert sc.coherence_slots == 10 and sc.is_fading
 
     def test_noise_for_modes(self):
-        grid = scenario_from_dict(_fixed_cfg()).grid_for_block(0, 0)
+        p_rx = block_rx_power(scenario_from_dict(_fixed_cfg()).block_channels(0, 1), 106)
         free = scenario_from_dict(_fixed_cfg())
-        assert free.noise_for(grid).variance == 0.0
+        assert free.noise_var_for_power(p_rx)[0] == 0.0
         var = scenario_from_dict(_fixed_cfg(noise={"mode": "variance",
                                                    "variance": 0.25}))
-        assert var.noise_for(grid).variance == 0.25
+        assert var.noise_var_for_power(p_rx)[0] == 0.25
         snr = scenario_from_dict(_fixed_cfg(noise={"mode": "snr", "snr_db": 0}))
-        assert snr.noise_for(grid).variance == pytest.approx(0.33203125)
+        assert snr.noise_var_for_power(p_rx)[0] == pytest.approx(0.33203125)
 
     def test_noise_for_rejects_unexpanded_sweep(self):
         sc = scenario_from_dict(_fixed_cfg(noise={"mode": "snr_sweep",
                                                   "snr_db_list": [0, 10]}))
         with pytest.raises(ScenarioError):
-            sc.noise_for(sc.grid_for_block(0, 0))
+            sc.noise_var_for_power(np.ones(1))
 
     def test_at_snr(self):
         sc = scenario_from_dict(_fixed_cfg(noise={"mode": "snr_sweep",

@@ -132,7 +132,7 @@ class TestRunCsiInspect:
             (1, (0, 0, 0, 0), 12, 10)
         assert insp.gamma_min == pytest.approx(2.6605386228027736, rel=1e-12)
         assert insp.gamma_min == insp.gamma_median == insp.gamma_max
-        assert insp.noise.variance == 0.1
+        assert insp.noise_var == 0.1
 
     def test_orthogonal_rows_channel(self):
         insp = run_csi_inspect(scenario_from_dict({

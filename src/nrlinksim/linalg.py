@@ -70,8 +70,9 @@ def inv2_stack(m: np.ndarray) -> np.ndarray:
     return out / det[..., None, None]
 
 
-def lin_to_int_db(x: float, lo: int = DB_FLOOR, hi: int = DB_CEIL) -> int:
-    """Quantize a linear power ratio to integer dB, clamped to ``[lo, hi]``.
+def lin_to_int_db(x: float) -> int:
+    """Quantize a linear power ratio to integer dB, clamped to
+    ``[DB_FLOOR, DB_CEIL]``.
 
     ``x == 0`` maps to the floor and ``x == +inf`` to the ceiling; negative
     inputs are rejected.
@@ -79,7 +80,7 @@ def lin_to_int_db(x: float, lo: int = DB_FLOOR, hi: int = DB_CEIL) -> int:
     if x < 0:
         raise ValueError(f"power ratio must be nonnegative, got {x}")
     if x == 0:
-        return lo
+        return DB_FLOOR
     if math.isinf(x):
-        return hi
-    return int(min(max(round(10.0 * math.log10(x)), lo), hi))
+        return DB_CEIL
+    return int(min(max(round(10.0 * math.log10(x)), DB_FLOOR), DB_CEIL))

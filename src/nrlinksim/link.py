@@ -1,10 +1,11 @@
 """gNB-side link adaptation, PHY abstraction, and the closed-loop drop.
 
-The gNB turns a CSI report into a grant (layers, precoder, MCS,
-transport-block size); the PHY abstraction collapses the per-layer MMSE
-SINRs into one capped effective SINR and a logistic block-error
-probability anchored 1 dB above the Shannon limit of the scheme; a
-single-process stop-and-wait HARQ loop produces throughput statistics.
+The gNB follows each CSI report: its rank and precoder, and the MCS
+and transport-block size its CQI maps to; the PHY abstraction collapses
+the per-layer MMSE SINRs into one capped effective SINR and a logistic
+block-error probability anchored 1 dB above the Shannon limit of the
+scheme; a single-process stop-and-wait HARQ loop produces throughput
+statistics.
 
 A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
@@ -16,12 +17,13 @@ effective SINRs for one noise point (shared by all forced CQIs), and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import block_rx_power, estimate_blocks
-from .codebook import PmiIndex, build_codebook_set, precoder_for
+from .codebook import build_codebook_set
 from .csi import CsiReport, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
 from .tables import load_cqi_table, load_mcs_table
@@ -35,6 +37,7 @@ DATA_RE_PER_PRB = 156
 _ACK_STREAM = 14
 
 
+@lru_cache(maxsize=None)
 def mcs_from_cqi(cqi: int) -> int:
     """Highest MCS whose spectral efficiency does not exceed the CQI's.
 
@@ -54,6 +57,7 @@ def mcs_from_cqi(cqi: int) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
 def tbs(mcs: int, n_layers: int, n_prb: int) -> int:
     """Transport-block size in bits for one MCS table row.
 
@@ -70,43 +74,6 @@ def tbs(mcs: int, n_layers: int, n_prb: int) -> int:
     e = table[mcs]
     return (DATA_RE_PER_PRB * n_prb * n_layers
             * e.modulation_order * e.rate_x1024) // 1024
-
-
-@dataclass(frozen=True)
-class DownlinkGrant:
-    """One scheduling decision: layers, precoder, MCS, transport block."""
-
-    n_layers: int
-    precoder: np.ndarray
-    mcs: int
-    tbs_bits: int
-    n_prb: int
-    pmi: PmiIndex
-    cqi: int
-
-    def __post_init__(self):
-        if self.n_layers not in (1, 2):
-            raise ValueError(f"n_layers must be 1 or 2, got {self.n_layers}")
-        if self.precoder.shape[1] != self.n_layers:
-            raise ValueError(
-                f"precoder has {self.precoder.shape[1]} columns for "
-                f"{self.n_layers} layers")
-        if self.tbs_bits < 0:
-            raise ValueError(f"tbs_bits must be >= 0, got {self.tbs_bits}")
-
-
-def schedule(report: CsiReport, n_prb: int) -> DownlinkGrant:
-    """Grant implied by a CSI report: follow RI/PMI, map CQI to MCS."""
-    mcs = mcs_from_cqi(report.cqi)
-    return DownlinkGrant(
-        n_layers=report.ri,
-        precoder=precoder_for(report.pmi),
-        mcs=mcs,
-        tbs_bits=tbs(mcs, report.ri, n_prb),
-        n_prb=n_prb,
-        pmi=report.pmi,
-        cqi=report.cqi,
-    )
 
 
 def effective_sinrs_db(mats: np.ndarray, w: np.ndarray, noise_var,
@@ -288,22 +255,20 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
 def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
     """Stop-and-wait HARQ over one drop at one sweep point.
 
-    Each slot carries one transport block: a new one on the grant of the
-    report in force (its CQI replaced by ``scenario.csi.force_cqi`` when
-    set), or the pending one, resent with its original grant up to
-    ``max_harq_tx`` attempts and then dropped.  Exactly one uniform
-    variate per slot is drawn against the block-error probability.
+    Each slot carries one transport block: a new one on the rank and
+    precoder of the report in force, with the MCS and size that its CQI
+    (or ``scenario.csi.force_cqi`` when set) maps to, or the pending one,
+    resent as first sent up to ``max_harq_tx`` attempts and then dropped.
+    Exactly one uniform variate per slot is drawn against the
+    block-error probability.
     """
     chan = csi.chan
-    force_cqi = scenario.csi.force_cqi
-    grants: dict[tuple[PmiIndex, int], DownlinkGrant] = {}
-    sent = []  # per report: what a transport block granted from it carries
+    force_cqi, n_prb = scenario.csi.force_cqi, scenario.n_prb
+    sent = []  # per report: what a transport block scheduled from it carries
     for rep, pair_base in zip(csi.reports, chan.report_pair_base):
         cqi = rep.cqi if force_cqi is None else force_cqi
-        grant = grants.get((rep.pmi, cqi))
-        if grant is None:
-            grant = grants[(rep.pmi, cqi)] = schedule(replace(rep, cqi=cqi), scenario.n_prb)
-        sent.append((grant.mcs, grant.n_layers, grant.cqi, grant.tbs_bits, pair_base))
+        mcs = mcs_from_cqi(cqi)
+        sent.append((mcs, rep.ri, cqi, tbs(mcs, rep.ri, n_prb), pair_base))
     p_err = [bler(eff, sent[k][0])
              for eff, k in zip(csi.pair_eff_db, chan.pair_report.tolist())]
 

@@ -20,6 +20,8 @@ from .channel import rice1_blocks, snr_noise_variance
 from .csi import CsiConfig
 
 DEFAULT_N_PRB = 106
+# Largest NR resource grid (TS 38.211 section 4.4.2).
+MAX_N_PRB = 275
 DEFAULT_N_SLOTS = 2000
 DEFAULT_N_DROPS = 20
 DEFAULT_CSI_PERIOD = 10
@@ -58,6 +60,14 @@ class ChannelModel:
                 f"channel.coherence_slots must be >= 1, got {self.coherence_slots}")
 
 
+def _snr_in_range(snr_db: float) -> bool:
+    """Whether ``10^(snr_db / 10)`` is a positive finite float."""
+    try:
+        return 0.0 < 10.0 ** (snr_db / 10.0) < inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Receiver-noise selection for a scenario.
@@ -82,6 +92,14 @@ class NoiseModel:
             raise ScenarioError("noise.snr_db_list is required for mode 'snr_sweep'")
         if self.mode == "variance" and (self.variance is None or not self.variance > 0):
             raise ScenarioError("noise.variance must be > 0 for mode 'variance'")
+        if self.snr_db is not None and not _snr_in_range(self.snr_db):
+            raise ScenarioError(
+                f"noise.snr_db must give a positive finite linear SNR, got {self.snr_db}")
+        for p in self.snr_db_list:
+            if not _snr_in_range(p):
+                raise ScenarioError(
+                    f"noise.snr_db_list entries must give a positive finite linear SNR, "
+                    f"got {p}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +124,9 @@ class Scenario:
     def __post_init__(self):
         if self.n_tx not in (2, 4):
             raise ScenarioError(f"n_tx must be 2 or 4, got {self.n_tx}")
-        if self.n_prb < 1:
-            raise ScenarioError(f"n_prb must be >= 1, got {self.n_prb}")
+        if not 1 <= self.n_prb <= MAX_N_PRB:
+            raise ScenarioError(
+                f"scenario.n_prb must be in [1, {MAX_N_PRB}], got {self.n_prb}")
         if self.n_slots < 1:
             raise ScenarioError(f"n_slots must be >= 1, got {self.n_slots}")
         if self.n_drops < 1:

@@ -6,7 +6,8 @@ one block at a time, makes a report on reporting slots and evaluates
 every transport block's effective SINR in the slot that sends it.  The
 engine in ``nrlinksim.link`` reorders that work (all blocks of a drop at
 once, CSI shared across sweep points), so its statistics must equal the
-loop's exactly.
+loop's exactly.  The same random scenarios, with CQI and rank forced,
+check the HARQ accounting.
 """
 
 import numpy as np
@@ -14,10 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
-from nrlinksim.codebook import build_codebook_set
+from nrlinksim.codebook import build_codebook_set, precoder_for
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
-                            effective_sinrs_db, schedule, simulate_drop)
+                            effective_sinrs_db, mcs_from_cqi, simulate_drop, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
@@ -55,25 +56,29 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
         if slot % scenario.csi_period == 0 and report_block != block:
             report = make_reports(est, noise_var, scenario.csi, codebooks)[0]
-            grant = schedule(report, scenario.n_prb)
+            mcs = mcs_from_cqi(report.cqi)
+            # (layers, precoder, MCS, CQI, transport-block bits)
+            grant = (report.ri, precoder_for(report.pmi), mcs, report.cqi,
+                     tbs(mcs, report.ri, scenario.n_prb))
             report_block = block
 
         if tb_grant is None:
             tb_grant = grant
             tb_tries = 0
 
-        cap = float(scenario.sinr_cap_db[tb_grant.n_layers])
-        eff = effective_sinrs_db(h[:, None], tb_grant.precoder[None], noise_var, cap)[0]
-        p_err = bler(eff, tb_grant.mcs)
+        layers, w, mcs, cqi, bits = tb_grant
+        cap = float(scenario.sinr_cap_db[layers])
+        eff = effective_sinrs_db(h[:, None], w[None], noise_var, cap)[0]
+        p_err = bler(eff, mcs)
 
         attempts += 1
         tb_tries += 1
-        sum_mcs += tb_grant.mcs
-        sum_ri += tb_grant.n_layers
-        sum_cqi += tb_grant.cqi
+        sum_mcs += mcs
+        sum_ri += layers
+        sum_cqi += cqi
         if ack_rng.random() >= p_err:
             acks += 1
-            delivered += tb_grant.tbs_bits
+            delivered += bits
             tb_grant = None
         elif tb_tries >= scenario.max_harq_tx:
             tb_grant = None
@@ -158,3 +163,18 @@ def test_snr_sweep_matches_oracle(doc, snrs):
     seed = derive_seed(scenario.seed, 0)
     for snr, row in zip(snrs, run_sweep_snr(scenario)):
         assert row.drops == (oracle_drop(scenario.at_snr(snr), seed),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=scenario_docs(), ri=st.sampled_from([1, 2]), cqi=st.integers(0, 15))
+def test_harq_accounting_with_forced_cqi_and_ri(doc, ri, cqi):
+    # One attempt per slot, and every ACK delivers one transport block
+    # whose size the forced CQI and rank pin.
+    scenario = scenario_from_dict(dict(doc, csi={"force_ri": ri, "force_cqi": cqi}))
+    stats = simulate_drop(scenario, derive_seed(scenario.seed, 0))
+    mcs = mcs_from_cqi(cqi)
+    assert stats.tb_attempts == stats.slots == scenario.n_slots
+    assert stats.tb_acks <= stats.tb_attempts
+    assert stats.delivered_bits == stats.tb_acks * tbs(mcs, ri, scenario.n_prb)
+    assert stats.mean_mcs == mcs
+    assert stats.mean_ri == ri

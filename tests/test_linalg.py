@@ -107,10 +107,6 @@ class TestLinToIntDb:
         assert lin_to_int_db(1e-3) == -10     # clamped from -30
         assert lin_to_int_db(1e9) == 40       # clamped from 90
 
-    def test_custom_range(self):
-        assert lin_to_int_db(1e9, lo=-5, hi=21) == 21
-        assert lin_to_int_db(0.0, lo=-5, hi=21) == -5
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             lin_to_int_db(-1.0)

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from nrlinksim.codebook import PmiIndex, precoder_for
-from nrlinksim.csi import CsiReport
-from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, DownlinkGrant,
-                            ThroughputStats, bler, decode_threshold_db,
-                            effective_sinrs_db, mcs_from_cqi, schedule,
-                            simulate_drop, tbs)
+from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
+                            bler, decode_threshold_db, effective_sinrs_db,
+                            mcs_from_cqi, simulate_drop, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
@@ -36,11 +34,6 @@ def tb_bits(modulation_order: int, code_rate: float, n_layers: int,
     if not 0 < code_rate <= 1:
         raise ValueError(f"code_rate must be in (0, 1], got {code_rate}")
     return math.floor(DATA_RE_PER_PRB * n_prb * n_layers * modulation_order * code_rate)
-
-
-def _report(ri, cqi, key=(0, 0, 0, 0), ports=4, sinr_db=10) -> CsiReport:
-    pmi = PmiIndex(*key, rank=ri, ports=ports)
-    return CsiReport(ri=ri, pmi=pmi, wideband_sinr_db=sinr_db, cqi=cqi)
 
 
 class TestMcsFromCqi:
@@ -103,70 +96,43 @@ class TestTbs:
             tb_bits(2, 0.0, 1, 1)
 
 
-class TestSchedule:
-    def test_rank2_composition(self):
-        rep = _report(ri=2, cqi=12, key=(0, 0, 1, 0))
-        grant = schedule(rep, n_prb=106)
-        assert grant.n_layers == 2
-        assert grant.mcs == mcs_from_cqi(12)
-        assert grant.tbs_bits == tbs(grant.mcs, 2, 106)
-        assert np.array_equal(grant.precoder, precoder_for(rep.pmi))
-        assert grant.pmi == rep.pmi and grant.cqi == 12
-
-    def test_rank1_grant(self):
-        grant = schedule(_report(ri=1, cqi=4), n_prb=52)
-        assert grant.n_layers == 1
-        assert grant.precoder.shape == (4, 1)
-        assert grant.tbs_bits == tbs(mcs_from_cqi(4), 1, 52)
-
-    def test_forced_cqi0_is_mcs0(self):
-        assert schedule(_report(ri=1, cqi=0), n_prb=106).mcs == 0
-
-    def test_grant_validation(self):
-        w = precoder_for(PmiIndex(0, 0, 0, 0, rank=1, ports=4))
-        with pytest.raises(ValueError):
-            DownlinkGrant(n_layers=2, precoder=w, mcs=0, tbs_bits=100,
-                          n_prb=106, pmi=PmiIndex(0, 0, 0, 0, rank=1, ports=4),
-                          cqi=4)
-        with pytest.raises(ValueError):
-            DownlinkGrant(n_layers=1, precoder=w, mcs=0, tbs_bits=-1,
-                          n_prb=106, pmi=PmiIndex(0, 0, 0, 0, rank=1, ports=4),
-                          cqi=4)
-
-
-def effective_sinr_db(h, grant, noise_var, caps) -> float:
-    """Effective SINR of one flat block under one grant, capped per rank."""
+def effective_sinr_db(h, w, noise_var, caps) -> float:
+    """Effective SINR of one flat block under precoder ``w``, capped per rank."""
     mats = np.asarray(h, dtype=complex)[None, None]
-    return float(effective_sinrs_db(mats, grant.precoder[None], [noise_var],
-                                    float(caps[grant.n_layers]))[0])
+    return float(effective_sinrs_db(mats, w[None], [noise_var],
+                                    float(caps[w.shape[1]]))[0])
+
+
+def _precoder(ri, key=(0, 0, 0, 0)) -> np.ndarray:
+    return precoder_for(PmiIndex(*key, rank=ri, ports=4))
 
 
 class TestEffectiveSinr:
     CAPS = {1: 19.0, 2: 16.0}
 
     def test_below_cap_matches_mean(self):
-        grant = schedule(_report(ri=1, cqi=5), 106)
+        w = _precoder(ri=1)
         # per-layer linear SINR is exactly 5.0 at this noise level
-        eff = effective_sinr_db(H_ORTHO, grant, 0.1, self.CAPS)
+        eff = effective_sinr_db(H_ORTHO, w, 0.1, self.CAPS)
         assert eff == pytest.approx(10 * math.log10(5.0), rel=1e-12)
 
     def test_noise_free_rank1_cap(self):
-        grant = schedule(_report(ri=1, cqi=15), 106)
-        assert effective_sinr_db(H_2X4_REF, grant, 0.0, self.CAPS) == 19.0
+        w = _precoder(ri=1)
+        assert effective_sinr_db(H_2X4_REF, w, 0.0, self.CAPS) == 19.0
 
     def test_noise_free_rank2_caps(self):
-        grant = schedule(_report(ri=2, cqi=13, key=(0, 0, 1, 0)), 106)
-        assert effective_sinr_db(H_2X4_REF, grant, 0.0, self.CAPS) == 16.0
-        assert effective_sinr_db(H_2X4_REF, grant, 0.0, {1: 19.0, 2: 14.0}) == 14.0
+        w = _precoder(ri=2, key=(0, 0, 1, 0))
+        assert effective_sinr_db(H_2X4_REF, w, 0.0, self.CAPS) == 16.0
+        assert effective_sinr_db(H_2X4_REF, w, 0.0, {1: 19.0, 2: 14.0}) == 14.0
 
     def test_disabled_cap_saturates_at_reporting_ceiling(self):
-        grant = schedule(_report(ri=1, cqi=15), 106)
+        w = _precoder(ri=1)
         caps = {1: math.inf, 2: math.inf}
-        assert effective_sinr_db(H_2X4_REF, grant, 0.0, caps) == pytest.approx(40.0)
+        assert effective_sinr_db(H_2X4_REF, w, 0.0, caps) == pytest.approx(40.0)
 
     def test_zero_channel_is_minus_inf(self):
-        grant = schedule(_report(ri=1, cqi=4), 106)
-        assert effective_sinr_db(np.zeros((2, 4)), grant, 0.5, self.CAPS) == -math.inf
+        w = _precoder(ri=1)
+        assert effective_sinr_db(np.zeros((2, 4)), w, 0.5, self.CAPS) == -math.inf
 
 
 class TestBler:

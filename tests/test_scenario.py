@@ -163,6 +163,13 @@ class TestValidation:
     ('{"channel": "rice1", "n_rx": 3}', "scenario.n_rx"),
     ('{"channel": "rice1", "scs_khz": 15}', "scenario.scs_khz"),
     ('{"channel": "rice1", "band": 5}', "scenario.band"),
+    ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": 4000}}', "noise.snr_db"),
+    ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": -4000}}', "noise.snr_db"),
+    ('{"channel": "rice1", "noise": {"mode": "snr_sweep", "snr_db_list": [0, 4000]}}',
+     "noise.snr_db_list"),
+    ('{"channel": "rice1", "noise": {"mode": "snr_sweep", "snr_db_list": [-4000]}}',
+     "noise.snr_db_list"),
+    ('{"channel": "rice1", "n_prb": 276}', "scenario.n_prb"),
 ])
 def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
     p = tmp_path / "bad.json"

@@ -314,6 +314,20 @@ class TestCli:
         assert rc == 2
         assert "n_tx" in err.getvalue()
 
+    @pytest.mark.parametrize("command,noise", [
+        ("csi", '{"mode": "snr", "snr_db": 4000}'),
+        ("sweep-cqi", '{"mode": "snr", "snr_db": 4000}'),
+        ("sweep-snr", '{"mode": "snr_sweep", "snr_db_list": [10, 4000]}'),
+    ])
+    def test_snr_beyond_float_range_fails(self, tmp_path, command, noise):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"channel": "rice1", "noise": {noise}}}', encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = cli.main([command, "--config", str(bad)])
+        assert rc == 2
+        assert "noise.snr_db" in err.getvalue()
+
     def test_bad_arguments_exit_nonzero(self):
         err = io.StringIO()
         with redirect_stderr(err), pytest.raises(SystemExit):

@@ -14,8 +14,7 @@ from .codebook import (PmiIndex, PrecoderCodebook, build_codebook,
 from .csi import (CsiConfig, CsiReport, compute_ri_blocks, make_reports,
                   select_cqi, select_pmi_blocks)
 from .linalg import gamma_stack, lin_to_int_db
-from .link import (ThroughputStats, bler, effective_sinrs_db, mcs_from_cqi,
-                   simulate_drop, tbs)
+from .link import ThroughputStats, bler, effective_sinrs_db, mcs_from_cqi, tbs
 from .scenario import (ChannelModel, NoiseModel, Scenario, ScenarioError,
                        parse_scenario, scenario_from_dict)
 from .sweeps import (CqiSweepRow, CsiInspection, SnrSweepRow, run_csi_inspect,
@@ -31,8 +30,7 @@ __all__ = [
     "CsiConfig", "CsiReport", "compute_ri_blocks", "make_reports",
     "select_cqi", "select_pmi_blocks",
     "gamma_stack", "lin_to_int_db",
-    "ThroughputStats", "bler", "effective_sinrs_db", "mcs_from_cqi",
-    "simulate_drop", "tbs",
+    "ThroughputStats", "bler", "effective_sinrs_db", "mcs_from_cqi", "tbs",
     "ChannelModel", "NoiseModel", "Scenario", "ScenarioError",
     "parse_scenario", "scenario_from_dict",
     "CqiSweepRow", "CsiInspection", "SnrSweepRow", "run_csi_inspect",

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .codebook import ConfigurationError, PmiIndex, PrecoderCodebook
-from .linalg import BATCH_ELEMS, gamma_stack, inv2_stack, lin_to_int_db
+from .linalg import BATCH_ELEMS, gamma_stack, lin_to_int_db
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -102,23 +102,29 @@ def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
     layers get SINR 0.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
+    norms = np.sum(np.abs(g) ** 2, axis=-2)
     if not np.any(noise_var):
-        norms = np.sum(np.abs(g) ** 2, axis=-2)
         signal = np.where(norms > 0.0, NOISE_FREE_LAYER_SINR, 0.0)
         denom = np.ones_like(signal)
         return LayerSinrs(signal / denom, signal, denom)
-    gh = np.conj(np.swapaxes(g, -1, -2))
-    c = g @ gh
-    c[..., 0, 0] += noise_var
-    c[..., 1, 1] += noise_var
-    wc = gh @ inv2_stack(c)  # MMSE combiner rows, one per layer
-    a = wc @ g
-    diag = np.einsum("...ll->...l", a)
-    signal = np.abs(diag) ** 2
-    interf = np.sum(np.abs(a) ** 2, axis=-1) - signal
-    denom = interf + noise_var[..., None] * np.sum(np.abs(wc) ** 2, axis=-1)
-    sinr = np.divide(signal, denom, out=np.zeros_like(signal), where=denom > 0.0)
-    return LayerSinrs(sinr, signal, denom)
+    # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
+    # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
+    # where x_l = e + |g_l|^2, y_l = o_l + n and D = x_l + y_l.  At rank 2
+    # e = |det G|^2 / n and o_l is the other column's |g|^2; both are 0 at
+    # rank 1.  A layer's signal is s^2, its interference+noise s t, and its
+    # SINR s / t = x / y.  Both products of det take their column-0 factor
+    # first, so det is exactly 0 when one row of G is a power-of-two
+    # multiple of the other, however the complex product rounds.
+    n = noise_var[..., None]
+    if g.shape[-1] == 2:
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
+        x = (np.abs(det) ** 2 / noise_var)[..., None] + norms
+        y = norms[..., ::-1] + n
+    else:
+        x, y = norms, n
+    d = x + y
+    s, t = x / d, y / d
+    return LayerSinrs(x / y, s * s, s * t)
 
 
 def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:

@@ -55,21 +55,6 @@ def gamma_stack(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv2_stack(m: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of a stack of 2x2 matrices, shape ``(..., 2, 2)``.
-
-    Callers must guarantee the matrices are invertible (here they are
-    always ``G G^H + noise * I`` with positive noise).
-    """
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
-
-
 def lin_to_int_db(x: float) -> int:
     """Quantize a linear power ratio to integer dB, clamped to
     ``[DB_FLOOR, DB_CEIL]``.

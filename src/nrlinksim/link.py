@@ -301,13 +301,3 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
         mean_ri=sum_ri / n,
         mean_cqi=sum_cqi / n,
     )
-
-
-def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
-    """One closed-loop drop: fading blocks, periodic CSI, HARQ, accounting.
-
-    Fully deterministic in ``(scenario, seed)``: the three phases of
-    :func:`drop_channel`, :func:`drop_csi` and :func:`run_harq` at the
-    scenario's own noise point and CQI setting.
-    """
-    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))

@@ -22,8 +22,7 @@ from .channel import block_rx_power, derive_seed, estimate_blocks
 from .codebook import build_codebook, build_codebook_set
 from .csi import CsiReport, make_reports
 from .linalg import gamma_stack
-from .link import (ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq,
-                   simulate_drop)
+from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
 from .scenario import Scenario, ScenarioError
 
 N_CQI_POINTS = 16
@@ -67,7 +66,7 @@ class CsiInspection:
     gamma_max: float
 
 
-def run_drops(scenario: Scenario, workers: int = 1, drop=simulate_drop) -> list:
+def run_drops(scenario: Scenario, workers: int, drop) -> list:
     """``drop(scenario, seed)`` for every drop of one scenario, in drop order.
 
     ``workers > 1`` fans the drops out to one process pool; the ordered

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from nrlinksim.scenario import parse_scenario
+from nrlinksim.link import ThroughputStats, drop_channel, drop_csi, run_harq
+from nrlinksim.scenario import Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -21,6 +22,12 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / name
+
+
+def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
+    """One closed-loop drop at the scenario's own noise point and CQI setting:
+    the three engine phases run back to back."""
+    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
 
 
 def _timed_cqi(name: str):

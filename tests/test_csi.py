@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrlinksim.channel import estimate_blocks, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
@@ -56,28 +58,39 @@ def _report(mats, noise_var, cfg, cbs) -> CsiReport:
 
 
 def _oracle_layer_sinrs(h, w, noise_var):
-    """Independent per-layer MMSE SINR: 1 / [(I + G^H G / v)^-1]_ll - 1."""
+    """Independent per-layer MMSE SINR ``g_l^H R_l^-1 g_l``, where
+    ``R_l = v I + sum_{k != l} g_k g_k^H`` is the layer's interference plus
+    noise covariance."""
     g = np.asarray(h) @ np.asarray(w)
-    n_layers = g.shape[1]
-    b = np.linalg.inv(np.eye(n_layers) + g.conj().T @ g / noise_var)
-    return np.array([1.0 / b[l, l].real - 1.0 for l in range(n_layers)])
+    out = []
+    for l in range(g.shape[1]):
+        others = np.delete(g, l, axis=1)
+        r = noise_var * np.eye(2) + others @ others.conj().T
+        out.append(float(np.real(g[:, l].conj() @ np.linalg.inv(r) @ g[:, l])))
+    return np.array(out)
 
 
 def _oracle_wideband_ratios(mats, cb, noise_var):
-    """Independent wideband metric per candidate: ratio of summed powers."""
+    """Independent wideband metric per candidate: ratio of summed powers.
+
+    A layer of MMSE SINR ``x`` carries signal ``s^2`` and interference plus
+    noise ``s (1 - s)``, with ``s = x / (1 + x)``.
+    """
     ratios = []
     for _, w in cb.entries:
         sig = nin = 0.0
         for h in mats:
-            g = h @ w
-            cinv = np.linalg.inv(g @ g.conj().T + noise_var * np.eye(2))
-            for l in range(g.shape[1]):
-                gl = g[:, l]
-                x = float(np.real(gl.conj() @ cinv @ gl))
-                sig += x * x
-                nin += x - x * x
+            for x in _oracle_layer_sinrs(h, w, noise_var):
+                s, t = x / (1.0 + x), 1.0 / (1.0 + x)
+                sig += s * s
+                nin += s * t
         ratios.append(sig / nin)
     return ratios
+
+
+def _random_mats(seed, n_sc, n_tx):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n_sc, 2, n_tx)) + 1j * rng.standard_normal((n_sc, 2, n_tx))
 
 
 class TestGammaPerSubcarrier:
@@ -293,6 +306,45 @@ class TestSelectPmi:
         idx, sinr_db = _pmi(_flat(H_2X4_REF), 0.0, build_codebook(4, 1))
         assert idx.key() == (0, 0, 0, 0)
         assert sinr_db == 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2]), n_sc=st.integers(1, 3),
+       snr_db=st.floats(-60.0, 60.0))
+def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
+    # Noise from 1e-6 to 1e6 times the mean channel power, per layer and
+    # per candidate's wideband ratio.
+    mats = _random_mats(seed, n_sc, n_tx)
+    noise_var = float(np.mean(np.abs(mats) ** 2)) / 10.0 ** (snr_db / 10.0)
+    cb = build_codebook(n_tx, rank)
+    w = cb.entries[seed % len(cb)][1]
+    got = block_layer_sinrs(mats[None], w[None], [noise_var])[0]
+    want = [_oracle_layer_sinrs(h, w, noise_var) for h in mats]
+    assert got.ravel() == pytest.approx(np.ravel(want), rel=1e-9)
+
+    split = _split_batch(np.einsum("sij,cjl->csil", mats, cb.precoders), noise_var)
+    ratios = split.signal.sum(axis=(-2, -1)) / split.noise_interf.sum(axis=(-2, -1))
+    want_ratios = _oracle_wideband_ratios(mats, cb, noise_var)
+    assert ratios == pytest.approx(want_ratios, rel=1e-9)
+    _, best = select_pmi_blocks(mats[None], [noise_var], cb)
+    assert best[0] == pytest.approx(max(want_ratios), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2]), n_sc=st.integers(1, 3),
+       phase=st.floats(0.0, 2.0 * math.pi),
+       snr_db=st.one_of(st.none(), st.floats(-20.0, 60.0)))
+def test_pmi_winner_ignores_global_phase(seed, n_tx, rank, n_sc, phase, snr_db):
+    # None stands for zero noise.
+    mats = _random_mats(seed, n_sc, n_tx)
+    noise_var = 0.0 if snr_db is None else (
+        float(np.mean(np.abs(mats) ** 2)) / 10.0 ** (snr_db / 10.0))
+    cb = build_codebook(n_tx, rank)
+    base, _ = select_pmi_blocks(mats[None], [noise_var], cb)
+    turned, _ = select_pmi_blocks(np.exp(1j * phase) * mats[None], [noise_var], cb)
+    assert turned[0] == base[0]
 
 
 class TestSelectCqi:

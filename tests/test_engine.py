@@ -18,9 +18,11 @@ from nrlinksim.channel import block_rx_power, derive_seed, estimate_blocks, rice
 from nrlinksim.codebook import build_codebook_set, precoder_for
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
-                            effective_sinrs_db, mcs_from_cqi, simulate_drop, tbs)
+                            effective_sinrs_db, mcs_from_cqi, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
+
+from conftest import simulate_drop
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:

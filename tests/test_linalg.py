@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nrlinksim.linalg import (DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, inv2_stack,
-                              lin_to_int_db)
+from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
 
 # Reference channels used across the suite (also encoded in the golden
 # scenario files).
@@ -83,14 +82,6 @@ class TestGammaStack:
         got = gamma_stack(mats)
         assert got[0] == math.inf
         assert got[1] == 2.0
-
-
-class TestInv2Stack:
-    def test_matches_numpy_inverse(self):
-        rng = np.random.default_rng(8)
-        m = rng.standard_normal((30, 2, 2)) + 1j * rng.standard_normal((30, 2, 2))
-        m = m @ np.conj(np.swapaxes(m, -1, -2)) + 0.5 * np.eye(2)
-        assert np.allclose(inv2_stack(m), np.linalg.inv(m), rtol=1e-10, atol=1e-12)
 
 
 class TestLinToIntDb:

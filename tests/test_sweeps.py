@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 from nrlinksim import cli, sweeps
-from nrlinksim.link import mcs_from_cqi, tbs
+from nrlinksim.channel import derive_seed
+from nrlinksim.link import drop_channel, drop_csi, mcs_from_cqi, tbs
 from nrlinksim.scenario import ScenarioError, parse_scenario, scenario_from_dict
 from nrlinksim.sweeps import (run_csi_inspect, run_drops, run_sweep_cqi,
                               run_sweep_snr, write_codebook_csv,
                               write_cqi_sweep_csv, write_csi_csv,
                               write_gnuplot_xy, write_snr_sweep_csv)
 
-from conftest import scenario_path
+from conftest import scenario_path, simulate_drop
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
+# Rank 1 in exact arithmetic and in float: the second row is half the first.
+H_RANK1 = [[1.0, 0.5, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0625]]
 
 # No grant can outrun the largest transport block the tables allow.
 GOODPUT_BOUND_MBPS = tbs(28, 2, 106) / 0.0005 / 1e6
@@ -46,20 +49,37 @@ def _small_rice(**extra):
 class TestRunDrops:
     def test_sequential_deterministic(self):
         sc = _small_rice()
-        assert run_drops(sc) == run_drops(sc)
+        assert run_drops(sc, 1, simulate_drop) == run_drops(sc, 1, simulate_drop)
 
     def test_drops_differ(self):
-        stats = run_drops(_small_rice())
+        stats = run_drops(_small_rice(), 1, simulate_drop)
         assert len({s.goodput_bps for s in stats}) > 1
 
     def test_workers_match_sequential(self):
         sc = _small_rice()
-        assert run_drops(sc, workers=2) == run_drops(sc, workers=1)
+        assert run_drops(sc, 2, simulate_drop) == run_drops(sc, 1, simulate_drop)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            run_drops(_small_rice(), workers=workers)
+            run_drops(_small_rice(), workers, simulate_drop)
+
+    @pytest.mark.parametrize("sweep, noise", [
+        (run_sweep_cqi, {"mode": "snr", "snr_db": 8}),
+        (run_sweep_snr, {"mode": "snr_sweep", "snr_db_list": [0, 8, 16]}),
+    ], ids=["sweep-cqi", "sweep-snr"])
+    def test_workers_match_sequential_in_one_pool(self, monkeypatch, sweep, noise):
+        started = []
+
+        class CountingPool(sweeps.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
+        sc = _small_rice(n_drops=2, n_slots=40, noise=noise)
+        assert sweep(sc, workers=2) == sweep(sc, workers=1)
+        assert len(started) == 1
 
 
 class TestRunSweepCqi:
@@ -86,19 +106,6 @@ class TestRunSweepCqi:
     def test_goodput_bound(self):
         for r in run_sweep_cqi(_small_fixed()):
             assert r.goodput_mbps_mean <= GOODPUT_BOUND_MBPS
-
-    def test_workers_match_sequential_in_one_pool(self, monkeypatch):
-        started = []
-
-        class CountingPool(sweeps.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
-        sc = _small_rice(n_drops=2, n_slots=40)
-        assert run_sweep_cqi(sc, workers=2) == run_sweep_cqi(sc, workers=1)
-        assert len(started) == 1
 
 
 class TestRunSweepSnr:
@@ -162,6 +169,44 @@ class TestRunCsiInspect:
         sc = _small_rice(noise={"mode": "snr_sweep", "snr_db_list": [0]})
         with pytest.raises(ScenarioError):
             run_csi_inspect(sc)
+
+
+class TestHighSnrReports:
+    """As the noise vanishes, reports saturate and stay put; they must not
+    collapse, on a full-rank or an exactly rank-1 channel at either rank."""
+
+    HIGH_SNR_DB = [100, 160, 180, 300, 1000, 3000]
+
+    @staticmethod
+    def _scenario(matrix, ri, noise):
+        return scenario_from_dict({
+            "channel": {"type": "fixed", "matrix": matrix}, "noise": noise,
+            "csi": {"force_ri": ri}, "n_slots": 20, "n_drops": 1,
+        })
+
+    @pytest.mark.parametrize("ri", [1, 2])
+    @pytest.mark.parametrize("matrix", [H_2X4_REF, H_RANK1], ids=["full_rank", "rank1"])
+    def test_sweep_snr(self, matrix, ri):
+        sc = self._scenario(matrix, ri, {"mode": "snr_sweep",
+                                         "snr_db_list": self.HIGH_SNR_DB})
+        chan = drop_channel(sc, derive_seed(sc.seed, 0))
+        reports = [[(r.ri, r.pmi.key(), r.cqi) for r in drop_csi(sc.at_snr(p), chan).reports]
+                   for p in self.HIGH_SNR_DB]
+        assert reports == [reports[0]] * len(self.HIGH_SNR_DB)
+        rows = run_sweep_snr(sc)
+        assert [r.drops for r in rows] == [rows[0].drops] * len(rows)
+
+    @pytest.mark.parametrize("ri", [1, 2])
+    @pytest.mark.parametrize("matrix", [H_2X4_REF, H_RANK1], ids=["full_rank", "rank1"])
+    def test_csi(self, matrix, ri):
+        def report(variance):
+            sc = self._scenario(matrix, ri, {"mode": "variance", "variance": variance})
+            return run_csi_inspect(sc).report
+
+        want = report(1e-15)
+        assert want.ri == ri
+        assert report(1e-18) == want
+        assert report(1e-300) == want
 
 
 class TestCsvWriters:

@@ -11,8 +11,8 @@ matrix per coherence block.
 from .channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
 from .codebook import (PmiIndex, PrecoderCodebook, build_codebook,
                        build_codebook_set, precoder_for)
-from .csi import (CsiConfig, CsiReport, compute_ri_blocks, make_reports,
-                  select_cqi, select_pmi_blocks)
+from .csi import (CsiConfig, CsiReports, compute_ri_blocks, make_reports,
+                  select_pmi_blocks)
 from .linalg import gamma_stack, lin_to_int_db
 from .link import ThroughputStats, bler, effective_sinrs_db, mcs_from_cqi, tbs
 from .scenario import (ChannelModel, NoiseModel, Scenario, ScenarioError,
@@ -27,8 +27,8 @@ __all__ = [
     "block_rx_power", "derive_seed", "estimate_blocks", "rice1_blocks",
     "PmiIndex", "PrecoderCodebook", "build_codebook", "build_codebook_set",
     "precoder_for",
-    "CsiConfig", "CsiReport", "compute_ri_blocks", "make_reports",
-    "select_cqi", "select_pmi_blocks",
+    "CsiConfig", "CsiReports", "compute_ri_blocks", "make_reports",
+    "select_pmi_blocks",
     "gamma_stack", "lin_to_int_db",
     "ThroughputStats", "bler", "effective_sinrs_db", "mcs_from_cqi", "tbs",
     "ChannelModel", "NoiseModel", "Scenario", "ScenarioError",

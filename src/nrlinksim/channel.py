@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import BATCH_ELEMS
-
 # Leading stream tags keep the independent random streams of one seed
 # (LOS phase, scattered fading, estimation noise) from colliding.
 _LOS_STREAM = 11
@@ -55,14 +53,9 @@ def block_rx_power(h: np.ndarray, n_sc: int) -> np.ndarray:
     band.  Equals the mean over subcarriers and receive antennas of
     ``row_norm^2 / n_tx``.  Returns shape ``(n_blocks,)``.
     """
-    shape = (n_sc,) + h.shape[1:]
-    step = max(1, BATCH_ELEMS // (n_sc * h[0].size))
-    out = np.empty(h.shape[0])
-    for lo in range(0, h.shape[0], step):
-        part = h[lo:lo + step, None]
-        tiled = np.broadcast_to(part, part.shape[:1] + shape)
-        out[lo:lo + step] = np.mean(np.abs(tiled) ** 2, axis=(1, 2, 3))
-    return out
+    p = np.abs(h) ** 2
+    return np.mean(np.broadcast_to(p[:, None], (p.shape[0], n_sc) + p.shape[1:]),
+                   axis=(1, 2, 3))
 
 
 def snr_noise_variance(snr_db: float, p_rx):

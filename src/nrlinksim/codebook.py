@@ -123,7 +123,6 @@ class PrecoderCodebook:
         self.ports = ports
         self.rank = rank
         self.entries: tuple[tuple[PmiIndex, np.ndarray], ...] = tuple(entries)
-        self._by_key = {idx.key(): w for idx, w in self.entries}
         # Every precoder in enumeration order, shape (n_entries, ports, rank).
         self.precoders = np.stack([w for _, w in self.entries])
         self.precoders.setflags(write=False)
@@ -133,13 +132,6 @@ class PrecoderCodebook:
 
     def __iter__(self) -> Iterator[tuple[PmiIndex, np.ndarray]]:
         return iter(self.entries)
-
-    def matrix(self, idx: PmiIndex) -> np.ndarray:
-        """Precoder stored for ``idx``; raises ``IndexError`` if absent."""
-        try:
-            return self._by_key[idx.key()]
-        except KeyError:
-            raise IndexError(f"index {idx.key()} not in this codebook") from None
 
 
 @lru_cache(maxsize=None)

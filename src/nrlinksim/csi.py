@@ -14,8 +14,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .codebook import ConfigurationError, PmiIndex, PrecoderCodebook
-from .linalg import BATCH_ELEMS, gamma_stack, lin_to_int_db
+from .codebook import ConfigurationError, PrecoderCodebook
+from .linalg import BATCH_ELEMS, DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -51,14 +51,19 @@ class CsiConfig:
             raise ValueError(f"force_cqi must be in [0, 15], got {self.force_cqi}")
 
 
-@dataclass(frozen=True)
-class CsiReport:
-    """One wideband CSI report: rank, precoder index, SINR, quality index."""
+class CsiReports(NamedTuple):
+    """Wideband CSI reports of a run of blocks: one entry per block in each column.
 
-    ri: int
-    pmi: PmiIndex
-    wideband_sinr_db: int
-    cqi: int
+    ``ri`` is the reported rank (1 or 2), ``pmi`` the position of the
+    winning precoder in ``codebooks[(n_tx, ri)].entries``,
+    ``wideband_sinr_db`` the integer-dB wideband SINR and ``cqi`` the
+    channel-quality index.
+    """
+
+    ri: np.ndarray
+    pmi: np.ndarray
+    wideband_sinr_db: np.ndarray
+    cqi: np.ndarray
 
 
 class LayerSinrs(NamedTuple):
@@ -164,9 +169,7 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     return winners, np.take_along_axis(ratios, winners[:, None], axis=-1)[:, 0]
 
 
-# Wideband integer SINR (dB) -> CQI, per reporting rank.  Outside the
-# listed band everything at or below 2 dB floors at CQI 4; above the top
-# the report saturates (15 for one layer, 13 for two).
+# Wideband integer SINR (dB) -> CQI, per reporting rank, over the listed band.
 _CQI_FROM_SINR_RANK1 = {
     3: 5, 4: 6, 5: 6, 6: 7, 7: 7, 8: 8, 9: 8, 10: 9, 11: 10, 12: 10,
     13: 11, 14: 11, 15: 11, 16: 12, 17: 13, 18: 13, 19: 14,
@@ -175,23 +178,12 @@ _CQI_FROM_SINR_RANK2 = {
     3: 5, 4: 6, 5: 6, 6: 7, 7: 7, 8: 8, 9: 8, 10: 9, 11: 9, 12: 10,
     13: 10, 14: 11, 15: 11, 16: 12, 17: 12, 18: 12, 19: 12, 20: 12, 21: 12,
 }
-
-
-def select_cqi(wideband_sinr_db: int, ri: int) -> int:
-    """CQI from the integer wideband SINR, per reporting rank.
-
-    Total over all integers: below the table it floors at 4, above it
-    saturates at 15 (rank 1) or 13 (rank 2), and it is nondecreasing in
-    the SINR.
-    """
-    if ri not in (1, 2):
-        raise ValueError(f"ri must be 1 or 2, got {ri}")
-    sinr = int(wideband_sinr_db)
-    if sinr <= 2:
-        return 4
-    if ri == 1:
-        return _CQI_FROM_SINR_RANK1.get(sinr, 15)
-    return _CQI_FROM_SINR_RANK2.get(sinr, 13)
+# CQI at rank ``ri`` and integer wideband SINR ``db`` at ``[ri - 1, db - DB_FLOOR]``:
+# at or below 2 dB it floors at 4, above the band it saturates (15 for one
+# layer, 13 for two).
+CQI_FROM_SINR = np.array([
+    [4 if db <= 2 else table.get(db, top) for db in range(DB_FLOOR, DB_CEIL + 1)]
+    for table, top in ((_CQI_FROM_SINR_RANK1, 15), (_CQI_FROM_SINR_RANK2, 13))])
 
 
 def blocks_per_search(n_eval: int,
@@ -208,7 +200,7 @@ def blocks_per_search(n_eval: int,
 
 def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
                  codebooks: Mapping[tuple[int, int], PrecoderCodebook],
-                 ) -> list[CsiReport]:
+                 ) -> CsiReports:
     """Full UE feedback for each block: RI, PMI, SINR, CQI.
 
     ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
@@ -219,16 +211,16 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
     n_tx = mats.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     ri = compute_ri_blocks(mats, cfg)
-    reports: list[CsiReport] = [None] * len(mats)
+    pmi = np.zeros(len(mats), dtype=np.intp)
+    ratio = np.zeros(len(mats))
     for rank in (1, 2):
         rows = np.flatnonzero(ri == rank)
-        if rows.size == 0:
-            continue
-        cb = codebooks[(n_tx, rank)]
-        winners, ratios = select_pmi_blocks(mats[rows], noise_var[rows], cb)
-        for row, w, ratio in zip(rows.tolist(), winners.tolist(), ratios.tolist()):
-            sinr_db = lin_to_int_db(ratio)
-            cqi = cfg.force_cqi if cfg.force_cqi is not None else select_cqi(sinr_db, rank)
-            reports[row] = CsiReport(ri=rank, pmi=cb.entries[w][0],
-                                     wideband_sinr_db=sinr_db, cqi=cqi)
-    return reports
+        if rows.size:
+            pmi[rows], ratio[rows] = select_pmi_blocks(mats[rows], noise_var[rows],
+                                                       codebooks[(n_tx, rank)])
+    sinr_db = lin_to_int_db(ratio)
+    if cfg.force_cqi is None:
+        cqi = CQI_FROM_SINR[ri - 1, sinr_db - DB_FLOOR]
+    else:
+        cqi = np.full(len(mats), cfg.force_cqi)
+    return CsiReports(ri, pmi, sinr_db, cqi)

@@ -55,17 +55,27 @@ def gamma_stack(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def lin_to_int_db(x: float) -> int:
-    """Quantize a linear power ratio to integer dB, clamped to
-    ``[DB_FLOOR, DB_CEIL]``.
+def _db_edge(k: int) -> float:
+    """Smallest float ``x`` with ``round(10 * log10(x)) >= k``, stepped to
+    one ulp at a time from ``10^((k - 0.5) / 10)``, a few ulps away."""
+    x = 10.0 ** ((k - 0.5) / 10.0)
+    while round(10.0 * math.log10(x)) >= k:
+        x = math.nextafter(x, 0.0)
+    while round(10.0 * math.log10(x)) < k:
+        x = math.nextafter(x, math.inf)
+    return x
 
-    ``x == 0`` maps to the floor and ``x == +inf`` to the ceiling; negative
-    inputs are rejected.
-    """
-    if x < 0:
-        raise ValueError(f"power ratio must be nonnegative, got {x}")
-    if x == 0:
-        return DB_FLOOR
-    if math.isinf(x):
-        return DB_CEIL
-    return int(min(max(round(10.0 * math.log10(x)), DB_FLOOR), DB_CEIL))
+
+# Edges of the quantizer: from DB_FLOOR + 1 to DB_CEIL dB, the least ratio
+# reported as that many dB or more.
+_DB_EDGES = np.array([_db_edge(k) for k in range(DB_FLOOR + 1, DB_CEIL + 1)])
+
+
+def lin_to_int_db(x) -> np.ndarray:
+    """Quantize linear power ratios to ``round(10 log10 x)`` integer dB, clamped
+    to ``[DB_FLOOR, DB_CEIL]``: 0 maps to the floor and +inf to the ceiling.
+    Negative and NaN entries are rejected."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x >= 0.0):
+        raise ValueError("power ratios must be nonnegative and not NaN")
+    return DB_FLOOR + np.searchsorted(_DB_EDGES, x, side="right")

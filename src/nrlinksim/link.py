@@ -24,9 +24,9 @@ import numpy as np
 
 from .channel import block_rx_power, estimate_blocks
 from .codebook import build_codebook_set
-from .csi import CsiReport, block_layer_sinrs, blocks_per_search, make_reports
+from .csi import CsiReports, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
-from .tables import load_cqi_table, load_mcs_table
+from .tables import N_CQI, load_cqi_table, load_mcs_table
 
 # 30 kHz subcarrier spacing -> 0.5 ms slots.
 SLOT_DURATION_S = 0.5e-3
@@ -50,11 +50,7 @@ def mcs_from_cqi(cqi: int) -> int:
     if not 0 <= cqi < len(table):
         raise ValueError(f"cqi must be in [0, {len(table) - 1}], got {cqi}")
     eff = table[cqi].efficiency
-    best = 0
-    for entry in load_mcs_table():
-        if entry.efficiency <= eff:
-            best = entry.index
-    return best
+    return max((e.index for e in load_mcs_table() if e.efficiency <= eff), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +211,7 @@ class DropCsi:
     """
 
     chan: DropChannel
-    reports: list[CsiReport]
+    reports: CsiReports
     pair_eff_db: list[float]
 
 
@@ -232,24 +228,31 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     noise_var = scenario.noise_var_for_power(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
     step = blocks_per_search(n_eval, codebooks)
-    reports = []
+    parts = []
     for lo in range(0, chan.report_block.size, step):
         blocks = chan.report_block[lo:lo + step]
         est = estimate_blocks(chan.h[blocks], scenario.est_error_var, chan.seed,
                               blocks.tolist(), scenario.n_prb)
-        reports += make_reports(est, noise_var[blocks], scenario.csi, codebooks)
-    precoders = [codebooks[(n_tx, rep.ri)].matrix(rep.pmi) for rep in reports]
-    pair_rank = np.array([rep.ri for rep in reports])[chan.pair_report]
+        parts.append(make_reports(est, noise_var[blocks], scenario.csi, codebooks))
+    reports = CsiReports(*map(np.concatenate, zip(*parts)))
+    pair_rank = reports.ri[chan.pair_report]
     eff = np.empty(chan.pair_report.size)
     for rank in (1, 2):
         rows = np.flatnonzero(pair_rank == rank)
         if rows.size == 0:
             continue
         blocks = chan.pair_block[rows]
-        w = np.stack([precoders[k] for k in chan.pair_report[rows].tolist()])
+        w = codebooks[(n_tx, rank)].precoders[reports.pmi[chan.pair_report[rows]]]
         eff[rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
                                        float(scenario.sinr_cap_db[rank]))
     return DropCsi(chan=chan, reports=reports, pair_eff_db=eff.tolist())
+
+
+@lru_cache(maxsize=None)
+def _grants_by_cqi(n_prb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The MCS of each CQI and, at ``[cqi, layers - 1]``, its transport-block bits."""
+    mcs = [mcs_from_cqi(c) for c in range(N_CQI)]
+    return np.array(mcs), np.array([[tbs(m, 1, n_prb), tbs(m, 2, n_prb)] for m in mcs])
 
 
 def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
@@ -262,33 +265,32 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
     Exactly one uniform variate per slot is drawn against the
     block-error probability.
     """
-    chan = csi.chan
-    force_cqi, n_prb = scenario.csi.force_cqi, scenario.n_prb
-    sent = []  # per report: what a transport block scheduled from it carries
-    for rep, pair_base in zip(csi.reports, chan.report_pair_base):
-        cqi = rep.cqi if force_cqi is None else force_cqi
-        mcs = mcs_from_cqi(cqi)
-        sent.append((mcs, rep.ri, cqi, tbs(mcs, rep.ri, n_prb), pair_base))
-    p_err = [bler(eff, sent[k][0])
-             for eff, k in zip(csi.pair_eff_db, chan.pair_report.tolist())]
+    chan, ri = csi.chan, csi.reports.ri
+    force_cqi = scenario.csi.force_cqi
+    cqi = csi.reports.cqi if force_cqi is None else np.full(ri.shape, force_cqi)
+    mcs_of_cqi, bits_of_cqi = _grants_by_cqi(scenario.n_prb)
+    mcs = mcs_of_cqi[cqi]
+    p_err = [bler(eff, m) for eff, m in zip(csi.pair_eff_db, mcs[chan.pair_report].tolist())]
 
-    slot_report, max_tx = chan.slot_report, scenario.max_harq_tx
-    tries = acks = delivered = sum_mcs = sum_ri = sum_cqi = 0
+    n = scenario.n_slots
+    slot_report, pair_base, max_tx = chan.slot_report, chan.report_pair_base, scenario.max_harq_tx
+    carried, acked = [0] * n, [False] * n  # per slot: the report its block follows, its ACK
+    tries = 0
     for slot, (u, block) in enumerate(zip(chan.ack_draws, chan.slot_block)):
         if tries == 0:
-            mcs, layers, cqi, bits, pair_base = sent[slot_report[slot]]
+            k = slot_report[slot]
+            base = pair_base[k]
         tries += 1
-        sum_mcs += mcs
-        sum_ri += layers
-        sum_cqi += cqi
-        if u >= p_err[pair_base + block]:
-            acks += 1
-            delivered += bits
+        carried[slot] = k
+        if u >= p_err[base + block]:
+            acked[slot] = True
             tries = 0
         elif tries >= max_tx:
             tries = 0  # block dropped after the last allowed attempt
 
-    n = scenario.n_slots
+    carried, acked = np.array(carried), np.array(acked)
+    acks = int(np.count_nonzero(acked))
+    delivered = int(bits_of_cqi[cqi, ri - 1][carried[acked]].sum())
     goodput = delivered / n / SLOT_DURATION_S * scenario.dl_duty_factor
     return ThroughputStats(
         slots=n,
@@ -297,7 +299,7 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
         delivered_bits=delivered,
         goodput_bps=goodput,
         mean_bler=(n - acks) / n,
-        mean_mcs=sum_mcs / n,
-        mean_ri=sum_ri / n,
-        mean_cqi=sum_cqi / n,
+        mean_mcs=int(mcs[carried].sum()) / n,
+        mean_ri=int(ri[carried].sum()) / n,
+        mean_cqi=int(cqi[carried].sum()) / n,
     )

@@ -23,6 +23,9 @@ DEFAULT_N_PRB = 106
 # Largest NR resource grid (TS 38.211 section 4.4.2).
 MAX_N_PRB = 275
 DEFAULT_N_SLOTS = 2000
+# Longest drop, 500 s of 0.5 ms slots: a drop keeps a few n_slots-long arrays,
+# so a larger value is refused here, not by a MemoryError mid-run.
+MAX_N_SLOTS = 10 ** 6
 DEFAULT_N_DROPS = 20
 DEFAULT_CSI_PERIOD = 10
 DEFAULT_K_FACTOR = 1.0
@@ -127,8 +130,9 @@ class Scenario:
         if not 1 <= self.n_prb <= MAX_N_PRB:
             raise ScenarioError(
                 f"scenario.n_prb must be in [1, {MAX_N_PRB}], got {self.n_prb}")
-        if self.n_slots < 1:
-            raise ScenarioError(f"n_slots must be >= 1, got {self.n_slots}")
+        if not 1 <= self.n_slots <= MAX_N_SLOTS:
+            raise ScenarioError(
+                f"scenario.n_slots must be in [1, {MAX_N_SLOTS}], got {self.n_slots}")
         if self.n_drops < 1:
             raise ScenarioError(f"n_drops must be >= 1, got {self.n_drops}")
         if self.csi_period < 1:

@@ -19,8 +19,8 @@ from typing import TextIO
 import numpy as np
 
 from .channel import block_rx_power, derive_seed, estimate_blocks
-from .codebook import build_codebook, build_codebook_set
-from .csi import CsiReport, make_reports
+from .codebook import PmiIndex, build_codebook, build_codebook_set
+from .csi import make_reports
 from .linalg import gamma_stack
 from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
 from .scenario import Scenario, ScenarioError
@@ -59,7 +59,10 @@ class CsiInspection:
     """CSI of the first coherence block of drop 0, with its noise variance
     and the condition metric over the estimate's subcarriers."""
 
-    report: CsiReport
+    ri: int
+    pmi: PmiIndex
+    wideband_sinr_db: int
+    cqi: int
     noise_var: float
     gamma_min: float
     gamma_median: float
@@ -143,10 +146,13 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     h = scenario.block_channels(drop_seed, 1)
     noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
     est = estimate_blocks(h, scenario.est_error_var, drop_seed, [0], scenario.n_prb)
-    report, = make_reports(est, noise_var, scenario.csi, build_codebook_set(scenario.n_tx))
+    codebooks = build_codebook_set(scenario.n_tx)
+    ri, pmi, sinr_db, cqi = (int(c[0]) for c in make_reports(est, noise_var, scenario.csi,
+                                                             codebooks))
     gammas = gamma_stack(est[0])
     return CsiInspection(
-        report=report,
+        ri=ri, pmi=codebooks[(scenario.n_tx, ri)].entries[pmi][0],
+        wideband_sinr_db=sinr_db, cqi=cqi,
         noise_var=float(noise_var[0]),
         gamma_min=float(np.min(gammas)),
         gamma_median=float(np.median(gammas)),
@@ -181,9 +187,7 @@ def write_snr_sweep_csv(rows: list[SnrSweepRow], fh: TextIO) -> None:
 
 def write_csi_csv(insp: CsiInspection, fh: TextIO) -> None:
     fh.write("ri,i11,i12,i13,i2,sinr_db,cqi,gamma_min,gamma_median,gamma_max\n")
-    rep = insp.report
-    cells = [rep.ri, rep.pmi.i11, rep.pmi.i12, rep.pmi.i13, rep.pmi.i2,
-             rep.wideband_sinr_db, rep.cqi,
+    cells = [insp.ri, *insp.pmi.key(), insp.wideband_sinr_db, insp.cqi,
              insp.gamma_min, insp.gamma_median, insp.gamma_max]
     fh.write(",".join(_fmt(c) for c in cells) + "\n")
 

@@ -1,18 +1,22 @@
-"""Shared fixtures: the golden scenario runs used across the test suite.
+"""Shared fixtures and oracles.
 
 Each golden sweep is executed once per session and handed out as
 ``(rows, elapsed_seconds)`` so the acceptance tests can assert both the
 curve shape and the measured wall-clock cost while other tests reuse the
-same results for free.
+same results for free.  The oracles restate, one value at a time, what
+the engine computes by table lookup over whole arrays.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
 import pytest
 
+from nrlinksim.csi import _CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2
+from nrlinksim.linalg import DB_CEIL, DB_FLOOR
 from nrlinksim.link import ThroughputStats, drop_channel, drop_csi, run_harq
 from nrlinksim.scenario import Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
@@ -28,6 +32,36 @@ def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
     """One closed-loop drop at the scenario's own noise point and CQI setting:
     the three engine phases run back to back."""
     return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
+
+
+def scalar_lin_to_int_db(x: float) -> int:
+    """Oracle of ``linalg.lin_to_int_db`` for one ratio:
+    ``round(10 log10 x)`` clamped to ``[DB_FLOOR, DB_CEIL]``."""
+    if x < 0:
+        raise ValueError(f"power ratio must be nonnegative, got {x}")
+    if x == 0:
+        return DB_FLOOR
+    if math.isinf(x):
+        return DB_CEIL
+    return int(min(max(round(10.0 * math.log10(x)), DB_FLOOR), DB_CEIL))
+
+
+def select_cqi(wideband_sinr_db: int, ri: int) -> int:
+    """Oracle of ``csi.CQI_FROM_SINR``: CQI from the integer wideband SINR,
+    per reporting rank.
+
+    Total over all integers: below the table it floors at 4, above it
+    saturates at 15 (rank 1) or 13 (rank 2), and it is nondecreasing in
+    the SINR.
+    """
+    if ri not in (1, 2):
+        raise ValueError(f"ri must be 1 or 2, got {ri}")
+    sinr = int(wideband_sinr_db)
+    if sinr <= 2:
+        return 4
+    if ri == 1:
+        return _CQI_FROM_SINR_RANK1.get(sinr, 15)
+    return _CQI_FROM_SINR_RANK2.get(sinr, 13)
 
 
 def _timed_cqi(name: str):

@@ -13,8 +13,8 @@ import numpy as np
 
 from nrlinksim import cli
 from nrlinksim.codebook import build_codebook, build_codebook_set
-from nrlinksim.csi import CsiConfig, compute_ri_blocks, select_cqi, select_pmi_blocks
-from nrlinksim.linalg import gamma_stack, lin_to_int_db
+from nrlinksim.csi import CQI_FROM_SINR, CsiConfig, compute_ri_blocks, select_pmi_blocks
+from nrlinksim.linalg import DB_FLOOR, gamma_stack, lin_to_int_db
 from nrlinksim.link import SLOT_DURATION_S, tbs
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr, write_snr_sweep_csv
@@ -167,11 +167,11 @@ def test_05_cqi_mapping_exact():
         for sinr in range(-10, 41):
             want1 = 4 if sinr <= 2 else _RANK1_CQI.get(sinr, 15)
             want2 = 4 if sinr <= 2 else _RANK2_CQI.get(sinr, 13)
-            got1, got2 = select_cqi(sinr, 1), select_cqi(sinr, 2)
+            got1, got2 = CQI_FROM_SINR[:, sinr - DB_FLOOR].tolist()
             assert got1 == want1, f"rank 1 at {sinr} dB: {got1} != {want1}"
             assert got2 == want2, f"rank 2 at {sinr} dB: {got2} != {want2}"
-        assert select_cqi(-8, 1) == 4
-        assert max(select_cqi(s, 2) for s in range(-10, 41)) == 13
+        assert CQI_FROM_SINR[0, -8 - DB_FLOOR] == 4
+        assert max(CQI_FROM_SINR[1, s - DB_FLOOR] for s in range(-10, 41)) == 13
         return "all integer SINRs in [-10, 40] for both ranks, floor 4, rank-2 cap 13"
 
     _verdict(5, "SINR-to-CQI mapping exact over the full range", check)

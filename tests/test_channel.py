@@ -118,6 +118,17 @@ class TestNoise:
         # grand mean of |h|^2 = 2*(1 + 1/4 + 1/16 + 1/64)/8, an exact dyadic
         assert np.array_equal(block_rx_power(h, n_sc=6), [0.33203125, 0.33203125])
 
+    @pytest.mark.parametrize("n_sc", [1, 7, 106, 275])
+    def test_rx_power_is_the_mean_over_a_tiled_band(self, n_sc):
+        # Bit for bit the mean over n_sc materialized copies of each block,
+        # which fixed the noise levels of every golden output.
+        rng = np.random.default_rng(n_sc)
+        scale = 10.0 ** rng.uniform(-5.0, 5.0, (40, 1, 1))
+        h = scale * (rng.standard_normal((40, 2, 4)) + 1j * rng.standard_normal((40, 2, 4)))
+        tiled = np.repeat(h[:, None], n_sc, axis=1)
+        assert np.array_equal(block_rx_power(h, n_sc),
+                              np.mean(np.abs(tiled) ** 2, axis=(1, 2, 3)))
+
     def test_noise_free(self):
         sc = _fixed(H_2X4_REF)
         assert np.array_equal(sc.noise_var_for_power(np.array([0.5, 2.0])), [0.0, 0.0])

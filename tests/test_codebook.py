@@ -127,16 +127,14 @@ class TestBuildCodebook:
 
 
 class TestCodebookContainer:
-    def test_matrix_lookup(self):
-        cb = build_codebook(4, 2)
-        idx = PmiIndex(5, 0, 1, 1, rank=2, ports=4)
-        assert np.array_equal(cb.matrix(idx), precoder_for(idx))
-
-    def test_matrix_missing_key(self):
-        cb = build_codebook(2, 1)
-        foreign = PmiIndex(3, 0, 0, 1, rank=1, ports=4)
-        with pytest.raises(IndexError):
-            cb.matrix(foreign)
+    def test_precoders_follow_entries(self):
+        # The engine picks a report's precoder as precoders[position]: row k
+        # must be the matrix of entry k's index, in every codebook.
+        for ports, rank in sorted(SUPPORTED):
+            cb = build_codebook(ports, rank)
+            assert cb.precoders.shape == (len(cb), ports, rank)
+            for k, (idx, _) in enumerate(cb.entries):
+                assert np.array_equal(cb.precoders[k], precoder_for(idx))
 
     def test_iteration_matches_entries(self):
         cb = build_codebook(2, 2)

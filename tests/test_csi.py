@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from nrlinksim.channel import estimate_blocks, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
-from nrlinksim.csi import (NOISE_FREE_LAYER_SINR, CsiConfig, CsiReport,
-                           _split_batch, block_layer_sinrs, compute_ri_blocks,
-                           make_reports, select_cqi, select_pmi_blocks)
-from nrlinksim.linalg import gamma_stack, lin_to_int_db
+from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, CsiConfig,
+                           CsiReports, _split_batch, block_layer_sinrs,
+                           compute_ri_blocks, make_reports, select_pmi_blocks)
+from nrlinksim.linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
+
+from conftest import select_cqi
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
@@ -53,8 +55,17 @@ def _layer_sinrs(h, w, noise_var):
                         noise_var)
 
 
-def _report(mats, noise_var, cfg, cbs) -> CsiReport:
-    return make_reports(mats, [noise_var], cfg, cbs)[0]
+def _report(mats, noise_var, cfg, cbs):
+    """One block's report as (ri, PmiIndex, wideband SINR dB, CQI)."""
+    rep = make_reports(mats, [noise_var], cfg, cbs)
+    ri = int(rep.ri[0])
+    pmi = cbs[(mats.shape[-1], ri)].entries[rep.pmi[0]][0]
+    return ri, pmi, int(rep.wideband_sinr_db[0]), int(rep.cqi[0])
+
+
+def _cqi(sinr_db: int, ri: int) -> int:
+    """The engine's CQI of one report, from its table."""
+    return int(CQI_FROM_SINR[ri - 1, sinr_db - DB_FLOOR])
 
 
 def _oracle_layer_sinrs(h, w, noise_var):
@@ -186,8 +197,7 @@ class TestLayerSinrs:
         assert np.array_equal(got[0, 0], out.sinr)
 
     def test_rank2_reference(self):
-        w = build_codebook(4, 2).matrix(
-            build_codebook(4, 2).entries[2][0])  # key (0, 0, 1, 0)
+        w = build_codebook(4, 2).precoders[2]  # key (0, 0, 1, 0)
         assert build_codebook(4, 2).entries[2][0].key() == (0, 0, 1, 0)
         out = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])[0, 0]
         assert out == pytest.approx([2.5, 2.5], rel=1e-12)
@@ -350,56 +360,60 @@ def test_pmi_winner_ignores_global_phase(seed, n_tx, rank, n_sc, phase, snr_db):
 class TestSelectCqi:
     def test_low_sinr_floors_at_4(self):
         for s in range(-10, 3):
-            assert select_cqi(s, 1) == 4
-            assert select_cqi(s, 2) == 4
-        assert select_cqi(-8, 1) == 4
+            assert _cqi(s, 1) == 4
+            assert _cqi(s, 2) == 4
+        assert _cqi(-8, 1) == 4
 
     def test_spot_values(self):
-        assert select_cqi(3, 1) == 5
-        assert select_cqi(16, 2) == 12
-        assert select_cqi(25, 2) == 13
-        assert select_cqi(12, 1) == 10
-        assert select_cqi(12, 2) == 10
-        assert select_cqi(17, 1) == 13
-        assert select_cqi(17, 2) == 12
+        assert _cqi(3, 1) == 5
+        assert _cqi(16, 2) == 12
+        assert _cqi(25, 2) == 13
+        assert _cqi(12, 1) == 10
+        assert _cqi(12, 2) == 10
+        assert _cqi(17, 1) == 13
+        assert _cqi(17, 2) == 12
 
     def test_saturation(self):
-        assert select_cqi(19, 1) == 14
+        assert _cqi(19, 1) == 14
         for s in range(20, 41):
-            assert select_cqi(s, 1) == 15
+            assert _cqi(s, 1) == 15
         for s in range(22, 41):
-            assert select_cqi(s, 2) == 13
+            assert _cqi(s, 2) == 13
 
     def test_monotone_nondecreasing(self):
         for ri in (1, 2):
-            vals = [select_cqi(s, ri) for s in range(-10, 41)]
+            vals = [_cqi(s, ri) for s in range(-10, 41)]
             assert vals == sorted(vals)
             assert min(vals) == 4
             assert max(vals) == 15 if ri == 1 else 13
 
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            select_cqi(10, 3)
+    def test_table_matches_oracle(self):
+        assert CQI_FROM_SINR.shape == (2, DB_CEIL - DB_FLOOR + 1)
+        for ri in (1, 2):
+            for s in range(DB_FLOOR, DB_CEIL + 1):
+                assert _cqi(s, ri) == select_cqi(s, ri), (ri, s)
 
 
 class TestMakeReport:
     def test_reference_grid_report(self):
-        rep = _report(_flat(H_2X4_REF), 0.1, CsiConfig(), build_codebook_set(4))
-        assert rep == CsiReport(ri=1, pmi=rep.pmi, wideband_sinr_db=12, cqi=10)
-        assert rep.pmi.key() == (0, 0, 0, 0)
-        assert rep.pmi.rank == 1 and rep.pmi.ports == 4
+        ri, pmi, sinr_db, cqi = _report(_flat(H_2X4_REF), 0.1, CsiConfig(),
+                                        build_codebook_set(4))
+        assert (ri, sinr_db, cqi) == (1, 12, 10)
+        assert pmi.key() == (0, 0, 0, 0)
+        assert pmi.rank == 1 and pmi.ports == 4
 
     def test_force_ri_switches_codebook(self):
-        rep = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_ri=2), build_codebook_set(4))
-        assert rep.ri == 2
-        assert rep.pmi.rank == 2
-        assert rep.cqi <= 13
+        ri, pmi, _, cqi = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_ri=2),
+                                  build_codebook_set(4))
+        assert ri == 2
+        assert pmi.rank == 2
+        assert cqi <= 13
 
     def test_force_cqi_verbatim(self):
         for forced in (0, 9, 15):
-            rep = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_cqi=forced),
-                          build_codebook_set(4))
-            assert rep.cqi == forced
+            _, _, _, cqi = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_cqi=forced),
+                                   build_codebook_set(4))
+            assert cqi == forced
 
     def test_report_invariants_random(self):
         cfg = CsiConfig()
@@ -409,11 +423,37 @@ class TestMakeReport:
                 h = rice1_blocks(seed=seed, k_factor=1.0, n_tx=n_tx, block_ids=[0])
                 noisy = estimate_blocks(h, 0.02, seed=seed, block_ids=[0], n_sc=5)
                 for nv in (0.5, 0.05):
-                    rep = _report(noisy, nv, cfg, cbs)
-                    assert rep.ri in (1, 2)
-                    assert rep.pmi.rank == rep.ri
-                    assert rep.pmi.ports == n_tx
-                    assert -10 <= rep.wideband_sinr_db <= 40
-                    assert 4 <= rep.cqi <= 15
-                    if rep.ri == 2:
-                        assert rep.cqi <= 13
+                    ri, pmi, sinr_db, cqi = _report(noisy, nv, cfg, cbs)
+                    assert ri in (1, 2)
+                    assert pmi.rank == ri
+                    assert pmi.ports == n_tx
+                    assert -10 <= sinr_db <= 40
+                    assert 4 <= cqi <= 15
+                    if ri == 2:
+                        assert cqi <= 13
+                    assert cqi == select_cqi(sinr_db, ri)
+
+    @pytest.mark.parametrize("force_cqi", [None, 7])
+    def test_columns_match_one_block_at_a_time(self, force_cqi):
+        # A batch of blocks of both ranks reports, column by column, what
+        # each block reports on its own.
+        cfg = CsiConfig(force_cqi=force_cqi)
+        cbs = build_codebook_set(4)
+        h = rice1_blocks(seed=3, k_factor=1.0, n_tx=4, block_ids=range(24))
+        noise_var = np.geomspace(1e-3, 10.0, 24)
+        reps = make_reports(h[:, None], noise_var, cfg, cbs)
+        assert isinstance(reps, CsiReports)
+        assert set(reps.ri.tolist()) == {1, 2}
+        for col in reps:
+            assert col.shape == (24,) and col.dtype.kind == "i"
+        for b in range(24):
+            ri, pmi, sinr_db, cqi = _report(h[b:b + 1, None], noise_var[b], cfg, cbs)
+            assert (reps.ri[b], reps.wideband_sinr_db[b], reps.cqi[b]) == (ri, sinr_db, cqi)
+            assert cbs[(4, ri)].entries[reps.pmi[b]][0] == pmi
+            if force_cqi is None:
+                assert cqi == select_cqi(sinr_db, ri)
+
+    def test_no_blocks(self):
+        reps = make_reports(np.zeros((0, 1, 2, 4), dtype=complex), [], CsiConfig(),
+                            build_codebook_set(4))
+        assert all(col.shape == (0,) for col in reps)

@@ -57,11 +57,12 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             est = estimate_blocks(h, scenario.est_error_var, seed, [block], scenario.n_prb)
             noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
         if slot % scenario.csi_period == 0 and report_block != block:
-            report = make_reports(est, noise_var, scenario.csi, codebooks)[0]
-            mcs = mcs_from_cqi(report.cqi)
+            report = make_reports(est, noise_var, scenario.csi, codebooks)
+            ri, cqi = int(report.ri[0]), int(report.cqi[0])
+            pmi = codebooks[(scenario.n_tx, ri)].entries[report.pmi[0]][0]
+            mcs = mcs_from_cqi(cqi)
             # (layers, precoder, MCS, CQI, transport-block bits)
-            grant = (report.ri, precoder_for(report.pmi), mcs, report.cqi,
-                     tbs(mcs, report.ri, scenario.n_prb))
+            grant = (ri, precoder_for(pmi), mcs, cqi, tbs(mcs, ri, scenario.n_prb))
             report_block = block
 
         if tb_grant is None:

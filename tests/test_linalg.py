@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
+from nrlinksim.linalg import (_DB_EDGES, DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack,
+                              lin_to_int_db)
+
+from conftest import scalar_lin_to_int_db
 
 # Reference channels used across the suite (also encoded in the golden
 # scenario files).
@@ -101,3 +106,44 @@ class TestLinToIntDb:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             lin_to_int_db(-1.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            lin_to_int_db(math.nan)
+        with pytest.raises(ValueError):
+            lin_to_int_db([1.0, math.nan])
+
+    def test_rejects_negative_entry(self):
+        with pytest.raises(ValueError):
+            lin_to_int_db([1.0, -0.5])
+
+    def test_array_in_array_out(self):
+        got = lin_to_int_db(np.array([[0.0, 2.5], [math.inf, 1e-3]]))
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[-10, 4], [40, -10]]
+
+    def test_edges_are_the_smallest_ratios_of_their_db(self):
+        assert len(_DB_EDGES) == DB_CEIL - DB_FLOOR
+        for k, edge in zip(range(DB_FLOOR + 1, DB_CEIL + 1), _DB_EDGES.tolist()):
+            assert scalar_lin_to_int_db(edge) == k
+            assert scalar_lin_to_int_db(math.nextafter(edge, 0.0)) == k - 1
+
+    def test_matches_oracle_around_every_edge(self):
+        # +-1000 ulps of every edge, where a table and the rounded logarithm
+        # would part if the edges were off.
+        bits = _DB_EDGES.view(np.int64)[:, None] + np.arange(-1000, 1001)
+        x = bits.view(np.float64).ravel()
+        assert lin_to_int_db(x).tolist() == [scalar_lin_to_int_db(v) for v in x.tolist()]
+
+    def test_matches_oracle_log_uniform(self):
+        x = 10.0 ** np.random.default_rng(21).uniform(-3.0, 6.0, 100_000)
+        x = np.r_[x, 0.0, math.inf, 5e-324, 1.7e308]
+        assert lin_to_int_db(x).tolist() == [scalar_lin_to_int_db(v) for v in x.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(min_value=0.0, allow_nan=False) | st.floats(1e-3, 1e6),
+                   min_size=1, max_size=8))
+def test_lin_to_int_db_matches_scalar_oracle(xs):
+    assert lin_to_int_db(xs).tolist() == [scalar_lin_to_int_db(x) for x in xs]
+    assert lin_to_int_db(xs[0]) == scalar_lin_to_int_db(xs[0])

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power
-from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, NoiseModel, Scenario,
-                                ScenarioError, parse_scenario,
+from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_N_SLOTS, NoiseModel,
+                                Scenario, ScenarioError, parse_scenario,
                                 scenario_from_dict)
 
 from conftest import SCENARIO_DIR, scenario_path
@@ -121,6 +121,11 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             scenario_from_dict({"channel": "rice1", field: value})
 
+    def test_n_slots_bound_is_inclusive(self):
+        # Parsing allocates nothing per slot, so the bound itself is cheap to accept.
+        assert scenario_from_dict({"channel": "rice1", "n_slots": MAX_N_SLOTS}).n_slots \
+            == MAX_N_SLOTS == 10 ** 6
+
     def test_non_integer_count_rejected(self):
         with pytest.raises(ScenarioError, match="n_slots"):
             scenario_from_dict({"channel": "rice1", "n_slots": 10.5})
@@ -170,6 +175,9 @@ class TestValidation:
     ('{"channel": "rice1", "noise": {"mode": "snr_sweep", "snr_db_list": [-4000]}}',
      "noise.snr_db_list"),
     ('{"channel": "rice1", "n_prb": 276}', "scenario.n_prb"),
+    ('{"channel": "rice1", "n_slots": 0}', "scenario.n_slots"),
+    ('{"channel": "rice1", "n_slots": 1000001}', "scenario.n_slots"),
+    ('{"channel": "rice1", "n_slots": 10000000000}', "scenario.n_slots"),
 ])
 def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
     p = tmp_path / "bad.json"

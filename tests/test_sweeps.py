@@ -134,8 +134,7 @@ class TestRunSweepSnr:
 class TestRunCsiInspect:
     def test_reference_golden(self):
         insp = run_csi_inspect(parse_scenario(scenario_path("csi_fixed_2x4.json")))
-        rep = insp.report
-        assert (rep.ri, rep.pmi.key(), rep.wideband_sinr_db, rep.cqi) == \
+        assert (insp.ri, insp.pmi.key(), insp.wideband_sinr_db, insp.cqi) == \
             (1, (0, 0, 0, 0), 12, 10)
         assert insp.gamma_min == pytest.approx(2.6605386228027736, rel=1e-12)
         assert insp.gamma_min == insp.gamma_median == insp.gamma_max
@@ -147,10 +146,9 @@ class TestRunCsiInspect:
                         "matrix": [[1, 0, 0, 0], [0, 1, 0, 0]]},
             "noise": {"mode": "variance", "variance": 0.1},
         }))
-        rep = insp.report
-        assert rep.ri == 2
-        assert rep.pmi.key() == (0, 0, 1, 0)
-        assert rep.wideband_sinr_db == 4
+        assert insp.ri == 2
+        assert insp.pmi.key() == (0, 0, 1, 0)
+        assert insp.wideband_sinr_db == 4
         assert insp.gamma_max == 2.0
 
     def test_zero_channel(self):
@@ -159,10 +157,9 @@ class TestRunCsiInspect:
                         "matrix": [[0, 0, 0, 0], [0, 0, 0, 0]]},
             "noise": {"mode": "variance", "variance": 0.1},
         }))
-        rep = insp.report
-        assert rep.ri == 1
-        assert rep.cqi == 4
-        assert rep.wideband_sinr_db == -10
+        assert insp.ri == 1
+        assert insp.cqi == 4
+        assert insp.wideband_sinr_db == -10
         assert insp.gamma_max == math.inf
 
     def test_rejects_snr_sweep(self):
@@ -190,8 +187,8 @@ class TestHighSnrReports:
         sc = self._scenario(matrix, ri, {"mode": "snr_sweep",
                                          "snr_db_list": self.HIGH_SNR_DB})
         chan = drop_channel(sc, derive_seed(sc.seed, 0))
-        reports = [[(r.ri, r.pmi.key(), r.cqi) for r in drop_csi(sc.at_snr(p), chan).reports]
-                   for p in self.HIGH_SNR_DB]
+        cols = [drop_csi(sc.at_snr(p), chan).reports for p in self.HIGH_SNR_DB]
+        reports = [(r.ri.tolist(), r.pmi.tolist(), r.cqi.tolist()) for r in cols]
         assert reports == [reports[0]] * len(self.HIGH_SNR_DB)
         rows = run_sweep_snr(sc)
         assert [r.drops for r in rows] == [rows[0].drops] * len(rows)
@@ -201,10 +198,11 @@ class TestHighSnrReports:
     def test_csi(self, matrix, ri):
         def report(variance):
             sc = self._scenario(matrix, ri, {"mode": "variance", "variance": variance})
-            return run_csi_inspect(sc).report
+            insp = run_csi_inspect(sc)
+            return insp.ri, insp.pmi, insp.wideband_sinr_db, insp.cqi
 
         want = report(1e-15)
-        assert want.ri == ri
+        assert want[0] == ri
         assert report(1e-18) == want
         assert report(1e-300) == want
 
@@ -341,6 +339,17 @@ class TestCli:
                       "--workers", workers, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
         assert "--workers" in err.getvalue()
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_slots_beyond_bound_rejected(self, tmp_path):
+        # Refused when the override is applied, before any slot array exists.
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = cli.main(["sweep-cqi", "--config",
+                           str(scenario_path("cqi_sweep_fixed_2x4.json")),
+                           "--slots", "10000000000", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "scenario.n_slots" in err.getvalue()
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_fails(self, tmp_path):

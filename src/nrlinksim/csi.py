@@ -15,11 +15,17 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .codebook import ConfigurationError, PrecoderCodebook
-from .linalg import BATCH_ELEMS, DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
+from .linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
 NOISE_FREE_LAYER_SINR = 1e4
+
+# Upper bound on the elements of the largest temporary array one batched
+# step over coherence blocks builds.  Flat blocks fit by the dozen; a
+# block of full-band estimates gets a step of its own, which keeps memory
+# as low as processing blocks one by one.
+BATCH_ELEMS = 1 << 13
 
 # Relative tolerance of the wideband-metric tie-break.  Codebook entries
 # that are equivalent in exact arithmetic can differ by a few ulps in
@@ -101,17 +107,22 @@ def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
 
     ``g`` has shape ``(..., 2, n_layers)`` (effective channel ``H @ W``
     per block/subcarrier/candidate); ``noise_var`` is a scalar or an array
-    broadcasting against ``g.shape[:-2]``, either all zero or all
-    positive.  With zero noise, layers with nonzero effective gain clamp
-    to ``NOISE_FREE_LAYER_SINR`` (split as that value over 1); zero-gain
+    broadcasting against ``g.shape[:-2]``, with no negative entry.  With
+    zero noise, layers with nonzero effective gain clamp to
+    ``NOISE_FREE_LAYER_SINR`` (split as that value over 1); zero-gain
     layers get SINR 0.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
     norms = np.sum(np.abs(g) ** 2, axis=-2)
-    if not np.any(noise_var):
-        signal = np.where(norms > 0.0, NOISE_FREE_LAYER_SINR, 0.0)
-        denom = np.ones_like(signal)
-        return LayerSinrs(signal / denom, signal, denom)
+    n = noise_var[..., None]
+    if not np.all(noise_var):
+        # Kept only where n is 0; comparing with n keeps its noise-point axes.
+        signal = np.where(norms > n, NOISE_FREE_LAYER_SINR, 0.0)
+        free = LayerSinrs(signal, signal, np.ones_like(signal))
+        if not np.any(noise_var):
+            return free
+        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0))
+        return LayerSinrs(*(np.where(n > 0.0, a, b) for a, b in zip(noisy, free)))
     # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
     # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
     # where x_l = e + |g_l|^2, y_l = o_l + n and D = x_l + y_l.  At rank 2
@@ -120,7 +131,6 @@ def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
     # SINR s / t = x / y.  Both products of det take their column-0 factor
     # first, so det is exactly 0 when one row of G is a power-of-two
     # multiple of the other, however the complex product rounds.
-    n = noise_var[..., None]
     if g.shape[-1] == 2:
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
         x = (np.abs(det) ** 2 / noise_var)[..., None] + norms
@@ -147,26 +157,27 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     """Exhaustive codebook search maximizing each block's wideband SINR.
 
     ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
-    holds one value per block.  Signal and interference+noise powers are
-    accumulated separately over all subcarriers and layers; the candidate
-    with the highest ratio of the two sums wins.  Candidates within
-    ``PMI_TIE_REL_TOL`` (relative) of the maximum count as tied and the
-    lowest enumeration index is returned, so float noise between matrices
-    that are equivalent in exact arithmetic cannot flip the choice.
+    shape ``(..., n_blocks)``, one value per block at each noise point.
+    Signal and interference+noise powers are accumulated separately over
+    all subcarriers and layers; the candidate with the highest ratio of the
+    two sums wins.  Candidates within ``PMI_TIE_REL_TOL`` (relative) of the
+    maximum count as tied and the lowest enumeration index is returned, so
+    float noise between matrices that are equivalent in exact arithmetic
+    cannot flip the choice.
 
     Returns the winning position in ``cb.entries`` and the winning linear
-    wideband ratio, one of each per block.
+    wideband ratio, each of ``noise_var``'s shape.
     """
     if cb.ports != mats.shape[-1]:
         raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
     g = np.einsum("bsij,cjl->bcsil", mats, cb.precoders)
-    split = _split_batch(g, np.asarray(noise_var)[:, None, None])
+    split = _split_batch(g, np.asarray(noise_var)[..., None, None])
     sig = split.signal.sum(axis=(-2, -1))
     nin = split.noise_interf.sum(axis=(-2, -1))
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
     best = np.max(ratios, axis=-1, keepdims=True)
     winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
-    return winners, np.take_along_axis(ratios, winners[:, None], axis=-1)[:, 0]
+    return winners, np.take_along_axis(ratios, winners[..., None], axis=-1)[..., 0]
 
 
 # Wideband integer SINR (dB) -> CQI, per reporting rank, over the listed band.
@@ -192,7 +203,7 @@ def blocks_per_search(n_eval: int,
 
     Sized so that the effective-channel array of the largest search,
     (blocks, candidates, subcarriers, 2, layers), stays within
-    ``BATCH_ELEMS``.
+    ``BATCH_ELEMS``.  Pass ``n_eval`` times the number of noise points.
     """
     per_block = n_eval * 2 * max(len(cb) * cb.rank for cb in codebooks.values())
     return max(1, BATCH_ELEMS // per_block)
@@ -204,23 +215,24 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
     """Full UE feedback for each block: RI, PMI, SINR, CQI.
 
     ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
-    holds one value per block.  ``codebooks`` maps ``(ports, rank)`` to
-    prebuilt codebooks covering the port count at both ranks.  Memory
-    grows with the number of blocks; see :func:`blocks_per_search`.
+    shape ``(..., n_blocks)``, one value per block at each noise point;
+    ``ri`` has one entry per block, the other columns ``noise_var``'s shape.
+    ``codebooks`` maps ``(ports, rank)`` to prebuilt codebooks covering the
+    port count at both ranks.  For memory, see :func:`blocks_per_search`.
     """
     n_tx = mats.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     ri = compute_ri_blocks(mats, cfg)
-    pmi = np.zeros(len(mats), dtype=np.intp)
-    ratio = np.zeros(len(mats))
+    pmi = np.zeros(noise_var.shape, dtype=np.intp)
+    ratio = np.zeros(noise_var.shape)
     for rank in (1, 2):
         rows = np.flatnonzero(ri == rank)
         if rows.size:
-            pmi[rows], ratio[rows] = select_pmi_blocks(mats[rows], noise_var[rows],
-                                                       codebooks[(n_tx, rank)])
+            pmi[..., rows], ratio[..., rows] = select_pmi_blocks(
+                mats[rows], noise_var[..., rows], codebooks[(n_tx, rank)])
     sinr_db = lin_to_int_db(ratio)
     if cfg.force_cqi is None:
         cqi = CQI_FROM_SINR[ri - 1, sinr_db - DB_FLOOR]
     else:
-        cqi = np.full(len(mats), cfg.force_cqi)
+        cqi = np.full(noise_var.shape, cfg.force_cqi)
     return CsiReports(ri, pmi, sinr_db, cqi)

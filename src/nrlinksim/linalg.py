@@ -19,13 +19,6 @@ DET_EPS = 1e-12
 DB_FLOOR = -10
 DB_CEIL = 40
 
-# Upper bound on the elements of the largest temporary array one batched
-# step over coherence blocks builds.  Flat blocks fit by the dozen; a
-# block of full-band estimates gets a step of its own, which keeps memory
-# as low as processing blocks one by one.
-BATCH_ELEMS = 1 << 13
-
-
 def gamma_stack(mats: np.ndarray) -> np.ndarray:
     """Condition metric of each channel's 2x2 receive Gram ``M = H @ H^H``.
 

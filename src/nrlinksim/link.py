@@ -10,8 +10,8 @@ statistics.
 A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
 all sweep points), :func:`drop_csi` computes the reports and the
-effective SINRs for one noise point (shared by all forced CQIs), and
-:func:`run_harq` runs the slot loop for one sweep point.
+effective SINRs at every noise point in one pass (shared by all forced
+CQIs), and :func:`run_harq` runs the slot loop for one sweep point.
 """
 
 from __future__ import annotations
@@ -215,37 +215,40 @@ class DropCsi:
     pair_eff_db: list[float]
 
 
-def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
-    """Reports and effective SINRs of ``chan`` at the scenario's noise point.
+def drop_csi(scenario: Scenario, chan: DropChannel) -> list[DropCsi]:
+    """Reports and effective SINRs of ``chan``, one result per noise point.
 
-    The UE reports from its estimate, decoding sees the true channel.  A
-    forced CQI changes neither, so one result serves every forced CQI.
+    The UE reports from its estimate, decoding sees the true channel.  The
+    estimate, RI and the candidates' effective channels do not depend on
+    the noise, so one pass serves every noise point, and every forced CQI.
     Estimates are drawn a few blocks at a time, which bounds memory when
     they span the whole band.
     """
     n_tx = scenario.n_tx
     codebooks = build_codebook_set(n_tx)
-    noise_var = scenario.noise_var_for_power(chan.p_rx)
+    noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
-    step = blocks_per_search(n_eval, codebooks)
+    step = blocks_per_search(n_eval * len(noise_vars), codebooks)
     parts = []
     for lo in range(0, chan.report_block.size, step):
         blocks = chan.report_block[lo:lo + step]
         est = estimate_blocks(chan.h[blocks], scenario.est_error_var, chan.seed,
                               blocks.tolist(), scenario.n_prb)
-        parts.append(make_reports(est, noise_var[blocks], scenario.csi, codebooks))
-    reports = CsiReports(*map(np.concatenate, zip(*parts)))
-    pair_rank = reports.ri[chan.pair_report]
-    eff = np.empty(chan.pair_report.size)
-    for rank in (1, 2):
-        rows = np.flatnonzero(pair_rank == rank)
-        if rows.size == 0:
-            continue
-        blocks = chan.pair_block[rows]
-        w = codebooks[(n_tx, rank)].precoders[reports.pmi[chan.pair_report[rows]]]
-        eff[rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
-                                       float(scenario.sinr_cap_db[rank]))
-    return DropCsi(chan=chan, reports=reports, pair_eff_db=eff.tolist())
+        parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks))
+    ri, pmi, sinr_db, cqi = (np.concatenate(col, axis=-1) for col in zip(*parts))
+    pair_rank = ri[chan.pair_report]
+    rank_rows = [(rank, np.flatnonzero(pair_rank == rank)) for rank in (1, 2)]
+    out = []
+    for point, noise_var in enumerate(noise_vars):
+        reports = CsiReports(ri, pmi[point], sinr_db[point], cqi[point])
+        eff = np.empty(chan.pair_report.size)
+        for rank, rows in rank_rows:
+            blocks = chan.pair_block[rows]
+            w = codebooks[(n_tx, rank)].precoders[reports.pmi[chan.pair_report[rows]]]
+            eff[rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
+                                           float(scenario.sinr_cap_db[rank]))
+        out.append(DropCsi(chan=chan, reports=reports, pair_eff_db=eff.tolist()))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -260,14 +263,11 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
 
     Each slot carries one transport block: a new one on the rank and
     precoder of the report in force, with the MCS and size that its CQI
-    (or ``scenario.csi.force_cqi`` when set) maps to, or the pending one,
-    resent as first sent up to ``max_harq_tx`` attempts and then dropped.
-    Exactly one uniform variate per slot is drawn against the
-    block-error probability.
+    maps to, or the pending one, resent as first sent up to
+    ``max_harq_tx`` attempts and then dropped.  Exactly one uniform
+    variate per slot is drawn against the block-error probability.
     """
-    chan, ri = csi.chan, csi.reports.ri
-    force_cqi = scenario.csi.force_cqi
-    cqi = csi.reports.cqi if force_cqi is None else np.full(ri.shape, force_cqi)
+    chan, (ri, _, _, cqi) = csi.chan, csi.reports
     mcs_of_cqi, bits_of_cqi = _grants_by_cqi(scenario.n_prb)
     mcs = mcs_of_cqi[cqi]
     p_err = [bler(eff, m) for eff, m in zip(csi.pair_eff_db, mcs[chan.pair_report].tolist())]

@@ -10,7 +10,7 @@ offending field named — so golden files cannot silently drift.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import inf, isfinite
 from pathlib import Path
 
@@ -77,8 +77,8 @@ class NoiseModel:
 
     Modes: ``noise_free``; ``snr`` (per-antenna SNR target in dB, resolved
     against each block's mean channel power); ``snr_sweep`` (list of SNR
-    points, expanded by the sweep driver); ``variance`` (direct noise
-    variance, independent of the channel).
+    points, resolved the same way); ``variance`` (direct noise variance,
+    independent of the channel).
     """
 
     mode: str = "noise_free"
@@ -89,11 +89,14 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in ("noise_free", "snr", "snr_sweep", "variance"):
             raise ScenarioError(f"noise.mode {self.mode!r} unknown")
-        if self.mode == "snr" and self.snr_db is None:
-            raise ScenarioError("noise.snr_db is required for mode 'snr'")
-        if self.mode == "snr_sweep" and len(self.snr_db_list) == 0:
-            raise ScenarioError("noise.snr_db_list is required for mode 'snr_sweep'")
-        if self.mode == "variance" and (self.variance is None or not self.variance > 0):
+        for key, owner, given in (("snr_db", "snr", self.snr_db is not None),
+                                  ("snr_db_list", "snr_sweep", len(self.snr_db_list) > 0),
+                                  ("variance", "variance", self.variance is not None)):
+            if given and self.mode != owner:
+                raise ScenarioError(f"noise.{key} applies only to mode {owner!r}")
+            if not given and self.mode == owner:
+                raise ScenarioError(f"noise.{key} is required for mode {owner!r}")
+        if self.variance is not None and not self.variance > 0:
             raise ScenarioError("noise.variance must be > 0 for mode 'variance'")
         if self.snr_db is not None and not _snr_in_range(self.snr_db):
             raise ScenarioError(
@@ -183,23 +186,17 @@ class Scenario:
             return np.broadcast_to(h, (n_blocks,) + h.shape)
         return rice1_blocks(drop_seed, self.channel.k_factor, self.n_tx, range(n_blocks))
 
-    def noise_var_for_power(self, p_rx: np.ndarray) -> np.ndarray:
-        """Noise variance of each block, given its mean received power."""
+    def noise_vars(self, p_rx: np.ndarray) -> np.ndarray:
+        """Noise variance of each block at each noise point, given its received power.
+
+        Shape ``(n_points, n_blocks)``, one row per ``snr_sweep`` point or else one row.
+        """
         if self.noise.mode == "noise_free":
-            return np.zeros(p_rx.shape)
-        if self.noise.mode == "snr":
-            return snr_noise_variance(self.noise.snr_db, p_rx)
+            return np.zeros((1,) + p_rx.shape)
         if self.noise.mode == "variance":
-            return np.full(p_rx.shape, float(self.noise.variance))
-        raise ScenarioError("an snr_sweep scenario must be expanded per sweep point")
-
-    def at_snr(self, snr_db: float) -> "Scenario":
-        """Copy of this scenario pinned to one SNR point."""
-        return replace(self, noise=NoiseModel(mode="snr", snr_db=float(snr_db)))
-
-    def with_forced_cqi(self, cqi: int) -> "Scenario":
-        """Copy of this scenario with the reported CQI forced."""
-        return replace(self, csi=replace(self.csi, force_cqi=cqi))
+            return np.full((1,) + p_rx.shape, float(self.noise.variance))
+        snrs = self.noise.snr_db_list or (self.noise.snr_db,)
+        return np.array([snr_noise_variance(snr, p_rx) for snr in snrs])
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -287,15 +284,14 @@ def _parse_noise(d) -> NoiseModel:
         return NoiseModel()
     _require(isinstance(d, dict), "noise must be an object")
     _check_keys(d, {"mode", "snr_db", "snr_db_list", "variance"}, "noise")
-    mode = d.get("mode", "noise_free")
-    if mode == "snr_sweep":
-        pts = d.get("snr_db_list")
-        _require(isinstance(pts, list) and pts and all(_is_finite_number(p) for p in pts),
-                 "noise.snr_db_list must be a nonempty list of finite numbers")
-        return NoiseModel(mode=mode, snr_db_list=tuple(float(p) for p in pts))
+    pts = d.get("snr_db_list")
+    _require(pts is None or (isinstance(pts, list) and pts
+                             and all(_is_finite_number(p) for p in pts)),
+             "noise.snr_db_list must be a nonempty list of finite numbers")
     return NoiseModel(
-        mode=mode,
+        mode=d.get("mode", "noise_free"),
         snr_db=_get_num(d, "snr_db", "noise", None),
+        snr_db_list=tuple(float(p) for p in pts or ()),
         variance=_get_num(d, "variance", "noise", None),
     )
 

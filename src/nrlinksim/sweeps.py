@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import TextIO
 
 import numpy as np
 
-from .channel import block_rx_power, derive_seed, estimate_blocks
+from .channel import derive_seed, estimate_blocks
 from .codebook import PmiIndex, build_codebook, build_codebook_set
-from .csi import make_reports
 from .linalg import gamma_stack
 from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
 from .scenario import Scenario, ScenarioError
@@ -86,15 +85,16 @@ def run_drops(scenario: Scenario, workers: int, drop) -> list:
 
 def _cqi_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
     """One drop at every forced CQI: one channel and CSI pass, then HARQ per CQI."""
-    csi = drop_csi(scenario, drop_channel(scenario, seed))
-    return [run_harq(scenario.with_forced_cqi(cqi), csi) for cqi in range(N_CQI_POINTS)]
+    [csi] = drop_csi(scenario, drop_channel(scenario, seed))
+    cqi = csi.reports.cqi
+    return [run_harq(scenario, replace(csi, reports=csi.reports._replace(
+        cqi=np.full_like(cqi, forced)))) for forced in range(N_CQI_POINTS)]
 
 
 def _snr_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
-    """One drop at every SNR point: one channel pass, then CSI and HARQ per point."""
-    chan = drop_channel(scenario, seed)
-    points = [scenario.at_snr(snr) for snr in scenario.noise.snr_db_list]
-    return [run_harq(point, drop_csi(point, chan)) for point in points]
+    """One drop at every SNR point: one channel and CSI pass, then HARQ per point."""
+    return [run_harq(scenario, csi)
+            for csi in drop_csi(scenario, drop_channel(scenario, seed))]
 
 
 def _goodput_and_bler(stats) -> tuple[float, float, float]:
@@ -142,18 +142,16 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     """One-shot CSI of the first coherence block of drop 0."""
     if scenario.noise.mode == "snr_sweep":
         raise ScenarioError("csi inspection needs a single noise point, not snr_sweep")
-    drop_seed = derive_seed(scenario.seed, 0)
-    h = scenario.block_channels(drop_seed, 1)
-    noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
-    est = estimate_blocks(h, scenario.est_error_var, drop_seed, [0], scenario.n_prb)
-    codebooks = build_codebook_set(scenario.n_tx)
-    ri, pmi, sinr_db, cqi = (int(c[0]) for c in make_reports(est, noise_var, scenario.csi,
-                                                             codebooks))
+    one_slot = replace(scenario, n_slots=1)
+    chan = drop_channel(one_slot, derive_seed(scenario.seed, 0))
+    [csi] = drop_csi(one_slot, chan)
+    ri, pmi, sinr_db, cqi = (int(c[0]) for c in csi.reports)
+    est = estimate_blocks(chan.h, scenario.est_error_var, chan.seed, [0], scenario.n_prb)
     gammas = gamma_stack(est[0])
     return CsiInspection(
-        ri=ri, pmi=codebooks[(scenario.n_tx, ri)].entries[pmi][0],
+        ri=ri, pmi=build_codebook_set(scenario.n_tx)[(scenario.n_tx, ri)].entries[pmi][0],
         wideband_sinr_db=sinr_db, cqi=cqi,
-        noise_var=float(noise_var[0]),
+        noise_var=float(scenario.noise_vars(chan.p_rx)[0, 0]),
         gamma_min=float(np.min(gammas)),
         gamma_median=float(np.median(gammas)),
         gamma_max=float(np.max(gammas)),

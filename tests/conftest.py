@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from nrlinksim.csi import _CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR
 from nrlinksim.link import ThroughputStats, drop_channel, drop_csi, run_harq
-from nrlinksim.scenario import Scenario, parse_scenario
+from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -31,7 +32,18 @@ def scenario_path(name: str) -> Path:
 def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
     """One closed-loop drop at the scenario's own noise point and CQI setting:
     the three engine phases run back to back."""
-    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
+    [csi] = drop_csi(scenario, drop_channel(scenario, seed))
+    return run_harq(scenario, csi)
+
+
+def at_snr(scenario: Scenario, snr_db: float) -> Scenario:
+    """The scenario at one SNR point of its sweep, as a scenario of its own."""
+    return replace(scenario, noise=NoiseModel(mode="snr", snr_db=snr_db))
+
+
+def with_forced_cqi(scenario: Scenario, cqi: int) -> Scenario:
+    """The scenario at one point of a forced-CQI sweep, as a scenario of its own."""
+    return replace(scenario, csi=replace(scenario.csi, force_cqi=cqi))
 
 
 def scalar_lin_to_int_db(x: float) -> int:

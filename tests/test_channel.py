@@ -131,7 +131,7 @@ class TestNoise:
 
     def test_noise_free(self):
         sc = _fixed(H_2X4_REF)
-        assert np.array_equal(sc.noise_var_for_power(np.array([0.5, 2.0])), [0.0, 0.0])
+        assert np.array_equal(sc.noise_vars(np.array([0.5, 2.0])), [[0.0, 0.0]])
 
     def test_snr_resolution_unit_power(self):
         p = block_rx_power(np.ones((1, 2, 2), dtype=complex), n_sc=2)
@@ -149,6 +149,12 @@ class TestNoise:
             NoiseModel("variance", variance=0.0)
         with pytest.raises(ScenarioError):
             NoiseModel("snr")  # no SNR given
+        with pytest.raises(ScenarioError, match="noise.snr_db applies only to mode 'snr'"):
+            NoiseModel("snr_sweep", snr_db=5.0, snr_db_list=(1.0,))
+        with pytest.raises(ScenarioError, match="noise.snr_db_list applies only"):
+            NoiseModel("snr", snr_db=5.0, snr_db_list=(1.0,))
+        with pytest.raises(ScenarioError, match="noise.variance applies only"):
+            NoiseModel(variance=1.0)
 
     def test_snr_on_zero_channel_rejected(self):
         p = block_rx_power(np.zeros((1, 2, 2), dtype=complex), n_sc=1)

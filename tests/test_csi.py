@@ -452,6 +452,17 @@ class TestMakeReport:
             assert cbs[(4, ri)].entries[reps.pmi[b]][0] == pmi
             if force_cqi is None:
                 assert cqi == select_cqi(sinr_db, ri)
+        # With a leading axis of noise points, each row reports what the
+        # call at that row's noise alone reports; RI keeps one entry per block.
+        noise_rows = np.stack([noise_var, noise_var[::-1], np.full(24, 0.3)])
+        multi = make_reports(h[:, None], noise_rows, cfg, cbs)
+        assert np.array_equal(multi.ri, reps.ri)
+        for col in multi[1:]:
+            assert col.shape == (3, 24) and col.dtype.kind == "i"
+        for row, nv in enumerate(noise_rows):
+            one = make_reports(h[:, None], nv, cfg, cbs)
+            for got, want in zip(multi[1:], one[1:]):
+                assert np.array_equal(got[row], want)
 
     def test_no_blocks(self):
         reps = make_reports(np.zeros((0, 1, 2, 4), dtype=complex), [], CsiConfig(),

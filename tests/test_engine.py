@@ -6,8 +6,9 @@ one block at a time, makes a report on reporting slots and evaluates
 every transport block's effective SINR in the slot that sends it.  The
 engine in ``nrlinksim.link`` reorders that work (all blocks of a drop at
 once, CSI shared across sweep points), so its statistics must equal the
-loop's exactly.  The same random scenarios, with CQI and rank forced,
-check the HARQ accounting.
+loop's exactly.  The same random scenarios check that one CSI pass over
+every SNR point equals a pass per point and, with CQI and rank forced,
+the HARQ accounting.
 """
 
 import numpy as np
@@ -18,11 +19,12 @@ from nrlinksim.channel import block_rx_power, derive_seed, estimate_blocks, rice
 from nrlinksim.codebook import build_codebook_set, precoder_for
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
-                            effective_sinrs_db, mcs_from_cqi, tbs)
+                            drop_channel, drop_csi, effective_sinrs_db, mcs_from_cqi,
+                            tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
-from conftest import simulate_drop
+from conftest import at_snr, simulate_drop, with_forced_cqi
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -55,7 +57,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             cur_block = block
             h = block_channel(scenario, seed, block)
             est = estimate_blocks(h, scenario.est_error_var, seed, [block], scenario.n_prb)
-            noise_var = scenario.noise_var_for_power(block_rx_power(h, scenario.n_prb))
+            noise_var = scenario.noise_vars(block_rx_power(h, scenario.n_prb))[0]
         if slot % scenario.csi_period == 0 and report_block != block:
             report = make_reports(est, noise_var, scenario.csi, codebooks)
             ri, cqi = int(report.ri[0]), int(report.cqi[0])
@@ -154,7 +156,7 @@ def test_drop_and_cqi_sweep_match_oracle(doc):
     seed = derive_seed(scenario.seed, 0)
     assert simulate_drop(scenario, seed) == oracle_drop(scenario, seed)
     for row in run_sweep_cqi(scenario):
-        assert row.drops == (oracle_drop(scenario.with_forced_cqi(row.cqi), seed),)
+        assert row.drops == (oracle_drop(with_forced_cqi(scenario, row.cqi), seed),)
 
 
 @settings(max_examples=25, deadline=None)
@@ -165,7 +167,29 @@ def test_snr_sweep_matches_oracle(doc, snrs):
                                                    "snr_db_list": snrs}))
     seed = derive_seed(scenario.seed, 0)
     for snr, row in zip(snrs, run_sweep_snr(scenario)):
-        assert row.drops == (oracle_drop(scenario.at_snr(snr), seed),)
+        assert row.drops == (oracle_drop(at_snr(scenario, snr), seed),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=scenario_docs(), snrs=st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=4))
+@example(doc=STALE_GRANTS, snrs=[0.0, 12.5, 30.0])
+@example(doc=dict(STALE_GRANTS, n_tx=2, est_error_var=0.3), snrs=[-5.0, 3.0, 8.0, 25.0])
+# At 3080 dB the noise variance of this faint channel underflows to 0: one
+# noise-free point among noisy ones.
+@example(doc=dict(STALE_GRANTS, n_tx=2, est_error_var=0.0,
+                  channel={"type": "fixed", "matrix": [[1e-9, 5e-10], [0, 1e-9]]}),
+         snrs=[10.0, 3080.0])
+def test_one_csi_pass_serves_every_snr_point(doc, snrs):
+    # Each point of one pass over the sweep equals a pass at that point alone.
+    sweep = scenario_from_dict(dict(doc, noise={"mode": "snr_sweep", "snr_db_list": snrs}))
+    chan = drop_channel(sweep, derive_seed(sweep.seed, 0))
+    swept = drop_csi(sweep, chan)
+    assert len(swept) == len(snrs)
+    for snr, csi in zip(snrs, swept):
+        [alone] = drop_csi(at_snr(sweep, snr), chan)
+        for got, want in zip(csi.reports, alone.reports):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert csi.pair_eff_db == alone.pair_eff_db
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power
-from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_N_SLOTS, NoiseModel,
-                                Scenario, ScenarioError, parse_scenario,
-                                scenario_from_dict)
+from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_N_SLOTS, Scenario,
+                                ScenarioError, parse_scenario, scenario_from_dict)
 
 from conftest import SCENARIO_DIR, scenario_path
 
@@ -178,6 +177,20 @@ class TestValidation:
     ('{"channel": "rice1", "n_slots": 0}', "scenario.n_slots"),
     ('{"channel": "rice1", "n_slots": 1000001}', "scenario.n_slots"),
     ('{"channel": "rice1", "n_slots": 10000000000}', "scenario.n_slots"),
+    ('{"channel": "rice1", "noise": {"snr_db": 10}}',
+     "noise.snr_db applies only to mode 'snr'"),
+    ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": 5, "snr_db_list": [1, 2]}}',
+     "noise.snr_db_list applies only to mode 'snr_sweep'"),
+    ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": 5, "snr_db_list": []}}',
+     "noise.snr_db_list"),
+    ('{"channel": "rice1", "noise": {"mode": "snr_sweep", "snr_db_list": [1], "snr_db": 5}}',
+     "noise.snr_db applies only to mode 'snr'"),
+    ('{"channel": "rice1", "noise": {"mode": "variance", "variance": 1, "snr_db": 5}}',
+     "noise.snr_db applies only to mode 'snr'"),
+    ('{"channel": "rice1", "noise": {"mode": "noise_free", "variance": 1}}',
+     "noise.variance applies only to mode 'variance'"),
+    ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": 5, "variance": 1}}',
+     "noise.variance applies only to mode 'variance'"),
 ])
 def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
     p = tmp_path / "bad.json"
@@ -278,31 +291,20 @@ class TestDerivedHelpers:
     def test_noise_for_modes(self):
         p_rx = block_rx_power(scenario_from_dict(_fixed_cfg()).block_channels(0, 1), 106)
         free = scenario_from_dict(_fixed_cfg())
-        assert free.noise_var_for_power(p_rx)[0] == 0.0
+        assert free.noise_vars(p_rx).tolist() == [[0.0]]
         var = scenario_from_dict(_fixed_cfg(noise={"mode": "variance",
                                                    "variance": 0.25}))
-        assert var.noise_var_for_power(p_rx)[0] == 0.25
+        assert var.noise_vars(p_rx).tolist() == [[0.25]]
         snr = scenario_from_dict(_fixed_cfg(noise={"mode": "snr", "snr_db": 0}))
-        assert snr.noise_var_for_power(p_rx)[0] == pytest.approx(0.33203125)
-
-    def test_noise_for_rejects_unexpanded_sweep(self):
-        sc = scenario_from_dict(_fixed_cfg(noise={"mode": "snr_sweep",
-                                                  "snr_db_list": [0, 10]}))
-        with pytest.raises(ScenarioError):
-            sc.noise_var_for_power(np.ones(1))
-
-    def test_at_snr(self):
-        sc = scenario_from_dict(_fixed_cfg(noise={"mode": "snr_sweep",
-                                                  "snr_db_list": [0, 10]}))
-        pinned = sc.at_snr(10.0)
-        assert pinned.noise == NoiseModel(mode="snr", snr_db=10.0)
-        assert pinned.channel == sc.channel
-
-    def test_with_forced_cqi(self):
-        sc = scenario_from_dict(_fixed_cfg())
-        forced = sc.with_forced_cqi(7)
-        assert forced.csi.force_cqi == 7
-        assert sc.csi.force_cqi is None
+        assert snr.noise_vars(p_rx).shape == (1, 1)
+        assert snr.noise_vars(p_rx)[0, 0] == pytest.approx(0.33203125)
+        sweep = scenario_from_dict(_fixed_cfg(noise={"mode": "snr_sweep",
+                                                     "snr_db_list": [0, 10, 0]}))
+        assert sweep.noise_vars(p_rx).shape == (3, 1)
+        assert sweep.noise_vars(p_rx)[:, 0] == pytest.approx([0.33203125, 0.033203125,
+                                                              0.33203125])
+        assert sweep.noise_vars(np.array([1.0, 2.0])).tolist() == [[1.0, 2.0], [0.1, 0.2],
+                                                                   [1.0, 2.0]]
 
 
 class TestParseScenario:

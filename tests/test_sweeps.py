@@ -187,7 +187,7 @@ class TestHighSnrReports:
         sc = self._scenario(matrix, ri, {"mode": "snr_sweep",
                                          "snr_db_list": self.HIGH_SNR_DB})
         chan = drop_channel(sc, derive_seed(sc.seed, 0))
-        cols = [drop_csi(sc.at_snr(p), chan).reports for p in self.HIGH_SNR_DB]
+        cols = [csi.reports for csi in drop_csi(sc, chan)]
         reports = [(r.ri.tolist(), r.pmi.tolist(), r.cqi.tolist()) for r in cols]
         assert reports == [reports[0]] * len(self.HIGH_SNR_DB)
         rows = run_sweep_snr(sc)
@@ -381,6 +381,17 @@ class TestCli:
             rc = cli.main([command, "--config", str(bad)])
         assert rc == 2
         assert "noise.snr_db" in err.getvalue()
+
+    def test_noise_key_of_another_mode_fails(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"channel": "rice1", "noise": {"snr_db": 10}}', encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = cli.main(["sweep-cqi", "--config", str(bad),
+                           "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "noise.snr_db applies only to mode 'snr'" in err.getvalue()
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_arguments_exit_nonzero(self):
         err = io.StringIO()

@@ -9,8 +9,7 @@ matrix per coherence block.
 """
 
 from .channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
-from .codebook import (PmiIndex, PrecoderCodebook, build_codebook,
-                       build_codebook_set, precoder_for)
+from .codebook import PrecoderCodebook, build_codebook, build_codebook_set
 from .csi import (CsiConfig, CsiReports, compute_ri_blocks, make_reports,
                   select_pmi_blocks)
 from .linalg import gamma_stack, lin_to_int_db
@@ -25,8 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "block_rx_power", "derive_seed", "estimate_blocks", "rice1_blocks",
-    "PmiIndex", "PrecoderCodebook", "build_codebook", "build_codebook_set",
-    "precoder_for",
+    "PrecoderCodebook", "build_codebook", "build_codebook_set",
     "CsiConfig", "CsiReports", "compute_ri_blocks", "make_reports",
     "select_pmi_blocks",
     "gamma_stack", "lin_to_int_db",

@@ -27,11 +27,11 @@ NOISE_FREE_LAYER_SINR = 1e4
 # as low as processing blocks one by one.
 BATCH_ELEMS = 1 << 13
 
-# Relative tolerance of the wideband-metric tie-break.  Codebook entries
-# that are equivalent in exact arithmetic can differ by a few ulps in
-# float (odd-index beam phases are not exactly unit modulus); candidates
-# within this relative band of the maximum count as tied and the lowest
-# enumeration index wins.
+# Relative tolerance of the wideband-metric tie-break.  Precoders that
+# are equivalent in exact arithmetic can differ by a few ulps in float
+# (odd-index beam phases are not exactly unit modulus); candidates within
+# this relative band of the maximum count as tied and the first row of
+# the codebook wins.
 PMI_TIE_REL_TOL = 1e-12
 
 
@@ -60,8 +60,8 @@ class CsiConfig:
 class CsiReports(NamedTuple):
     """Wideband CSI reports of a run of blocks: one entry per block in each column.
 
-    ``ri`` is the reported rank (1 or 2), ``pmi`` the position of the
-    winning precoder in ``codebooks[(n_tx, ri)].entries``,
+    ``ri`` is the reported rank (1 or 2), ``pmi`` the row of the winning
+    precoder in ``codebooks[(n_tx, ri)].precoders``,
     ``wideband_sinr_db`` the integer-dB wideband SINR and ``cqi`` the
     channel-quality index.
     """
@@ -165,7 +165,7 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     float noise between matrices that are equivalent in exact arithmetic
     cannot flip the choice.
 
-    Returns the winning position in ``cb.entries`` and the winning linear
+    Returns the winning row of ``cb.precoders`` and the winning linear
     wideband ratio, each of ``noise_var``'s shape.
     """
     if cb.ports != mats.shape[-1]:
@@ -205,7 +205,7 @@ def blocks_per_search(n_eval: int,
     (blocks, candidates, subcarriers, 2, layers), stays within
     ``BATCH_ELEMS``.  Pass ``n_eval`` times the number of noise points.
     """
-    per_block = n_eval * 2 * max(len(cb) * cb.rank for cb in codebooks.values())
+    per_block = n_eval * 2 * max(len(cb.precoders) * cb.rank for cb in codebooks.values())
     return max(1, BATCH_ELEMS // per_block)
 
 

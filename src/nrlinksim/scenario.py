@@ -24,7 +24,9 @@ DEFAULT_N_PRB = 106
 MAX_N_PRB = 275
 DEFAULT_N_SLOTS = 2000
 # Longest drop, 500 s of 0.5 ms slots: a drop keeps a few n_slots-long arrays,
-# so a larger value is refused here, not by a MemoryError mid-run.
+# so a larger value is refused here, not by a MemoryError mid-run.  It also
+# bounds the other slot counts, which mean nothing more beyond one drop and
+# would otherwise overflow int64 mid-run.
 MAX_N_SLOTS = 10 ** 6
 DEFAULT_N_DROPS = 20
 DEFAULT_CSI_PERIOD = 10
@@ -58,9 +60,9 @@ class ChannelModel:
             raise ScenarioError("channel.matrix entries must be finite")
         if self.k_factor < 0:
             raise ScenarioError(f"channel.k_factor must be >= 0, got {self.k_factor}")
-        if self.coherence_slots < 1:
-            raise ScenarioError(
-                f"channel.coherence_slots must be >= 1, got {self.coherence_slots}")
+        if not 1 <= self.coherence_slots <= MAX_N_SLOTS:
+            raise ScenarioError(f"channel.coherence_slots must be in [1, {MAX_N_SLOTS}], "
+                                f"got {self.coherence_slots}")
 
 
 def _snr_in_range(snr_db: float) -> bool:
@@ -133,13 +135,13 @@ class Scenario:
         if not 1 <= self.n_prb <= MAX_N_PRB:
             raise ScenarioError(
                 f"scenario.n_prb must be in [1, {MAX_N_PRB}], got {self.n_prb}")
-        if not 1 <= self.n_slots <= MAX_N_SLOTS:
-            raise ScenarioError(
-                f"scenario.n_slots must be in [1, {MAX_N_SLOTS}], got {self.n_slots}")
+        for name in ("n_slots", "csi_period", "max_harq_tx"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_N_SLOTS:
+                raise ScenarioError(
+                    f"scenario.{name} must be in [1, {MAX_N_SLOTS}], got {value}")
         if self.n_drops < 1:
             raise ScenarioError(f"n_drops must be >= 1, got {self.n_drops}")
-        if self.csi_period < 1:
-            raise ScenarioError(f"csi_period must be >= 1, got {self.csi_period}")
         if not 0.0 < self.dl_duty_factor <= 1.0:
             raise ScenarioError(
                 f"dl_duty_factor must be in (0, 1], got {self.dl_duty_factor}")
@@ -147,8 +149,6 @@ class Scenario:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.est_error_var < 0:
             raise ScenarioError(f"est_error_var must be >= 0, got {self.est_error_var}")
-        if self.max_harq_tx < 1:
-            raise ScenarioError(f"max_harq_tx must be >= 1, got {self.max_harq_tx}")
         if set(self.sinr_cap_db) != {1, 2}:
             raise ScenarioError("sinr_cap_db must have keys 1 and 2")
         for r, cap in self.sinr_cap_db.items():

@@ -19,12 +19,11 @@ from typing import TextIO
 import numpy as np
 
 from .channel import derive_seed, estimate_blocks
-from .codebook import PmiIndex, build_codebook, build_codebook_set
+from .codebook import build_codebook
 from .linalg import gamma_stack
 from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
 from .scenario import Scenario, ScenarioError
-
-N_CQI_POINTS = 16
+from .tables import N_CQI
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,13 @@ class SnrSweepRow:
 
 @dataclass(frozen=True)
 class CsiInspection:
-    """CSI of the first coherence block of drop 0, with its noise variance
-    and the condition metric over the estimate's subcarriers."""
+    """CSI of the first coherence block of drop 0, with the condition metric
+    over the estimate's subcarriers; ``pmi`` is the key ``(i11, i12, i13, i2)``."""
 
     ri: int
-    pmi: PmiIndex
+    pmi: tuple[int, int, int, int]
     wideband_sinr_db: int
     cqi: int
-    noise_var: float
     gamma_min: float
     gamma_median: float
     gamma_max: float
@@ -88,7 +86,7 @@ def _cqi_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
     [csi] = drop_csi(scenario, drop_channel(scenario, seed))
     cqi = csi.reports.cqi
     return [run_harq(scenario, replace(csi, reports=csi.reports._replace(
-        cqi=np.full_like(cqi, forced)))) for forced in range(N_CQI_POINTS)]
+        cqi=np.full_like(cqi, forced)))) for forced in range(N_CQI)]
 
 
 def _snr_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
@@ -149,9 +147,8 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     est = estimate_blocks(chan.h, scenario.est_error_var, chan.seed, [0], scenario.n_prb)
     gammas = gamma_stack(est[0])
     return CsiInspection(
-        ri=ri, pmi=build_codebook_set(scenario.n_tx)[(scenario.n_tx, ri)].entries[pmi][0],
+        ri=ri, pmi=tuple(build_codebook(scenario.n_tx, ri).keys[pmi].tolist()),
         wideband_sinr_db=sinr_db, cqi=cqi,
-        noise_var=float(scenario.noise_vars(chan.p_rx)[0, 0]),
         gamma_min=float(np.min(gammas)),
         gamma_median=float(np.median(gammas)),
         gamma_max=float(np.max(gammas)),
@@ -185,7 +182,7 @@ def write_snr_sweep_csv(rows: list[SnrSweepRow], fh: TextIO) -> None:
 
 def write_csi_csv(insp: CsiInspection, fh: TextIO) -> None:
     fh.write("ri,i11,i12,i13,i2,sinr_db,cqi,gamma_min,gamma_median,gamma_max\n")
-    cells = [insp.ri, *insp.pmi.key(), insp.wideband_sinr_db, insp.cqi,
+    cells = [insp.ri, *insp.pmi, insp.wideband_sinr_db, insp.cqi,
              insp.gamma_min, insp.gamma_median, insp.gamma_max]
     fh.write(",".join(_fmt(c) for c in cells) + "\n")
 
@@ -198,15 +195,15 @@ def write_gnuplot_xy(points: list[tuple[float, float]], fh: TextIO) -> None:
 
 
 def write_codebook_csv(ports: int, rank: int, fh: TextIO) -> None:
-    """Dump one codebook, one precoder per row, entries flattened row-major."""
+    """Dump one codebook, one precoder per row, its matrix flattened row-major."""
     cb = build_codebook(ports, rank)
     cols = ["i11", "i12", "i13", "i2"]
     for r in range(ports):
         for c in range(rank):
             cols += [f"w{r}{c}_re", f"w{r}{c}_im"]
     fh.write(",".join(cols) + "\n")
-    for idx, w in cb:
-        cells = [str(v) for v in idx.key()]
+    for key, w in zip(cb.keys.tolist(), cb.precoders):
+        cells = [str(v) for v in key]
         for r in range(ports):
             for c in range(rank):
                 cells += [f"{w[r, c].real:.12f}", f"{w[r, c].imag:.12f}"]

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nrlinksim.csi import _CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2
@@ -74,6 +75,28 @@ def select_cqi(wideband_sinr_db: int, ri: int) -> int:
     if ri == 1:
         return _CQI_FROM_SINR_RANK1.get(sinr, 15)
     return _CQI_FROM_SINR_RANK2.get(sinr, 13)
+
+
+def precoder_for(key, rank: int, ports: int) -> np.ndarray:
+    """Oracle of one row of ``PrecoderCodebook.precoders``: the Type I
+    precoder of index ``key = (i11, i12, i13, i2)``, shape ``(ports, rank)``."""
+    i11, _, i13, i2 = key
+    phi = 1j ** i2
+    if ports == 2:
+        if rank == 1:
+            return np.array([[1.0], [phi]], dtype=np.complex128) / math.sqrt(2.0)
+        return np.array([[1.0, 1.0], [phi, -phi]], dtype=np.complex128) / 2.0
+
+    def beam(l):
+        return np.array([1.0, np.exp(1j * np.pi * l / 4.0)], dtype=np.complex128)
+
+    v = beam(i11)
+    if rank == 1:
+        return np.concatenate([v, phi * v]).reshape(4, 1) / 2.0
+    vp = beam(i11 + 4 * i13)
+    top = np.stack([v, vp], axis=1)
+    bot = np.stack([phi * v, -phi * vp], axis=1)
+    return np.vstack([top, bot]) / math.sqrt(8.0)
 
 
 def _timed_cqi(name: str):

@@ -89,9 +89,9 @@ def test_03_codebook_structure():
         worst_trace = worst_orth = 0.0
         for (ports, rank), want in EXPECTED_SIZES.items():
             cb = build_codebook(ports, rank)
-            assert len(cb.entries) == want, \
-                f"{ports}-port rank-{rank} size {len(cb.entries)} != {want}"
-            for _, w in cb.entries:
+            assert len(cb.precoders) == want, \
+                f"{ports}-port rank-{rank} size {len(cb.precoders)} != {want}"
+            for w in cb.precoders:
                 tr = float(np.trace(w.conj().T @ w).real)
                 worst_trace = max(worst_trace, abs(tr - 1.0))
                 if rank == 2:
@@ -111,7 +111,7 @@ def _brute_force_pmi(mats, noise_var, cb):
     """Independent exhaustive search: explicit MMSE quadratic form per
     layer, split power sums, same first-index tie rule and quantizer."""
     ratios = []
-    for _, w in cb.entries:
+    for w in cb.precoders:
         sig = nin = 0.0
         for h in mats:
             g = h @ w
@@ -127,7 +127,7 @@ def _brute_force_pmi(mats, noise_var, cb):
     winner = int(np.argmax(ratios >= best - 1e-12 * abs(best)))
     val = float(ratios[winner])
     db = -10 if val == 0 else int(min(max(round(10 * math.log10(val)), -10), 40))
-    return cb.entries[winner][0].key(), db
+    return tuple(cb.keys[winner]), db
 
 
 def test_04_pmi_matches_brute_force():
@@ -145,12 +145,12 @@ def test_04_pmi_matches_brute_force():
                 cb = books[n_tx][(n_tx, rank)]
                 for noise_var in (1.0, 0.1, 0.01):
                     winners, ratios = select_pmi_blocks(mats[None], [noise_var], cb)
-                    idx = cb.entries[winners[0]][0]
+                    key = tuple(cb.keys[winners[0]])
                     db = lin_to_int_db(float(ratios[0]))
                     ref_key, ref_db = _brute_force_pmi(mats, noise_var, cb)
-                    assert idx.key() == ref_key, \
+                    assert key == ref_key, \
                         f"sample {i} rank {rank} noise {noise_var}: " \
-                        f"{idx.key()} != {ref_key}"
+                        f"{key} != {ref_key}"
                     assert db == ref_db, \
                         f"sample {i} rank {rank} noise {noise_var}: " \
                         f"{db} dB != {ref_db} dB"

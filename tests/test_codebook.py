@@ -5,74 +5,58 @@ import math
 import numpy as np
 import pytest
 
-from nrlinksim.codebook import (ConfigurationError, PmiIndex, PrecoderCodebook,
-                                SUPPORTED, build_codebook, build_codebook_set,
-                                precoder_for)
+from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook, SUPPORTED,
+                                build_codebook, build_codebook_set)
+
+from conftest import precoder_for
 
 EXPECTED_SIZES = {(4, 1): 32, (4, 2): 32, (2, 1): 4, (2, 2): 2}
 
 
-class TestPmiIndex:
-    def test_key_order(self):
-        idx = PmiIndex(3, 0, 1, 1, rank=2, ports=4)
-        assert idx.key() == (3, 0, 1, 1)
-
-    def test_unsupported_combo(self):
-        with pytest.raises(ConfigurationError):
-            PmiIndex(0, 0, 0, 0, rank=3, ports=4)
-        with pytest.raises(ConfigurationError):
-            PmiIndex(0, 0, 0, 0, rank=1, ports=8)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(i11=0, i12=1, i13=0, i2=0, rank=1, ports=4),   # i12 fixed at 0
-        dict(i11=8, i12=0, i13=0, i2=0, rank=1, ports=4),   # beam out of range
-        dict(i11=0, i12=0, i13=1, i2=0, rank=1, ports=4),   # i13 only at rank 2
-        dict(i11=0, i12=0, i13=2, i2=0, rank=2, ports=4),   # i13 binary
-        dict(i11=0, i12=0, i13=0, i2=4, rank=1, ports=4),   # co-phase range
-        dict(i11=0, i12=0, i13=0, i2=2, rank=2, ports=4),   # rank-2 co-phase range
-        dict(i11=1, i12=0, i13=0, i2=0, rank=1, ports=2),   # 2 ports have one beam
-        dict(i11=0, i12=0, i13=0, i2=2, rank=2, ports=2),
-    ])
-    def test_invalid_fields(self, kwargs):
-        with pytest.raises(ValueError):
-            PmiIndex(**kwargs)
+def by_key(key, rank, ports) -> np.ndarray:
+    """The built codebook's precoder of index ``key``, which must occur once."""
+    cb = build_codebook(ports, rank)
+    [row] = np.flatnonzero((cb.keys == key).all(axis=1))
+    return cb.precoders[row]
 
 
 class TestPrecoderFor:
+    """Precoders of known indices, looked up in the built codebooks."""
+
     def test_4port_rank1_first_entries(self):
-        w = precoder_for(PmiIndex(0, 0, 0, 0, rank=1, ports=4))
+        w = by_key((0, 0, 0, 0), rank=1, ports=4)
         assert np.array_equal(w, 0.5 * np.array([[1], [1], [1], [1]], dtype=complex))
-        w = precoder_for(PmiIndex(0, 0, 0, 1, rank=1, ports=4))
+        w = by_key((0, 0, 0, 1), rank=1, ports=4)
         assert np.array_equal(w, 0.5 * np.array([[1], [1], [1j], [1j]]))
 
     def test_4port_rank1_beam_phase(self):
-        w = precoder_for(PmiIndex(1, 0, 0, 0, rank=1, ports=4))
+        w = by_key((1, 0, 0, 0), rank=1, ports=4)
         phase = np.exp(1j * np.pi / 4)
         want = 0.5 * np.array([[1], [phase], [1], [phase]])
         assert np.allclose(w, want, rtol=0, atol=1e-15)
 
     def test_4port_rank2_same_beam(self):
-        w = precoder_for(PmiIndex(0, 0, 0, 0, rank=2, ports=4))
+        w = by_key((0, 0, 0, 0), rank=2, ports=4)
         want = np.array([[1, 1], [1, 1], [1, -1], [1, -1]]) / math.sqrt(8.0)
         assert np.allclose(w, want, rtol=0, atol=1e-15)
 
     def test_4port_rank2_offset_beam(self):
-        w = precoder_for(PmiIndex(0, 0, 1, 0, rank=2, ports=4))
+        w = by_key((0, 0, 1, 0), rank=2, ports=4)
         want = np.array([[1, 1], [1, -1], [1, -1], [1, 1]]) / math.sqrt(8.0)
         assert np.allclose(w, want, rtol=0, atol=1e-12)
 
     def test_2port_entries(self):
         for n in range(4):
-            w = precoder_for(PmiIndex(0, 0, 0, n, rank=1, ports=2))
+            w = by_key((0, 0, 0, n), rank=1, ports=2)
             want = np.array([[1], [1j ** n]]) / math.sqrt(2.0)
             assert np.allclose(w, want, rtol=0, atol=1e-15)
-        w0 = precoder_for(PmiIndex(0, 0, 0, 0, rank=2, ports=2))
+        w0 = by_key((0, 0, 0, 0), rank=2, ports=2)
         assert np.allclose(w0, np.array([[1, 1], [1, -1]]) / 2.0)
-        w1 = precoder_for(PmiIndex(0, 0, 0, 1, rank=2, ports=2))
+        w1 = by_key((0, 0, 0, 1), rank=2, ports=2)
         assert np.allclose(w1, np.array([[1, 1], [1j, -1j]]) / 2.0)
 
     def test_result_is_readonly(self):
-        w = precoder_for(PmiIndex(0, 0, 0, 0, rank=1, ports=4))
+        w = by_key((0, 0, 0, 0), rank=1, ports=4)
         with pytest.raises(ValueError):
             w[0, 0] = 0.0
 
@@ -80,41 +64,46 @@ class TestPrecoderFor:
 class TestBuildCodebook:
     @pytest.mark.parametrize("ports,rank", sorted(SUPPORTED))
     def test_sizes(self, ports, rank):
-        assert len(build_codebook(ports, rank)) == EXPECTED_SIZES[(ports, rank)]
+        cb = build_codebook(ports, rank)
+        n = EXPECTED_SIZES[(ports, rank)]
+        assert cb.keys.shape == (n, 4) and cb.keys.dtype.kind == "i"
+        assert cb.precoders.shape == (n, ports, rank)
 
     @pytest.mark.parametrize("ports,rank", sorted(SUPPORTED))
     def test_unit_trace(self, ports, rank):
-        for idx, w in build_codebook(ports, rank):
+        cb = build_codebook(ports, rank)
+        for key, w in zip(cb.keys.tolist(), cb.precoders):
             assert w.shape == (ports, rank)
             tr = float(np.trace(w.conj().T @ w).real)
-            assert abs(tr - 1.0) < 1e-12, idx.key()
+            assert abs(tr - 1.0) < 1e-12, key
 
     @pytest.mark.parametrize("ports", [2, 4])
     def test_rank2_column_orthogonality(self, ports):
-        for idx, w in build_codebook(ports, 2):
+        cb = build_codebook(ports, 2)
+        for key, w in zip(cb.keys.tolist(), cb.precoders):
             inner = abs(complex(w[:, 0].conj() @ w[:, 1]))
-            assert inner < 1e-12, idx.key()
+            assert inner < 1e-12, key
 
     def test_enumeration_order_4port_rank1(self):
-        keys = [idx.key() for idx, _ in build_codebook(4, 1)]
+        keys = [tuple(k) for k in build_codebook(4, 1).keys.tolist()]
         want = [(i11, 0, 0, i2) for i11 in range(8) for i2 in range(4)]
         assert keys == want
 
     def test_enumeration_order_4port_rank2(self):
-        keys = [idx.key() for idx, _ in build_codebook(4, 2)]
+        keys = [tuple(k) for k in build_codebook(4, 2).keys.tolist()]
         want = [(i11, 0, i13, i2)
                 for i11 in range(8) for i13 in range(2) for i2 in range(2)]
         assert keys == want
 
     def test_enumeration_order_is_lexicographic(self):
         for ports, rank in sorted(SUPPORTED):
-            keys = [idx.key() for idx, _ in build_codebook(ports, rank)]
+            keys = [tuple(k) for k in build_codebook(ports, rank).keys.tolist()]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
 
     def test_entries_unique_as_matrices(self):
         for ports, rank in sorted(SUPPORTED):
-            mats = [w for _, w in build_codebook(ports, rank)]
+            mats = build_codebook(ports, rank).precoders
             for i in range(len(mats)):
                 for j in range(i + 1, len(mats)):
                     assert not np.allclose(mats[i], mats[j], atol=1e-9)
@@ -127,18 +116,15 @@ class TestBuildCodebook:
 
 
 class TestCodebookContainer:
-    def test_precoders_follow_entries(self):
+    def test_precoders_match_the_oracle_bitwise(self):
         # The engine picks a report's precoder as precoders[position]: row k
-        # must be the matrix of entry k's index, in every codebook.
+        # must be the matrix of key k, in every codebook, to the last bit.
         for ports, rank in sorted(SUPPORTED):
             cb = build_codebook(ports, rank)
-            assert cb.precoders.shape == (len(cb), ports, rank)
-            for k, (idx, _) in enumerate(cb.entries):
-                assert np.array_equal(cb.precoders[k], precoder_for(idx))
-
-    def test_iteration_matches_entries(self):
-        cb = build_codebook(2, 2)
-        assert list(cb) == list(cb.entries)
+            assert len(cb.keys) == len(cb.precoders)
+            for key, w in zip(cb.keys.tolist(), cb.precoders):
+                want = precoder_for(key, rank, ports)
+                assert w.dtype == want.dtype and w.tobytes() == want.tobytes(), key
 
     def test_ports_rank_attributes(self):
         cb = build_codebook(4, 1)
@@ -152,7 +138,7 @@ class TestCodebookContainer:
             with pytest.raises(ValueError):
                 cb.precoders[0, 0, 0] = 0.0
             with pytest.raises(ValueError):
-                cb.entries[0][1][0, 0] = 0.0
+                cb.keys[0, 0] = 1
         assert build_codebook_set(4) is not build_codebook_set(4)
 
     def test_build_codebook_set(self):
@@ -161,4 +147,4 @@ class TestCodebookContainer:
             assert set(cbs) == {(ports, 1), (ports, 2)}
             for (p, r), cb in cbs.items():
                 assert isinstance(cb, PrecoderCodebook)
-                assert len(cb) == EXPECTED_SIZES[(p, r)]
+                assert len(cb.precoders) == EXPECTED_SIZES[(p, r)]

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nrlinksim.channel import estimate_blocks, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
-from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, CsiConfig,
-                           CsiReports, _split_batch, block_layer_sinrs,
+from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
+                           CsiConfig, CsiReports, _split_batch, block_layer_sinrs,
                            compute_ri_blocks, make_reports, select_pmi_blocks)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 
@@ -43,10 +43,15 @@ def _ri(mats, cfg) -> int:
     return int(compute_ri_blocks(mats, cfg)[0])
 
 
+def _rows(cb, rows) -> PrecoderCodebook:
+    """The codebook of ``cb``'s rows ``rows``, keys and precoders together."""
+    return PrecoderCodebook(cb.ports, cb.rank, cb.keys[rows], cb.precoders[rows])
+
+
 def _pmi(mats, noise_var, cb):
-    """Winning index and integer-dB wideband SINR of a one-block search."""
+    """Winning key and integer-dB wideband SINR of a one-block search."""
     winners, ratios = select_pmi_blocks(mats, [noise_var], cb)
-    return cb.entries[winners[0]][0], lin_to_int_db(float(ratios[0]))
+    return tuple(cb.keys[winners[0]].tolist()), lin_to_int_db(float(ratios[0]))
 
 
 def _layer_sinrs(h, w, noise_var):
@@ -56,11 +61,14 @@ def _layer_sinrs(h, w, noise_var):
 
 
 def _report(mats, noise_var, cfg, cbs):
-    """One block's report as (ri, PmiIndex, wideband SINR dB, CQI)."""
+    """One block's report as (ri, PMI key, wideband SINR dB, CQI); the PMI
+    must be a row of the codebook of the reported rank."""
     rep = make_reports(mats, [noise_var], cfg, cbs)
     ri = int(rep.ri[0])
-    pmi = cbs[(mats.shape[-1], ri)].entries[rep.pmi[0]][0]
-    return ri, pmi, int(rep.wideband_sinr_db[0]), int(rep.cqi[0])
+    keys = cbs[(mats.shape[-1], ri)].keys
+    assert 0 <= rep.pmi[0] < len(keys)
+    key = tuple(keys[rep.pmi[0]].tolist())
+    return ri, key, int(rep.wideband_sinr_db[0]), int(rep.cqi[0])
 
 
 def _cqi(sinr_db: int, ri: int) -> int:
@@ -88,7 +96,7 @@ def _oracle_wideband_ratios(mats, cb, noise_var):
     noise ``s (1 - s)``, with ``s = x / (1 + x)``.
     """
     ratios = []
-    for _, w in cb.entries:
+    for w in cb.precoders:
         sig = nin = 0.0
         for h in mats:
             for x in _oracle_layer_sinrs(h, w, noise_var):
@@ -198,7 +206,7 @@ class TestLayerSinrs:
 
     def test_rank2_reference(self):
         w = build_codebook(4, 2).precoders[2]  # key (0, 0, 1, 0)
-        assert build_codebook(4, 2).entries[2][0].key() == (0, 0, 1, 0)
+        assert tuple(build_codebook(4, 2).keys[2]) == (0, 0, 1, 0)
         out = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])[0, 0]
         assert out == pytest.approx([2.5, 2.5], rel=1e-12)
 
@@ -209,7 +217,7 @@ class TestLayerSinrs:
         for _ in range(25):
             h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
             for cb in (cb1, cb2):
-                _, w = cb.entries[rng.integers(len(cb))]
+                w = cb.precoders[rng.integers(len(cb.precoders))]
                 for nv in (1.0, 0.1, 0.01):
                     got = block_layer_sinrs(_flat(h), w[None], [nv])[0, 0]
                     assert got == pytest.approx(_oracle_layer_sinrs(h, w, nv),
@@ -258,14 +266,14 @@ class TestSelectPmi:
         grid = _flat(H_ORTHO)
         cb = build_codebook(4, 2)
         idx, sinr_db = _pmi(grid, 0.1, cb)
-        assert idx.key() == (0, 0, 1, 0)
+        assert idx == (0, 0, 1, 0)
         assert sinr_db == 4  # wideband ratio 2.5 -> 3.98 dB -> 4
 
         ratios = _oracle_wideband_ratios(grid[0], cb, 0.1)
         best = max(ratios)
         tied = [i for i, r in enumerate(ratios) if r >= best * (1 - 1e-9)]
         assert len(tied) == 16
-        assert all(cb.entries[i][0].i13 == 1 for i in tied)
+        assert all(cb.keys[tied, 2] == 1)
         assert tied[0] == 2  # enumeration position of (0, 0, 1, 0)
 
     @pytest.mark.parametrize("rank", [1, 2])
@@ -277,15 +285,14 @@ class TestSelectPmi:
         ratios = _oracle_wideband_ratios(grid[0], cb, noise_var)
         best = max(ratios)
         winner = next(i for i, r in enumerate(ratios) if r >= best * (1 - 1e-12))
-        assert idx.key() == cb.entries[winner][0].key()
+        assert idx == tuple(cb.keys[winner])
         assert sinr_db == int(np.clip(round(10 * math.log10(ratios[winner])), -10, 40))
 
     def test_single_candidate_codebook(self):
         full = build_codebook(4, 1)
-        only = full.entries[5]
-        cb = PrecoderCodebook(4, 1, [only])
+        cb = _rows(full, [5])
         idx, _ = _pmi(_flat(H_2X4_REF), 0.1, cb)
-        assert idx.key() == only[0].key()
+        assert idx == tuple(full.keys[5])
 
     def test_mismatched_codebook_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -308,13 +315,13 @@ class TestSelectPmi:
         for _ in range(4):
             perm = rng.permutation(6)
             got = _pmi(mats[perm][None], 0.2, cb)
-            assert got[0].key() == base[0].key()
+            assert got[0] == base[0]
             assert got[1] == base[1]
 
     def test_noise_free_search(self):
         # With zero noise all candidates saturate; the first index wins.
         idx, sinr_db = _pmi(_flat(H_2X4_REF), 0.0, build_codebook(4, 1))
-        assert idx.key() == (0, 0, 0, 0)
+        assert idx == (0, 0, 0, 0)
         assert sinr_db == 40
 
 
@@ -328,7 +335,7 @@ def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
     mats = _random_mats(seed, n_sc, n_tx)
     noise_var = float(np.mean(np.abs(mats) ** 2)) / 10.0 ** (snr_db / 10.0)
     cb = build_codebook(n_tx, rank)
-    w = cb.entries[seed % len(cb)][1]
+    w = cb.precoders[seed % len(cb.precoders)]
     got = block_layer_sinrs(mats[None], w[None], [noise_var])[0]
     want = [_oracle_layer_sinrs(h, w, noise_var) for h in mats]
     assert got.ravel() == pytest.approx(np.ravel(want), rel=1e-9)
@@ -355,6 +362,45 @@ def test_pmi_winner_ignores_global_phase(seed, n_tx, rank, n_sc, phase, snr_db):
     base, _ = select_pmi_blocks(mats[None], [noise_var], cb)
     turned, _ = select_pmi_blocks(np.exp(1j * phase) * mats[None], [noise_var], cb)
     assert turned[0] == base[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2]), n_sc=st.integers(1, 3),
+       snr_db=st.one_of(st.none(), st.floats(-20.0, 60.0)),
+       ortho=st.booleans(), perm_seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=1, n_tx=4, rank=1, n_sc=1, snr_db=10.0, ortho=False, perm_seed=2)
+@example(seed=1, n_tx=4, rank=1, n_sc=1, snr_db=20.0, ortho=True, perm_seed=2)
+@example(seed=1, n_tx=4, rank=2, n_sc=2, snr_db=None, ortho=False, perm_seed=2)
+def test_pmi_tie_break_survives_codebook_permutation(seed, n_tx, rank, n_sc, snr_db,
+                                                     ortho, perm_seed):
+    # Candidates within PMI_TIE_REL_TOL of the best are tied; the search
+    # returns the tied candidate that comes first in the codebook's own
+    # order, so a lone winner keeps its key under any reordering of the rows.
+    # None stands for zero noise, where every candidate ties.  Orthonormal
+    # rows tie candidates at any noise, at 4 ports and rank 1 only to a
+    # few ulps.
+    if ortho:
+        mats = np.broadcast_to(np.eye(2, n_tx, dtype=complex), (1, n_sc, 2, n_tx))
+    else:
+        mats = _random_mats(seed, n_sc, n_tx)[None]
+    noise_var = [0.0 if snr_db is None else
+                 float(np.mean(np.abs(mats) ** 2)) / 10.0 ** (snr_db / 10.0)]
+    cb = build_codebook(n_tx, rank)
+    n = len(cb.precoders)
+    ratios = np.array([select_pmi_blocks(mats, noise_var, _rows(cb, [k]))[1][0]
+                       for k in range(n)])
+    gap = (ratios.max() - ratios) / ratios.max()
+    # Leave out draws so near the tolerance that an ulp could move a candidate.
+    assume(np.all(np.abs(gap - PMI_TIE_REL_TOL) > 1e-14))
+    tied = set(np.flatnonzero(gap <= PMI_TIE_REL_TOL).tolist())
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    permuted = _rows(cb, perm)
+    got = int(select_pmi_blocks(mats, noise_var, permuted)[0][0])
+    if len(tied) == 1:
+        assert tuple(permuted.keys[got]) == tuple(cb.keys[min(tied)])
+    else:
+        assert got == next(p for p in range(n) if perm[p] in tied)
 
 
 class TestSelectCqi:
@@ -399,14 +445,12 @@ class TestMakeReport:
         ri, pmi, sinr_db, cqi = _report(_flat(H_2X4_REF), 0.1, CsiConfig(),
                                         build_codebook_set(4))
         assert (ri, sinr_db, cqi) == (1, 12, 10)
-        assert pmi.key() == (0, 0, 0, 0)
-        assert pmi.rank == 1 and pmi.ports == 4
+        assert pmi == (0, 0, 0, 0)
 
     def test_force_ri_switches_codebook(self):
         ri, pmi, _, cqi = _report(_flat(H_2X4_REF), 0.1, CsiConfig(force_ri=2),
                                   build_codebook_set(4))
         assert ri == 2
-        assert pmi.rank == 2
         assert cqi <= 13
 
     def test_force_cqi_verbatim(self):
@@ -425,8 +469,6 @@ class TestMakeReport:
                 for nv in (0.5, 0.05):
                     ri, pmi, sinr_db, cqi = _report(noisy, nv, cfg, cbs)
                     assert ri in (1, 2)
-                    assert pmi.rank == ri
-                    assert pmi.ports == n_tx
                     assert -10 <= sinr_db <= 40
                     assert 4 <= cqi <= 15
                     if ri == 2:
@@ -449,7 +491,7 @@ class TestMakeReport:
         for b in range(24):
             ri, pmi, sinr_db, cqi = _report(h[b:b + 1, None], noise_var[b], cfg, cbs)
             assert (reps.ri[b], reps.wideband_sinr_db[b], reps.cqi[b]) == (ri, sinr_db, cqi)
-            assert cbs[(4, ri)].entries[reps.pmi[b]][0] == pmi
+            assert tuple(cbs[(4, ri)].keys[reps.pmi[b]]) == pmi
             if force_cqi is None:
                 assert cqi == select_cqi(sinr_db, ri)
         # With a leading axis of noise points, each row reports what the

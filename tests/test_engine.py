@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
-from nrlinksim.codebook import build_codebook_set, precoder_for
+from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
                             drop_channel, drop_csi, effective_sinrs_db, mcs_from_cqi,
@@ -24,7 +24,7 @@ from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
-from conftest import at_snr, simulate_drop, with_forced_cqi
+from conftest import at_snr, precoder_for, simulate_drop, with_forced_cqi
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -61,10 +61,11 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
         if slot % scenario.csi_period == 0 and report_block != block:
             report = make_reports(est, noise_var, scenario.csi, codebooks)
             ri, cqi = int(report.ri[0]), int(report.cqi[0])
-            pmi = codebooks[(scenario.n_tx, ri)].entries[report.pmi[0]][0]
+            key = codebooks[(scenario.n_tx, ri)].keys[report.pmi[0]].tolist()
             mcs = mcs_from_cqi(cqi)
             # (layers, precoder, MCS, CQI, transport-block bits)
-            grant = (ri, precoder_for(pmi), mcs, cqi, tbs(mcs, ri, scenario.n_prb))
+            grant = (ri, precoder_for(key, ri, scenario.n_tx), mcs, cqi,
+                     tbs(mcs, ri, scenario.n_prb))
             report_block = block
 
         if tb_grant is None:

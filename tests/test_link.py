@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nrlinksim.codebook import PmiIndex, precoder_for
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
                             bler, decode_threshold_db, effective_sinrs_db,
                             mcs_from_cqi, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
-from conftest import simulate_drop
+from conftest import precoder_for, simulate_drop
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
@@ -106,7 +105,7 @@ def effective_sinr_db(h, w, noise_var, caps) -> float:
 
 
 def _precoder(ri, key=(0, 0, 0, 0)) -> np.ndarray:
-    return precoder_for(PmiIndex(*key, rank=ri, ports=4))
+    return precoder_for(key, ri, 4)
 
 
 class TestEffectiveSinr:

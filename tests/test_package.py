@@ -1,6 +1,11 @@
 """The package-level public surface."""
 
+import re
+from pathlib import Path
+
 import nrlinksim
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The setup probe of perfbench/run.py calls these from the package, and runs
 # with check=True: a missing one would crash the benchmark, not just fail here.
@@ -17,3 +22,13 @@ def test_setup_probe_names_are_public():
     for name in PROBE_NAMES:
         assert name in nrlinksim.__all__
         assert callable(getattr(nrlinksim, name))
+
+
+def test_readme_export_list_matches_all():
+    # The bulleted list after "The package exports" names every public
+    # name once, and nothing else.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("The package exports (`nrlinksim.__all__`):", 1)[1]
+    bullets = section.strip().split("\n\n", 1)[0]
+    listed = re.findall(r"`([^`]+)`", bullets)
+    assert sorted(listed) == sorted(n for n in nrlinksim.__all__ if n != "__version__")

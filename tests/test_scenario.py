@@ -125,6 +125,14 @@ class TestValidation:
         assert scenario_from_dict({"channel": "rice1", "n_slots": MAX_N_SLOTS}).n_slots \
             == MAX_N_SLOTS == 10 ** 6
 
+    @pytest.mark.parametrize("field", ["csi_period", "max_harq_tx", "coherence_slots"])
+    def test_slot_count_bounds_are_inclusive(self, field):
+        if field == "coherence_slots":
+            doc = {"channel": {"type": "rice1", field: MAX_N_SLOTS}}
+        else:
+            doc = {"channel": "rice1", field: MAX_N_SLOTS}
+        assert getattr(scenario_from_dict(doc), field) == MAX_N_SLOTS
+
     def test_non_integer_count_rejected(self):
         with pytest.raises(ScenarioError, match="n_slots"):
             scenario_from_dict({"channel": "rice1", "n_slots": 10.5})
@@ -177,6 +185,18 @@ class TestValidation:
     ('{"channel": "rice1", "n_slots": 0}', "scenario.n_slots"),
     ('{"channel": "rice1", "n_slots": 1000001}', "scenario.n_slots"),
     ('{"channel": "rice1", "n_slots": 10000000000}', "scenario.n_slots"),
+    ('{"channel": "rice1", "csi_period": 100000000000000000000}', "scenario.csi_period"),
+    ('{"channel": "rice1", "max_harq_tx": 100000000000000000000}', "scenario.max_harq_tx"),
+    ('{"channel": {"type": "rice1", "coherence_slots": 100000000000000000000}}',
+     "channel.coherence_slots"),
+    ('{"channel": "rice1", "csi_period": 9223372036854775807}', "scenario.csi_period"),
+    ('{"channel": "rice1", "max_harq_tx": 9223372036854775807}', "scenario.max_harq_tx"),
+    ('{"channel": {"type": "rice1", "coherence_slots": 9223372036854775807}}',
+     "channel.coherence_slots"),
+    ('{"channel": "rice1", "csi_period": 1000001}', "scenario.csi_period"),
+    ('{"channel": "rice1", "max_harq_tx": 1000001}', "scenario.max_harq_tx"),
+    ('{"channel": {"type": "rice1", "coherence_slots": 1000001}}',
+     "channel.coherence_slots"),
     ('{"channel": "rice1", "noise": {"snr_db": 10}}',
      "noise.snr_db applies only to mode 'snr'"),
     ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": 5, "snr_db_list": [1, 2]}}',

@@ -134,11 +134,10 @@ class TestRunSweepSnr:
 class TestRunCsiInspect:
     def test_reference_golden(self):
         insp = run_csi_inspect(parse_scenario(scenario_path("csi_fixed_2x4.json")))
-        assert (insp.ri, insp.pmi.key(), insp.wideband_sinr_db, insp.cqi) == \
+        assert (insp.ri, insp.pmi, insp.wideband_sinr_db, insp.cqi) == \
             (1, (0, 0, 0, 0), 12, 10)
         assert insp.gamma_min == pytest.approx(2.6605386228027736, rel=1e-12)
         assert insp.gamma_min == insp.gamma_median == insp.gamma_max
-        assert insp.noise_var == 0.1
 
     def test_orthogonal_rows_channel(self):
         insp = run_csi_inspect(scenario_from_dict({
@@ -147,7 +146,7 @@ class TestRunCsiInspect:
             "noise": {"mode": "variance", "variance": 0.1},
         }))
         assert insp.ri == 2
-        assert insp.pmi.key() == (0, 0, 1, 0)
+        assert insp.pmi == (0, 0, 1, 0)
         assert insp.wideband_sinr_db == 4
         assert insp.gamma_max == 2.0
 
@@ -350,6 +349,19 @@ class TestCli:
                            "--slots", "10000000000", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "scenario.n_slots" in err.getvalue()
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_slot_count_beyond_int64_rejected(self, tmp_path):
+        # Refused at parse; the drop would otherwise overflow int64 mid-run.
+        cfg = tmp_path / "big.json"
+        cfg.write_text('{"channel": "rice1", "n_slots": 20, "n_drops": 1,'
+                       ' "csi_period": 100000000000000000000}', encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = cli.main(["sweep-cqi", "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "scenario.csi_period" in err.getvalue()
         assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_fails(self, tmp_path):

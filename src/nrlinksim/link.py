@@ -4,14 +4,15 @@ The gNB follows each CSI report: its rank and precoder, and the MCS
 and transport-block size its CQI maps to; the PHY abstraction collapses
 the per-layer MMSE SINRs into one capped effective SINR and a logistic
 block-error probability anchored 1 dB above the Shannon limit of the
-scheme; a single-process stop-and-wait HARQ loop produces throughput
+scheme; single-process stop-and-wait HARQ produces throughput
 statistics.
 
 A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
 all sweep points), :func:`drop_csi` computes the reports and the
 effective SINRs at every noise point in one pass (shared by all forced
-CQIs), and :func:`run_harq` runs the slot loop for one sweep point.
+CQIs), and :func:`run_harq` runs HARQ for every sweep point of the drop
+in one array pass.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,11 +113,17 @@ def bler(eff_sinr_db: float, mcs: int) -> float:
 
 @dataclass(frozen=True)
 class ThroughputStats:
-    """Per-drop accounting of one closed-loop run."""
+    """Per-drop accounting of one closed-loop run.
+
+    ``tb_dropped`` counts the transport blocks given up after
+    ``max_harq_tx`` NACKs; one still pending when the drop ends is not
+    dropped.
+    """
 
     slots: int
     tb_attempts: int
     tb_acks: int
+    tb_dropped: int
     delivered_bits: int
     goodput_bps: float
     mean_bler: float
@@ -144,19 +152,19 @@ class DropChannel:
     first sent, for up to ``max_harq_tx`` attempts, so it can meet the
     blocks that follow.  The (report, block) pairs that can occur are
     numbered report by report: ``(k, b)`` is pair ``report_pair_base[k] + b``
-    of ``pair_report`` and ``pair_block``.
+    of ``pair_report`` and ``pair_block``.  Every field is an array.
     """
 
     seed: int
     h: np.ndarray
     p_rx: np.ndarray
     report_block: np.ndarray
-    slot_block: list[int]
-    slot_report: list[int]
-    ack_draws: list[float]
+    slot_block: np.ndarray
+    slot_report: np.ndarray
+    ack_draws: np.ndarray
     pair_report: np.ndarray
     pair_block: np.ndarray
-    report_pair_base: list[int]
+    report_pair_base: np.ndarray
 
 
 def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
@@ -192,31 +200,36 @@ def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
         h=h,
         p_rx=block_rx_power(h, scenario.n_prb),
         report_block=report_block,
-        slot_block=slot_block.tolist(),
-        slot_report=slot_report.tolist(),
-        ack_draws=np.random.default_rng([_ACK_STREAM, seed]).random(n).tolist(),
+        slot_block=slot_block,
+        slot_report=slot_report,
+        ack_draws=np.random.default_rng([_ACK_STREAM, seed]).random(n),
         pair_report=pair_report,
         pair_block=pair_block,
-        report_pair_base=(first_pair - report_block).tolist(),
+        report_pair_base=first_pair - report_block,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class DropCsi:
-    """CSI of one drop at one noise point.
+    """CSI of one drop at every noise point.
 
-    ``reports`` holds one report per reporting block of ``chan`` and
-    ``pair_eff_db`` the effective SINR of each (report, block) pair: the
-    report's precoder on the block's true channel and noise.
+    ``reports`` holds one report per reporting block of ``chan``: ``ri``
+    has one entry per block, the other columns shape
+    ``(n_points, n_blocks)``.  ``pair_eff_db``, shape
+    ``(n_points, n_pairs)``, holds the effective SINR of each
+    (report, block) pair: the report's precoder on the block's true
+    channel and noise.  :func:`run_harq` broadcasts ``cqi`` against
+    ``pair_eff_db``, so a forced-CQI sweep can stack its CQIs in ``cqi``
+    alone.
     """
 
     chan: DropChannel
     reports: CsiReports
-    pair_eff_db: list[float]
+    pair_eff_db: np.ndarray
 
 
-def drop_csi(scenario: Scenario, chan: DropChannel) -> list[DropCsi]:
-    """Reports and effective SINRs of ``chan``, one result per noise point.
+def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
+    """Reports and effective SINRs of ``chan`` at every noise point.
 
     The UE reports from its estimate, decoding sees the true channel.  The
     estimate, RI and the candidates' effective channels do not depend on
@@ -235,20 +248,17 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> list[DropCsi]:
         est = estimate_blocks(chan.h[blocks], scenario.est_error_var, chan.seed,
                               blocks.tolist(), scenario.n_prb)
         parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks))
-    ri, pmi, sinr_db, cqi = (np.concatenate(col, axis=-1) for col in zip(*parts))
-    pair_rank = ri[chan.pair_report]
+    reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
+    pair_rank = reports.ri[chan.pair_report]
     rank_rows = [(rank, np.flatnonzero(pair_rank == rank)) for rank in (1, 2)]
-    out = []
+    eff = np.empty((len(noise_vars), chan.pair_report.size))
     for point, noise_var in enumerate(noise_vars):
-        reports = CsiReports(ri, pmi[point], sinr_db[point], cqi[point])
-        eff = np.empty(chan.pair_report.size)
         for rank, rows in rank_rows:
             blocks = chan.pair_block[rows]
-            w = codebooks[(n_tx, rank)].precoders[reports.pmi[chan.pair_report[rows]]]
-            eff[rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
-                                           float(scenario.sinr_cap_db[rank]))
-        out.append(DropCsi(chan=chan, reports=reports, pair_eff_db=eff.tolist()))
-    return out
+            w = codebooks[(n_tx, rank)].precoders[reports.pmi[point, chan.pair_report[rows]]]
+            eff[point, rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
+                                                  float(scenario.sinr_cap_db[rank]))
+    return DropCsi(chan=chan, reports=reports, pair_eff_db=eff)
 
 
 @lru_cache(maxsize=None)
@@ -258,48 +268,168 @@ def _grants_by_cqi(n_prb: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(mcs), np.array([[tbs(m, 1, n_prb), tbs(m, 2, n_prb)] for m in mcs])
 
 
-def run_harq(scenario: Scenario, csi: DropCsi) -> ThroughputStats:
-    """Stop-and-wait HARQ over one drop at one sweep point.
+@lru_cache(maxsize=None)
+def _thresholds_db() -> np.ndarray:
+    """:func:`decode_threshold_db` of every MCS."""
+    return np.array([decode_threshold_db(m) for m in range(len(load_mcs_table()))])
+
+
+# An ACK decision ``u >= p_err`` whose draw ``u`` lies this close to the
+# vectorized ``p_err`` is redone with the scalar :func:`bler`.  ``np.exp``
+# and ``math.exp`` differ by an ulp or so, far inside this margin, so every
+# decision equals the scalar one.
+ACK_REDO_TOL = 1e-12
+
+# Upper bound on the (point, slot) elements of one HARQ pass: sweep points
+# are taken as many at a time as fit, and a long drop gets one point per
+# pass, which keeps memory as low as running the points one by one.
+HARQ_BATCH_ELEMS = 1 << 15
+
+
+def _acks(u: np.ndarray, pairs: np.ndarray, p_err: np.ndarray, eff: np.ndarray,
+          mcs: np.ndarray) -> np.ndarray:
+    """``u >= bler(eff, mcs)`` of pair ``pairs[j]`` against draw ``u[j]``, at every point.
+
+    ``p_err``, ``eff`` and ``mcs`` hold one row per point and one entry per pair.
+    """
+    gap = p_err[:, pairs]
+    acked = u >= gap
+    gap -= u
+    for i, j in zip(*np.nonzero(np.abs(gap, out=gap) <= ACK_REDO_TOL)):
+        acked[i, j] = u[j] >= bler(float(eff[i, pairs[j]]), int(mcs[i, pairs[j]]))
+    return acked
+
+
+class _Edges(NamedTuple):
+    """Slots whose transport block may follow an older report than their own.
+
+    A block is resent at most ``max_harq_tx - 1`` slots after it was first
+    sent, so a slot can carry a block of an older report only if it lies
+    fewer slots than that after the start of its own.  Edge slot ``slot[i]``,
+    under report ``k``, can follow report ``k - o`` for ``o < count[i]``:
+    that is candidate ``base[i] + o``, sent at ``cand_slot`` with pair
+    ``cand_pair``.
+    """
+
+    slot: np.ndarray
+    count: np.ndarray
+    base: np.ndarray
+    cand_slot: np.ndarray
+    cand_pair: np.ndarray
+
+
+def _edges(chan: DropChannel, max_tx: int) -> _Edges:
+    """The edge slots of ``chan`` when a block is sent at most ``max_tx`` times."""
+    slot_report = chan.slot_report
+    since_report = np.arange(slot_report.size) - np.flatnonzero(
+        np.diff(slot_report, prepend=-1))[slot_report]
+    slot = np.flatnonzero((slot_report > 0) & (since_report <= max_tx - 2))
+    newest = slot_report[slot]
+    count = newest - slot_report[np.maximum(slot - max_tx + 1, 0)] + 1
+    base = np.cumsum(count) - count
+    cand_slot = np.repeat(slot, count)
+    cand_report = np.repeat(newest + base, count) - np.arange(count.sum())
+    cand_pair = chan.report_pair_base[cand_report] + chan.slot_block[cand_slot]
+    return _Edges(slot, count, base, cand_slot, cand_pair)
+
+
+def _settle_edges(acked: np.ndarray, cand: np.ndarray, edges: _Edges,
+                  slot_report: np.ndarray, max_tx: int) -> None:
+    """Set ``acked`` at the edge slots from their candidates' decisions ``cand``.
+
+    Where every candidate agrees, the slot's own decision already holds.
+    Elsewhere the slots are walked in order, point by point: the last ACK
+    before a slot gives its attempt index, and that the report it follows.
+    """
+    votes = np.add.reduceat(cand, edges.base, axis=1, dtype=np.intp)
+    walk = np.nonzero((votes > 0) & (votes < edges.count))
+    acked[walk[0], edges.slot[walk[1]]] = False
+    settled = np.where(acked, np.arange(acked.shape[1]), -1)
+    np.maximum.accumulate(settled, axis=1, out=settled)
+    point = last = -1
+    for p, i in zip(*(w.tolist() for w in walk)):
+        t = int(edges.slot[i])
+        if p != point:
+            point, last = p, -1
+        tries = (t - max(last, int(settled[p, t - 1])) - 1) % max_tx
+        acked[p, t] = cand[p, edges.base[i] + slot_report[t] - slot_report[t - tries]]
+        if acked[p, t]:
+            last = t
+
+
+def _point_stats(scenario: Scenario, slot_report: np.ndarray, acked: np.ndarray,
+                 ri: np.ndarray, cqi: np.ndarray) -> list[ThroughputStats]:
+    """Statistics of each point from its per-slot ACKs, ``acked``, and its
+    reports' ``cqi``, one row per point."""
+    n, max_tx = scenario.n_slots, scenario.max_harq_tx
+    slots = np.arange(n)
+    # a_t: slots since one past the last ACK before t, mod max_tx.
+    tries = np.zeros(acked.shape, dtype=np.intp)
+    np.maximum.accumulate(np.where(acked[:, :-1], slots[1:], 0), axis=1, out=tries[:, 1:])
+    np.subtract(slots, tries, out=tries)
+    tries %= max_tx
+    dropped = np.count_nonzero((tries == max_tx - 1) & ~acked, axis=1)
+    # Slots and ACKs per (point, report followed), counted over flat indices.
+    n_points, n_reports = cqi.shape
+    carried = slot_report[np.subtract(slots, tries, out=tries)]
+    carried += n_reports * np.arange(n_points)[:, None]
+    sent, acks = (np.bincount(c, minlength=cqi.size).reshape(cqi.shape)
+                  for c in (carried.ravel(), carried[acked]))
+    mcs_of_cqi, bits_of_cqi = _grants_by_cqi(scenario.n_prb)
+    columns = (acks.sum(axis=1), dropped, (acks * bits_of_cqi[cqi, ri - 1]).sum(axis=1),
+               (sent * mcs_of_cqi[cqi]).sum(axis=1), sent @ ri, (sent * cqi).sum(axis=1))
+    return [ThroughputStats(
+        slots=n,
+        tb_attempts=n,
+        tb_acks=n_acks,
+        tb_dropped=n_dropped,
+        delivered_bits=bits,
+        goodput_bps=bits / n / SLOT_DURATION_S * scenario.dl_duty_factor,
+        mean_bler=(n - n_acks) / n,
+        mean_mcs=sum_mcs / n,
+        mean_ri=sum_ri / n,
+        mean_cqi=sum_cqi / n,
+    ) for n_acks, n_dropped, bits, sum_mcs, sum_ri, sum_cqi
+        in zip(*(c.tolist() for c in columns))]
+
+
+def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
+    """Stop-and-wait HARQ over one drop, one result per sweep point of ``csi``.
 
     Each slot carries one transport block: a new one on the rank and
     precoder of the report in force, with the MCS and size that its CQI
     maps to, or the pending one, resent as first sent up to
     ``max_harq_tx`` attempts and then dropped.  Exactly one uniform
     variate per slot is drawn against the block-error probability.
+
+    No loop runs over the slots.  With ``r`` the last slot before ``t``
+    whose block was ACKed, slot ``t`` makes attempt
+    ``a_t = (t - r - 1) mod max_harq_tx`` of the block first sent at
+    ``t - a_t``.  Every slot is decided under its own report; only the
+    edge slots (:class:`_Edges`) can follow an older one, and only those
+    whose decisions under their candidate reports disagree are walked.
     """
-    chan, (ri, _, _, cqi) = csi.chan, csi.reports
-    mcs_of_cqi, bits_of_cqi = _grants_by_cqi(scenario.n_prb)
-    mcs = mcs_of_cqi[cqi]
-    p_err = [bler(eff, m) for eff, m in zip(csi.pair_eff_db, mcs[chan.pair_report].tolist())]
-
-    n = scenario.n_slots
-    slot_report, pair_base, max_tx = chan.slot_report, chan.report_pair_base, scenario.max_harq_tx
-    carried, acked = [0] * n, [False] * n  # per slot: the report its block follows, its ACK
-    tries = 0
-    for slot, (u, block) in enumerate(zip(chan.ack_draws, chan.slot_block)):
-        if tries == 0:
-            k = slot_report[slot]
-            base = pair_base[k]
-        tries += 1
-        carried[slot] = k
-        if u >= p_err[base + block]:
-            acked[slot] = True
-            tries = 0
-        elif tries >= max_tx:
-            tries = 0  # block dropped after the last allowed attempt
-
-    carried, acked = np.array(carried), np.array(acked)
-    acks = int(np.count_nonzero(acked))
-    delivered = int(bits_of_cqi[cqi, ri - 1][carried[acked]].sum())
-    goodput = delivered / n / SLOT_DURATION_S * scenario.dl_duty_factor
-    return ThroughputStats(
-        slots=n,
-        tb_attempts=n,
-        tb_acks=acks,
-        delivered_bits=delivered,
-        goodput_bps=goodput,
-        mean_bler=(n - acks) / n,
-        mean_mcs=int(mcs[carried].sum()) / n,
-        mean_ri=int(ri[carried].sum()) / n,
-        mean_cqi=int(cqi[carried].sum()) / n,
-    )
+    chan = csi.chan
+    edges = _edges(chan, scenario.max_harq_tx)
+    own_pair = chan.report_pair_base[chan.slot_report] + chan.slot_block
+    ri, cqi, eff = csi.reports.ri, csi.reports.cqi, csi.pair_eff_db
+    n_points = max(len(cqi), len(eff))
+    cqi = np.broadcast_to(cqi, (n_points, ri.size))
+    eff = np.broadcast_to(eff, (n_points, chan.pair_report.size))
+    mcs_of_cqi, _ = _grants_by_cqi(scenario.n_prb)
+    step = max(1, HARQ_BATCH_ELEMS // (scenario.n_slots + edges.cand_slot.size))
+    out = []
+    for lo in range(0, n_points, step):
+        point_cqi, point_eff = cqi[lo:lo + step], eff[lo:lo + step]
+        pair_mcs = mcs_of_cqi[point_cqi][:, chan.pair_report]
+        # bler over arrays; _acks redoes near-ties with the scalar bler.
+        x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])
+        e = np.exp(-np.abs(x))
+        p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+        acked = _acks(chan.ack_draws, own_pair, p_err, point_eff, pair_mcs)
+        if edges.slot.size:
+            cand = _acks(chan.ack_draws[edges.cand_slot], edges.cand_pair, p_err, point_eff,
+                         pair_mcs)
+            _settle_edges(acked, cand, edges, chan.slot_report, scenario.max_harq_tx)
+        out += _point_stats(scenario, chan.slot_report, acked, ri, point_cqi)
+    return out

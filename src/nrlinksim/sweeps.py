@@ -82,17 +82,16 @@ def run_drops(scenario: Scenario, workers: int, drop) -> list:
 
 
 def _cqi_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
-    """One drop at every forced CQI: one channel and CSI pass, then HARQ per CQI."""
-    [csi] = drop_csi(scenario, drop_channel(scenario, seed))
-    cqi = csi.reports.cqi
-    return [run_harq(scenario, replace(csi, reports=csi.reports._replace(
-        cqi=np.full_like(cqi, forced)))) for forced in range(N_CQI)]
+    """One drop at every forced CQI: one channel and CSI pass, then one HARQ
+    pass whose ``cqi`` column holds one row per CQI."""
+    csi = drop_csi(scenario, drop_channel(scenario, seed))
+    forced = np.broadcast_to(np.arange(N_CQI)[:, None], (N_CQI, csi.reports.ri.size))
+    return run_harq(scenario, replace(csi, reports=csi.reports._replace(cqi=forced)))
 
 
 def _snr_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
-    """One drop at every SNR point: one channel and CSI pass, then HARQ per point."""
-    return [run_harq(scenario, csi)
-            for csi in drop_csi(scenario, drop_channel(scenario, seed))]
+    """One drop at every SNR point: one channel, CSI and HARQ pass."""
+    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
 
 
 def _goodput_and_bler(stats) -> tuple[float, float, float]:
@@ -142,8 +141,7 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
         raise ScenarioError("csi inspection needs a single noise point, not snr_sweep")
     one_slot = replace(scenario, n_slots=1)
     chan = drop_channel(one_slot, derive_seed(scenario.seed, 0))
-    [csi] = drop_csi(one_slot, chan)
-    ri, pmi, sinr_db, cqi = (int(c[0]) for c in csi.reports)
+    ri, pmi, sinr_db, cqi = (int(c.flat[0]) for c in drop_csi(one_slot, chan).reports)
     est = estimate_blocks(chan.h, scenario.est_error_var, chan.seed, [0], scenario.n_prb)
     gammas = gamma_stack(est[0])
     return CsiInspection(

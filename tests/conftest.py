@@ -33,8 +33,8 @@ def scenario_path(name: str) -> Path:
 def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
     """One closed-loop drop at the scenario's own noise point and CQI setting:
     the three engine phases run back to back."""
-    [csi] = drop_csi(scenario, drop_channel(scenario, seed))
-    return run_harq(scenario, csi)
+    [stats] = run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
+    return stats
 
 
 def at_snr(scenario: Scenario, snr_db: float) -> Scenario:

@@ -47,7 +47,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
 
     tb_grant = None
     tb_tries = 0
-    attempts = acks = 0
+    attempts = acks = dropped = 0
     delivered = 0
     sum_mcs = sum_ri = sum_cqi = 0
 
@@ -87,6 +87,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             delivered += bits
             tb_grant = None
         elif tb_tries >= scenario.max_harq_tx:
+            dropped += 1
             tb_grant = None
 
     n = scenario.n_slots
@@ -95,6 +96,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
         slots=n,
         tb_attempts=attempts,
         tb_acks=acks,
+        tb_dropped=dropped,
         delivered_bits=delivered,
         goodput_bps=goodput,
         mean_bler=(attempts - acks) / attempts if attempts else 0.0,
@@ -124,12 +126,15 @@ def scenario_docs(draw):
     csi = {}
     if draw(st.booleans()):
         csi["force_ri"] = draw(st.sampled_from([1, 2]))
+    n_slots = draw(st.integers(1, 70))
     return {
         "channel": channel, "n_tx": n_tx, "noise": noise, "csi": csi,
         "n_prb": draw(st.sampled_from([1, 3, 106])),
-        "n_slots": draw(st.integers(1, 70)),
+        "n_slots": n_slots,
         "csi_period": draw(st.integers(1, 9)),
-        "max_harq_tx": draw(st.integers(1, 5)),
+        # Beyond n_slots no block is ever dropped, so one block can follow
+        # its report to the end of the drop.
+        "max_harq_tx": draw(st.one_of(st.integers(1, 5), st.integers(1, n_slots + 3))),
         "est_error_var": draw(st.sampled_from([0.0, 0.0, 0.01, 0.3])),
         "n_drops": 1,
         "seed": draw(st.integers(0, 2 ** 32)),
@@ -146,12 +151,22 @@ STALE_GRANTS = {
     "est_error_var": 0.01, "n_drops": 1, "seed": 5,
 }
 
+# A report every slot on a channel that changes every slot, and one
+# transport block may be resent to the end of the drop: it can follow a
+# report many reports old.
+LONG_HARQ = dict(STALE_GRANTS, channel={"type": "rice1", "k_factor": 0.0, "coherence_slots": 1},
+                 noise={"mode": "snr", "snr_db": 2.0}, csi_period=1, n_slots=40,
+                 max_harq_tx=43, est_error_var=0.0, seed=8)
+
 
 @settings(max_examples=60, deadline=None)
 @given(doc=scenario_docs())
 @example(doc=STALE_GRANTS)
 @example(doc=dict(STALE_GRANTS, n_tx=2, csi={"force_ri": 2},
                   noise={"mode": "variance", "variance": 0.05}))
+@example(doc=LONG_HARQ)
+@example(doc=dict(LONG_HARQ, max_harq_tx=40))
+@example(doc=dict(STALE_GRANTS, max_harq_tx=1))
 def test_drop_and_cqi_sweep_match_oracle(doc):
     scenario = scenario_from_dict(doc)
     seed = derive_seed(scenario.seed, 0)
@@ -163,6 +178,7 @@ def test_drop_and_cqi_sweep_match_oracle(doc):
 @settings(max_examples=25, deadline=None)
 @given(doc=scenario_docs(), snrs=st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=3))
 @example(doc=STALE_GRANTS, snrs=[0.0, 12.5])
+@example(doc=LONG_HARQ, snrs=[-5.0, 2.0, 9.0])
 def test_snr_sweep_matches_oracle(doc, snrs):
     scenario = scenario_from_dict(dict(doc, noise={"mode": "snr_sweep",
                                                    "snr_db_list": snrs}))
@@ -185,12 +201,13 @@ def test_one_csi_pass_serves_every_snr_point(doc, snrs):
     sweep = scenario_from_dict(dict(doc, noise={"mode": "snr_sweep", "snr_db_list": snrs}))
     chan = drop_channel(sweep, derive_seed(sweep.seed, 0))
     swept = drop_csi(sweep, chan)
-    assert len(swept) == len(snrs)
-    for snr, csi in zip(snrs, swept):
-        [alone] = drop_csi(at_snr(sweep, snr), chan)
-        for got, want in zip(csi.reports, alone.reports):
-            assert got.shape == want.shape and np.array_equal(got, want)
-        assert csi.pair_eff_db == alone.pair_eff_db
+    assert swept.pair_eff_db.shape == (len(snrs), chan.pair_report.size)
+    for point, snr in enumerate(snrs):
+        alone = drop_csi(at_snr(sweep, snr), chan)
+        assert np.array_equal(swept.reports.ri, alone.reports.ri)
+        for got, want in zip(swept.reports[1:], alone.reports[1:]):
+            assert got.shape[0] == len(snrs) and np.array_equal(got[point:point + 1], want)
+        assert np.array_equal(swept.pair_eff_db[point:point + 1], alone.pair_eff_db)
 
 
 @settings(max_examples=60, deadline=None)

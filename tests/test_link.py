@@ -1,13 +1,14 @@
 """Unit tests for gNB link adaptation, PHY abstraction, and the drop loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
-                            bler, decode_threshold_db, effective_sinrs_db,
-                            mcs_from_cqi, tbs)
+                            bler, decode_threshold_db, drop_channel, drop_csi,
+                            effective_sinrs_db, mcs_from_cqi, run_harq, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
@@ -168,6 +169,44 @@ class TestBler:
         assert all(0.0 <= v <= 1.0 for v in wide)
 
 
+def _exp_mismatches(per_cqi: int = 6) -> list[tuple[int, float]]:
+    """(CQI, effective SINR) pairs whose logistic argument ``np.exp`` (on an
+    array) and ``math.exp`` round differently."""
+    cases = []
+    for cqi in (4, 9, 12, 15):
+        th = decode_threshold_db(mcs_from_cqi(cqi))
+        eff = th + np.linspace(-3.0, 3.0, 2001)
+        neg_abs_x = -np.abs(2.0 * (eff - th))
+        differ = np.flatnonzero(np.exp(neg_abs_x)
+                                != np.array([math.exp(v) for v in neg_abs_x.tolist()]))
+        cases += [(cqi, float(eff[i])) for i in differ[::max(1, differ.size // per_cqi)]]
+    return cases
+
+
+class TestAckDecisions:
+    def test_draws_at_the_scalar_bler_decide_as_the_scalar(self):
+        # Point i has one (CQI, SINR) case; slots 2i and 2i + 1 draw exactly
+        # bler(case i) and one ulp below it.  Every point's ACKs must count
+        # the draws u >= its scalar bler, also where the array exp differs.
+        cases = _exp_mismatches()
+        if not cases:
+            pytest.skip("np.exp equals math.exp on every probed input here")
+        p_err = [bler(eff, mcs_from_cqi(cqi)) for cqi, eff in cases]
+        draws = np.array([u for b in p_err for u in (b, np.nextafter(b, 0.0))])
+        sc = scenario_from_dict({
+            "channel": {"type": "fixed", "matrix": H_2X4_REF},
+            "noise": {"mode": "variance", "variance": 0.1},
+            "n_slots": draws.size, "n_drops": 1, "max_harq_tx": 1,
+        })
+        chan = replace(drop_channel(sc, seed=0), ack_draws=draws)
+        csi = drop_csi(sc, chan)
+        csi = replace(csi, pair_eff_db=np.array([[eff] for _, eff in cases]),
+                      reports=csi.reports._replace(cqi=np.array([[cqi] for cqi, _ in cases])))
+        got = [s.tb_acks for s in run_harq(sc, csi)]
+        assert got == [int(np.count_nonzero(draws >= b)) for b in p_err]
+        assert all(draws[2 * i] >= b > draws[2 * i + 1] for i, b in enumerate(p_err))
+
+
 def _noise_free_scenario(**extra):
     cfg = {
         "channel": {"type": "fixed", "matrix": H_2X4_REF},
@@ -273,7 +312,7 @@ class TestSimulateDrop:
 
 class TestThroughputStats:
     def test_goodput_mbps(self):
-        s = ThroughputStats(slots=10, tb_attempts=10, tb_acks=10,
+        s = ThroughputStats(slots=10, tb_attempts=10, tb_acks=10, tb_dropped=0,
                             delivered_bits=1000, goodput_bps=2.5e6,
                             mean_bler=0.0, mean_mcs=1.0, mean_ri=1.0,
                             mean_cqi=4.0)

@@ -3,11 +3,12 @@
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nrlinksim import cli, sweeps
+from nrlinksim import cli, link, sweeps
 from nrlinksim.channel import derive_seed
 from nrlinksim.link import drop_channel, drop_csi, mcs_from_cqi, tbs
 from nrlinksim.scenario import ScenarioError, parse_scenario, scenario_from_dict
@@ -80,6 +81,34 @@ class TestRunDrops:
         sc = _small_rice(n_drops=2, n_slots=40, noise=noise)
         assert sweep(sc, workers=2) == sweep(sc, workers=1)
         assert len(started) == 1
+
+
+SWEEP_SCENARIOS = ["cqi_sweep_fixed_2x4.json", "cqi_sweep_rice1_2x4.json",
+                   "snr_sweep_fixed_2x2.json", "snr_sweep_fixed_2x4.json",
+                   "snr_sweep_rice1_2x2.json", "snr_sweep_rice1_2x4.json"]
+
+
+@pytest.mark.parametrize("name", SWEEP_SCENARIOS)
+def test_one_point_per_harq_pass_changes_nothing(name, monkeypatch):
+    # Two drops of each golden sweep, all points in one HARQ pass per drop,
+    # then one point per pass: every drop's statistics are the same.
+    sc = replace(parse_scenario(scenario_path(name)), n_drops=2)
+    sweep = run_sweep_snr if sc.noise.mode == "snr_sweep" else run_sweep_cqi
+    passes = []
+
+    def counted(scenario, slot_report, acked, *rest):
+        passes.append(len(acked))
+        return point_stats(scenario, slot_report, acked, *rest)
+
+    point_stats = link._point_stats
+    monkeypatch.setattr(link, "_point_stats", counted)
+    runs = []
+    for budget in (1 << 40, 1):
+        monkeypatch.setattr(link, "HARQ_BATCH_ELEMS", budget)
+        runs.append([row.drops for row in sweep(sc)])
+    n_points = len(runs[0])
+    assert passes == [n_points] * 2 + [1] * n_points * 2
+    assert runs[1] == runs[0]
 
 
 class TestRunSweepCqi:
@@ -186,9 +215,10 @@ class TestHighSnrReports:
         sc = self._scenario(matrix, ri, {"mode": "snr_sweep",
                                          "snr_db_list": self.HIGH_SNR_DB})
         chan = drop_channel(sc, derive_seed(sc.seed, 0))
-        cols = [csi.reports for csi in drop_csi(sc, chan)]
-        reports = [(r.ri.tolist(), r.pmi.tolist(), r.cqi.tolist()) for r in cols]
-        assert reports == [reports[0]] * len(self.HIGH_SNR_DB)
+        reports = drop_csi(sc, chan).reports
+        assert reports.pmi.shape == reports.cqi.shape == (len(self.HIGH_SNR_DB), 1)
+        assert reports.pmi.tolist() == [reports.pmi[0].tolist()] * len(self.HIGH_SNR_DB)
+        assert reports.cqi.tolist() == [reports.cqi[0].tolist()] * len(self.HIGH_SNR_DB)
         rows = run_sweep_snr(sc)
         assert [r.drops for r in rows] == [rows[0].drops] * len(rows)
 

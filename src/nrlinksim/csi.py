@@ -72,18 +72,6 @@ class CsiReports(NamedTuple):
     cqi: np.ndarray
 
 
-class LayerSinrs(NamedTuple):
-    """Per-layer SINR with its (signal, interference+noise) split.
-
-    ``sinr == signal / noise_interf`` elementwise; the split is what
-    wideband aggregation sums separately.
-    """
-
-    sinr: np.ndarray
-    signal: np.ndarray
-    noise_interf: np.ndarray
-
-
 def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     """Rank decision of each block from its per-subcarrier condition metric.
 
@@ -102,44 +90,49 @@ def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     return np.where(2 * votes2 > mats.shape[1], 2, 1)
 
 
-def _split_batch(g: np.ndarray, noise_var) -> LayerSinrs:
-    """MMSE per-layer SINR split for a stack of effective channels.
+def _split_batch(g: np.ndarray, noise_var, combine) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE per-layer SINR of a stack of effective channels, as a (numerator, denominator) pair.
 
     ``g`` has shape ``(..., 2, n_layers)`` (effective channel ``H @ W``
     per block/subcarrier/candidate); ``noise_var`` is a scalar or an array
-    broadcasting against ``g.shape[:-2]``, with no negative entry.  With
-    zero noise, layers with nonzero effective gain clamp to
-    ``NOISE_FREE_LAYER_SINR`` (split as that value over 1); zero-gain
-    layers get SINR 0.
+    broadcasting against ``g.shape[:-2]``, with no negative entry.  Where
+    the noise is positive, a layer's SINR is ``x / y`` and the pair is
+    ``combine(x, y)``.  With zero noise, layers with nonzero effective gain
+    clamp to ``NOISE_FREE_LAYER_SINR`` (that value over 1); zero-gain
+    layers get 0 over 1.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
-    norms = np.sum(np.abs(g) ** 2, axis=-2)
+    power = np.abs(g) ** 2
+    norms = power[..., 0, :] + power[..., 1, :]
     n = noise_var[..., None]
     if not np.all(noise_var):
         # Kept only where n is 0; comparing with n keeps its noise-point axes.
         signal = np.where(norms > n, NOISE_FREE_LAYER_SINR, 0.0)
-        free = LayerSinrs(signal, signal, np.ones_like(signal))
+        free = (signal, np.ones_like(signal))
         if not np.any(noise_var):
             return free
-        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0))
-        return LayerSinrs(*(np.where(n > 0.0, a, b) for a, b in zip(noisy, free)))
+        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), combine)
+        return tuple(np.where(n > 0.0, a, b) for a, b in zip(noisy, free))
     # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
     # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
     # where x_l = e + |g_l|^2, y_l = o_l + n and D = x_l + y_l.  At rank 2
     # e = |det G|^2 / n and o_l is the other column's |g|^2; both are 0 at
-    # rank 1.  A layer's signal is s^2, its interference+noise s t, and its
-    # SINR s / t = x / y.  Both products of det take their column-0 factor
-    # first, so det is exactly 0 when one row of G is a power-of-two
-    # multiple of the other, however the complex product rounds.
+    # rank 1.  Both products of det take their column-0 factor first, so
+    # det is exactly 0 when one row of G is a power-of-two multiple of the
+    # other, however the complex product rounds.
     if g.shape[-1] == 2:
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
-        x = (np.abs(det) ** 2 / noise_var)[..., None] + norms
-        y = norms[..., ::-1] + n
-    else:
-        x, y = norms, n
+        return combine((np.abs(det) ** 2 / noise_var)[..., None] + norms, norms[..., ::-1] + n)
+    return combine(norms, n)
+
+
+def _powers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signal ``s^2`` and interference+noise ``s t``, ``s = x / (x + y)``, ``t = y / (x + y)``."""
     d = x + y
-    s, t = x / d, y / d
-    return LayerSinrs(x / y, s * s, s * t)
+    s = x / d
+    t = np.divide(y, d, out=d)
+    np.multiply(s, t, out=t)
+    return np.multiply(s, s, out=s), t
 
 
 def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
@@ -149,7 +142,8 @@ def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
     ``(n_blocks, n_tx, n_layers)`` and ``noise_var`` one value per block.
     Returns shape ``(n_blocks, n_eval, n_layers)``.
     """
-    return _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
+    x, y = _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None], lambda x, y: (x, y))
+    return x / y
 
 
 def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
@@ -170,10 +164,14 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     """
     if cb.ports != mats.shape[-1]:
         raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
-    g = np.einsum("bsij,cjl->bcsil", mats, cb.precoders)
-    split = _split_batch(g, np.asarray(noise_var)[..., None, None])
-    sig = split.signal.sum(axis=(-2, -1))
-    nin = split.noise_interf.sum(axis=(-2, -1))
+    # One einsum per precoder column: at rank 2 the product over both
+    # columns at once is about 3x slower, and matmul rounds differently.
+    g = np.empty((len(mats), len(cb.precoders), *mats.shape[1:-1], cb.rank), complex)
+    for l in range(cb.rank):
+        np.einsum("bsij,cj->bcsi", mats, cb.precoders[..., l], out=g[..., l])
+    signal, noise_interf = _split_batch(g, np.asarray(noise_var)[..., None, None], _powers)
+    sig = signal.sum(axis=(-2, -1))
+    nin = noise_interf.sum(axis=(-2, -1))
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
     best = np.max(ratios, axis=-1, keepdims=True)
     winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)

@@ -28,6 +28,10 @@ DEFAULT_N_SLOTS = 2000
 # bounds the other slot counts, which mean nothing more beyond one drop and
 # would otherwise overflow int64 mid-run.
 MAX_N_SLOTS = 10 ** 6
+# Most (report, block) pairs one drop may hold, as bounded by
+# _harq_pair_bound: each costs a few hundred bytes in drop_csi and run_harq.
+# A Rician drop of 10^6 slots at the default fields needs 3 * 10^5.
+MAX_HARQ_PAIRS = 2 ** 19
 DEFAULT_N_DROPS = 20
 DEFAULT_CSI_PERIOD = 10
 DEFAULT_K_FACTOR = 1.0
@@ -98,8 +102,11 @@ class NoiseModel:
                 raise ScenarioError(f"noise.{key} applies only to mode {owner!r}")
             if not given and self.mode == owner:
                 raise ScenarioError(f"noise.{key} is required for mode {owner!r}")
-        if self.variance is not None and not self.variance > 0:
-            raise ScenarioError("noise.variance must be > 0 for mode 'variance'")
+        # A subnormal variance overflows |det G|^2 / n in the PMI search.
+        if self.variance is not None and not self.variance >= np.finfo(float).tiny:
+            raise ScenarioError("noise.variance must be a positive normal float "
+                                f"(>= {np.finfo(float).tiny}) for mode 'variance', "
+                                f"got {self.variance}")
         if self.snr_db is not None and not _snr_in_range(self.snr_db):
             raise ScenarioError(
                 f"noise.snr_db must give a positive finite linear SNR, got {self.snr_db}")
@@ -140,6 +147,14 @@ class Scenario:
             if not 1 <= value <= MAX_N_SLOTS:
                 raise ScenarioError(
                     f"scenario.{name} must be in [1, {MAX_N_SLOTS}], got {value}")
+        pairs = _harq_pair_bound(self.n_slots, self.coherence_slots or self.n_slots,
+                                self.csi_period, self.max_harq_tx)
+        if pairs > MAX_HARQ_PAIRS:
+            raise ScenarioError(
+                f"scenario.max_harq_tx {self.max_harq_tx} with n_slots {self.n_slots}, "
+                f"csi_period {self.csi_period} and channel.coherence_slots "
+                f"{self.coherence_slots} allows up to {pairs} (report, block) pairs "
+                f"per drop, above {MAX_HARQ_PAIRS}")
         if self.n_drops < 1:
             raise ScenarioError(f"n_drops must be >= 1, got {self.n_drops}")
         if not 0.0 < self.dl_duty_factor <= 1.0:
@@ -197,6 +212,24 @@ class Scenario:
             return np.full((1,) + p_rx.shape, float(self.noise.variance))
         snrs = self.noise.snr_db_list or (self.noise.snr_db,)
         return np.array([snr_noise_variance(snr, p_rx) for snr in snrs])
+
+
+def _harq_pair_bound(n_slots: int, coherence_slots: int, csi_period: int,
+                    max_harq_tx: int) -> int:
+    """Upper bound, in O(1), on the (report, block) pairs of one drop.
+
+    A drop of ``B`` blocks holds at most ``R = min(B, ceil(n_slots /
+    csi_period))`` reports, the ``k``-th in block ``b_k >= k``.  Its grant
+    meets blocks ``b_k`` up to at most ``q = ceil((max_harq_tx - 2) /
+    coherence_slots)`` past the next report's block, and never past the
+    last block: the pairs number at most ``B + (R - 1)(q + 1)`` and at
+    most ``sum_k (B - k)``.
+    """
+    blocks = -(-n_slots // coherence_slots)
+    reports = min(blocks, -(-n_slots // csi_period))
+    reach = -(-max(max_harq_tx - 2, 0) // coherence_slots)
+    return min(blocks + (reports - 1) * (reach + 1),
+               reports * blocks - reports * (reports - 1) // 2)
 
 
 def _require(cond: bool, msg: str) -> None:

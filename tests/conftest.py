@@ -13,11 +13,13 @@ import math
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from nrlinksim.csi import _CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2
+from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
+                           NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR
 from nrlinksim.link import ThroughputStats, drop_channel, drop_csi, run_harq
 from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
@@ -97,6 +99,59 @@ def precoder_for(key, rank: int, ports: int) -> np.ndarray:
     top = np.stack([v, vp], axis=1)
     bot = np.stack([phi * v, -phi * vp], axis=1)
     return np.vstack([top, bot]) / math.sqrt(8.0)
+
+
+class LayerSinrs(NamedTuple):
+    """Per-layer MMSE SINR with its (signal, interference+noise) split."""
+
+    sinr: np.ndarray
+    signal: np.ndarray
+    noise_interf: np.ndarray
+
+
+def split_oracle(g: np.ndarray, noise_var) -> LayerSinrs:
+    """Bitwise oracle of the engine's per-layer MMSE split: every field in
+    one pass, column norms as a sum over the receive rows, no array
+    updated in place.  ``g`` has shape ``(..., 2, n_layers)`` and
+    ``noise_var`` broadcasts against ``g.shape[:-2]``."""
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    norms = np.sum(np.abs(g) ** 2, axis=-2)
+    n = noise_var[..., None]
+    if not np.all(noise_var):
+        signal = np.where(norms > n, NOISE_FREE_LAYER_SINR, 0.0)
+        free = LayerSinrs(signal, signal, np.ones_like(signal))
+        if not np.any(noise_var):
+            return free
+        noisy = split_oracle(g, np.where(noise_var > 0.0, noise_var, 1.0))
+        return LayerSinrs(*(np.where(n > 0.0, a, b) for a, b in zip(noisy, free)))
+    if g.shape[-1] == 2:
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
+        x = (np.abs(det) ** 2 / noise_var)[..., None] + norms
+        y = norms[..., ::-1] + n
+    else:
+        x, y = norms, n
+    d = x + y
+    s, t = x / d, y / d
+    return LayerSinrs(x / y, s * s, s * t)
+
+
+def select_pmi_oracle(mats: np.ndarray, noise_var, cb) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise oracle of ``csi.select_pmi_blocks``: every candidate's
+    effective channels from one einsum over all precoder columns, then
+    :func:`split_oracle`."""
+    g = np.einsum("bsij,cjl->bcsil", mats, cb.precoders)
+    split = split_oracle(g, np.asarray(noise_var)[..., None, None])
+    sig = split.signal.sum(axis=(-2, -1))
+    nin = split.noise_interf.sum(axis=(-2, -1))
+    ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
+    best = np.max(ratios, axis=-1, keepdims=True)
+    winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
+    return winners, np.take_along_axis(ratios, winners[..., None], axis=-1)[..., 0]
+
+
+def block_layer_sinrs_oracle(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
+    """Bitwise oracle of ``csi.block_layer_sinrs``."""
+    return split_oracle(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
 
 
 def _timed_cqi(name: str):

@@ -11,11 +11,12 @@ from nrlinksim.channel import estimate_blocks, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
 from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
-                           CsiConfig, CsiReports, _split_batch, block_layer_sinrs,
+                           CsiConfig, CsiReports, _powers, _split_batch, block_layer_sinrs,
                            compute_ri_blocks, make_reports, select_pmi_blocks)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 
-from conftest import select_cqi
+from conftest import (LayerSinrs, block_layer_sinrs_oracle, select_cqi,
+                      select_pmi_oracle)
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
@@ -55,9 +56,11 @@ def _pmi(mats, noise_var, cb):
 
 
 def _layer_sinrs(h, w, noise_var):
-    """Per-layer MMSE split of one subcarrier under one precoder."""
-    return _split_batch(np.asarray(h, dtype=complex) @ np.asarray(w, dtype=complex),
-                        noise_var)
+    """Per-layer MMSE SINR and split of one subcarrier under one precoder."""
+    h, w = np.asarray(h, dtype=complex), np.asarray(w, dtype=complex)
+    signal, noise_interf = _split_batch(h @ w, noise_var, _powers)
+    return LayerSinrs(block_layer_sinrs(_flat(h), w[None], [noise_var])[0, 0],
+                      signal, noise_interf)
 
 
 def _report(mats, noise_var, cfg, cbs):
@@ -201,8 +204,6 @@ class TestLayerSinrs:
         out = _layer_sinrs(H_ORTHO, w, 0.1)
         assert out.sinr == pytest.approx([5.0], rel=1e-12)
         assert out.signal / out.noise_interf == pytest.approx(out.sinr)
-        got = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])
-        assert np.array_equal(got[0, 0], out.sinr)
 
     def test_rank2_reference(self):
         w = build_codebook(4, 2).precoders[2]  # key (0, 0, 1, 0)
@@ -340,12 +341,49 @@ def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
     want = [_oracle_layer_sinrs(h, w, noise_var) for h in mats]
     assert got.ravel() == pytest.approx(np.ravel(want), rel=1e-9)
 
-    split = _split_batch(np.einsum("sij,cjl->csil", mats, cb.precoders), noise_var)
-    ratios = split.signal.sum(axis=(-2, -1)) / split.noise_interf.sum(axis=(-2, -1))
+    signal, noise_interf = _split_batch(np.einsum("sij,cjl->csil", mats, cb.precoders),
+                                        noise_var, _powers)
+    ratios = signal.sum(axis=(-2, -1)) / noise_interf.sum(axis=(-2, -1))
     want_ratios = _oracle_wideband_ratios(mats, cb, noise_var)
     assert ratios == pytest.approx(want_ratios, rel=1e-9)
     _, best = select_pmi_blocks(mats[None], [noise_var], cb)
     assert best[0] == pytest.approx(max(want_ratios), rel=1e-9)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2]), n_eval=st.sampled_from([1, 7, 106]),
+       n_blocks=st.integers(1, 3), n_points=st.integers(1, 4),
+       noise=st.sampled_from(["zero", "mixed", "positive"]))
+@example(seed=3, n_tx=4, rank=2, n_eval=106, n_blocks=1, n_points=3, noise="positive")
+@example(seed=3, n_tx=4, rank=1, n_eval=106, n_blocks=1, n_points=3, noise="positive")
+@example(seed=4, n_tx=2, rank=2, n_eval=7, n_blocks=2, n_points=2, noise="mixed")
+def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_blocks,
+                                                  n_points, noise):
+    # The search and the per-layer SINRs compute what the oracle computes,
+    # in the same order, so winners and every float agree to the bit.
+    rng = np.random.default_rng(seed)
+    mats = (rng.standard_normal((n_blocks, n_eval, 2, n_tx))
+            + 1j * rng.standard_normal((n_blocks, n_eval, 2, n_tx)))
+    noise_var = 10.0 ** rng.uniform(-6.0, 3.0, (n_points, n_blocks))
+    if noise == "zero":
+        noise_var[:] = 0.0
+    elif noise == "mixed":
+        assume(noise_var.size > 1)
+        zero = rng.random(noise_var.shape) < 0.5
+        zero.flat[0], zero.flat[-1] = True, False
+        noise_var[zero] = 0.0
+    cb = build_codebook(n_tx, rank)
+    winners, ratios = select_pmi_blocks(mats, noise_var, cb)
+    want_winners, want_ratios = select_pmi_oracle(mats, noise_var, cb)
+    assert np.array_equal(winners, want_winners)
+    assert ratios.dtype == want_ratios.dtype and ratios.shape == want_ratios.shape
+    assert ratios.tobytes() == want_ratios.tobytes()
+    w = cb.precoders[rng.integers(len(cb.precoders), size=n_blocks)]
+    for row in noise_var:
+        got = block_layer_sinrs(mats, w, row)
+        want = block_layer_sinrs_oracle(mats, w, row)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

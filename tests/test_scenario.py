@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power
-from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_N_SLOTS, Scenario,
-                                ScenarioError, parse_scenario, scenario_from_dict)
+from nrlinksim.link import drop_channel
+from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_HARQ_PAIRS, MAX_N_SLOTS, Scenario,
+                                ScenarioError, _harq_pair_bound, parse_scenario,
+                                scenario_from_dict)
 
 from conftest import SCENARIO_DIR, scenario_path
 
@@ -133,6 +135,22 @@ class TestValidation:
             doc = {"channel": "rice1", field: MAX_N_SLOTS}
         assert getattr(scenario_from_dict(doc), field) == MAX_N_SLOTS
 
+    def test_harq_pair_bound_is_inclusive(self):
+        # 1023 slots with a report and a block per slot and grants that reach
+        # the end of the drop: 1023 * 1024 / 2 pairs, the most below the bound.
+        doc = {"channel": {"type": "rice1", "coherence_slots": 1}, "n_slots": 1023,
+               "csi_period": 1, "max_harq_tx": 1023}
+        assert _harq_pair_bound(1023, 1, 1, 1023) == 1023 * 1024 // 2 <= MAX_HARQ_PAIRS
+        assert _harq_pair_bound(1024, 1, 1, 1024) == 1024 * 1025 // 2 > MAX_HARQ_PAIRS
+        assert scenario_from_dict(doc).max_harq_tx == 1023
+        with pytest.raises(ScenarioError, match="scenario.max_harq_tx"):
+            scenario_from_dict(dict(doc, n_slots=1024, max_harq_tx=1024))
+
+    def test_smallest_normal_variance_accepted(self):
+        tiny = float(np.finfo(float).tiny)
+        doc = {"channel": "rice1", "noise": {"mode": "variance", "variance": tiny}}
+        assert scenario_from_dict(doc).noise.variance == tiny
+
     def test_non_integer_count_rejected(self):
         with pytest.raises(ScenarioError, match="n_slots"):
             scenario_from_dict({"channel": "rice1", "n_slots": 10.5})
@@ -197,6 +215,14 @@ class TestValidation:
     ('{"channel": "rice1", "max_harq_tx": 1000001}', "scenario.max_harq_tx"),
     ('{"channel": {"type": "rice1", "coherence_slots": 1000001}}',
      "channel.coherence_slots"),
+    ('{"channel": {"type": "rice1", "coherence_slots": 1}, "n_slots": 1024,'
+     ' "csi_period": 1, "max_harq_tx": 1024}', "scenario.max_harq_tx"),
+    ('{"channel": {"type": "rice1", "coherence_slots": 1}, "n_slots": 1000000,'
+     ' "csi_period": 1}', "scenario.max_harq_tx"),
+    ('{"channel": "rice1", "noise": {"mode": "variance", "variance": 1e-310}}',
+     "noise.variance"),
+    ('{"channel": "rice1", "noise": {"mode": "variance", "variance": 5e-324}}',
+     "noise.variance"),
     ('{"channel": "rice1", "noise": {"snr_db": 10}}',
      "noise.snr_db applies only to mode 'snr'"),
     ('{"channel": "rice1", "noise": {"mode": "snr", "snr_db": 5, "snr_db_list": [1, 2]}}',
@@ -325,6 +351,23 @@ class TestDerivedHelpers:
                                                               0.33203125])
         assert sweep.noise_vars(np.array([1.0, 2.0])).tolist() == [[1.0, 2.0], [0.1, 0.2],
                                                                    [1.0, 2.0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_slots=st.integers(1, 120), coherence=st.one_of(st.none(), st.integers(1, 30)),
+       csi_period=st.integers(1, 30), max_harq_tx=st.integers(1, 125))
+@example(n_slots=40, coherence=1, csi_period=1, max_harq_tx=40)
+def test_harq_pair_bound_covers_the_drop(n_slots, coherence, csi_period, max_harq_tx):
+    # None stands for a fixed channel: one block for the whole drop.
+    channel = ({"type": "fixed", "matrix": H_2X4_REF} if coherence is None
+               else {"type": "rice1", "coherence_slots": coherence})
+    sc = scenario_from_dict({"channel": channel, "n_slots": n_slots, "n_drops": 1,
+                             "csi_period": csi_period, "max_harq_tx": max_harq_tx})
+    bound = _harq_pair_bound(n_slots, coherence or n_slots, csi_period, max_harq_tx)
+    pairs = drop_channel(sc, 5).pair_report.size
+    assert pairs <= bound
+    if (coherence, csi_period) == (1, 1) and max_harq_tx >= n_slots:
+        assert pairs == bound == n_slots * (n_slots + 1) // 2
 
 
 class TestParseScenario:

@@ -394,6 +394,22 @@ class TestCli:
         assert "scenario.csi_period" in err.getvalue()
         assert not (tmp_path / "x.csv").exists()
 
+    def test_harq_pairs_beyond_bound_rejected(self, tmp_path):
+        # Runs at 20 slots; at 1024 its grants could meet n_slots^2 / 2
+        # (report, block) pairs, refused when the override is applied.
+        cfg = tmp_path / "long_harq.json"
+        cfg.write_text('{"channel": {"type": "rice1", "coherence_slots": 1}, "n_slots": 20,'
+                       ' "n_drops": 1, "csi_period": 1, "max_harq_tx": 2000}',
+                       encoding="utf-8")
+        args = ["sweep-cqi", "--config", str(cfg)]
+        assert cli.main(args + ["--out", str(tmp_path / "ok.csv")]) == 0
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = cli.main(args + ["--slots", "1024", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "scenario.max_harq_tx" in err.getvalue()
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_config_fails(self, tmp_path):
         err = io.StringIO()
         with redirect_stderr(err):

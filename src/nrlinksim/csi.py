@@ -9,6 +9,7 @@ lookup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -90,20 +91,52 @@ def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     return np.where(2 * votes2 > mats.shape[1], 2, 1)
 
 
-def _split_batch(g: np.ndarray, noise_var, combine) -> tuple[np.ndarray, np.ndarray]:
+def _fresh(name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+    """A new uninitialized array; ``name`` is ignored."""
+    return np.empty(shape, dtype)
+
+
+class Scratch:
+    """Temporaries shared by a run of PMI searches, one growing buffer per name.
+
+    A full-band search builds about 1 MB of temporaries per block.  Made
+    afresh, they are freed on top of the heap, which malloc may hand back
+    to the kernel and fault in again for the next block, or not, depending
+    on where the heap's last live block happens to sit: the same sweep
+    then runs at one of two speeds.  Calling a ``Scratch`` in place of
+    :func:`_fresh` returns an uninitialized view of the buffer kept for
+    ``name``, grown to the largest size asked for, so a run of searches
+    faults its temporaries in once.  Views of one name share memory.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple[str, type], np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get((name, dtype))
+        if buf is None or buf.size < size:
+            buf = self._buffers[(name, dtype)] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _split_batch(g: np.ndarray, noise_var, combine,
+                 empty=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """MMSE per-layer SINR of a stack of effective channels, as a (numerator, denominator) pair.
 
     ``g`` has shape ``(..., 2, n_layers)`` (effective channel ``H @ W``
     per block/subcarrier/candidate); ``noise_var`` is a scalar or an array
     broadcasting against ``g.shape[:-2]``, with no negative entry.  Where
     the noise is positive, a layer's SINR is ``x / y`` and the pair is
-    ``combine(x, y)``.  With zero noise, layers with nonzero effective gain
-    clamp to ``NOISE_FREE_LAYER_SINR`` (that value over 1); zero-gain
-    layers get 0 over 1.
+    ``combine(x, y, empty)``.  With zero noise, layers with nonzero
+    effective gain clamp to ``NOISE_FREE_LAYER_SINR`` (that value over 1);
+    zero-gain layers get 0 over 1.  Temporaries come from ``empty(name,
+    shape, dtype)``.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
-    power = np.abs(g) ** 2
-    norms = power[..., 0, :] + power[..., 1, :]
+    power = np.abs(g, out=empty("power", g.shape))
+    np.square(power, out=power)
+    norms = np.add(power[..., 0, :], power[..., 1, :], out=empty("norms", g.shape[:-2] + g.shape[-1:]))
     n = noise_var[..., None]
     if not np.all(noise_var):
         # Kept only where n is 0; comparing with n keeps its noise-point axes.
@@ -111,7 +144,7 @@ def _split_batch(g: np.ndarray, noise_var, combine) -> tuple[np.ndarray, np.ndar
         free = (signal, np.ones_like(signal))
         if not np.any(noise_var):
             return free
-        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), combine)
+        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), combine, empty)
         return tuple(np.where(n > 0.0, a, b) for a, b in zip(noisy, free))
     # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
     # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
@@ -121,15 +154,25 @@ def _split_batch(g: np.ndarray, noise_var, combine) -> tuple[np.ndarray, np.ndar
     # det is exactly 0 when one row of G is a power-of-two multiple of the
     # other, however the complex product rounds.
     if g.shape[-1] == 2:
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
-        return combine((np.abs(det) ** 2 / noise_var)[..., None] + norms, norms[..., ::-1] + n)
-    return combine(norms, n)
+        base = g.shape[:-2]
+        det = np.multiply(g[..., 0, 0], g[..., 1, 1], out=empty("det", base, complex))
+        det -= np.multiply(g[..., 1, 0], g[..., 0, 1], out=empty("det_b", base, complex))
+        e = np.abs(det, out=empty("e", base))
+        np.square(e, out=e)
+        points = np.broadcast_shapes(base, noise_var.shape)
+        e = np.divide(e, noise_var, out=empty("e_n", points))
+        pair = points + (2,)
+        return combine(np.add(e[..., None], norms, out=empty("x", pair)),
+                       np.add(norms[..., ::-1], n, out=empty("y", pair)), empty)
+    return combine(norms, n, empty)
 
 
-def _powers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _powers(x: np.ndarray, y: np.ndarray,
+            empty=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """Signal ``s^2`` and interference+noise ``s t``, ``s = x / (x + y)``, ``t = y / (x + y)``."""
-    d = x + y
-    s = x / d
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    d = np.add(x, y, out=empty("d", shape))
+    s = np.divide(x, d, out=empty("s", shape))
     t = np.divide(y, d, out=d)
     np.multiply(s, t, out=t)
     return np.multiply(s, s, out=s), t
@@ -142,12 +185,13 @@ def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
     ``(n_blocks, n_tx, n_layers)`` and ``noise_var`` one value per block.
     Returns shape ``(n_blocks, n_eval, n_layers)``.
     """
-    x, y = _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None], lambda x, y: (x, y))
+    x, y = _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None],
+                        lambda x, y, empty: (x, y))
     return x / y
 
 
 def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive codebook search maximizing each block's wideband SINR.
 
     ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
@@ -160,16 +204,19 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     cannot flip the choice.
 
     Returns the winning row of ``cb.precoders`` and the winning linear
-    wideband ratio, each of ``noise_var``'s shape.
+    wideband ratio, each of ``noise_var``'s shape.  Temporaries come from
+    ``scratch`` when given, else are made afresh.
     """
     if cb.ports != mats.shape[-1]:
         raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
     # One einsum per precoder column: at rank 2 the product over both
     # columns at once is about 3x slower, and matmul rounds differently.
-    g = np.empty((len(mats), len(cb.precoders), *mats.shape[1:-1], cb.rank), complex)
+    empty = _fresh if scratch is None else scratch
+    g = empty("g", (len(mats), len(cb.precoders), *mats.shape[1:-1], cb.rank), complex)
     for l in range(cb.rank):
         np.einsum("bsij,cj->bcsi", mats, cb.precoders[..., l], out=g[..., l])
-    signal, noise_interf = _split_batch(g, np.asarray(noise_var)[..., None, None], _powers)
+    signal, noise_interf = _split_batch(g, np.asarray(noise_var)[..., None, None], _powers,
+                                        empty)
     sig = signal.sum(axis=(-2, -1))
     nin = noise_interf.sum(axis=(-2, -1))
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
@@ -209,14 +256,15 @@ def blocks_per_search(n_eval: int,
 
 def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
                  codebooks: Mapping[tuple[int, int], PrecoderCodebook],
-                 ) -> CsiReports:
+                 scratch: Scratch | None = None) -> CsiReports:
     """Full UE feedback for each block: RI, PMI, SINR, CQI.
 
     ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
     shape ``(..., n_blocks)``, one value per block at each noise point;
     ``ri`` has one entry per block, the other columns ``noise_var``'s shape.
     ``codebooks`` maps ``(ports, rank)`` to prebuilt codebooks covering the
-    port count at both ranks.  For memory, see :func:`blocks_per_search`.
+    port count at both ranks.  For memory, see :func:`blocks_per_search`;
+    ``scratch`` is passed to every :func:`select_pmi_blocks`.
     """
     n_tx = mats.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
@@ -227,7 +275,7 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
         rows = np.flatnonzero(ri == rank)
         if rows.size:
             pmi[..., rows], ratio[..., rows] = select_pmi_blocks(
-                mats[rows], noise_var[..., rows], codebooks[(n_tx, rank)])
+                mats[rows], noise_var[..., rows], codebooks[(n_tx, rank)], scratch)
     sinr_db = lin_to_int_db(ratio)
     if cfg.force_cqi is None:
         cqi = CQI_FROM_SINR[ri - 1, sinr_db - DB_FLOOR]

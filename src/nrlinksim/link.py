@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import block_rx_power, estimate_blocks
 from .codebook import build_codebook_set
-from .csi import CsiReports, block_layer_sinrs, blocks_per_search, make_reports
+from .csi import CsiReports, Scratch, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
 from .tables import N_CQI, load_cqi_table, load_mcs_table
 
@@ -242,12 +242,12 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
     step = blocks_per_search(n_eval * len(noise_vars), codebooks)
-    parts = []
+    parts, scratch = [], Scratch()
     for lo in range(0, chan.report_block.size, step):
         blocks = chan.report_block[lo:lo + step]
         est = estimate_blocks(chan.h[blocks], scenario.est_error_var, chan.seed,
                               blocks.tolist(), scenario.n_prb)
-        parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks))
+        parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
     pair_rank = reports.ri[chan.pair_report]
     rank_rows = [(rank, np.flatnonzero(pair_rank == rank)) for rank in (1, 2)]

@@ -1,6 +1,7 @@
 """Unit tests for the UE-side CSI engine (RI, PMI, CQI)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from nrlinksim.channel import estimate_blocks, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
 from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
-                           CsiConfig, CsiReports, _powers, _split_batch, block_layer_sinrs,
-                           compute_ri_blocks, make_reports, select_pmi_blocks)
+                           CsiConfig, CsiReports, Scratch, _powers, _split_batch,
+                           block_layer_sinrs, compute_ri_blocks, make_reports,
+                           select_pmi_blocks)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 
 from conftest import (LayerSinrs, block_layer_sinrs_oracle, select_cqi,
@@ -295,6 +297,36 @@ class TestSelectPmi:
         idx, _ = _pmi(_flat(H_2X4_REF), 0.1, cb)
         assert idx == tuple(full.keys[5])
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_repeated_searches_reuse_their_temporaries(self, rank):
+        # Searches sharing a Scratch allocate their block-sized temporaries
+        # once; a repeat allocates less than half of what the first one
+        # did, whatever NumPy buffers inside its ufuncs.
+        mats = _random_mats(6, 106, 4)[None]
+        noise_var = [[1.0], [0.1], [0.01]]
+        cb, scratch, peaks = build_codebook(4, rank), Scratch(), []
+        for _ in range(2):
+            tracemalloc.start()
+            select_pmi_blocks(mats, noise_var, cb, scratch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 2
+
+    def test_scratch_changes_no_result(self):
+        # One Scratch serves searches of both ranks, growing its buffers,
+        # zero noise included; no result changes, and none is overwritten
+        # by a later search.
+        noise_var = [[1.0], [0.0], [0.01]]
+        scratch, kept = Scratch(), []
+        for seed, rank, n_eval in [(7, 1, 106), (8, 2, 7), (9, 2, 106), (10, 1, 1)]:
+            mats = _random_mats(seed, n_eval, 4)[None]
+            cb = build_codebook(4, rank)
+            got = select_pmi_blocks(mats, noise_var, cb, scratch)
+            want = select_pmi_blocks(mats, noise_var, cb)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            kept.append((got, [a.copy() for a in got]))
+        assert all(np.array_equal(a, b) for got, want in kept for a, b in zip(got, want))
+
     def test_mismatched_codebook_rejected(self):
         with pytest.raises(ConfigurationError):
             select_pmi_blocks(_flat(H_2X4_REF), [0.1], build_codebook(2, 1))
@@ -374,11 +406,16 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
         zero.flat[0], zero.flat[-1] = True, False
         noise_var[zero] = 0.0
     cb = build_codebook(n_tx, rank)
-    winners, ratios = select_pmi_blocks(mats, noise_var, cb)
     want_winners, want_ratios = select_pmi_oracle(mats, noise_var, cb)
-    assert np.array_equal(winners, want_winners)
-    assert ratios.dtype == want_ratios.dtype and ratios.shape == want_ratios.shape
-    assert ratios.tobytes() == want_ratios.tobytes()
+    # Fresh temporaries, then a Scratch whose buffers a search at the
+    # other rank has already sized and filled.
+    scratch = Scratch()
+    select_pmi_blocks(mats, noise_var, build_codebook(n_tx, 3 - rank), scratch)
+    for winners, ratios in (select_pmi_blocks(mats, noise_var, cb),
+                            select_pmi_blocks(mats, noise_var, cb, scratch)):
+        assert np.array_equal(winners, want_winners)
+        assert ratios.dtype == want_ratios.dtype and ratios.shape == want_ratios.shape
+        assert ratios.tobytes() == want_ratios.tobytes()
     w = cb.precoders[rng.integers(len(cb.precoders), size=n_blocks)]
     for row in noise_var:
         got = block_layer_sinrs(mats, w, row)

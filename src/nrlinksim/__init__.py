@@ -8,7 +8,8 @@ into goodput numbers.  Channels are block arrays, one ``(2, n_tx)``
 matrix per coherence block.
 """
 
-from .channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
+from .channel import (block_rx_power, derive_seed, estimate_blocks, estimate_streams,
+                      rice1_blocks)
 from .codebook import PrecoderCodebook, build_codebook, build_codebook_set
 from .csi import (CsiConfig, CsiReports, compute_ri_blocks, make_reports,
                   select_pmi_blocks)
@@ -23,7 +24,7 @@ from .tables import CqiEntry, McsEntry, load_cqi_table, load_mcs_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "block_rx_power", "derive_seed", "estimate_blocks", "rice1_blocks",
+    "block_rx_power", "derive_seed", "estimate_blocks", "estimate_streams", "rice1_blocks",
     "PrecoderCodebook", "build_codebook", "build_codebook_set",
     "CsiConfig", "CsiReports", "compute_ri_blocks", "make_reports",
     "select_pmi_blocks",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import block_rx_power, estimate_blocks
+from .channel import block_rx_power, estimate_blocks, estimate_streams
 from .codebook import build_codebook_set
 from .csi import CsiReports, Scratch, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
@@ -235,18 +235,22 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     estimate, RI and the candidates' effective channels do not depend on
     the noise, so one pass serves every noise point, and every forced CQI.
     Estimates are drawn a few blocks at a time, which bounds memory when
-    they span the whole band.
+    they span the whole band; their random streams are derived once for
+    the whole drop.
     """
     n_tx = scenario.n_tx
     codebooks = build_codebook_set(n_tx)
     noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
     step = blocks_per_search(n_eval * len(noise_vars), codebooks)
+    streams = (estimate_streams(chan.seed, chan.report_block)
+               if scenario.est_error_var else None)
     parts, scratch = [], Scratch()
     for lo in range(0, chan.report_block.size, step):
         blocks = chan.report_block[lo:lo + step]
-        est = estimate_blocks(chan.h[blocks], scenario.est_error_var, chan.seed,
-                              blocks.tolist(), scenario.n_prb)
+        est = estimate_blocks(chan.h[blocks], scenario.est_error_var,
+                              None if streams is None else streams[lo:lo + step],
+                              scenario.n_prb)
         parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
     pair_rank = reports.ri[chan.pair_report]

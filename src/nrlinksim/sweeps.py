@@ -18,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .channel import derive_seed, estimate_blocks
+from .channel import derive_seed, estimate_blocks, estimate_streams
 from .codebook import build_codebook
 from .linalg import gamma_stack
 from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
@@ -142,7 +142,8 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     one_slot = replace(scenario, n_slots=1)
     chan = drop_channel(one_slot, derive_seed(scenario.seed, 0))
     ri, pmi, sinr_db, cqi = (int(c.flat[0]) for c in drop_csi(one_slot, chan).reports)
-    est = estimate_blocks(chan.h, scenario.est_error_var, chan.seed, [0], scenario.n_prb)
+    est = estimate_blocks(chan.h, scenario.est_error_var, estimate_streams(chan.seed, [0]),
+                          scenario.n_prb)
     gammas = gamma_stack(est[0])
     return CsiInspection(
         ri=ri, pmi=tuple(build_codebook(scenario.n_tx, ri).keys[pmi].tolist()),

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from nrlinksim.channel import _EST_STREAM, _LOS_STREAM, _NLOS_STREAM
 from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
                            NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR
@@ -47,6 +48,35 @@ def at_snr(scenario: Scenario, snr_db: float) -> Scenario:
 def with_forced_cqi(scenario: Scenario, cqi: int) -> Scenario:
     """The scenario at one point of a forced-CQI sweep, as a scenario of its own."""
     return replace(scenario, csi=replace(scenario.csi, force_cqi=cqi))
+
+
+def rice1_blocks_oracle(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray:
+    """Bitwise oracle of ``channel.rice1_blocks``: one generator per block,
+    ``default_rng([_NLOS_STREAM, seed, block])``."""
+    theta = np.random.default_rng([_LOS_STREAM, seed]).uniform(0.0, 2.0 * np.pi)
+    los = np.full((2, n_tx), np.exp(1j * theta), dtype=np.complex128)
+    scat = np.empty((len(block_ids), 2, n_tx), dtype=np.complex128)
+    for i, block_id in enumerate(block_ids):
+        rng = np.random.default_rng([_NLOS_STREAM, seed, block_id])
+        scat[i] = rng.standard_normal((2, n_tx)) + 1j * rng.standard_normal((2, n_tx))
+    scat /= np.sqrt(2.0)
+    return np.sqrt(k_factor / (k_factor + 1.0)) * los + np.sqrt(1.0 / (k_factor + 1.0)) * scat
+
+
+def estimate_blocks_oracle(h: np.ndarray, est_error_var: float, seed: int,
+                           block_ids, n_sc: int) -> np.ndarray:
+    """Bitwise oracle of ``channel.estimate_blocks`` with ``estimate_streams(seed,
+    block_ids)``: one generator per block, ``default_rng([_EST_STREAM, seed, block])``."""
+    if est_error_var == 0:
+        return h[:, None]
+    shape = (n_sc,) + h.shape[1:]
+    out = np.empty((len(h),) + shape, dtype=np.complex128)
+    for i, block_id in enumerate(block_ids):
+        rng = np.random.default_rng([_EST_STREAM, seed, block_id])
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noise *= np.sqrt(est_error_var / 2.0)
+        out[i] = h[i] + noise
+    return out
 
 
 def scalar_lin_to_int_db(x: float) -> int:

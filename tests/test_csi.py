@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nrlinksim.channel import estimate_blocks, rice1_blocks
+from nrlinksim.channel import estimate_blocks, estimate_streams, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
 from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
@@ -540,7 +540,7 @@ class TestMakeReport:
             cbs = build_codebook_set(n_tx)
             for seed in range(12):
                 h = rice1_blocks(seed=seed, k_factor=1.0, n_tx=n_tx, block_ids=[0])
-                noisy = estimate_blocks(h, 0.02, seed=seed, block_ids=[0], n_sc=5)
+                noisy = estimate_blocks(h, 0.02, estimate_streams(seed, [0]), n_sc=5)
                 for nv in (0.5, 0.05):
                     ri, pmi, sinr_db, cqi = _report(noisy, nv, cfg, cbs)
                     assert ri in (1, 2)

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrlinksim.channel import block_rx_power, derive_seed, estimate_blocks, rice1_blocks
+from nrlinksim.channel import block_rx_power, derive_seed
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
@@ -24,14 +24,15 @@ from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
-from conftest import at_snr, precoder_for, simulate_drop, with_forced_cqi
+from conftest import (at_snr, estimate_blocks_oracle, precoder_for, rice1_blocks_oracle,
+                      simulate_drop, with_forced_cqi)
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
     """True channel of one coherence block, shape (1, 2, n_tx)."""
     if scenario.channel.kind == "fixed":
         return np.asarray(scenario.channel.matrix, dtype=np.complex128)[None]
-    return rice1_blocks(seed, scenario.channel.k_factor, scenario.n_tx, [block])
+    return rice1_blocks_oracle(seed, scenario.channel.k_factor, scenario.n_tx, [block])
 
 
 def oracle_drop(scenario, seed: int) -> ThroughputStats:
@@ -56,7 +57,8 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
         if block != cur_block:
             cur_block = block
             h = block_channel(scenario, seed, block)
-            est = estimate_blocks(h, scenario.est_error_var, seed, [block], scenario.n_prb)
+            est = estimate_blocks_oracle(h, scenario.est_error_var, seed, [block],
+                                         scenario.n_prb)
             noise_var = scenario.noise_vars(block_rx_power(h, scenario.n_prb))[0]
         if slot % scenario.csi_period == 0 and report_block != block:
             report = make_reports(est, noise_var, scenario.csi, codebooks)

@@ -1,11 +1,15 @@
 """Unit tests for gNB link adaptation, PHY abstraction, and the drop loop."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nrlinksim import link
+from nrlinksim.codebook import build_codebook_set
+from nrlinksim.csi import blocks_per_search
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
                             bler, decode_threshold_db, drop_channel, drop_csi,
                             effective_sinrs_db, mcs_from_cqi, run_harq, tbs)
@@ -317,3 +321,43 @@ class TestThroughputStats:
                             mean_bler=0.0, mean_mcs=1.0, mean_ri=1.0,
                             mean_cqi=4.0)
         assert s.goodput_mbps == 2.5
+
+
+def _esterr_scenario(n_slots: int):
+    """Rician 2x4, full-band estimation error, three SNR points: every
+    reporting block gets an ``estimate_blocks`` call of its own."""
+    return scenario_from_dict({
+        "n_tx": 4, "n_prb": 106, "n_slots": n_slots, "csi_period": 10,
+        "est_error_var": 0.01,
+        "channel": {"type": "rice1", "k_factor": 1.0, "coherence_slots": 10},
+        "noise": {"mode": "snr_sweep", "snr_db_list": [0, 10, 20]}})
+
+
+class TestRandomStreams:
+    def test_generators_per_drop_do_not_grow_with_blocks(self, monkeypatch):
+        counts = Counter()
+        for name in ("default_rng", "SeedSequence", "PCG64"):
+            def counted(*args, _real=getattr(np.random, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counted)
+
+        def generators(n_slots):
+            counts.clear()
+            scenario = _esterr_scenario(n_slots)
+            drop_csi(scenario, drop_channel(scenario, 7))
+            return dict(counts)
+
+        assert generators(20) == generators(400)
+
+    def test_estimate_streams_derived_once_per_drop(self, monkeypatch):
+        scenario = _esterr_scenario(200)
+        assert blocks_per_search(scenario.n_prb * 3, build_codebook_set(4)) == 1
+        calls = Counter()
+        for name in ("estimate_streams", "estimate_blocks"):
+            def counted(*args, _real=getattr(link, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(link, name, counted)
+        drop_csi(scenario, drop_channel(scenario, 7))
+        assert calls == {"estimate_streams": 1, "estimate_blocks": 20}

@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": nproc,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "note": (f"Wall-clock timings from a shared {nproc}-core sandbox, one run each; "
+        "note": (f"Wall-clock timings from a shared {nproc}-core host, one run each; "
                  "other tenants add run-to-run drift, so compare only files recorded "
                  "on the same host."),
         "workload_seconds": args.seconds,

@@ -23,9 +23,9 @@ from .linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 NOISE_FREE_LAYER_SINR = 1e4
 
 # Upper bound on the elements of the largest temporary array one batched
-# step over coherence blocks builds.  Flat blocks fit by the dozen; a
-# block of full-band estimates gets a step of its own, which keeps memory
-# as low as processing blocks one by one.
+# step over coherence blocks, or over noise points of the pair SINRs,
+# builds.  Flat blocks fit by the dozen; a step gets at least one block or
+# point, which keeps memory as low as processing them one by one.
 BATCH_ELEMS = 1 << 13
 
 # Relative tolerance of the wideband-metric tie-break.  Precoders that
@@ -181,11 +181,11 @@ def _powers(x: np.ndarray, y: np.ndarray,
 def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
     """Per-layer linear SINRs of each block under its own precoder.
 
-    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``, ``w`` shape
-    ``(n_blocks, n_tx, n_layers)`` and ``noise_var`` one value per block.
-    Returns shape ``(n_blocks, n_eval, n_layers)``.
+    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``, ``w`` shape ``(...,
+    n_blocks, n_tx, n_layers)`` and ``noise_var`` shape ``(..., n_blocks)``,
+    leading axes broadcasting.  Returns shape ``(..., n_blocks, n_eval, n_layers)``.
     """
-    x, y = _split_batch(mats @ w[:, None], np.asarray(noise_var)[:, None],
+    x, y = _split_batch(mats @ w[..., None, :, :], np.asarray(noise_var)[..., None],
                         lambda x, y, empty: (x, y))
     return x / y
 

@@ -9,10 +9,10 @@ statistics.
 
 A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
-all sweep points), :func:`drop_csi` computes the reports and the
-effective SINRs at every noise point in one pass (shared by all forced
-CQIs), and :func:`run_harq` runs HARQ for every sweep point of the drop
-in one array pass.
+all sweep points), :func:`drop_csi` computes the reports and, one array
+call per rank, the effective SINRs at every noise point (shared by all
+forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
+the drop in one array pass.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .channel import block_rx_power, estimate_blocks, estimate_streams
 from .codebook import build_codebook_set
+from . import csi as csi_module
 from .csi import CsiReports, Scratch, block_layer_sinrs, blocks_per_search, make_reports
 from .scenario import Scenario
 from .tables import N_CQI, load_cqi_table, load_mcs_table
@@ -79,15 +80,15 @@ def effective_sinrs_db(mats: np.ndarray, w: np.ndarray, noise_var,
     """Mean per-layer linear SINR over the band, in dB, ceilinged at ``cap_db``.
 
     One value per block: ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``,
-    ``w`` holds each block's precoder, all of one rank, with the ceiling
-    ``cap_db`` of that rank, and ``noise_var`` one value per block.  The
-    rank-dependent ceiling models the fixed receiver impairment that keeps
-    high modulation orders from becoming error free even when the channel
-    SNR grows without bound.
+    ``w`` shape ``(..., n_blocks, n_tx, n_layers)``, each block's precoder at
+    the rank whose ceiling is ``cap_db``, ``noise_var`` and the result shape
+    ``(..., n_blocks)``.  The rank-dependent ceiling models the fixed
+    receiver impairment that keeps high modulation orders from becoming
+    error free even when the channel SNR grows without bound.
     """
-    mean_lin = np.mean(block_layer_sinrs(mats, w, noise_var), axis=(1, 2))
+    mean_lin = np.mean(block_layer_sinrs(mats, w, noise_var), axis=(-2, -1))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
-                     for m in mean_lin.tolist()])
+                     for m in mean_lin.ravel().tolist()]).reshape(mean_lin.shape)
 
 
 def decode_threshold_db(mcs: int) -> float:
@@ -234,9 +235,9 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     The UE reports from its estimate, decoding sees the true channel.  The
     estimate, RI and the candidates' effective channels do not depend on
     the noise, so one pass serves every noise point, and every forced CQI.
-    Estimates are drawn a few blocks at a time, which bounds memory when
-    they span the whole band; their random streams are derived once for
-    the whole drop.
+    To bound memory, estimates are taken a few blocks at a time, and pair
+    SINRs as many noise points at a time as fit ``csi.BATCH_ELEMS`` (at
+    least one); the estimates' random streams are derived once per drop.
     """
     n_tx = scenario.n_tx
     codebooks = build_codebook_set(n_tx)
@@ -254,14 +255,16 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
         parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
     pair_rank = reports.ri[chan.pair_report]
-    rank_rows = [(rank, np.flatnonzero(pair_rank == rank)) for rank in (1, 2)]
     eff = np.empty((len(noise_vars), chan.pair_report.size))
-    for point, noise_var in enumerate(noise_vars):
-        for rank, rows in rank_rows:
-            blocks = chan.pair_block[rows]
-            w = codebooks[(n_tx, rank)].precoders[reports.pmi[point, chan.pair_report[rows]]]
-            eff[point, rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
-                                                  float(scenario.sinr_cap_db[rank]))
+    for rank in np.flatnonzero(np.bincount(pair_rank)).tolist():  # the ranks present
+        rows = np.flatnonzero(pair_rank == rank)
+        blocks, pair_pmi = chan.pair_block[rows], reports.pmi[:, chan.pair_report[rows]]
+        mats, precoders = chan.h[blocks][:, None], codebooks[(n_tx, rank)].precoders
+        step = max(1, csi_module.BATCH_ELEMS // (rows.size * 2 * rank))
+        for lo in range(0, len(noise_vars), step):
+            eff[lo:lo + step, rows] = effective_sinrs_db(
+                mats, precoders[pair_pmi[lo:lo + step]], noise_vars[lo:lo + step, blocks],
+                float(scenario.sinr_cap_db[rank]))
     return DropCsi(chan=chan, reports=reports, pair_eff_db=eff)
 
 

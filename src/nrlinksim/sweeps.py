@@ -19,7 +19,8 @@ from typing import TextIO
 import numpy as np
 
 from .channel import derive_seed, estimate_blocks, estimate_streams
-from .codebook import build_codebook
+from .codebook import build_codebook, build_codebook_set
+from .csi import make_reports
 from .linalg import gamma_stack
 from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
 from .scenario import Scenario, ScenarioError
@@ -139,19 +140,15 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     """One-shot CSI of the first coherence block of drop 0."""
     if scenario.noise.mode == "snr_sweep":
         raise ScenarioError("csi inspection needs a single noise point, not snr_sweep")
-    one_slot = replace(scenario, n_slots=1)
-    chan = drop_channel(one_slot, derive_seed(scenario.seed, 0))
-    ri, pmi, sinr_db, cqi = (int(c.flat[0]) for c in drop_csi(one_slot, chan).reports)
+    chan = drop_channel(replace(scenario, n_slots=1), derive_seed(scenario.seed, 0))
     est = estimate_blocks(chan.h, scenario.est_error_var, estimate_streams(chan.seed, [0]),
                           scenario.n_prb)
+    ri, pmi, sinr_db, cqi = (int(c.flat[0]) for c in make_reports(
+        est, scenario.noise_vars(chan.p_rx), scenario.csi, build_codebook_set(scenario.n_tx)))
     gammas = gamma_stack(est[0])
-    return CsiInspection(
-        ri=ri, pmi=tuple(build_codebook(scenario.n_tx, ri).keys[pmi].tolist()),
-        wideband_sinr_db=sinr_db, cqi=cqi,
-        gamma_min=float(np.min(gammas)),
-        gamma_median=float(np.median(gammas)),
-        gamma_max=float(np.max(gammas)),
-    )
+    return CsiInspection(ri=ri, pmi=tuple(build_codebook(scenario.n_tx, ri).keys[pmi].tolist()),
+                         wideband_sinr_db=sinr_db, cqi=cqi, gamma_min=float(np.min(gammas)),
+                         gamma_median=float(np.median(gammas)), gamma_max=float(np.max(gammas)))
 
 
 def _fmt(x) -> str:

@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 
 from nrlinksim.channel import _EST_STREAM, _LOS_STREAM, _NLOS_STREAM
+from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
-                           NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL)
+                           NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL, CsiReports)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR
-from nrlinksim.link import ThroughputStats, drop_channel, drop_csi, run_harq
+from nrlinksim.link import (DropChannel, ThroughputStats, drop_channel, drop_csi,
+                            effective_sinrs_db, run_harq)
 from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
@@ -182,6 +184,24 @@ def select_pmi_oracle(mats: np.ndarray, noise_var, cb) -> tuple[np.ndarray, np.n
 def block_layer_sinrs_oracle(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
     """Bitwise oracle of ``csi.block_layer_sinrs``."""
     return split_oracle(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
+
+
+def pair_eff_db_oracle(scenario: Scenario, chan: DropChannel, reports: CsiReports) -> np.ndarray:
+    """Bitwise oracle of ``DropCsi.pair_eff_db``: one ``effective_sinrs_db``
+    call per (noise point, rank), each on that point's noise alone."""
+    codebooks = build_codebook_set(scenario.n_tx)
+    noise_vars = scenario.noise_vars(chan.p_rx)
+    pair_rank = reports.ri[chan.pair_report]
+    eff = np.empty((len(noise_vars), chan.pair_report.size))
+    for point, noise_var in enumerate(noise_vars):
+        for rank in (1, 2):
+            rows = np.flatnonzero(pair_rank == rank)
+            blocks = chan.pair_block[rows]
+            pmi = reports.pmi[point, chan.pair_report[rows]]
+            w = codebooks[(scenario.n_tx, rank)].precoders[pmi]
+            eff[point, rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
+                                                  float(scenario.sinr_cap_db[rank]))
+    return eff
 
 
 def _timed_cqi(name: str):

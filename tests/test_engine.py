@@ -24,8 +24,8 @@ from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
-from conftest import (at_snr, estimate_blocks_oracle, precoder_for, rice1_blocks_oracle,
-                      simulate_drop, with_forced_cqi)
+from conftest import (at_snr, estimate_blocks_oracle, pair_eff_db_oracle, precoder_for,
+                      rice1_blocks_oracle, simulate_drop, with_forced_cqi)
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -210,6 +210,45 @@ def test_one_csi_pass_serves_every_snr_point(doc, snrs):
         for got, want in zip(swept.reports[1:], alone.reports[1:]):
             assert got.shape[0] == len(snrs) and np.array_equal(got[point:point + 1], want)
         assert np.array_equal(swept.pair_eff_db[point:point + 1], alone.pair_eff_db)
+
+
+@st.composite
+def pair_pass_docs(draw):
+    """Scenario documents at one of the noise modes whose pair SINRs can
+    reach -inf (a zero channel) or mix noise-free and noisy points."""
+    doc = draw(scenario_docs())
+    noise = draw(st.sampled_from([
+        {"mode": "noise_free"},
+        {"mode": "variance", "variance": draw(st.floats(0.01, 2.0))},
+        {"mode": "snr_sweep",
+         "snr_db_list": draw(st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=6))},
+    ]))
+    if doc["channel"]["type"] == "fixed" and noise["mode"] != "snr_sweep" and draw(st.booleans()):
+        doc["channel"] = {"type": "fixed", "matrix": [[[0.0, 0.0]] * doc["n_tx"]] * 2}
+    return dict(doc, noise=noise)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=pair_pass_docs())
+@example(doc=dict(STALE_GRANTS, noise={"mode": "snr_sweep", "snr_db_list": [0.0, 9.0, 30.0]}))
+@example(doc=dict(STALE_GRANTS, n_tx=2, csi={"force_ri": 2}, noise={"mode": "noise_free"},
+                  channel={"type": "fixed", "matrix": [[[0.0, 0.0]] * 2] * 2}))
+@example(doc=dict(STALE_GRANTS, csi={"force_ri": 1}, noise={"mode": "variance", "variance": 0.5},
+                  channel={"type": "fixed", "matrix": [[[0.0, 0.0]] * 4] * 2}))
+# At 3080 dB the noise variance of this faint channel underflows to 0: one
+# noise-free point in the same pass as noisy ones.
+@example(doc=dict(STALE_GRANTS, n_tx=2, est_error_var=0.0,
+                  channel={"type": "fixed", "matrix": [[1e-9, 5e-10], [0, 1e-9]]},
+                  noise={"mode": "snr_sweep", "snr_db_list": [10.0, 3080.0, -5.0]}))
+def test_pair_pass_matches_per_point_oracle(doc):
+    # All noise points in one call per rank give the bits of one call per
+    # (point, rank), -inf included.
+    scenario = scenario_from_dict(doc)
+    chan = drop_channel(scenario, derive_seed(scenario.seed, 0))
+    csi = drop_csi(scenario, chan)
+    want = pair_eff_db_oracle(scenario, chan, csi.reports)
+    assert csi.pair_eff_db.shape == want.shape
+    assert csi.pair_eff_db.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,16 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nrlinksim import link
+from nrlinksim import csi, link
+from nrlinksim.channel import derive_seed
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import blocks_per_search
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
                             bler, decode_threshold_db, drop_channel, drop_csi,
                             effective_sinrs_db, mcs_from_cqi, run_harq, tbs)
-from nrlinksim.scenario import scenario_from_dict
+from nrlinksim.scenario import parse_scenario, scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
-from conftest import precoder_for, simulate_drop
+from conftest import precoder_for, scenario_path, simulate_drop
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
@@ -139,6 +140,23 @@ class TestEffectiveSinr:
     def test_zero_channel_is_minus_inf(self):
         w = _precoder(ri=1)
         assert effective_sinr_db(np.zeros((2, 4)), w, 0.5, self.CAPS) == -math.inf
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_leading_axes_equal_calls_of_their_own(self, rank):
+        # Three noise points of three full-band blocks, one of them zero:
+        # each point's row has the bits of a call for that point alone.
+        rng = np.random.default_rng(3)
+        mats = rng.standard_normal((3, 5, 2, 4)) + 1j * rng.standard_normal((3, 5, 2, 4))
+        mats[1] = 0.0
+        keys = [(i, 0, 1, i % 4) for i in range(3)]
+        w = np.stack([[precoder_for(k, rank, 4) for k in keys[p:] + keys[:p]] for p in range(3)])
+        noise = np.array([[0.1, 0.0, 2.0], [0.0, 0.0, 0.0], [1e-3, 0.5, 0.0]])
+        got = effective_sinrs_db(mats, w, noise, self.CAPS[rank])
+        assert got.shape == (3, 3)
+        for p in range(3):
+            want = effective_sinrs_db(mats, w[p], noise[p], self.CAPS[rank])
+            assert got[p].tobytes() == want.tobytes()
+        assert got[:, 1].tolist() == [-math.inf] * 3
 
 
 class TestBler:
@@ -321,6 +339,35 @@ class TestThroughputStats:
                             mean_bler=0.0, mean_mcs=1.0, mean_ri=1.0,
                             mean_cqi=4.0)
         assert s.goodput_mbps == 2.5
+
+
+@pytest.mark.parametrize("name", ["snr_sweep_fixed_2x2.json", "snr_sweep_fixed_2x4.json",
+                                  "snr_sweep_rice1_2x2.json", "snr_sweep_rice1_2x4.json"])
+def test_one_point_per_pair_pass_changes_nothing(name, monkeypatch):
+    # Every noise point in one pair pass per rank, then one point per pass
+    # per rank: the same bytes.
+    scenario = parse_scenario(scenario_path(name))
+    chan = drop_channel(scenario, derive_seed(scenario.seed, 0))
+    calls = []
+
+    def counted(mats, w, noise_var, cap_db):
+        calls.append((w.shape[-1], len(w)))
+        return effective_sinrs_db(mats, w, noise_var, cap_db)
+
+    monkeypatch.setattr(link, "effective_sinrs_db", counted)
+    runs = []
+    for budget in (1 << 40, 1):
+        monkeypatch.setattr(csi, "BATCH_ELEMS", budget)
+        calls.clear()
+        runs.append(drop_csi(scenario, chan))
+        ranks = sorted(set(runs[-1].reports.ri[chan.pair_report].tolist()))
+        n_points = len(runs[-1].pair_eff_db)
+        per_pass = n_points if budget > 1 else 1
+        assert calls == [(rank, per_pass) for rank in ranks for _ in range(n_points // per_pass)]
+    assert n_points > 1
+    for got, want in zip(runs[1].reports, runs[0].reports):
+        assert np.array_equal(got, want)
+    assert runs[1].pair_eff_db.tobytes() == runs[0].pair_eff_db.tobytes()
 
 
 def _esterr_scenario(n_slots: int):

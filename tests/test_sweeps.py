@@ -1,6 +1,7 @@
 """Unit tests for the sweep drivers, CSV writers, and the CLI."""
 
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -314,6 +315,33 @@ class TestCli:
                            str(scenario_path("csi_fixed_2x4.json"))])
         assert rc == 0
         assert buf.getvalue().splitlines()[1].startswith("1,0,0,0,0,12,10,")
+
+    @pytest.mark.parametrize("channel, est_error_var, row", [
+        (None, None, "1,0,0,0,0,12,10,2.660539,2.660539,2.660539"),
+        ({"type": "rice1", "k_factor": 1.0}, 0.01,
+         "1,7,0,0,3,17,13,2.798181,3.329114,4.177499"),
+    ], ids=["csi_fixed_2x4", "rice1_esterr"])
+    def test_csi_command_estimates_once(self, tmp_path, monkeypatch, channel, est_error_var,
+                                        row):
+        # One estimate draw serves both the report and the condition
+        # metric; the rows are each scenario's reference output.
+        doc = json.loads(scenario_path("csi_fixed_2x4.json").read_text())
+        if channel is not None:
+            doc.update(channel=channel, est_error_var=est_error_var)
+        config = tmp_path / "csi.json"
+        config.write_text(json.dumps(doc))
+        calls = []
+        for module in (link, sweeps):
+            def counted(*args, _real=module.estimate_blocks, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, "estimate_blocks", counted)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(["csi", "--config", str(config)]) == 0
+        assert buf.getvalue() == \
+            "ri,i11,i12,i13,i2,sinr_db,cqi,gamma_min,gamma_median,gamma_max\n" + row + "\n"
+        assert len(calls) == 1
 
     def test_sweep_cqi_with_overrides(self, tmp_path):
         out = tmp_path / "cqi.csv"

@@ -11,9 +11,9 @@ It records two things about the checkout at ``--repo``:
 - for each workload that its ``BENCHMARK.json`` gates, the JSON of the
   last stdout line of ``python3 perfbench/run.py --workload W --seconds S
   --trace 0``, run there as a subprocess;
-- for each scenario in ``scenarios/`` and ``perfbench/scenarios/`` with
-  a ``rice1`` channel, the wall time of ``drop_channel``, ``drop_csi``
-  and ``run_harq``, timed around the calls from outside ``src/`` and
+- for each scenario in ``scenarios/`` and ``perfbench/scenarios/``, the
+  wall time of ``drop_channel``, ``drop_csi`` and ``run_harq``, timed
+  around the calls from outside ``src/`` and
   summed over the scenario's drops; per phase, the best of
   ``PHASE_REPEATS`` passes.  A forced-CQI scenario runs ``run_harq``
   with its 16 CQI rows, as ``sweep-cqi`` does.
@@ -105,13 +105,9 @@ def record_workload(repo: Path, workload: str, seconds: float) -> dict:
     return result
 
 
-def rician_scenarios(repo: Path) -> list[Path]:
-    def is_rician(path: Path) -> bool:
-        channel = json.loads(path.read_text()).get("channel")
-        return channel == "rice1" or isinstance(channel, dict) and channel.get("type") == "rice1"
-    paths = [*sorted((repo / "scenarios").glob("*.json")),
-             *sorted((repo / "perfbench" / "scenarios").glob("*.json"))]
-    return [p for p in paths if is_rician(p)]
+def scenario_files(repo: Path) -> list[Path]:
+    return [*sorted((repo / "scenarios").glob("*.json")),
+            *sorted((repo / "perfbench" / "scenarios").glob("*.json"))]
 
 
 def record_phases(repo: Path, scenario: Path, repeats: int) -> dict:
@@ -143,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"workload {w['name']} ...", file=sys.stderr)
         workloads[w["name"]] = record_workload(repo, w["name"], args.seconds)
     phases = {}
-    for scenario in rician_scenarios(repo):
+    for scenario in scenario_files(repo):
         print(f"phases {scenario.name} ...", file=sys.stderr)
         phases[scenario.name] = record_phases(repo, scenario, PHASE_REPEATS)
 

@@ -16,6 +16,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import lru_cache
 
 from .codebook import ConfigurationError
 from .scenario import ScenarioError, parse_scenario
@@ -24,7 +25,10 @@ from .sweeps import (run_csi_inspect, run_sweep_cqi, run_sweep_snr,
                      write_gnuplot_xy, write_snr_sweep_csv)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and then shared: parsing
+    leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="nrlinksim",
         description="Closed-loop MIMO downlink link-adaptation simulator",

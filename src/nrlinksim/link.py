@@ -12,7 +12,9 @@ A drop runs in three phases, so that sweeps can share the first two:
 all sweep points), :func:`drop_csi` computes the reports and, one array
 call per rank, the effective SINRs at every noise point (shared by all
 forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
-the drop in one array pass.
+the drop in whole-array rounds: each slot is decided under its own
+report, then redecided where the ACKs show its block follows an older
+one, until no decision changes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -293,92 +294,49 @@ ACK_REDO_TOL = 1e-12
 HARQ_BATCH_ELEMS = 1 << 15
 
 
-def _acks(u: np.ndarray, pairs: np.ndarray, p_err: np.ndarray, eff: np.ndarray,
+def _acks(u: np.ndarray, at: tuple, p_err: np.ndarray, eff: np.ndarray,
           mcs: np.ndarray) -> np.ndarray:
-    """``u >= bler(eff, mcs)`` of pair ``pairs[j]`` against draw ``u[j]``, at every point.
+    """``u >= bler(eff, mcs)`` at the (point, pair) entries ``at``, against the draws ``u``.
 
-    ``p_err``, ``eff`` and ``mcs`` hold one row per point and one entry per pair.
+    ``p_err``, ``eff`` and ``mcs`` hold one row per point and one entry per
+    pair; ``at`` indexes them, and ``u`` broadcasts with the result.
     """
-    gap = p_err[:, pairs]
+    gap = p_err[at]
     acked = u >= gap
     gap -= u
-    for i, j in zip(*np.nonzero(np.abs(gap, out=gap) <= ACK_REDO_TOL)):
-        acked[i, j] = u[j] >= bler(float(eff[i, pairs[j]]), int(mcs[i, pairs[j]]))
+    near = np.abs(gap, out=gap) <= ACK_REDO_TOL
+    if near.any():
+        acked[near] = [v >= bler(x, m) for v, x, m in zip(
+            np.broadcast_to(u, near.shape)[near].tolist(), eff[at][near].tolist(),
+            mcs[at][near].tolist())]
     return acked
 
 
-class _Edges(NamedTuple):
-    """Slots whose transport block may follow an older report than their own.
+def _first_sent(acked: np.ndarray, max_tx: int) -> np.ndarray:
+    """Slot ``t - a_t`` in which each slot's transport block was first sent.
 
-    A block is resent at most ``max_harq_tx - 1`` slots after it was first
-    sent, so a slot can carry a block of an older report only if it lies
-    fewer slots than that after the start of its own.  Edge slot ``slot[i]``,
-    under report ``k``, can follow report ``k - o`` for ``o < count[i]``:
-    that is candidate ``base[i] + o``, sent at ``cand_slot`` with pair
-    ``cand_pair``.
+    With ``r`` the last slot before ``t`` whose block was ACKed in the
+    same row of ``acked``, slot ``t`` makes attempt
+    ``a_t = (t - r - 1) mod max_tx``.
     """
-
-    slot: np.ndarray
-    count: np.ndarray
-    base: np.ndarray
-    cand_slot: np.ndarray
-    cand_pair: np.ndarray
-
-
-def _edges(chan: DropChannel, max_tx: int) -> _Edges:
-    """The edge slots of ``chan`` when a block is sent at most ``max_tx`` times."""
-    slot_report = chan.slot_report
-    since_report = np.arange(slot_report.size) - np.flatnonzero(
-        np.diff(slot_report, prepend=-1))[slot_report]
-    slot = np.flatnonzero((slot_report > 0) & (since_report <= max_tx - 2))
-    newest = slot_report[slot]
-    count = newest - slot_report[np.maximum(slot - max_tx + 1, 0)] + 1
-    base = np.cumsum(count) - count
-    cand_slot = np.repeat(slot, count)
-    cand_report = np.repeat(newest + base, count) - np.arange(count.sum())
-    cand_pair = chan.report_pair_base[cand_report] + chan.slot_block[cand_slot]
-    return _Edges(slot, count, base, cand_slot, cand_pair)
+    slots = np.arange(acked.shape[1])
+    first = np.zeros(acked.shape, dtype=np.intp)
+    np.multiply(acked[:, :-1], slots[1:], out=first[:, 1:])
+    np.maximum.accumulate(first, axis=1, out=first)
+    np.subtract(slots, first, out=first)
+    first %= max_tx
+    return np.subtract(slots, first, out=first)
 
 
-def _settle_edges(acked: np.ndarray, cand: np.ndarray, edges: _Edges,
-                  slot_report: np.ndarray, max_tx: int) -> None:
-    """Set ``acked`` at the edge slots from their candidates' decisions ``cand``.
-
-    Where every candidate agrees, the slot's own decision already holds.
-    Elsewhere the slots are walked in order, point by point: the last ACK
-    before a slot gives its attempt index, and that the report it follows.
-    """
-    votes = np.add.reduceat(cand, edges.base, axis=1, dtype=np.intp)
-    walk = np.nonzero((votes > 0) & (votes < edges.count))
-    acked[walk[0], edges.slot[walk[1]]] = False
-    settled = np.where(acked, np.arange(acked.shape[1]), -1)
-    np.maximum.accumulate(settled, axis=1, out=settled)
-    point = last = -1
-    for p, i in zip(*(w.tolist() for w in walk)):
-        t = int(edges.slot[i])
-        if p != point:
-            point, last = p, -1
-        tries = (t - max(last, int(settled[p, t - 1])) - 1) % max_tx
-        acked[p, t] = cand[p, edges.base[i] + slot_report[t] - slot_report[t - tries]]
-        if acked[p, t]:
-            last = t
-
-
-def _point_stats(scenario: Scenario, slot_report: np.ndarray, acked: np.ndarray,
-                 ri: np.ndarray, cqi: np.ndarray) -> list[ThroughputStats]:
-    """Statistics of each point from its per-slot ACKs, ``acked``, and its
-    reports' ``cqi``, one row per point."""
+def _point_stats(scenario: Scenario, acked: np.ndarray, first: np.ndarray,
+                 carried: np.ndarray, ri: np.ndarray, cqi: np.ndarray) -> list[ThroughputStats]:
+    """Statistics of each point from its per-slot ACKs, ``acked``, the slots
+    its blocks were first sent, ``first``, and the reports they follow,
+    ``carried``, one row per point; ``cqi`` holds its reports' CQIs."""
     n, max_tx = scenario.n_slots, scenario.max_harq_tx
-    slots = np.arange(n)
-    # a_t: slots since one past the last ACK before t, mod max_tx.
-    tries = np.zeros(acked.shape, dtype=np.intp)
-    np.maximum.accumulate(np.where(acked[:, :-1], slots[1:], 0), axis=1, out=tries[:, 1:])
-    np.subtract(slots, tries, out=tries)
-    tries %= max_tx
-    dropped = np.count_nonzero((tries == max_tx - 1) & ~acked, axis=1)
+    dropped = np.count_nonzero((first == np.arange(n) - (max_tx - 1)) & ~acked, axis=1)
     # Slots and ACKs per (point, report followed), counted over flat indices.
     n_points, n_reports = cqi.shape
-    carried = slot_report[np.subtract(slots, tries, out=tries)]
     carried += n_reports * np.arange(n_points)[:, None]
     sent, acks = (np.bincount(c, minlength=cqi.size).reshape(cqi.shape)
                   for c in (carried.ravel(), carried[acked]))
@@ -409,22 +367,27 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
     ``max_harq_tx`` attempts and then dropped.  Exactly one uniform
     variate per slot is drawn against the block-error probability.
 
-    No loop runs over the slots.  With ``r`` the last slot before ``t``
-    whose block was ACKed, slot ``t`` makes attempt
-    ``a_t = (t - r - 1) mod max_harq_tx`` of the block first sent at
-    ``t - a_t``.  Every slot is decided under its own report; only the
-    edge slots (:class:`_Edges`) can follow an older one, and only those
-    whose decisions under their candidate reports disagree are walked.
+    No loop runs over the slots.  Every slot is first decided under its
+    own report.  Then, in rounds, the ACKs give each slot's first-send
+    slot (:func:`_first_sent`) and with it the report its block follows;
+    the slots whose report changed are decided again, and the next round
+    runs on the points that changed.  The rounds are exact and they end:
+    a slot's first-send slot depends only on the ACKs before it, so the
+    earliest wrong decision of a point follows the right report and is
+    fixed in the next round, and a round that changes nothing leaves
+    every slot following the report the slot-by-slot recurrence gives.
+    A fixed channel has one report, so its check is one gather and one
+    compare.
     """
     chan = csi.chan
-    edges = _edges(chan, scenario.max_harq_tx)
-    own_pair = chan.report_pair_base[chan.slot_report] + chan.slot_block
+    slot_report, max_tx = chan.slot_report, scenario.max_harq_tx
+    own_pair = chan.report_pair_base[slot_report] + chan.slot_block
     ri, cqi, eff = csi.reports.ri, csi.reports.cqi, csi.pair_eff_db
-    n_points = max(len(cqi), len(eff))
+    n_points, n_pairs = max(len(cqi), len(eff)), chan.pair_report.size
     cqi = np.broadcast_to(cqi, (n_points, ri.size))
-    eff = np.broadcast_to(eff, (n_points, chan.pair_report.size))
+    eff = np.broadcast_to(eff, (n_points, n_pairs))
     mcs_of_cqi, _ = _grants_by_cqi(scenario.n_prb)
-    step = max(1, HARQ_BATCH_ELEMS // (scenario.n_slots + edges.cand_slot.size))
+    step = max(1, HARQ_BATCH_ELEMS // scenario.n_slots)
     out = []
     for lo in range(0, n_points, step):
         point_cqi, point_eff = cqi[lo:lo + step], eff[lo:lo + step]
@@ -433,10 +396,22 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
         x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])
         e = np.exp(-np.abs(x))
         p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
-        acked = _acks(chan.ack_draws, own_pair, p_err, point_eff, pair_mcs)
-        if edges.slot.size:
-            cand = _acks(chan.ack_draws[edges.cand_slot], edges.cand_pair, p_err, point_eff,
-                         pair_mcs)
-            _settle_edges(acked, cand, edges, chan.slot_report, scenario.max_harq_tx)
-        out += _point_stats(scenario, chan.slot_report, acked, ri, point_cqi)
+        acked = _acks(chan.ack_draws, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
+        first = _first_sent(acked, max_tx)
+        # Once the moved slots are redecided, every decision follows carried.
+        carried = slot_report[first]
+        moved = carried != slot_report
+        live = np.arange(len(acked))
+        while moved.any():
+            row, slot = np.nonzero(moved)
+            point = live[row]
+            pair = chan.report_pair_base[carried[point, slot]] + chan.slot_block[slot]
+            acked[point, slot] = _acks(chan.ack_draws[slot], (point, pair), p_err, point_eff,
+                                       pair_mcs)
+            live = live[moved.any(axis=1)]
+            first[live] = _first_sent(acked[live], max_tx)
+            now = slot_report[first[live]]
+            moved = now != carried[live]
+            carried[live] = now
+        out += _point_stats(scenario, acked, first, carried, ri, point_cqi)
     return out

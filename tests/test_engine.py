@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nrlinksim import link
 from nrlinksim.channel import block_rx_power, derive_seed
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import make_reports
@@ -160,6 +161,12 @@ LONG_HARQ = dict(STALE_GRANTS, channel={"type": "rice1", "k_factor": 0.0, "coher
                  noise={"mode": "snr", "snr_db": 2.0}, csi_period=1, n_slots=40,
                  max_harq_tx=43, est_error_var=0.0, seed=8)
 
+# The same channel and reports with up to 16 attempts per block over 300
+# slots: run_harq needs many rounds to settle which report each slot's
+# block follows (23 redo rounds at these SNRs).
+MANY_ROUNDS = dict(LONG_HARQ, n_slots=300, max_harq_tx=16, seed=1)
+MANY_ROUNDS_SNRS = [-3.0, 3.0, 12.0]
+
 
 @settings(max_examples=60, deadline=None)
 @given(doc=scenario_docs())
@@ -169,6 +176,7 @@ LONG_HARQ = dict(STALE_GRANTS, channel={"type": "rice1", "k_factor": 0.0, "coher
 @example(doc=LONG_HARQ)
 @example(doc=dict(LONG_HARQ, max_harq_tx=40))
 @example(doc=dict(STALE_GRANTS, max_harq_tx=1))
+@example(doc=dict(MANY_ROUNDS, noise={"mode": "snr", "snr_db": MANY_ROUNDS_SNRS[1]}))
 def test_drop_and_cqi_sweep_match_oracle(doc):
     scenario = scenario_from_dict(doc)
     seed = derive_seed(scenario.seed, 0)
@@ -181,11 +189,33 @@ def test_drop_and_cqi_sweep_match_oracle(doc):
 @given(doc=scenario_docs(), snrs=st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=3))
 @example(doc=STALE_GRANTS, snrs=[0.0, 12.5])
 @example(doc=LONG_HARQ, snrs=[-5.0, 2.0, 9.0])
+@example(doc=MANY_ROUNDS, snrs=MANY_ROUNDS_SNRS)
 def test_snr_sweep_matches_oracle(doc, snrs):
     scenario = scenario_from_dict(dict(doc, noise={"mode": "snr_sweep",
                                                    "snr_db_list": snrs}))
     seed = derive_seed(scenario.seed, 0)
     for snr, row in zip(snrs, run_sweep_snr(scenario)):
+        assert row.drops == (oracle_drop(at_snr(scenario, snr), seed),)
+
+
+def test_harq_rounds_match_oracle_point_by_point(monkeypatch):
+    # Each redo round takes the first-send slots of the points still
+    # changing once more: this drop must need several rounds, and every
+    # SNR point must still equal the slot-by-slot loop.
+    passes = []
+    first_sent = link._first_sent
+
+    def counted(acked, max_tx):
+        passes.append(len(acked))
+        return first_sent(acked, max_tx)
+
+    monkeypatch.setattr(link, "_first_sent", counted)
+    scenario = scenario_from_dict(dict(MANY_ROUNDS, noise={"mode": "snr_sweep",
+                                                          "snr_db_list": MANY_ROUNDS_SNRS}))
+    rows = run_sweep_snr(scenario)
+    assert len(passes) > 3 and passes[0] == len(MANY_ROUNDS_SNRS)
+    seed = derive_seed(scenario.seed, 0)
+    for snr, row in zip(MANY_ROUNDS_SNRS, rows):
         assert row.drops == (oracle_drop(at_snr(scenario, snr), seed),)
 
 

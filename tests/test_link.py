@@ -228,6 +228,33 @@ class TestAckDecisions:
         assert got == [int(np.count_nonzero(draws >= b)) for b in p_err]
         assert all(draws[2 * i] >= b > draws[2 * i + 1] for i, b in enumerate(p_err))
 
+    def test_a_redo_round_decides_as_the_scalar(self):
+        # A report every slot and two attempts per block.  Point i owns
+        # slots 4i..4i+3: slots 4i and 4i + 2 send new blocks that fail,
+        # and slots 4i + 1 and 4i + 3 resend them under the older report,
+        # with draws exactly bler(case i) and one ulp below it.  Every
+        # decision under a slot's own report fails, so both resends are
+        # settled only in a redo round, against the scalar bler.
+        cases = _exp_mismatches()
+        if not cases:
+            pytest.skip("np.exp equals math.exp on every probed input here")
+        p_err = [bler(eff, mcs_from_cqi(cqi)) for cqi, eff in cases]
+        draws = np.array([u for b in p_err for u in (0.0, b, 0.0, np.nextafter(b, 0.0))])
+        sc = scenario_from_dict({
+            "channel": {"type": "rice1", "coherence_slots": 1}, "n_tx": 2,
+            "noise": {"mode": "variance", "variance": 0.1},
+            "n_slots": draws.size, "n_drops": 1, "csi_period": 1, "max_harq_tx": 2,
+        })
+        chan = replace(drop_channel(sc, seed=0), ack_draws=draws)
+        csi = drop_csi(sc, chan)
+        resent = chan.pair_block == chan.pair_report + 1
+        eff = np.full((len(cases), chan.pair_report.size), -np.inf)
+        for i, (_, case_eff) in enumerate(cases):
+            eff[i, resent & (chan.pair_report // 4 == i)] = case_eff
+        csi = replace(csi, pair_eff_db=eff, reports=csi.reports._replace(
+            cqi=np.repeat([[cqi] for cqi, _ in cases], chan.report_block.size, axis=1)))
+        assert [s.tb_acks for s in run_harq(sc, csi)] == [1] * len(cases)
+
 
 def _noise_free_scenario(**extra):
     cfg = {

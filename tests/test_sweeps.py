@@ -97,9 +97,9 @@ def test_one_point_per_harq_pass_changes_nothing(name, monkeypatch):
     sweep = run_sweep_snr if sc.noise.mode == "snr_sweep" else run_sweep_cqi
     passes = []
 
-    def counted(scenario, slot_report, acked, *rest):
+    def counted(scenario, acked, *rest):
         passes.append(len(acked))
-        return point_stats(scenario, slot_report, acked, *rest)
+        return point_stats(scenario, acked, *rest)
 
     point_stats = link._point_stats
     monkeypatch.setattr(link, "_point_stats", counted)
@@ -307,6 +307,36 @@ class TestCli:
                          "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 33
+
+    def test_parser_is_built_once_per_process(self, tmp_path):
+        # Each command, a rejected one included, prints the same bytes on
+        # the shared argument tree as on a freshly built one.
+        snr = tmp_path / "snr.json"
+        snr.write_text(json.dumps(dict(json.loads(
+            scenario_path("snr_sweep_fixed_2x2.json").read_text()), n_drops=2, n_slots=40)))
+        commands = [["csi", "--config", str(scenario_path("csi_fixed_2x4.json"))],
+                    ["sweep-snr", "--config", str(snr)],
+                    ["sweep-snr", "--config", str(snr), "--workers", "0"],
+                    ["codebook", "--ports", "2", "--rank", "1"]]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    status = cli.main(argv)
+                except SystemExit as e:
+                    status = e.code
+            return status, out.getvalue(), err.getvalue()
+
+        fresh = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        cli._build_parser.cache_clear()
+        assert [run(argv) for argv in commands] == fresh
+        assert cli._build_parser.cache_info().misses == 1
+        assert [status for status, _, _ in fresh] == [0, 0, 2, 0]
+        assert "--workers: must be >= 1" in fresh[2][2]
 
     def test_csi_command_stdout(self):
         buf = io.StringIO()

@@ -19,8 +19,9 @@ It records two things about the checkout at ``--repo``:
   with its 16 CQI rows, as ``sweep-cqi`` does.
 
 It writes ``BENCH_<label>.json`` at the root of this checkout, with
-``nproc``, the Python and NumPy versions and the git SHA of the measured
-checkout.  Two files compare only when recorded on the same host:
+``nproc``, the Python and NumPy versions, and the git SHA and
+``src_lines`` (the ``wc -l`` total of ``src/nrlinksim/*.py``) of the
+measured checkout.  Two files compare only when recorded on the same host:
 timings are wall clock, one run each, on a shared host.
 """
 
@@ -88,11 +89,19 @@ def pinned_env() -> dict[str, str]:
     return dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
 
 
-def last_json_line(stdout: str) -> dict:
-    lines = stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError("no output")
-    return json.loads(lines[-1])
+def src_lines(repo: Path) -> int:
+    """What ``wc -l src/nrlinksim/*.py`` totals in ``repo``."""
+    return sum(p.read_bytes().count(b"\n") for p in (repo / "src" / "nrlinksim").glob("*.py"))
+
+
+def last_json_line(proc: subprocess.CompletedProcess, what: str) -> dict:
+    """The JSON on the last stdout line of ``proc``, which ran ``what``."""
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(f"{what} exited with status {proc.returncode} "
+                           "and printed no JSON line") from None
 
 
 def record_workload(repo: Path, workload: str, seconds: float) -> dict:
@@ -100,7 +109,7 @@ def record_workload(repo: Path, workload: str, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", repr(seconds), "--trace", "0"],
         cwd=repo, stdout=subprocess.PIPE, text=True, env=pinned_env(), timeout=900)
-    result = last_json_line(proc.stdout)
+    result = last_json_line(proc, f"workload {workload}")
     result["exit_status"] = proc.returncode
     return result
 
@@ -115,8 +124,10 @@ def record_phases(repo: Path, scenario: Path, repeats: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", PHASE_CODE, str(src), str(scenario), str(repeats),
          "1" if scenario.stem.startswith("cqi_sweep_") else "0"],
-        stdout=subprocess.PIPE, text=True, env=pinned_env(), check=True, timeout=1800)
-    result = last_json_line(proc.stdout)
+        stdout=subprocess.PIPE, text=True, env=pinned_env(), timeout=1800)
+    if proc.returncode:
+        raise RuntimeError(f"phases of {scenario.name} exited with status {proc.returncode}")
+    result = last_json_line(proc, f"phases of {scenario.name}")
     if Path(result.pop("file")).resolve().parent.parent != src.resolve():
         raise RuntimeError(f"{scenario.name}: nrlinksim was not imported from {src}")
     return result
@@ -147,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "label": args.label,
         "git_sha": git_sha(repo),
+        "src_lines": src_lines(repo),
         "nproc": nproc,
         "python": platform.python_version(),
         "numpy": np.__version__,

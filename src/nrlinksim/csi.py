@@ -51,11 +51,11 @@ class CsiConfig:
 
     def __post_init__(self):
         if not self.gamma_th >= 2.0:
-            raise ValueError(f"gamma_th must be >= 2, got {self.gamma_th}")
+            raise ValueError(f"csi.gamma_th must be >= 2, got {self.gamma_th}")
         if self.force_ri not in (None, 1, 2):
-            raise ValueError(f"force_ri must be 1 or 2, got {self.force_ri}")
+            raise ValueError(f"csi.force_ri must be 1 or 2, got {self.force_ri}")
         if self.force_cqi is not None and not 0 <= self.force_cqi <= 15:
-            raise ValueError(f"force_cqi must be in [0, 15], got {self.force_cqi}")
+            raise ValueError(f"csi.force_cqi must be in [0, 15], got {self.force_cqi}")
 
 
 class CsiReports(NamedTuple):

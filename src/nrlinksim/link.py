@@ -178,8 +178,7 @@ def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
     """
     n = scenario.n_slots
     slots = np.arange(n)
-    coh = scenario.coherence_slots
-    slot_block = slots // coh if coh is not None else np.zeros(n, dtype=np.intp)
+    slot_block = slots // scenario.coherence_slots
     h = scenario.block_channels(seed, int(slot_block[-1]) + 1)
 
     on_grid = slots[slots % scenario.csi_period == 0]

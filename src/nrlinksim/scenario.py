@@ -19,10 +19,8 @@ import numpy as np
 from .channel import rice1_blocks, snr_noise_variance
 from .csi import CsiConfig
 
-DEFAULT_N_PRB = 106
 # Largest NR resource grid (TS 38.211 section 4.4.2).
 MAX_N_PRB = 275
-DEFAULT_N_SLOTS = 2000
 # Longest drop, 500 s of 0.5 ms slots: a drop keeps a few n_slots-long arrays,
 # so a larger value is refused here, not by a MemoryError mid-run.  It also
 # bounds the other slot counts, which mean nothing more beyond one drop and
@@ -32,11 +30,6 @@ MAX_N_SLOTS = 10 ** 6
 # _harq_pair_bound: each costs a few hundred bytes in drop_csi and run_harq.
 # A Rician drop of 10^6 slots at the default fields needs 3 * 10^5.
 MAX_HARQ_PAIRS = 2 ** 19
-DEFAULT_N_DROPS = 20
-DEFAULT_CSI_PERIOD = 10
-DEFAULT_K_FACTOR = 1.0
-DEFAULT_COHERENCE_SLOTS = 10
-DEFAULT_MAX_HARQ_TX = 4
 # Rank-dependent effective-SINR ceilings (dB) modeling the fixed receiver
 # impairment floor; rank 2 pays an extra inter-layer penalty.
 DEFAULT_SINR_CAP_DB = {1: 19.0, 2: 16.0}
@@ -51,15 +44,20 @@ class ChannelModel:
     """Channel model selection: a fixed matrix or single-tap Rician fading."""
 
     kind: str  # "fixed" | "rice1"
-    matrix: np.ndarray | None = None
-    k_factor: float = DEFAULT_K_FACTOR
-    coherence_slots: int = DEFAULT_COHERENCE_SLOTS
+    # Stored as complex rows, immutable and compared by value; np.asarray
+    # turns it back into an array.
+    matrix: tuple[tuple[complex, ...], ...] | None = None
+    k_factor: float = 1.0
+    coherence_slots: int = 10
 
     def __post_init__(self):
         if self.kind not in ("fixed", "rice1"):
             raise ScenarioError(f"channel.type must be 'fixed' or 'rice1', got {self.kind!r}")
         if self.kind == "fixed" and self.matrix is None:
             raise ScenarioError("channel.matrix is required for a fixed channel")
+        if self.matrix is not None:
+            rows = np.asarray(self.matrix, dtype=np.complex128).tolist()
+            object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
         if self.kind == "fixed" and not np.all(np.isfinite(self.matrix)):
             raise ScenarioError("channel.matrix entries must be finite")
         if self.k_factor < 0:
@@ -124,21 +122,25 @@ class Scenario:
     channel: ChannelModel
     noise: NoiseModel = NoiseModel()
     csi: CsiConfig = CsiConfig()
-    n_tx: int = 4
-    n_prb: int = DEFAULT_N_PRB
-    n_slots: int = DEFAULT_N_SLOTS
-    n_drops: int = DEFAULT_N_DROPS
-    csi_period: int = DEFAULT_CSI_PERIOD
+    n_tx: int | None = None  # None: the width of a fixed matrix, else 4
+    n_prb: int = 106
+    n_slots: int = 2000
+    n_drops: int = 20
+    csi_period: int = 10
     dl_duty_factor: float = 1.0
     seed: int = 0
     est_error_var: float = 0.0
-    max_harq_tx: int = DEFAULT_MAX_HARQ_TX
-    sinr_cap_db: dict[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_SINR_CAP_DB))
+    max_harq_tx: int = 4
+    # Overrides the ceilings of the ranks it names; the others keep the default.
+    sinr_cap_db: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n_tx is None:
+            object.__setattr__(self, "n_tx", len(self.channel.matrix[0])
+                               if self.channel.kind == "fixed" else 4)
+        object.__setattr__(self, "sinr_cap_db", {**DEFAULT_SINR_CAP_DB, **self.sinr_cap_db})
         if self.n_tx not in (2, 4):
-            raise ScenarioError(f"n_tx must be 2 or 4, got {self.n_tx}")
+            raise ScenarioError(f"scenario.n_tx must be 2 or 4, got {self.n_tx}")
         if not 1 <= self.n_prb <= MAX_N_PRB:
             raise ScenarioError(
                 f"scenario.n_prb must be in [1, {MAX_N_PRB}], got {self.n_prb}")
@@ -147,8 +149,8 @@ class Scenario:
             if not 1 <= value <= MAX_N_SLOTS:
                 raise ScenarioError(
                     f"scenario.{name} must be in [1, {MAX_N_SLOTS}], got {value}")
-        pairs = _harq_pair_bound(self.n_slots, self.coherence_slots or self.n_slots,
-                                self.csi_period, self.max_harq_tx)
+        pairs = _harq_pair_bound(self.n_slots, self.coherence_slots, self.csi_period,
+                                self.max_harq_tx)
         if pairs > MAX_HARQ_PAIRS:
             raise ScenarioError(
                 f"scenario.max_harq_tx {self.max_harq_tx} with n_slots {self.n_slots}, "
@@ -156,21 +158,22 @@ class Scenario:
                 f"{self.coherence_slots} allows up to {pairs} (report, block) pairs "
                 f"per drop, above {MAX_HARQ_PAIRS}")
         if self.n_drops < 1:
-            raise ScenarioError(f"n_drops must be >= 1, got {self.n_drops}")
+            raise ScenarioError(f"scenario.n_drops must be >= 1, got {self.n_drops}")
         if not 0.0 < self.dl_duty_factor <= 1.0:
             raise ScenarioError(
-                f"dl_duty_factor must be in (0, 1], got {self.dl_duty_factor}")
+                f"scenario.dl_duty_factor must be in (0, 1], got {self.dl_duty_factor}")
         if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+            raise ScenarioError(f"scenario.seed must be >= 0, got {self.seed}")
         if self.est_error_var < 0:
-            raise ScenarioError(f"est_error_var must be >= 0, got {self.est_error_var}")
+            raise ScenarioError(
+                f"scenario.est_error_var must be >= 0, got {self.est_error_var}")
         if set(self.sinr_cap_db) != {1, 2}:
-            raise ScenarioError("sinr_cap_db must have keys 1 and 2")
+            raise ScenarioError("sinr_cap_db keys must be ranks 1 and 2")
         for r, cap in self.sinr_cap_db.items():
             if not cap > 0:
                 raise ScenarioError(f"sinr_cap_db[{r}] must be > 0, got {cap}")
         if self.channel.kind == "fixed":
-            m = self.channel.matrix
+            m = np.asarray(self.channel.matrix)
             if m.shape != (2, self.n_tx):
                 raise ScenarioError(
                     f"channel.matrix shape {m.shape} does not match "
@@ -185,9 +188,9 @@ class Scenario:
         return self.channel.kind == "rice1"
 
     @property
-    def coherence_slots(self) -> int | None:
-        """Slots per fading block; None means one block forever (fixed)."""
-        return self.channel.coherence_slots if self.is_fading else None
+    def coherence_slots(self) -> int:
+        """Slots per channel block: a fixed channel is one block of ``n_slots`` slots."""
+        return self.channel.coherence_slots if self.is_fading else self.n_slots
 
     def block_channels(self, drop_seed: int, n_blocks: int) -> np.ndarray:
         """True channel of blocks ``0 .. n_blocks - 1`` of one drop.
@@ -237,8 +240,8 @@ def _require(cond: bool, msg: str) -> None:
         raise ScenarioError(msg)
 
 
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _check_keys(d: dict, allowed, where: str) -> None:
+    unknown = sorted(set(d) - set(allowed))
     _require(not unknown, f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
@@ -253,7 +256,31 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _parse_matrix(rows, where: str) -> np.ndarray:
+# Readers: each checks one set JSON value's type and converts it; the
+# dataclasses check ranges.  ``where`` is the dotted key named on error.
+
+def _number(v, where: str) -> float:
+    _require(_is_finite_number(v), f"{where} must be a finite number")
+    return float(v)
+
+
+def _integer(v, where: str) -> int:
+    _require(isinstance(v, int) and not isinstance(v, bool), f"{where} must be an integer")
+    return v
+
+
+def _string(v, where: str) -> str:
+    _require(isinstance(v, str), f"{where} must be a string")
+    return v
+
+
+def _numbers(v, where: str) -> tuple[float, ...]:
+    _require(isinstance(v, list) and v and all(_is_finite_number(p) for p in v),
+             f"{where} must be a nonempty list of finite numbers")
+    return tuple(float(p) for p in v)
+
+
+def _parse_matrix(rows, where: str) -> list[list[complex]]:
     """Parse a matrix given as rows of numbers or [re, im] pairs."""
     _require(isinstance(rows, list) and rows, f"{where} must be a nonempty list of rows")
     out = []
@@ -273,139 +300,81 @@ def _parse_matrix(rows, where: str) -> np.ndarray:
         out.append(vals)
     lens = {len(r) for r in out}
     _require(len(lens) == 1, f"{where} rows must all have the same length")
-    return np.array(out, dtype=np.complex128)
+    return out
 
 
-def _get_num(d: dict, key: str, where: str, default, *, integer=False):
-    if key not in d or d[key] is None:
-        return default
-    v = d[key]
-    if integer:
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"{where}.{key} must be an integer")
-        return v
-    _require(_is_finite_number(v), f"{where}.{key} must be a finite number")
-    return float(v)
+def _fields(d, readers: dict, where: str) -> dict:
+    """The keys object ``d`` sets, each read by its reader; null counts as unset."""
+    _require(isinstance(d, dict), f"{where} must be an object")
+    _check_keys(d, readers, where)
+    return {k: readers[k](v, f"{where}.{k}") for k, v in d.items() if v is not None}
 
 
-def _parse_channel(d) -> ChannelModel:
+# A section names its keys from its own name, as the dataclasses' messages
+# do: channel.k_factor, not scenario.channel.k_factor.
+
+def _parse_channel(d, _where: str) -> ChannelModel:
     if isinstance(d, str):
         # Shorthand: "channel": "rice1" means the model with all defaults.
         _require(d == "rice1", f"channel shorthand must be 'rice1', got {d!r}")
-        return ChannelModel(kind="rice1")
-    _require(isinstance(d, dict), "channel must be an object")
-    _check_keys(d, {"type", "matrix", "k_factor", "coherence_slots"}, "channel")
-    kind = d.get("type")
-    _require(kind in ("fixed", "rice1"),
-             f"channel.type must be 'fixed' or 'rice1', got {kind!r}")
-    if kind == "fixed":
-        _require("matrix" in d, "channel.matrix is required for a fixed channel")
-        _require("k_factor" not in d and "coherence_slots" not in d,
-                 "channel.k_factor/coherence_slots apply only to 'rice1'")
-        return ChannelModel(kind="fixed", matrix=_parse_matrix(d["matrix"], "channel.matrix"))
-    _require("matrix" not in d, "channel.matrix applies only to 'fixed'")
-    return ChannelModel(
-        kind="rice1",
-        k_factor=_get_num(d, "k_factor", "channel", DEFAULT_K_FACTOR),
-        coherence_slots=_get_num(d, "coherence_slots", "channel",
-                                 DEFAULT_COHERENCE_SLOTS, integer=True),
-    )
+        d = {"type": d}
+    kw = _fields(d, _CHANNEL_KEYS, "channel")
+    kind = kw.pop("type", None)
+    _require(kind != "fixed" or not {"k_factor", "coherence_slots"} & set(kw),
+             "channel.k_factor/coherence_slots apply only to 'rice1'")
+    _require(kind != "rice1" or "matrix" not in kw, "channel.matrix applies only to 'fixed'")
+    return ChannelModel(kind, **kw)
 
 
-def _parse_noise(d) -> NoiseModel:
-    if d is None:
-        return NoiseModel()
-    _require(isinstance(d, dict), "noise must be an object")
-    _check_keys(d, {"mode", "snr_db", "snr_db_list", "variance"}, "noise")
-    pts = d.get("snr_db_list")
-    _require(pts is None or (isinstance(pts, list) and pts
-                             and all(_is_finite_number(p) for p in pts)),
-             "noise.snr_db_list must be a nonempty list of finite numbers")
-    return NoiseModel(
-        mode=d.get("mode", "noise_free"),
-        snr_db=_get_num(d, "snr_db", "noise", None),
-        snr_db_list=tuple(float(p) for p in pts or ()),
-        variance=_get_num(d, "variance", "noise", None),
-    )
+def _parse_noise(d, _where: str) -> NoiseModel:
+    return NoiseModel(**_fields(d, _NOISE_KEYS, "noise"))
 
 
-def _parse_csi(d) -> CsiConfig:
-    if d is None:
-        return CsiConfig()
-    _require(isinstance(d, dict), "csi must be an object")
-    _check_keys(d, {"gamma_th", "force_ri", "force_cqi"}, "csi")
-    try:
-        return CsiConfig(
-            gamma_th=_get_num(d, "gamma_th", "csi", 2.5),
-            force_ri=_get_num(d, "force_ri", "csi", None, integer=True),
-            force_cqi=_get_num(d, "force_cqi", "csi", None, integer=True),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"csi: {e}") from None
+def _parse_csi(d, _where: str) -> CsiConfig:
+    return CsiConfig(**_fields(d, _CSI_KEYS, "csi"))
 
 
-def _parse_caps(d) -> dict[int, float]:
-    if d is None:
-        return dict(DEFAULT_SINR_CAP_DB)
+def _parse_caps(d, _where: str) -> dict[int, float]:
     _require(isinstance(d, dict), "sinr_cap_db must be an object")
-    _check_keys(d, {"1", "2"}, "sinr_cap_db")
-    caps = dict(DEFAULT_SINR_CAP_DB)
-    for key, rank in (("1", 1), ("2", 2)):
-        if key in d:
-            v = d[key]
-            if v is None:
-                caps[rank] = inf  # explicit null disables the ceiling
-            else:
-                _require(_is_finite_number(v) or v == inf,
-                         f"sinr_cap_db.{key} must be a number or null")
-                caps[rank] = float(v)
-    return caps
+    _check_keys(d, ("1", "2"), "sinr_cap_db")
+    for key, v in d.items():
+        _require(v is None or _is_finite_number(v) or v == inf,
+                 f"sinr_cap_db.{key} must be a number or null")
+    # An explicit null disables that rank's ceiling.
+    return {int(key): inf if v is None else float(v) for key, v in d.items()}
 
 
-_TOP_KEYS = {
-    "n_tx", "n_rx", "n_prb", "scs_khz", "n_slots", "n_drops", "csi_period",
-    "dl_duty_factor", "seed", "est_error_var", "max_harq_tx", "band",
-    "channel", "noise", "csi", "sinr_cap_db",
+_CHANNEL_KEYS = {"type": _string, "matrix": _parse_matrix, "k_factor": _number,
+                 "coherence_slots": _integer}
+_NOISE_KEYS = {"mode": _string, "snr_db": _number, "snr_db_list": _numbers,
+               "variance": _number}
+_CSI_KEYS = {"gamma_th": _number, "force_ri": _integer, "force_cqi": _integer}
+_SCENARIO_KEYS = {
+    "channel": _parse_channel, "noise": _parse_noise, "csi": _parse_csi,
+    "sinr_cap_db": _parse_caps, "n_tx": _integer, "n_prb": _integer, "n_slots": _integer,
+    "n_drops": _integer, "csi_period": _integer, "dl_duty_factor": _number,
+    "seed": _integer, "est_error_var": _number, "max_harq_tx": _integer,
+    # Accepted so that scenario files can state the numerology, which the
+    # model fixes (two receive antennas, 30 kHz subcarrier spacing), and a
+    # band label; none of the three is stored.
+    "n_rx": _integer, "scs_khz": _integer, "band": _string,
 }
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Build and validate a :class:`Scenario` from a parsed JSON object."""
-    _require(isinstance(cfg, dict), "scenario document must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "scenario")
-    _require("channel" in cfg, "scenario is missing required key 'channel'")
-    channel = _parse_channel(cfg["channel"])
-    # For a fixed channel the matrix width pins the default port count.
-    n_tx = _get_num(cfg, "n_tx", "scenario",
-                    channel.matrix.shape[1] if channel.kind == "fixed" else 4, integer=True)
-    # Accepted so that scenario files can state the numerology, which the
-    # model fixes: two receive antennas and 30 kHz subcarrier spacing.
-    for key, only in (("n_rx", 2), ("scs_khz", 30)):
-        v = _get_num(cfg, key, "scenario", only, integer=True)
-        _require(v == only, f"scenario.{key} must be {only}, got {v}")
-    _require(cfg.get("band") is None or isinstance(cfg["band"], str),
-             "scenario.band must be a string")
     try:
-        return Scenario(
-            channel=channel,
-            noise=_parse_noise(cfg.get("noise")),
-            csi=_parse_csi(cfg.get("csi")),
-            n_tx=n_tx,
-            n_prb=_get_num(cfg, "n_prb", "scenario", DEFAULT_N_PRB, integer=True),
-            n_slots=_get_num(cfg, "n_slots", "scenario", DEFAULT_N_SLOTS, integer=True),
-            n_drops=_get_num(cfg, "n_drops", "scenario", DEFAULT_N_DROPS, integer=True),
-            csi_period=_get_num(cfg, "csi_period", "scenario", DEFAULT_CSI_PERIOD,
-                                integer=True),
-            dl_duty_factor=_get_num(cfg, "dl_duty_factor", "scenario", 1.0),
-            seed=_get_num(cfg, "seed", "scenario", 0, integer=True),
-            est_error_var=_get_num(cfg, "est_error_var", "scenario", 0.0),
-            max_harq_tx=_get_num(cfg, "max_harq_tx", "scenario",
-                                 DEFAULT_MAX_HARQ_TX, integer=True),
-            sinr_cap_db=_parse_caps(cfg.get("sinr_cap_db")),
-        )
+        kw = _fields(cfg, _SCENARIO_KEYS, "scenario")
+        _require("channel" in kw, "scenario is missing required key 'channel'")
+        for key, only in (("n_rx", 2), ("scs_khz", 30)):
+            v = kw.pop(key, only)
+            _require(v == only, f"scenario.{key} must be {only}, got {v}")
+        kw.pop("band", None)
+        return Scenario(**kw)
     except ScenarioError:
         raise
     except (TypeError, ValueError) as e:
+        # CsiConfig, which cannot import ScenarioError, raises ValueError.
         raise ScenarioError(str(e)) from None
 
 

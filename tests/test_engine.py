@@ -54,7 +54,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
     sum_mcs = sum_ri = sum_cqi = 0
 
     for slot in range(scenario.n_slots):
-        block = 0 if coh is None else slot // coh
+        block = slot // coh
         if block != cur_block:
             cur_block = block
             h = block_channel(scenario, seed, block)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power
 from nrlinksim.link import drop_channel
-from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_HARQ_PAIRS, MAX_N_SLOTS, Scenario,
-                                ScenarioError, _harq_pair_bound, parse_scenario,
-                                scenario_from_dict)
+from nrlinksim.csi import CsiConfig
+from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_HARQ_PAIRS, MAX_N_SLOTS, ChannelModel,
+                                NoiseModel, Scenario, ScenarioError, _harq_pair_bound,
+                                parse_scenario, scenario_from_dict)
 
 from conftest import SCENARIO_DIR, scenario_path
 
@@ -42,10 +43,11 @@ class TestDefaults:
         assert sc.noise.mode == "noise_free"
         assert sc.dl_duty_factor == 1.0
 
-    def test_fixed_numerology_keys_accepted(self):
-        sc = scenario_from_dict({"channel": "rice1", "n_rx": 2, "scs_khz": 30,
+    @pytest.mark.parametrize("channel", ["rice1", {"type": "fixed", "matrix": H_2X4_REF}])
+    def test_fixed_numerology_keys_accepted(self, channel):
+        sc = scenario_from_dict({"channel": channel, "n_rx": 2, "scs_khz": 30,
                                  "band": "n78"})
-        assert sc == scenario_from_dict({"channel": "rice1"})
+        assert sc == scenario_from_dict({"channel": channel})
 
     def test_bad_shorthand(self):
         with pytest.raises(ScenarioError):
@@ -109,8 +111,8 @@ class TestValidation:
     def test_complex_matrix_cells(self):
         sc = scenario_from_dict({"channel": {"type": "fixed",
                                              "matrix": [[[0, 1], 1], [1, [0, -1]]]}})
-        assert sc.channel.matrix[0, 0] == 1j
-        assert sc.channel.matrix[1, 1] == -1j
+        assert sc.channel.matrix[0][0] == 1j
+        assert sc.channel.matrix[1][1] == -1j
 
     @pytest.mark.parametrize("field,value", [
         ("n_rx", 3), ("n_prb", 0), ("scs_khz", 15), ("n_slots", 0),
@@ -299,6 +301,30 @@ def test_any_json_document_parses_or_raises_scenario_error(doc):
     assert isinstance(sc, Scenario)
 
 
+class TestFixedChannelIsAValue:
+    def test_two_parses_are_equal(self):
+        path = scenario_path("csi_fixed_2x4.json")
+        a, b = parse_scenario(path), parse_scenario(path)
+        assert a == b
+        assert hash(a.channel) == hash(b.channel)
+
+    def test_a_changed_entry_or_seed_is_unequal(self):
+        base = scenario_from_dict(_fixed_cfg())
+        changed = [row[:] for row in H_2X4_REF]
+        changed[1][3] = 0.9
+        assert scenario_from_dict({"channel": {"type": "fixed", "matrix": changed}}) != base
+        assert scenario_from_dict(_fixed_cfg(seed=1)) != base
+
+    def test_matrix_cannot_be_written(self):
+        sc = parse_scenario(scenario_path("csi_fixed_2x4.json"))
+        with pytest.raises(TypeError):
+            sc.channel.matrix[0][0] = 5
+        with pytest.raises(TypeError):
+            sc.channel.matrix[0] = (5, 5, 5, 5)
+        assert np.array_equal(np.asarray(sc.channel.matrix), np.asarray(H_2X4_REF, complex))
+        assert not sc.block_channels(0, 2).flags.writeable
+
+
 class TestCaps:
     def test_partial_override(self):
         sc = scenario_from_dict({"channel": "rice1", "sinr_cap_db": {"2": 12.5}})
@@ -324,7 +350,7 @@ class TestDerivedHelpers:
         h = sc.block_channels(drop_seed=1, n_blocks=3)
         assert h.shape == (3, 2, 4)
         assert np.array_equal(h[2], np.asarray(H_2X4_REF, complex))
-        assert sc.coherence_slots is None and not sc.is_fading
+        assert sc.coherence_slots == sc.n_slots and not sc.is_fading
 
     def test_grid_for_block_rice(self):
         sc = scenario_from_dict({"channel": "rice1", "n_prb": 3, "n_tx": 2})
@@ -368,6 +394,81 @@ def test_harq_pair_bound_covers_the_drop(n_slots, coherence, csi_period, max_har
     assert pairs <= bound
     if (coherence, csi_period) == (1, 1) and max_harq_tx >= n_slots:
         assert pairs == bound == n_slots * (n_slots + 1) // 2
+
+
+# Every numeric key of each section; a top-level key has section None.
+_NUMERIC_KEYS = [(None, k) for k in ("n_tx", "n_rx", "n_prb", "scs_khz", "n_slots", "n_drops",
+                                     "csi_period", "dl_duty_factor", "seed", "est_error_var",
+                                     "max_harq_tx")] + [
+    ("channel", "k_factor"), ("channel", "coherence_slots"), ("noise", "snr_db"),
+    ("noise", "snr_db_list"), ("noise", "variance"), ("csi", "gamma_th"),
+    ("csi", "force_ri"), ("csi", "force_cqi")]
+# Base documents setting every key they can to a value other than its default.
+_SETTINGS = {"n_rx": 2, "n_prb": 52, "scs_khz": 30, "n_slots": 60, "n_drops": 3,
+             "csi_period": 5, "dl_duty_factor": 0.5, "seed": 7, "est_error_var": 0.01,
+             "max_harq_tx": 2, "noise": {"mode": "snr_sweep", "snr_db_list": [0, 10]},
+             "csi": {"gamma_th": 3.0, "force_ri": 1, "force_cqi": 7}}
+_BASE_DOCS = {
+    "rice1": {"channel": {"type": "rice1", "k_factor": 3.0, "coherence_slots": 4},
+              "n_tx": 2, **_SETTINGS},
+    "fixed": {"channel": {"type": "fixed", "matrix": [[1, 0.5], [0.5, 1]]},
+              "n_tx": 2, **_SETTINGS},
+}
+
+
+def _outcome(doc):
+    """The parsed scenario, or the message of the ScenarioError raised."""
+    try:
+        return scenario_from_dict(doc)
+    except ScenarioError as e:
+        return str(e)
+
+
+def _with(doc: dict, section, key: str, value) -> dict:
+    """A copy of ``doc`` with ``key`` of ``section`` set to ``value``, or removed
+    if ``value`` is ``...``."""
+    doc = json.loads(json.dumps(doc))
+    owner = doc if section is None else doc.setdefault(section, {})
+    if value is ...:
+        owner.pop(key, None)
+    else:
+        owner[key] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(sorted(_BASE_DOCS)), key=st.sampled_from(_NUMERIC_KEYS),
+       dropped=st.sets(st.sampled_from(sorted(_SETTINGS))))
+def test_null_is_unset_and_unset_is_the_dataclass_default(base, key, dropped):
+    doc = {k: v for k, v in _BASE_DOCS[base].items() if k not in dropped}
+    assert isinstance(_outcome(doc), Scenario)
+    section, name = key
+    absent = _outcome(_with(doc, section, name, ...))
+    assert _outcome(_with(doc, section, name, None)) == absent
+    if isinstance(absent, str) or name in ("n_rx", "scs_khz"):  # numerology: not stored
+        return
+    owner, fresh = {
+        None: (absent, Scenario(absent.channel)),
+        "channel": (absent.channel, ChannelModel(absent.channel.kind,
+                                                 matrix=absent.channel.matrix)),
+        "noise": (absent.noise, NoiseModel()),
+        "csi": (absent.csi, CsiConfig()),
+    }[section]
+    assert getattr(owner, name) == getattr(fresh, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from([..., None, "", "rayleigh", "Fixed", 5, ["fixed"]]),
+       matrix=st.sampled_from([..., None, H_2X4_REF]),
+       extra=st.dictionaries(st.sampled_from(["k_factor", "coherence_slots"]),
+                             st.integers(1, 5) | st.none()))
+def test_channel_without_a_known_type_is_rejected_naming_it(kind, matrix, extra):
+    channel = dict(extra)
+    for key, value in (("type", kind), ("matrix", matrix)):
+        if value is not ...:
+            channel[key] = value
+    with pytest.raises(ScenarioError, match="channel.type"):
+        scenario_from_dict({"channel": channel})
 
 
 class TestParseScenario:

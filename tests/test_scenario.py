@@ -43,7 +43,8 @@ class TestDefaults:
         assert sc.noise.mode == "noise_free"
         assert sc.dl_duty_factor == 1.0
 
-    @pytest.mark.parametrize("channel", ["rice1", {"type": "fixed", "matrix": H_2X4_REF}])
+    @pytest.mark.parametrize("channel", ["rice1", {"type": "fixed", "matrix": H_2X4_REF}],
+                             ids=["rice1", "fixed"])
     def test_fixed_numerology_keys_accepted(self, channel):
         sc = scenario_from_dict({"channel": channel, "n_rx": 2, "scs_khz": 30,
                                  "band": "n78"})

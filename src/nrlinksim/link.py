@@ -243,7 +243,7 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     codebooks = build_codebook_set(n_tx)
     noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
-    step = blocks_per_search(n_eval * len(noise_vars), codebooks)
+    step = blocks_per_search(n_eval, len(noise_vars), codebooks)
     streams = (estimate_streams(chan.seed, chan.report_block)
                if scenario.est_error_var else None)
     parts, scratch = [], Scratch()

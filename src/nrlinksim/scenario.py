@@ -10,6 +10,7 @@ offending field named — so golden files cannot silently drift.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import inf, isfinite
 from pathlib import Path
@@ -30,9 +31,34 @@ MAX_N_SLOTS = 10 ** 6
 # _harq_pair_bound: each costs a few hundred bytes in drop_csi and run_harq.
 # A Rician drop of 10^6 slots at the default fields needs 3 * 10^5.
 MAX_HARQ_PAIRS = 2 ** 19
+
+
+class RankCaps(Mapping):
+    """Effective-SINR ceiling (dB) of each rank: an immutable mapping,
+    hashable, and equal to any mapping with the same items."""
+
+    def __init__(self, caps: Mapping[int, float]):
+        self._caps = dict(caps)
+
+    def __getitem__(self, rank: int) -> float:
+        return self._caps[rank]
+
+    def __iter__(self):
+        return iter(self._caps)
+
+    def __len__(self) -> int:
+        return len(self._caps)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._caps.items()))
+
+    def __repr__(self) -> str:
+        return f"RankCaps({self._caps!r})"
+
+
 # Rank-dependent effective-SINR ceilings (dB) modeling the fixed receiver
 # impairment floor; rank 2 pays an extra inter-layer penalty.
-DEFAULT_SINR_CAP_DB = {1: 19.0, 2: 16.0}
+DEFAULT_SINR_CAP_DB = RankCaps({1: 19.0, 2: 16.0})
 
 
 class ScenarioError(ValueError):
@@ -131,14 +157,16 @@ class Scenario:
     seed: int = 0
     est_error_var: float = 0.0
     max_harq_tx: int = 4
-    # Overrides the ceilings of the ranks it names; the others keep the default.
-    sinr_cap_db: dict[int, float] = field(default_factory=dict)
+    # Overrides the ceilings of the ranks it names; the others keep the
+    # default.  Stored as a RankCaps.
+    sinr_cap_db: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_tx is None:
             object.__setattr__(self, "n_tx", len(self.channel.matrix[0])
                                if self.channel.kind == "fixed" else 4)
-        object.__setattr__(self, "sinr_cap_db", {**DEFAULT_SINR_CAP_DB, **self.sinr_cap_db})
+        object.__setattr__(self, "sinr_cap_db",
+                           RankCaps({**DEFAULT_SINR_CAP_DB, **self.sinr_cap_db}))
         if self.n_tx not in (2, 4):
             raise ScenarioError(f"scenario.n_tx must be 2 or 4, got {self.n_tx}")
         if not 1 <= self.n_prb <= MAX_N_PRB:

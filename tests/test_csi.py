@@ -15,7 +15,7 @@ from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL
                            CsiConfig, CsiReports, Scratch, _powers, _split_batch,
                            block_layer_sinrs, compute_ri_blocks, make_reports,
                            select_pmi_blocks)
-from nrlinksim.linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
+from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
 
 from conftest import (LayerSinrs, block_layer_sinrs_oracle, select_cqi,
                       select_pmi_oracle)
@@ -180,6 +180,57 @@ class TestComputeRi:
         base = _ri(mats[None], CsiConfig())
         for c in (2.0 ** -10, 3.7, 2.0 ** 10):
             assert _ri(mats[None] * c, CsiConfig()) == base
+
+
+def _unchecked_votes(mats: np.ndarray, gamma_th: float) -> np.ndarray:
+    """The elementwise metric ``compute_ri_blocks`` votes with, without the
+    redo that makes each vote equal ``gamma_stack``'s."""
+    r = np.einsum("...ij,...ij->...i", mats.real, mats.real)
+    r += np.einsum("...ij,...ij->...i", mats.imag, mats.imag)
+    m01 = np.einsum("...j,...j->...", mats[..., 0, :], np.conj(mats[..., 1, :]))
+    cross = m01.real * m01.real + m01.imag * m01.imag
+    tr = r[..., 0] + r[..., 1]
+    det = r[..., 0] * r[..., 1] - cross
+    ok = det - DET_EPS * (tr * tr) > 0.0
+    num = r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + 2.0 * cross
+    return ok & (num / np.where(ok, det, 1.0) < gamma_th)
+
+
+class TestRiVoteRedo:
+    """Subcarriers on which the elementwise metric and ``gamma_stack`` round
+    to opposite sides of a vote's edge; each must vote as ``gamma_stack``."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -268], ids=["unit", "subnormal_gram"])
+    def test_metric_just_across_gamma_th(self, scale):
+        # gamma_th sits at a subcarrier's gamma_stack metric or one ulp above
+        # it, on whichever side the unchecked elementwise vote differs.  At
+        # 2^-268 the Gram's products are subnormal, outside the error bound.
+        rng = np.random.default_rng(11)
+        mats = (rng.standard_normal((300, 2, 4)) + 1j * rng.standard_normal((300, 2, 4))) * scale
+        cases = [(m, th, g < th) for m, g in zip(mats, gamma_stack(mats).tolist()) if 2.0 < g < math.inf
+                 for th in (g, math.nextafter(g, math.inf)) if _unchecked_votes(m, th) != (g < th)]
+        if not cases:
+            pytest.skip("the elementwise metric rounds as gamma_stack on every probed channel here")
+        for m, th, two in cases:
+            assert _ri(_flat(m), CsiConfig(gamma_th=th)) == (2 if two else 1)
+
+    def test_det_just_across_its_edge(self):
+        # Rows h0 and h0 + eps v with eps swept across det = DET_EPS tr^2.
+        # gamma_th is far above every finite metric, so a subcarrier votes
+        # for two layers exactly where its Gram passes the det test.
+        rng = np.random.default_rng(0)
+        h0 = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+        v = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+        eps = 2.0 * math.sqrt(DET_EPS) * np.linalg.norm(h0, axis=1) / np.linalg.norm(v, axis=1)
+        sweep = 1.0 + np.linspace(-0.5, 0.5, 4001)[:, None, None]
+        mats = np.stack([np.broadcast_to(h0, sweep.shape[:1] + h0.shape),
+                         h0 + eps[:, None] * sweep * v], axis=-2).reshape(-1, 2, 4)
+        want = np.isfinite(gamma_stack(mats))
+        cases = mats[_unchecked_votes(mats, 1e13) != want]
+        if not cases.size:
+            pytest.skip("the elementwise det rounds as gamma_stack's on every probed channel here")
+        got = compute_ri_blocks(cases[:, None], CsiConfig(gamma_th=1e13))
+        assert np.array_equal(got, np.where(np.isfinite(gamma_stack(cases)), 2, 1))
 
 
 class TestCsiConfig:

@@ -11,10 +11,13 @@ every SNR point equals a pass per point and, with CQI and rank forced,
 the HARQ accounting.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nrlinksim import csi as csi_module
 from nrlinksim import link
 from nrlinksim.channel import block_rx_power, derive_seed
 from nrlinksim.codebook import build_codebook_set
@@ -279,6 +282,35 @@ def test_pair_pass_matches_per_point_oracle(doc):
     want = pair_eff_db_oracle(scenario, chan, csi.reports)
     assert csi.pair_eff_db.shape == want.shape
     assert csi.pair_eff_db.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_tx=st.sampled_from([2, 4]), force_ri=st.sampled_from([None, 1, 2]),
+       snrs=st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=5),
+       est_error_var=st.sampled_from([0.01, 0.3]), n_prb=st.sampled_from([1, 3, 106]),
+       coherence=st.integers(1, 7), csi_period=st.integers(1, 9), n_slots=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32))
+@example(n_tx=4, force_ri=None, snrs=[0.0, 10.0, 20.0], est_error_var=0.01, n_prb=106,
+         coherence=10, csi_period=10, n_slots=200, seed=3)
+def test_chunk_size_changes_no_csi_byte(n_tx, force_ri, snrs, est_error_var, n_prb,
+                                        coherence, csi_period, n_slots, seed):
+    # One reporting block per make_reports call (and one noise point per
+    # pair pass), then every block (and point) in one call: the same bytes.
+    scenario = scenario_from_dict({
+        "channel": {"type": "rice1", "k_factor": 1.0, "coherence_slots": coherence},
+        "n_tx": n_tx, "n_prb": n_prb, "n_slots": n_slots, "csi_period": csi_period,
+        "est_error_var": est_error_var, "csi": {"force_ri": force_ri}, "seed": seed,
+        "noise": {"mode": "snr_sweep", "snr_db_list": snrs}})
+    chan = drop_channel(scenario, derive_seed(scenario.seed, 0))
+    runs = []
+    for budget in (1, 1 << 60):
+        with mock.patch.object(csi_module, "BATCH_ELEMS", budget):
+            runs.append(drop_csi(scenario, chan))
+    one, whole = runs
+    for got, want in zip(one.reports, whole.reports):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert one.pair_eff_db.tobytes() == whole.pair_eff_db.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -398,8 +398,8 @@ def test_one_point_per_pair_pass_changes_nothing(name, monkeypatch):
 
 
 def _esterr_scenario(n_slots: int):
-    """Rician 2x4, full-band estimation error, three SNR points: every
-    reporting block gets an ``estimate_blocks`` call of its own."""
+    """Rician 2x4, full-band estimation error, three SNR points: reporting
+    blocks are estimated a chunk of ``blocks_per_search`` at a time."""
     return scenario_from_dict({
         "n_tx": 4, "n_prb": 106, "n_slots": n_slots, "csi_period": 10,
         "est_error_var": 0.01,
@@ -426,7 +426,7 @@ class TestRandomStreams:
 
     def test_estimate_streams_derived_once_per_drop(self, monkeypatch):
         scenario = _esterr_scenario(200)
-        assert blocks_per_search(scenario.n_prb * 3, build_codebook_set(4)) == 1
+        chunk = blocks_per_search(scenario.n_prb, 3, build_codebook_set(4))
         calls = Counter()
         for name in ("estimate_streams", "estimate_blocks"):
             def counted(*args, _real=getattr(link, name), _name=name, **kwargs):
@@ -434,4 +434,4 @@ class TestRandomStreams:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(link, name, counted)
         drop_csi(scenario, drop_channel(scenario, 7))
-        assert calls == {"estimate_streams": 1, "estimate_blocks": 20}
+        assert calls == {"estimate_streams": 1, "estimate_blocks": math.ceil(20 / chunk)}

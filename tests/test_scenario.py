@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -343,6 +344,22 @@ class TestCaps:
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict({"channel": "rice1", "sinr_cap_db": {"1": 0}})
+
+    def test_caps_cannot_be_written(self):
+        sc = scenario_from_dict({"channel": "rice1", "sinr_cap_db": {"1": 12.0}})
+        with pytest.raises(TypeError):
+            sc.sinr_cap_db[1] = -5.0
+        with pytest.raises(TypeError):
+            DEFAULT_SINR_CAP_DB[2] = 0.0
+        assert sc.sinr_cap_db == {1: 12.0, 2: DEFAULT_SINR_CAP_DB[2]}
+
+    def test_two_parses_hash_alike(self):
+        path = scenario_path("snr_sweep_rice1_2x4.json")
+        a, b = parse_scenario(path), parse_scenario(path)
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+        capped = scenario_from_dict({"channel": "rice1", "sinr_cap_db": {"2": 12.5}})
+        assert capped != scenario_from_dict({"channel": "rice1"})
 
 
 class TestDerivedHelpers:

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Record one ``BENCH_<label>.json``: end-to-end benchmark numbers and drop phase times.
+"""Record ``BENCH_<label>.json``: end-to-end benchmark numbers and drop phase times.
 
-Run from the repository root, against this checkout or another one:
+Run from the repository root, against this checkout or another one, or
+against a change and its parent together:
 
     python3 tools/bench_record.py --label after
     python3 tools/bench_record.py --label before --repo ../parent-checkout
+    python3 tools/bench_record.py --label pr --parent ../parent-checkout
 
 It records two things about the checkout at ``--repo``:
 
@@ -23,6 +25,12 @@ It writes ``BENCH_<label>.json`` at the root of this checkout, with
 ``src_lines`` (the ``wc -l`` total of ``src/nrlinksim/*.py``) of the
 measured checkout.  Two files compare only when recorded on the same host:
 timings are wall clock, one run each, on a shared host.
+
+With ``--parent``, the checkout there is recorded too, as
+``BENCH_<label>_parent.json``, in the same run: each workload and each
+scenario runs on both checkouts back to back, and which one goes first
+alternates from one item to the next, so drift of the host over the run
+falls on both files alike.
 """
 
 from __future__ import annotations
@@ -115,14 +123,15 @@ def record_workload(repo: Path, workload: str, seconds: float) -> dict:
 
 
 def scenario_files(repo: Path) -> list[Path]:
-    return [*sorted((repo / "scenarios").glob("*.json")),
-            *sorted((repo / "perfbench" / "scenarios").glob("*.json"))]
+    """The scenarios to time, relative to ``repo``."""
+    return [p.relative_to(repo) for d in ("scenarios", "perfbench/scenarios")
+            for p in sorted((repo / d).glob("*.json"))]
 
 
 def record_phases(repo: Path, scenario: Path, repeats: int) -> dict:
     src = repo / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", PHASE_CODE, str(src), str(scenario), str(repeats),
+        [sys.executable, "-c", PHASE_CODE, str(src), str(repo / scenario), str(repeats),
          "1" if scenario.stem.startswith("cqi_sweep_") else "0"],
         stdout=subprocess.PIPE, text=True, env=pinned_env(), timeout=1800)
     if proc.returncode:
@@ -138,41 +147,54 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--label", required=True, help="file name is BENCH_<label>.json")
     ap.add_argument("--repo", type=Path, default=TOOL_ROOT,
                     help="checkout to measure (default: this one)")
+    ap.add_argument("--parent", type=Path,
+                    help="checkout to record as BENCH_<label>_parent.json, "
+                         "interleaved with --repo item by item")
     ap.add_argument("--seconds", type=float, default=15.0,
                     help="run length of each perfbench/run.py workload")
     args = ap.parse_args(argv)
-    repo = args.repo.resolve()
-    out = TOOL_ROOT / f"BENCH_{args.label}.json"
+    sides = {args.label: args.repo.resolve()}
+    if args.parent is not None:
+        sides[f"{args.label}_parent"] = args.parent.resolve()
+    repo = sides[args.label]
 
+    # Every item runs on each side; the side that goes first alternates.
     bench = json.loads((repo / "BENCHMARK.json").read_text())
-    workloads = {}
-    for w in bench["workloads"]:
-        print(f"workload {w['name']} ...", file=sys.stderr)
-        workloads[w["name"]] = record_workload(repo, w["name"], args.seconds)
-    phases = {}
-    for scenario in scenario_files(repo):
-        print(f"phases {scenario.name} ...", file=sys.stderr)
-        phases[scenario.name] = record_phases(repo, scenario, PHASE_REPEATS)
+    items = [("workloads", w["name"]) for w in bench["workloads"]]
+    items += [("phases", scenario) for scenario in scenario_files(repo)]
+    results = {label: {"workloads": {}, "phases": {}} for label in sides}
+    for i, (kind, item) in enumerate(items):
+        for label in (list(sides) if i % 2 else list(sides)[::-1]):
+            where = sides[label]
+            if kind == "workloads":
+                print(f"{label}: workload {item} ...", file=sys.stderr)
+                results[label][kind][item] = record_workload(where, item, args.seconds)
+            else:
+                print(f"{label}: phases {item.name} ...", file=sys.stderr)
+                results[label][kind][item.name] = record_phases(where, item, PHASE_REPEATS)
 
     nproc = os.cpu_count()
-    record = {
-        "label": args.label,
-        "git_sha": git_sha(repo),
-        "src_lines": src_lines(repo),
-        "nproc": nproc,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "note": (f"Wall-clock timings from a shared {nproc}-core host, one run each; "
-                 "other tenants add run-to-run drift, so compare only files recorded "
-                 "on the same host."),
-        "workload_seconds": args.seconds,
-        "phase_repeats": PHASE_REPEATS,
-        "workloads": workloads,
-        "phases": phases,
-    }
-    out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {out}", file=sys.stderr)
-    return 0 if all(w["exit_status"] == 0 for w in workloads.values()) else 1
+    for label, where in sides.items():
+        record = {
+            "label": label,
+            "git_sha": git_sha(where),
+            "src_lines": src_lines(where),
+            "nproc": nproc,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "note": (f"Wall-clock timings from a shared {nproc}-core host, one run each; "
+                     "other tenants add run-to-run drift, so compare only files recorded "
+                     "on the same host."),
+            "interleaved_with": [other for other in sides if other != label],
+            "workload_seconds": args.seconds,
+            "phase_repeats": PHASE_REPEATS,
+            **results[label],
+        }
+        out = TOOL_ROOT / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=2) + "\n")
+        print(f"wrote {out}", file=sys.stderr)
+    return 0 if all(w["exit_status"] == 0 for r in results.values()
+                    for w in r["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -158,11 +158,11 @@ def main(argv: list[str] | None = None) -> int:
         sides[f"{args.label}_parent"] = args.parent.resolve()
     repo = sides[args.label]
 
-    # Every item runs on each side; the side that goes first alternates.
     bench = json.loads((repo / "BENCHMARK.json").read_text())
     items = [("workloads", w["name"]) for w in bench["workloads"]]
     items += [("phases", scenario) for scenario in scenario_files(repo)]
     results = {label: {"workloads": {}, "phases": {}} for label in sides}
+    # Every item runs on each side; the side that goes first alternates.
     for i, (kind, item) in enumerate(items):
         for label in (list(sides) if i % 2 else list(sides)[::-1]):
             where = sides[label]

@@ -15,6 +15,10 @@ forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
 the drop in whole-array rounds: each slot is decided under its own
 report, then redecided where the ACKs show its block follows an older
 one, until no decision changes.
+
+Only the ACK draws (:func:`ack_draws`) of a drop whose scenario has
+``Scenario.drop_invariant_csi`` depend on its seed, so a sweep can also
+share the first two phases across its drops.
 """
 
 from __future__ import annotations
@@ -39,6 +43,12 @@ SLOT_DURATION_S = 0.5e-3
 DATA_RE_PER_PRB = 156
 
 _ACK_STREAM = 14
+
+
+def ack_draws(seed: int, n_slots: int) -> np.ndarray:
+    """The one uniform variate per slot that drop ``seed`` draws against the
+    block-error probability, from its own stream keyed by ``seed`` alone."""
+    return np.random.default_rng([_ACK_STREAM, seed]).random(n_slots)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +213,7 @@ def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
         report_block=report_block,
         slot_block=slot_block,
         slot_report=slot_report,
-        ack_draws=np.random.default_rng([_ACK_STREAM, seed]).random(n),
+        ack_draws=ack_draws(seed, n),
         pair_report=pair_report,
         pair_block=pair_block,
         report_pair_base=first_pair - report_block,

@@ -216,6 +216,13 @@ class Scenario:
         return self.channel.kind == "rice1"
 
     @property
+    def drop_invariant_csi(self) -> bool:
+        """Whether every drop has the same channel, estimate, noise levels,
+        reports and pair SINRs: a fixed channel, estimated without error.
+        Such drops differ only in their ACK draws."""
+        return not self.is_fading and self.est_error_var == 0
+
+    @property
     def coherence_slots(self) -> int:
         """Slots per channel block: a fixed channel is one block of ``n_slots`` slots."""
         return self.channel.coherence_slots if self.is_fading else self.n_slots

@@ -5,7 +5,10 @@ has a matching CSV writer with a fixed column contract.  Results are
 bitwise reproducible for a given scenario: drop seeds derive only from
 ``(scenario.seed, drop_index)``, never from the sweep point, so sweep
 points share common random numbers.  Sweeps therefore run drop-major:
-each drop is drawn once and serves every sweep point.
+each drop is drawn once and serves every sweep point.  When the CSI
+cannot depend on the drop (``Scenario.drop_invariant_csi``: a fixed
+channel estimated without error), it is computed once per sweep, and
+each drop makes only its own ACK draws and HARQ pass.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .channel import derive_seed, estimate_blocks, estimate_streams
 from .codebook import build_codebook, build_codebook_set
 from .csi import make_reports
 from .linalg import gamma_stack
-from .link import ThroughputStats, drop_channel, drop_csi, mcs_from_cqi, run_harq
+from .link import (DropCsi, ThroughputStats, ack_draws, drop_channel, drop_csi, mcs_from_cqi,
+                   run_harq)
 from .scenario import Scenario, ScenarioError
 from .tables import N_CQI
 
@@ -67,32 +71,54 @@ class CsiInspection:
     gamma_max: float
 
 
-def run_drops(scenario: Scenario, workers: int, drop) -> list:
-    """``drop(scenario, seed)`` for every drop of one scenario, in drop order.
+def run_drops(scenario: Scenario, workers: int, points) -> list:
+    """``points(scenario, csi)`` on the CSI of every drop of one scenario, in
+    drop order.
 
-    ``workers > 1`` fans the drops out to one process pool; the ordered
-    gather keeps results identical to the sequential run.
+    A drop's CSI is ``drop_csi(scenario, drop_channel(scenario, seed))``.
+    When ``scenario.drop_invariant_csi`` holds, it is computed once, made
+    read-only, and each drop gets it with its own ``seed`` and ACK draws
+    swapped in; otherwise each drop computes its own.  ``workers > 1`` fans
+    the drops out to one process pool, which is sent the shared CSI or
+    computes each drop's; the ordered gather keeps results identical to the
+    sequential run.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
+    shared = _shared_csi(scenario, seeds[0]) if scenario.drop_invariant_csi else None
     if workers == 1:
-        return [drop(scenario, s) for s in seeds]
+        return [_drop(scenario, points, shared, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(drop, repeat(scenario), seeds))
+        return list(ex.map(_drop, repeat(scenario), repeat(points), repeat(shared), seeds))
 
 
-def _cqi_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
-    """One drop at every forced CQI: one channel and CSI pass, then one HARQ
-    pass whose ``cqi`` column holds one row per CQI."""
+def _shared_csi(scenario: Scenario, seed: int) -> DropCsi:
+    """The CSI of drop ``seed``, every array of it read-only, so that no drop
+    can change what the next one sees."""
     csi = drop_csi(scenario, drop_channel(scenario, seed))
+    for a in (*vars(csi.chan).values(), *csi.reports, csi.pair_eff_db):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return csi
+
+
+def _drop(scenario: Scenario, points, shared: DropCsi | None, seed: int) -> list:
+    """``points`` on the CSI of drop ``seed``: ``shared`` with the drop's seed
+    and ACK draws, or without it, the drop's own."""
+    if shared is None:
+        csi = drop_csi(scenario, drop_channel(scenario, seed))
+    else:
+        csi = replace(shared, chan=replace(shared.chan, seed=seed,
+                                           ack_draws=ack_draws(seed, scenario.n_slots)))
+    return points(scenario, csi)
+
+
+def _cqi_points(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
+    """One drop at every forced CQI: one HARQ pass whose ``cqi`` column holds
+    one row per CQI."""
     forced = np.broadcast_to(np.arange(N_CQI)[:, None], (N_CQI, csi.reports.ri.size))
     return run_harq(scenario, replace(csi, reports=csi.reports._replace(cqi=forced)))
-
-
-def _snr_points(scenario: Scenario, seed: int) -> list[ThroughputStats]:
-    """One drop at every SNR point: one channel, CSI and HARQ pass."""
-    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
 
 
 def _goodput_and_bler(stats) -> tuple[float, float, float]:
@@ -119,7 +145,7 @@ def run_sweep_snr(scenario: Scenario, workers: int = 1) -> list[SnrSweepRow]:
     """Simulate every SNR point of an ``snr_sweep`` scenario over the same drops."""
     if scenario.noise.mode != "snr_sweep":
         raise ScenarioError("sweep-snr needs noise.mode = 'snr_sweep'")
-    per_drop = run_drops(scenario, workers, _snr_points)
+    per_drop = run_drops(scenario, workers, run_harq)
     rows = []
     for snr, stats in zip(scenario.noise.snr_db_list, zip(*per_drop)):
         mean, std, mean_bler = _goodput_and_bler(stats)

@@ -23,8 +23,7 @@ from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
                            NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL, CsiReports)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR
-from nrlinksim.link import (DropChannel, ThroughputStats, drop_channel, drop_csi,
-                            effective_sinrs_db, run_harq)
+from nrlinksim.link import DropChannel, ThroughputStats, drop_channel, drop_csi, run_harq
 from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
@@ -186,9 +185,19 @@ def block_layer_sinrs_oracle(mats: np.ndarray, w: np.ndarray, noise_var) -> np.n
     return split_oracle(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
 
 
+def eff_sinrs_db_oracle(mats: np.ndarray, w: np.ndarray, noise_var, cap_db: float) -> np.ndarray:
+    """Bitwise oracle of ``link.effective_sinrs_db`` at one noise point: each
+    block's mean layer SINR on ``mats @ w`` (:func:`block_layer_sinrs_oracle`),
+    then ``math.log10`` and ``min`` value by value, -inf where the mean is
+    not positive."""
+    mean = block_layer_sinrs_oracle(mats, w, noise_var).mean(axis=(-2, -1))
+    return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
+                     for m in mean.tolist()])
+
+
 def pair_eff_db_oracle(scenario: Scenario, chan: DropChannel, reports: CsiReports) -> np.ndarray:
-    """Bitwise oracle of ``DropCsi.pair_eff_db``: one ``effective_sinrs_db``
-    call per (noise point, rank), each on that point's noise alone."""
+    """Bitwise oracle of ``DropCsi.pair_eff_db``: one :func:`eff_sinrs_db_oracle`
+    per (noise point, rank), each on that point's noise alone."""
     codebooks = build_codebook_set(scenario.n_tx)
     noise_vars = scenario.noise_vars(chan.p_rx)
     pair_rank = reports.ri[chan.pair_report]
@@ -199,8 +208,8 @@ def pair_eff_db_oracle(scenario: Scenario, chan: DropChannel, reports: CsiReport
             blocks = chan.pair_block[rows]
             pmi = reports.pmi[point, chan.pair_report[rows]]
             w = codebooks[(scenario.n_tx, rank)].precoders[pmi]
-            eff[point, rows] = effective_sinrs_db(chan.h[blocks][:, None], w, noise_var[blocks],
-                                                  float(scenario.sinr_cap_db[rank]))
+            eff[point, rows] = eff_sinrs_db_oracle(chan.h[blocks][:, None], w, noise_var[blocks],
+                                                   float(scenario.sinr_cap_db[rank]))
     return eff
 
 

@@ -23,13 +23,12 @@ from nrlinksim.channel import block_rx_power, derive_seed
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
-                            drop_channel, drop_csi, effective_sinrs_db, mcs_from_cqi,
-                            tbs)
+                            drop_channel, drop_csi, mcs_from_cqi, run_harq, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
-from conftest import (at_snr, estimate_blocks_oracle, pair_eff_db_oracle, precoder_for,
-                      rice1_blocks_oracle, simulate_drop, with_forced_cqi)
+from conftest import (at_snr, eff_sinrs_db_oracle, estimate_blocks_oracle, pair_eff_db_oracle,
+                      precoder_for, rice1_blocks_oracle, simulate_drop, with_forced_cqi)
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -80,7 +79,7 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
 
         layers, w, mcs, cqi, bits = tb_grant
         cap = float(scenario.sinr_cap_db[layers])
-        eff = effective_sinrs_db(h[:, None], w[None], noise_var, cap)[0]
+        eff = eff_sinrs_db_oracle(h[:, None], w[None], noise_var, cap)[0]
         p_err = bler(eff, mcs)
 
         attempts += 1
@@ -199,6 +198,70 @@ def test_snr_sweep_matches_oracle(doc, snrs):
     seed = derive_seed(scenario.seed, 0)
     for snr, row in zip(snrs, run_sweep_snr(scenario)):
         assert row.drops == (oracle_drop(at_snr(scenario, snr), seed),)
+
+
+@st.composite
+def fixed_sweeps(draw):
+    """A sweep command with a fixed 2x2 or 2x4 scenario, estimated without
+    error, at a noise mode that command takes, over several drops."""
+    n_tx = draw(st.sampled_from([2, 4]))
+    entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    matrix = [[[draw(entry), draw(entry)] for _ in range(n_tx)] for _ in range(2)]
+    matrix[0][0][0] = draw(st.floats(0.01, 2.0))  # SNR modes need power
+    command = draw(st.sampled_from(["sweep-cqi", "sweep-snr"]))
+    if command == "sweep-snr":
+        noise = {"mode": "snr_sweep",
+                 "snr_db_list": draw(st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=3))}
+    else:
+        noise = draw(st.sampled_from([
+            {"mode": "noise_free"},
+            {"mode": "snr", "snr_db": draw(st.floats(-5.0, 30.0))},
+            {"mode": "variance", "variance": draw(st.floats(0.01, 2.0))},
+        ]))
+    n_slots = draw(st.integers(1, 60))
+    return command, scenario_from_dict({
+        "channel": {"type": "fixed", "matrix": matrix}, "noise": noise,
+        "n_prb": draw(st.sampled_from([1, 106])), "n_slots": n_slots,
+        "n_drops": draw(st.integers(1, 4)), "csi_period": draw(st.integers(1, 9)),
+        "max_harq_tx": draw(st.one_of(st.integers(1, 5), st.integers(1, n_slots + 3))),
+        "seed": draw(st.integers(0, 2 ** 32)),
+    })
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep=fixed_sweeps())
+def test_shared_csi_sweep_matches_per_drop_composition(sweep):
+    # A sweep computes a fixed channel's CSI once; every drop must still
+    # equal the three phases run on that drop alone.
+    command, scenario = sweep
+    assert scenario.drop_invariant_csi
+    seeds = [derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
+    if command == "sweep-snr":
+        rows = run_sweep_snr(scenario)
+        for d, seed in enumerate(seeds):
+            alone = run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
+            assert [row.drops[d] for row in rows] == alone
+    else:
+        for row in run_sweep_cqi(scenario):
+            forced = with_forced_cqi(scenario, row.cqi)
+            assert row.drops == tuple(simulate_drop(forced, seed) for seed in seeds)
+
+
+def test_shared_csi_drops_match_oracle():
+    # Three drops of a fixed 2x2 channel share their CSI but not their ACK
+    # draws: each equals the slot-by-slot loop at its own seed.  At 4 dB the
+    # forced CQI fails often, so the drops differ and retransmit.
+    scenario = scenario_from_dict({
+        "channel": {"type": "fixed", "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+        "noise": {"mode": "snr_sweep", "snr_db_list": [4.0, 8.0]}, "csi": {"force_cqi": 11},
+        "n_slots": 40, "n_drops": 3, "csi_period": 4, "max_harq_tx": 3, "seed": 6,
+    })
+    seeds = [derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
+    rows = run_sweep_snr(scenario)
+    for snr, row in zip(scenario.noise.snr_db_list, rows):
+        assert row.drops == tuple(oracle_drop(at_snr(scenario, snr), s) for s in seeds)
+    assert len(set(rows[0].drops)) == len(seeds)
+    assert all(d.tb_dropped > 0 for d in rows[0].drops)
 
 
 def test_harq_rounds_match_oracle_point_by_point(monkeypatch):

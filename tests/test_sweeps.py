@@ -11,14 +11,14 @@ import pytest
 
 from nrlinksim import cli, link, sweeps
 from nrlinksim.channel import derive_seed
-from nrlinksim.link import drop_channel, drop_csi, mcs_from_cqi, tbs
+from nrlinksim.link import drop_channel, drop_csi, mcs_from_cqi, run_harq, tbs
 from nrlinksim.scenario import ScenarioError, parse_scenario, scenario_from_dict
 from nrlinksim.sweeps import (run_csi_inspect, run_drops, run_sweep_cqi,
                               run_sweep_snr, write_codebook_csv,
                               write_cqi_sweep_csv, write_csi_csv,
                               write_gnuplot_xy, write_snr_sweep_csv)
 
-from conftest import scenario_path, simulate_drop
+from conftest import SCENARIO_DIR, scenario_path
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 # Rank 1 in exact arithmetic and in float: the second row is half the first.
@@ -26,6 +26,10 @@ H_RANK1 = [[1.0, 0.5, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0625]]
 
 # No grant can outrun the largest transport block the tables allow.
 GOODPUT_BOUND_MBPS = tbs(28, 2, 106) / 0.0005 / 1e6
+
+# Every Rician scenario, the benchmark's own included.
+RICE1_SCENARIOS = sorted(p for d in (SCENARIO_DIR, SCENARIO_DIR.parent / "perfbench" / "scenarios")
+                         for p in d.glob("*rice1*.json"))
 
 
 def _small_fixed(**extra):
@@ -51,37 +55,82 @@ def _small_rice(**extra):
 class TestRunDrops:
     def test_sequential_deterministic(self):
         sc = _small_rice()
-        assert run_drops(sc, 1, simulate_drop) == run_drops(sc, 1, simulate_drop)
+        assert run_drops(sc, 1, run_harq) == run_drops(sc, 1, run_harq)
 
     def test_drops_differ(self):
-        stats = run_drops(_small_rice(), 1, simulate_drop)
-        assert len({s.goodput_bps for s in stats}) > 1
+        stats = run_drops(_small_rice(), 1, run_harq)
+        assert len({s.goodput_bps for [s] in stats}) > 1
 
     def test_workers_match_sequential(self):
         sc = _small_rice()
-        assert run_drops(sc, 2, simulate_drop) == run_drops(sc, 1, simulate_drop)
+        assert run_drops(sc, 2, run_harq) == run_drops(sc, 1, run_harq)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            run_drops(_small_rice(), workers, simulate_drop)
+            run_drops(_small_rice(), workers, run_harq)
 
+    @pytest.mark.parametrize("small", [_small_rice, _small_fixed], ids=["rice1", "fixed"])
     @pytest.mark.parametrize("sweep, noise", [
         (run_sweep_cqi, {"mode": "snr", "snr_db": 8}),
         (run_sweep_snr, {"mode": "snr_sweep", "snr_db_list": [0, 8, 16]}),
     ], ids=["sweep-cqi", "sweep-snr"])
-    def test_workers_match_sequential_in_one_pool(self, monkeypatch, sweep, noise):
-        started = []
-
-        class CountingPool(sweeps.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
-        sc = _small_rice(n_drops=2, n_slots=40, noise=noise)
+    def test_workers_match_sequential_in_one_pool(self, monkeypatch, sweep, noise, small):
+        started = _count_pools(monkeypatch)
+        sc = small(n_drops=2, n_slots=40, noise=noise)
         assert sweep(sc, workers=2) == sweep(sc, workers=1)
         assert len(started) == 1
+
+
+def _count_pools(monkeypatch) -> list:
+    """Patch ``sweeps.ProcessPoolExecutor`` to log each pool it starts."""
+    started = []
+
+    class CountingPool(sweeps.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def _csi_of(scenario, csi):
+    return csi
+
+
+class TestSharedCsi:
+    """A fixed channel estimated without error has the same CSI in every
+    drop: a sweep computes it once and gives each drop its ACK draws."""
+
+    def test_one_read_only_csi_serves_every_drop(self):
+        sc = _small_fixed()
+        assert sc.drop_invariant_csi
+        seeds = [derive_seed(sc.seed, d) for d in range(sc.n_drops)]
+        csis = run_drops(sc, 1, _csi_of)
+        assert [c.chan.seed for c in csis] == seeds
+        for c, seed in zip(csis, seeds):
+            assert c.reports is csis[0].reports and c.pair_eff_db is csis[0].pair_eff_db
+            assert c.chan.ack_draws.tobytes() == link.ack_draws(seed, sc.n_slots).tobytes()
+        shared = csis[0]
+        for a in (shared.chan.h, shared.chan.slot_report, shared.chan.pair_block,
+                  shared.reports.cqi, shared.reports.pmi, shared.pair_eff_db):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
+    @pytest.mark.parametrize("sc", [
+        *(replace(parse_scenario(path), n_drops=3, n_slots=200) for path in RICE1_SCENARIOS),
+        _small_fixed(n_drops=3, est_error_var=1.0, noise={"mode": "snr", "snr_db": 8}),
+    ], ids=[*(p.stem for p in RICE1_SCENARIOS), "fixed_esterr"])
+    def test_drop_dependent_csi_is_computed_per_drop(self, sc):
+        assert not sc.drop_invariant_csi
+        got = [c.reports for c in run_drops(sc, 1, _csi_of)]
+        for d, reports in enumerate(got):
+            chan = drop_channel(sc, derive_seed(sc.seed, d))
+            for col, want in zip(reports, drop_csi(sc, chan).reports):
+                assert col.shape == want.shape and col.tobytes() == want.tobytes()
+        # Every drop reports something of its own.
+        assert len({tuple(col.tobytes() for col in r) for r in got}) == len(got)
 
 
 SWEEP_SCENARIOS = ["cqi_sweep_fixed_2x4.json", "cqi_sweep_rice1_2x4.json",
@@ -408,14 +457,16 @@ class TestCli:
         assert a.read_bytes() != b.read_bytes()
         assert b.read_bytes() == c.read_bytes()
 
-    def test_workers_flag_matches_sequential(self, tmp_path):
-        args = ["sweep-snr", "--config",
-                str(scenario_path("snr_sweep_rice1_2x4.json")),
+    @pytest.mark.parametrize("name", ["snr_sweep_rice1_2x4.json", "snr_sweep_fixed_2x2.json"])
+    def test_workers_flag_matches_sequential(self, tmp_path, monkeypatch, name):
+        started = _count_pools(monkeypatch)
+        args = ["sweep-snr", "--config", str(scenario_path(name)),
                 "--drops", "2", "--slots", "40"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert len(started) == 1
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_rejected(self, workers, tmp_path):

@@ -18,7 +18,11 @@ It records two things about the checkout at ``--repo``:
   around the calls from outside ``src/`` and
   summed over the scenario's drops; per phase, the best of
   ``PHASE_REPEATS`` passes.  A forced-CQI scenario runs ``run_harq``
-  with its 16 CQI rows, as ``sweep-cqi`` does.
+  with its 16 CQI rows, as ``sweep-cqi`` does.  These phases are what
+  one drop costs on its own; a sweep may share work across drops, so
+  the same scenario's whole ``run_sweep_snr`` (``snr_sweep`` noise) or
+  ``run_sweep_cqi`` call is timed too, as ``run_sweep``, best of
+  ``PHASE_REPEATS``.
 
 It writes ``BENCH_<label>.json`` at the root of this checkout, with
 ``nproc``, the Python and NumPy versions, and the git SHA and
@@ -60,10 +64,15 @@ import nrlinksim
 from nrlinksim.link import drop_channel, drop_csi, run_harq
 scenario = nrlinksim.parse_scenario(sys.argv[2])
 forced_cqi = sys.argv[4] == "1"
+sweep = (nrlinksim.run_sweep_snr if scenario.noise.mode == "snr_sweep"
+         else nrlinksim.run_sweep_cqi)
 seeds = [nrlinksim.derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
 best = {}
 for _ in range(int(sys.argv[3])):
     spent = dict.fromkeys(("drop_channel", "drop_csi", "run_harq"), 0.0)
+    t0 = time.perf_counter()
+    sweep(scenario)
+    spent["run_sweep"] = time.perf_counter() - t0
     for seed in seeds:
         t0 = time.perf_counter()
         chan = drop_channel(scenario, seed)
@@ -80,7 +89,7 @@ for _ in range(int(sys.argv[3])):
                          ("run_harq", t4 - t3)):
             spent[name] += dt
     best = {k: min(v, best.get(k, v)) for k, v in spent.items()}
-print(json.dumps({"file": nrlinksim.__file__, "drops": len(seeds),
+print(json.dumps({"file": nrlinksim.__file__, "drops": len(seeds), "sweep": sweep.__name__,
                   "blocks_per_drop": int(chan.h.shape[0]),
                   "report_blocks_per_drop": int(chan.report_block.size),
                   "seconds": best}))

@@ -16,9 +16,9 @@ the drop in whole-array rounds: each slot is decided under its own
 report, then redecided where the ACKs show its block follows an older
 one, until no decision changes.
 
-Only the ACK draws (:func:`ack_draws`) of a drop whose scenario has
-``Scenario.drop_invariant_csi`` depend on its seed, so a sweep can also
-share the first two phases across its drops.
+When ``Scenario.drop_invariant_csi`` holds, only a drop's ACK draws
+(:func:`ack_draws`) depend on its seed, so a sweep can share the first
+two phases across its drops too.
 """
 
 from __future__ import annotations

@@ -141,20 +141,15 @@ def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     return np.where(2 * votes2 > mats.shape[1], 2, 1)
 
 
-def _fresh(name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
-    """A new uninitialized array; ``name`` is ignored."""
-    return np.empty(shape, dtype)
-
-
 class Scratch:
-    """Temporaries shared by a run of PMI searches, one growing buffer per name.
+    """Temporaries shared by a run of SINR passes, one growing buffer per name.
 
     A full-band search builds about 1 MB of temporaries per block.  Made
     afresh, they are freed on top of the heap, which malloc may hand back
     to the kernel and fault in again for the next block, or not, depending
     on where the heap's last live block happens to sit: the same sweep
-    then runs at one of two speeds.  Calling a ``Scratch`` in place of
-    :func:`_fresh` returns an uninitialized view of the buffer kept for
+    then runs at one of two speeds.  Calling a ``Scratch`` with ``(name,
+    shape, dtype)`` returns an uninitialized view of the buffer kept for
     ``name``, grown to the largest size asked for, so a run of searches
     faults its temporaries in once.  Views of one name share memory.
     """
@@ -170,18 +165,17 @@ class Scratch:
         return buf[:size].reshape(shape)
 
 
-def _split_batch(g: np.ndarray, noise_var, combine,
-                 empty=_fresh) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE per-layer SINR of a stack of effective channels, as a (numerator, denominator) pair.
+def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE signal and interference+noise power of each layer of a stack of effective channels.
 
     ``g`` has shape ``(..., 2, n_layers)`` (effective channel ``H @ W``
     per block/subcarrier/candidate); ``noise_var`` is a scalar or an array
     broadcasting against ``g.shape[:-2]``, with no negative entry.  Where
-    the noise is positive, a layer's SINR is ``x / y`` and the pair is
-    ``combine(x, y, empty)``.  With zero noise, layers with nonzero
-    effective gain clamp to ``NOISE_FREE_LAYER_SINR`` (that value over 1);
-    zero-gain layers get 0 over 1.  Temporaries come from ``empty(name,
-    shape, dtype)``.
+    the noise is positive, a layer of SINR ``x / y`` gets signal ``s^2``
+    and interference+noise ``s t``, ``s = x / (x + y)``, ``t = y / (x + y)``.
+    With zero noise, layers with nonzero effective gain clamp to
+    ``NOISE_FREE_LAYER_SINR`` over 1; zero-gain layers get 0 over 1.
+    Temporaries come from ``empty``.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
     power = np.abs(g, out=empty("power", g.shape))
@@ -194,7 +188,7 @@ def _split_batch(g: np.ndarray, noise_var, combine,
         free = (signal, np.ones_like(signal))
         if not np.any(noise_var):
             return free
-        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), combine, empty)
+        noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), empty)
         return tuple(np.where(n > 0.0, a, b) for a, b in zip(noisy, free))
     # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
     # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
@@ -212,14 +206,10 @@ def _split_batch(g: np.ndarray, noise_var, combine,
         points = np.broadcast_shapes(base, noise_var.shape)
         e = np.divide(e, noise_var, out=empty("e_n", points))
         pair = points + (2,)
-        return combine(np.add(e[..., None], norms, out=empty("x", pair)),
-                       np.add(norms[..., ::-1], n, out=empty("y", pair)), empty)
-    return combine(norms, n, empty)
-
-
-def _powers(x: np.ndarray, y: np.ndarray,
-            empty=_fresh) -> tuple[np.ndarray, np.ndarray]:
-    """Signal ``s^2`` and interference+noise ``s t``, ``s = x / (x + y)``, ``t = y / (x + y)``."""
+        x = np.add(e[..., None], norms, out=empty("x", pair))
+        y = np.add(norms[..., ::-1], n, out=empty("y", pair))
+    else:
+        x, y = norms, n
     shape = np.broadcast_shapes(x.shape, y.shape)
     d = np.add(x, y, out=empty("d", shape))
     s = np.divide(x, d, out=empty("s", shape))
@@ -228,16 +218,21 @@ def _powers(x: np.ndarray, y: np.ndarray,
     return np.multiply(s, s, out=s), t
 
 
-def block_layer_sinrs(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
-    """Per-layer linear SINRs of each block under its own precoder.
+def layer_powers(subscripts: str, mats: np.ndarray, w: np.ndarray, shape: tuple[int, ...],
+                 noise_var, scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE signal and interference+noise power of each layer of ``mats`` under precoders ``w``.
 
-    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``, ``w`` shape ``(...,
-    n_blocks, n_tx, n_layers)`` and ``noise_var`` shape ``(..., n_blocks)``,
-    leading axes broadcasting.  Returns shape ``(..., n_blocks, n_eval, n_layers)``.
+    The PMI search and the pair pass both come here.  The effective
+    channels, shape ``shape + (n_layers,)``, are written into ``scratch``
+    one precoder column at a time, ``np.einsum(subscripts, mats, w[...,
+    l])`` for layer ``l``: at rank 2 the product over both columns at once
+    is about 3x slower, and matmul rounds differently.  ``noise_var``
+    broadcasts against ``shape[:-1]`` (see :func:`_split_batch`).
     """
-    x, y = _split_batch(mats @ w[..., None, :, :], np.asarray(noise_var)[..., None],
-                        lambda x, y, empty: (x, y))
-    return x / y
+    g = scratch("g", shape + w.shape[-1:], complex)
+    for l in range(w.shape[-1]):
+        np.einsum(subscripts, mats, w[..., l], out=g[..., l])
+    return _split_batch(g, noise_var, scratch)
 
 
 def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
@@ -255,18 +250,13 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
 
     Returns the winning row of ``cb.precoders`` and the winning linear
     wideband ratio, each of ``noise_var``'s shape.  Temporaries come from
-    ``scratch`` when given, else are made afresh.
+    ``scratch``, or from a new :class:`Scratch` when none is given.
     """
     if cb.ports != mats.shape[-1]:
         raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
-    # One einsum per precoder column: at rank 2 the product over both
-    # columns at once is about 3x slower, and matmul rounds differently.
-    empty = _fresh if scratch is None else scratch
-    g = empty("g", (len(mats), len(cb.precoders), *mats.shape[1:-1], cb.rank), complex)
-    for l in range(cb.rank):
-        np.einsum("bsij,cj->bcsi", mats, cb.precoders[..., l], out=g[..., l])
-    signal, noise_interf = _split_batch(g, np.asarray(noise_var)[..., None, None], _powers,
-                                        empty)
+    signal, noise_interf = layer_powers(
+        "bsij,cj->bcsi", mats, cb.precoders, (len(mats), len(cb.precoders), *mats.shape[1:-1]),
+        np.asarray(noise_var)[..., None, None], Scratch() if scratch is None else scratch)
     sig = signal.sum(axis=(-2, -1))
     nin = noise_interf.sum(axis=(-2, -1))
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)

@@ -32,7 +32,7 @@ import numpy as np
 from .channel import block_rx_power, estimate_blocks, estimate_streams
 from .codebook import build_codebook_set
 from . import csi as csi_module
-from .csi import CsiReports, Scratch, block_layer_sinrs, blocks_per_search, make_reports
+from .csi import CsiReports, Scratch, blocks_per_search, layer_powers, make_reports
 from .scenario import Scenario
 from .tables import N_CQI, load_cqi_table, load_mcs_table
 
@@ -93,11 +93,17 @@ def effective_sinrs_db(mats: np.ndarray, w: np.ndarray, noise_var,
     One value per block: ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``,
     ``w`` shape ``(..., n_blocks, n_tx, n_layers)``, each block's precoder at
     the rank whose ceiling is ``cap_db``, ``noise_var`` and the result shape
-    ``(..., n_blocks)``.  The rank-dependent ceiling models the fixed
-    receiver impairment that keeps high modulation orders from becoming
-    error free even when the channel SNR grows without bound.
+    ``(..., n_blocks)``.  A layer's SINR is its signal over its
+    interference+noise from :func:`csi.layer_powers`, the PMI search's
+    kernel, and 0 where that denominator is 0.  The rank-dependent ceiling
+    models the fixed receiver impairment that keeps high modulation orders
+    from becoming error free even when the channel SNR grows without bound.
     """
-    mean_lin = np.mean(block_layer_sinrs(mats, w, noise_var), axis=(-2, -1))
+    signal, noise_interf = layer_powers(
+        "bsij,...bj->...bsi", mats, w, w.shape[:-2] + mats.shape[1:-1],
+        np.asarray(noise_var)[..., None], Scratch())
+    lin = np.divide(signal, noise_interf, out=np.zeros_like(signal), where=noise_interf > 0.0)
+    mean_lin = np.mean(lin, axis=(-2, -1))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
                      for m in mean_lin.ravel().tolist()]).reshape(mean_lin.shape)
 

@@ -86,8 +86,8 @@ class ChannelModel:
             object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
         if self.kind == "fixed" and not np.all(np.isfinite(self.matrix)):
             raise ScenarioError("channel.matrix entries must be finite")
-        if self.k_factor < 0:
-            raise ScenarioError(f"channel.k_factor must be >= 0, got {self.k_factor}")
+        if not 0 <= self.k_factor < inf:
+            raise ScenarioError(f"channel.k_factor must be finite and >= 0, got {self.k_factor}")
         if not 1 <= self.coherence_slots <= MAX_N_SLOTS:
             raise ScenarioError(f"channel.coherence_slots must be in [1, {MAX_N_SLOTS}], "
                                 f"got {self.coherence_slots}")
@@ -192,9 +192,9 @@ class Scenario:
                 f"scenario.dl_duty_factor must be in (0, 1], got {self.dl_duty_factor}")
         if self.seed < 0:
             raise ScenarioError(f"scenario.seed must be >= 0, got {self.seed}")
-        if self.est_error_var < 0:
+        if not 0 <= self.est_error_var < inf:
             raise ScenarioError(
-                f"scenario.est_error_var must be >= 0, got {self.est_error_var}")
+                f"scenario.est_error_var must be finite and >= 0, got {self.est_error_var}")
         if set(self.sinr_cap_db) != {1, 2}:
             raise ScenarioError("sinr_cap_db keys must be ranks 1 and 2")
         for r, cap in self.sinr_cap_db.items():

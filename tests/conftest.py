@@ -132,16 +132,15 @@ def precoder_for(key, rank: int, ports: int) -> np.ndarray:
     return np.vstack([top, bot]) / math.sqrt(8.0)
 
 
-class LayerSinrs(NamedTuple):
-    """Per-layer MMSE SINR with its (signal, interference+noise) split."""
+class LayerPowers(NamedTuple):
+    """Per-layer MMSE signal and interference+noise power."""
 
-    sinr: np.ndarray
     signal: np.ndarray
     noise_interf: np.ndarray
 
 
-def split_oracle(g: np.ndarray, noise_var) -> LayerSinrs:
-    """Bitwise oracle of the engine's per-layer MMSE split: every field in
+def split_oracle(g: np.ndarray, noise_var) -> LayerPowers:
+    """Bitwise oracle of the engine's per-layer MMSE split: both fields in
     one pass, column norms as a sum over the receive rows, no array
     updated in place.  ``g`` has shape ``(..., 2, n_layers)`` and
     ``noise_var`` broadcasts against ``g.shape[:-2]``."""
@@ -150,11 +149,11 @@ def split_oracle(g: np.ndarray, noise_var) -> LayerSinrs:
     n = noise_var[..., None]
     if not np.all(noise_var):
         signal = np.where(norms > n, NOISE_FREE_LAYER_SINR, 0.0)
-        free = LayerSinrs(signal, signal, np.ones_like(signal))
+        free = LayerPowers(signal, np.ones_like(signal))
         if not np.any(noise_var):
             return free
         noisy = split_oracle(g, np.where(noise_var > 0.0, noise_var, 1.0))
-        return LayerSinrs(*(np.where(n > 0.0, a, b) for a, b in zip(noisy, free)))
+        return LayerPowers(*(np.where(n > 0.0, a, b) for a, b in zip(noisy, free)))
     if g.shape[-1] == 2:
         det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
         x = (np.abs(det) ** 2 / noise_var)[..., None] + norms
@@ -163,7 +162,7 @@ def split_oracle(g: np.ndarray, noise_var) -> LayerSinrs:
         x, y = norms, n
     d = x + y
     s, t = x / d, y / d
-    return LayerSinrs(x / y, s * s, s * t)
+    return LayerPowers(s * s, s * t)
 
 
 def select_pmi_oracle(mats: np.ndarray, noise_var, cb) -> tuple[np.ndarray, np.ndarray]:
@@ -180,17 +179,22 @@ def select_pmi_oracle(mats: np.ndarray, noise_var, cb) -> tuple[np.ndarray, np.n
     return winners, np.take_along_axis(ratios, winners[..., None], axis=-1)[..., 0]
 
 
-def block_layer_sinrs_oracle(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
-    """Bitwise oracle of ``csi.block_layer_sinrs``."""
-    return split_oracle(mats @ w[:, None], np.asarray(noise_var)[:, None]).sinr
+def pair_layer_sinrs_oracle(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
+    """Bitwise oracle of the per-layer SINRs ``link.effective_sinrs_db``
+    averages, at one noise point: each block's effective channels from one
+    einsum over all precoder columns, then :func:`split_oracle`'s signal
+    over its interference+noise, 0 where that is 0."""
+    split = split_oracle(np.einsum("bsij,bjl->bsil", mats, w), np.asarray(noise_var)[:, None])
+    return np.divide(split.signal, split.noise_interf, out=np.zeros_like(split.signal),
+                     where=split.noise_interf > 0.0)
 
 
 def eff_sinrs_db_oracle(mats: np.ndarray, w: np.ndarray, noise_var, cap_db: float) -> np.ndarray:
     """Bitwise oracle of ``link.effective_sinrs_db`` at one noise point: each
-    block's mean layer SINR on ``mats @ w`` (:func:`block_layer_sinrs_oracle`),
-    then ``math.log10`` and ``min`` value by value, -inf where the mean is
-    not positive."""
-    mean = block_layer_sinrs_oracle(mats, w, noise_var).mean(axis=(-2, -1))
+    block's mean layer SINR (:func:`pair_layer_sinrs_oracle`), then
+    ``math.log10`` and ``min`` value by value, -inf where the mean is not
+    positive."""
+    mean = pair_layer_sinrs_oracle(mats, w, noise_var).mean(axis=(-2, -1))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
                      for m in mean.tolist()])
 

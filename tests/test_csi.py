@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ from nrlinksim.channel import estimate_blocks, estimate_streams, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
 from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
-                           CsiConfig, CsiReports, Scratch, _powers, _split_batch,
-                           block_layer_sinrs, compute_ri_blocks, make_reports,
-                           select_pmi_blocks)
+                           CsiConfig, CsiReports, Scratch, _split_batch, compute_ri_blocks,
+                           layer_powers, make_reports, select_pmi_blocks)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
+from nrlinksim.link import effective_sinrs_db
 
-from conftest import (LayerSinrs, block_layer_sinrs_oracle, select_cqi,
-                      select_pmi_oracle)
+from conftest import eff_sinrs_db_oracle, pair_layer_sinrs_oracle, select_cqi, select_pmi_oracle
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
@@ -57,11 +57,29 @@ def _pmi(mats, noise_var, cb):
     return tuple(cb.keys[winners[0]].tolist()), lin_to_int_db(float(ratios[0]))
 
 
+class LayerSinrs(NamedTuple):
+    """Per-layer MMSE SINR with its (signal, interference+noise) split."""
+
+    sinr: np.ndarray
+    signal: np.ndarray
+    noise_interf: np.ndarray
+
+
+def _pair_sinrs(mats, w, noise_var):
+    """The per-layer SINRs ``link.effective_sinrs_db`` averages: each block
+    of ``mats`` under its own precoder in ``w``, signal over
+    interference+noise of the shared kernel, 0 where that is 0."""
+    signal, noise_interf = layer_powers("bsij,...bj->...bsi", mats, w,
+                                        w.shape[:-2] + mats.shape[1:-1],
+                                        np.asarray(noise_var)[..., None], Scratch())
+    return np.divide(signal, noise_interf, out=np.zeros_like(signal), where=noise_interf > 0.0)
+
+
 def _layer_sinrs(h, w, noise_var):
     """Per-layer MMSE SINR and split of one subcarrier under one precoder."""
     h, w = np.asarray(h, dtype=complex), np.asarray(w, dtype=complex)
-    signal, noise_interf = _split_batch(h @ w, noise_var, _powers)
-    return LayerSinrs(block_layer_sinrs(_flat(h), w[None], [noise_var])[0, 0],
+    signal, noise_interf = _split_batch(h @ w, noise_var, Scratch())
+    return LayerSinrs(_pair_sinrs(_flat(h), w[None], [noise_var])[0, 0],
                       signal, noise_interf)
 
 
@@ -261,7 +279,7 @@ class TestLayerSinrs:
     def test_rank2_reference(self):
         w = build_codebook(4, 2).precoders[2]  # key (0, 0, 1, 0)
         assert tuple(build_codebook(4, 2).keys[2]) == (0, 0, 1, 0)
-        out = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])[0, 0]
+        out = _pair_sinrs(_flat(H_ORTHO), w[None], [0.1])[0, 0]
         assert out == pytest.approx([2.5, 2.5], rel=1e-12)
 
     def test_matches_independent_oracle(self):
@@ -273,7 +291,7 @@ class TestLayerSinrs:
             for cb in (cb1, cb2):
                 w = cb.precoders[rng.integers(len(cb.precoders))]
                 for nv in (1.0, 0.1, 0.01):
-                    got = block_layer_sinrs(_flat(h), w[None], [nv])[0, 0]
+                    got = _pair_sinrs(_flat(h), w[None], [nv])[0, 0]
                     assert got == pytest.approx(_oracle_layer_sinrs(h, w, nv),
                                                 rel=1e-9)
 
@@ -287,20 +305,20 @@ class TestLayerSinrs:
         # Second precoder column is in the null space of this channel.
         h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         w = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        out = block_layer_sinrs(_flat(h), w[None], [0.0])[0, 0]
+        out = _pair_sinrs(_flat(h), w[None], [0.0])[0, 0]
         assert out[0] == NOISE_FREE_LAYER_SINR
         assert out[1] == 0.0
 
     def test_zero_channel_zero_sinr(self):
         h = np.zeros((2, 2), dtype=complex)
         w = np.eye(2, dtype=complex) / math.sqrt(2.0)
-        assert np.array_equal(block_layer_sinrs(_flat(h), w[None], [0.5])[0, 0], [0.0, 0.0])
+        assert np.array_equal(_pair_sinrs(_flat(h), w[None], [0.5])[0, 0], [0.0, 0.0])
 
 
 class TestGridLayerSinrs:
     def test_flat_grid_single_row(self):
         w = 0.5 * np.ones((4, 1), dtype=complex)
-        out = block_layer_sinrs(_flat(H_ORTHO), w[None], [0.1])
+        out = _pair_sinrs(_flat(H_ORTHO), w[None], [0.1])
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(5.0, rel=1e-12)
 
@@ -308,7 +326,7 @@ class TestGridLayerSinrs:
         grid = _grid_of(_chan_with_gamma(2.1), _chan_with_gamma(3.0),
                         _chan_with_gamma(4.0))
         w = np.eye(2, dtype=complex) / math.sqrt(2.0)
-        out = block_layer_sinrs(grid, w[None], [0.3])
+        out = _pair_sinrs(grid, w[None], [0.3])
         assert out.shape == (1, 3, 2)
         for sc, h in enumerate(grid[0]):
             assert out[0, sc] == pytest.approx(_oracle_layer_sinrs(h, w, 0.3),
@@ -420,12 +438,12 @@ def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
     noise_var = float(np.mean(np.abs(mats) ** 2)) / 10.0 ** (snr_db / 10.0)
     cb = build_codebook(n_tx, rank)
     w = cb.precoders[seed % len(cb.precoders)]
-    got = block_layer_sinrs(mats[None], w[None], [noise_var])[0]
+    got = _pair_sinrs(mats[None], w[None], [noise_var])[0]
     want = [_oracle_layer_sinrs(h, w, noise_var) for h in mats]
     assert got.ravel() == pytest.approx(np.ravel(want), rel=1e-9)
 
     signal, noise_interf = _split_batch(np.einsum("sij,cjl->csil", mats, cb.precoders),
-                                        noise_var, _powers)
+                                        noise_var, Scratch())
     ratios = signal.sum(axis=(-2, -1)) / noise_interf.sum(axis=(-2, -1))
     want_ratios = _oracle_wideband_ratios(mats, cb, noise_var)
     assert ratios == pytest.approx(want_ratios, rel=1e-9)
@@ -443,8 +461,9 @@ def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
 @example(seed=4, n_tx=2, rank=2, n_eval=7, n_blocks=2, n_points=2, noise="mixed")
 def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_blocks,
                                                   n_points, noise):
-    # The search and the per-layer SINRs compute what the oracle computes,
-    # in the same order, so winners and every float agree to the bit.
+    # The search and the pair pass's per-layer SINRs compute what the
+    # oracles compute, in the same order, so winners and every float agree
+    # to the bit.
     rng = np.random.default_rng(seed)
     mats = (rng.standard_normal((n_blocks, n_eval, 2, n_tx))
             + 1j * rng.standard_normal((n_blocks, n_eval, 2, n_tx)))
@@ -458,8 +477,8 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
         noise_var[zero] = 0.0
     cb = build_codebook(n_tx, rank)
     want_winners, want_ratios = select_pmi_oracle(mats, noise_var, cb)
-    # Fresh temporaries, then a Scratch whose buffers a search at the
-    # other rank has already sized and filled.
+    # A new Scratch, then one whose buffers a search at the other rank has
+    # already sized and filled.
     scratch = Scratch()
     select_pmi_blocks(mats, noise_var, build_codebook(n_tx, 3 - rank), scratch)
     for winners, ratios in (select_pmi_blocks(mats, noise_var, cb),
@@ -467,11 +486,15 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
         assert np.array_equal(winners, want_winners)
         assert ratios.dtype == want_ratios.dtype and ratios.shape == want_ratios.shape
         assert ratios.tobytes() == want_ratios.tobytes()
-    w = cb.precoders[rng.integers(len(cb.precoders), size=n_blocks)]
-    for row in noise_var:
-        got = block_layer_sinrs(mats, w, row)
-        want = block_layer_sinrs_oracle(mats, w, row)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # Every noise point in one broadcast pass, each with its own precoders,
+    # against one oracle call per point.
+    w = cb.precoders[rng.integers(len(cb.precoders), size=(n_points, n_blocks))]
+    got, got_db = _pair_sinrs(mats, w, noise_var), effective_sinrs_db(mats, w, noise_var, math.inf)
+    for point, row in enumerate(noise_var):
+        want = pair_layer_sinrs_oracle(mats, w[point], row)
+        assert got[point].shape == want.shape and got[point].tobytes() == want.tobytes()
+        want_db = eff_sinrs_db_oracle(mats, w[point], row, math.inf)
+        assert got_db[point].tobytes() == want_db.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,6 +158,21 @@ class TestEffectiveSinr:
             assert got[p].tobytes() == want.tobytes()
         assert got[:, 1].tolist() == [-math.inf] * 3
 
+    @pytest.mark.parametrize("n_tx", [2, 4])
+    def test_flat_rank1_pair_is_the_search_winner_bitwise(self, n_tx):
+        # A flat block at rank 1 has one layer on one subcarrier, so its pair
+        # SINR under the winning precoder is the search's winning ratio, and
+        # with no cap its dB has the bits of 10 log10 of that ratio.
+        rng = np.random.default_rng(17)
+        mats = (rng.standard_normal((2250, 1, 2, n_tx))
+                + 1j * rng.standard_normal((2250, 1, 2, n_tx)))
+        noise_var = 10.0 ** rng.uniform(-3.0, 3.0, 2250)
+        cb = build_codebook_set(n_tx)[(n_tx, 1)]
+        winners, ratios = csi.select_pmi_blocks(mats, noise_var, cb)
+        got = effective_sinrs_db(mats, cb.precoders[winners], noise_var, math.inf)
+        want = np.array([10.0 * math.log10(r) for r in ratios.tolist()])
+        assert np.count_nonzero(got != want) == 0
+
 
 class TestBler:
     def test_threshold_values(self):

@@ -126,6 +126,14 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             scenario_from_dict({"channel": "rice1", field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected_at_construction(self, value):
+        # Built through the API, not the JSON reader, which rejects them first.
+        with pytest.raises(ScenarioError, match=r"channel\.k_factor"):
+            ChannelModel(kind="rice1", k_factor=value)
+        with pytest.raises(ScenarioError, match=r"scenario\.est_error_var"):
+            Scenario(channel=ChannelModel(kind="rice1"), est_error_var=value)
+
     def test_n_slots_bound_is_inclusive(self):
         # Parsing allocates nothing per slot, so the bound itself is cheap to accept.
         assert scenario_from_dict({"channel": "rice1", "n_slots": MAX_N_SLOTS}).n_slots \

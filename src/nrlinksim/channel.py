@@ -115,18 +115,24 @@ class BlockStreams:
     def __getitem__(self, index: slice) -> BlockStreams:
         return BlockStreams(self.states[index], self.gen)
 
-    def complex_normals(self, shape: tuple[int, ...]) -> np.ndarray:
-        """``standard_normal(shape) + 1j * standard_normal(shape)`` from each stream.
+    def normals(self, shape: tuple[int, ...]) -> np.ndarray:
+        """``standard_normal((2,) + shape)`` from each stream: the real parts,
+        then the imaginary parts, of ``shape`` complex normals.
 
-        Both halves come from one ``standard_normal`` call per block, which
-        consumes the stream exactly as the two calls would.  Returns shape
-        ``(len(self),) + shape``.
+        One ``standard_normal`` call per block consumes the stream exactly
+        as two calls of ``shape`` would.  Returns shape ``(len(self), 2) + shape``.
         """
         buf = np.empty((len(self.states), 2) + shape)
         bit_generator = self.gen.bit_generator
         for state, row in zip(self.states, buf):
             bit_generator.state = state
             self.gen.standard_normal(out=row)
+        return buf
+
+    def complex_normals(self, shape: tuple[int, ...]) -> np.ndarray:
+        """``standard_normal(shape) + 1j * standard_normal(shape)`` from each
+        stream (see :meth:`normals`).  Returns shape ``(len(self),) + shape``."""
+        buf = self.normals(shape)
         return buf[:, 0] + 1j * buf[:, 1]
 
 
@@ -232,10 +238,15 @@ def estimate_blocks(h: np.ndarray, est_error_var: float, streams: BlockStreams |
         return h[:, None]
     if len(streams) != len(h):
         raise ValueError(f"need one stream per block: {len(streams)} streams, {len(h)} blocks")
-    noise = streams.complex_normals((n_sc,) + h.shape[1:])
-    noise *= np.sqrt(est_error_var / 2.0)
-    noise += h[:, None]
-    return noise
+    # Each part in one pass, buf * scale + h: the bits of the complex
+    # normals scaled and added to h as complex arrays.
+    buf = streams.normals((n_sc,) + h.shape[1:])
+    scale = np.sqrt(est_error_var / 2.0)
+    est = np.empty(buf[:, 0].shape, dtype=np.complex128)
+    for part, normals, mean in ((est.real, buf[:, 0], h.real), (est.imag, buf[:, 1], h.imag)):
+        np.multiply(normals, scale, out=part)
+        part += mean[:, None]
+    return est
 
 
 def derive_seed(*parts: int) -> int:

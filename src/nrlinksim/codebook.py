@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -44,6 +44,15 @@ class PrecoderCodebook:
     rank: int
     keys: np.ndarray
     precoders: np.ndarray
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Every precoder's columns side by side, layer by layer: column
+        ``l * n + k``, of shape ``(ports, rank * n)``, is layer ``l`` of
+        ``precoders[k]``.  Built on first use, C-contiguous and read-only."""
+        columns = np.ascontiguousarray(self.precoders.transpose(1, 2, 0)).reshape(self.ports, -1)
+        columns.setflags(write=False)
+        return columns
 
 
 def _beam(l: int) -> np.ndarray:

@@ -23,9 +23,9 @@ from .linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
 NOISE_FREE_LAYER_SINR = 1e4
 
 # Upper bound on the elements of the largest temporary array one batched
-# step over coherence blocks, or over noise points of the pair SINRs,
-# builds.  A step gets at least one block or point, which keeps memory as
-# low as processing them one by one.  At 2^16 a full-band 2x4 search at
+# step over coherence blocks, or over the (report, block) pairs of the
+# pair SINRs, builds.  A step gets at least one block or pair, which keeps
+# memory as low as processing them one by one.  At 2^16 a full-band 2x4 search at
 # three noise points takes 3 blocks per step and a flat one hundreds; in
 # measured sweeps 6 or 12 full-band blocks per step were no faster, and
 # cost 1.3 and 4.6 MB more peak memory.
@@ -168,28 +168,34 @@ class Scratch:
 def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, np.ndarray]:
     """MMSE signal and interference+noise power of each layer of a stack of effective channels.
 
-    ``g`` has shape ``(..., 2, n_layers)`` (effective channel ``H @ W``
-    per block/subcarrier/candidate); ``noise_var`` is a scalar or an array
-    broadcasting against ``g.shape[:-2]``, with no negative entry.  Where
-    the noise is positive, a layer of SINR ``x / y`` gets signal ``s^2``
-    and interference+noise ``s t``, ``s = x / (x + y)``, ``t = y / (x + y)``.
-    With zero noise, layers with nonzero effective gain clamp to
-    ``NOISE_FREE_LAYER_SINR`` over 1; zero-gain layers get 0 over 1.
-    Temporaries come from ``empty``.
+    ``g`` holds effective channels ``H @ W`` as receive-row planes, shape
+    ``(2, ..., n_layers, n_cand)``: ``g[r, ..., l, k]`` is row ``r`` of
+    layer ``l`` of candidate ``k``.  ``noise_var`` is a scalar or an array,
+    with no negative entry, broadcasting against ``g.shape[1:]`` with a
+    layer axis of 1.  Where the noise is positive, a layer of SINR
+    ``x / y`` gets signal ``s^2`` and interference+noise ``s t``,
+    ``s = x / (x + y)``, ``t = y / (x + y)``.  With zero noise, layers
+    with nonzero effective gain clamp to ``NOISE_FREE_LAYER_SINR`` over 1;
+    zero-gain layers get 0 over 1.  Both results have the broadcast shape
+    of ``g.shape[1:]`` and ``noise_var``; temporaries come from ``empty``.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
-    power = np.abs(g, out=empty("power", g.shape))
-    np.square(power, out=power)
-    norms = np.add(power[..., 0, :], power[..., 1, :], out=empty("norms", g.shape[:-2] + g.shape[-1:]))
-    n = noise_var[..., None]
+    shape = g.shape[1:]
+    # |g|^2 of each receive row as re^2 + im^2, then the column norms as
+    # one add of the two rows.
+    rows = [np.square(plane.real, out=empty(name, shape))
+            for plane, name in ((g[0], "power_0"), (g[1], "power_1"))]
+    for plane, power in zip(g, rows):
+        power += np.square(plane.imag, out=empty("norms", shape))
+    norms = np.add(*rows, out=empty("norms", shape))
     if not np.all(noise_var):
-        # Kept only where n is 0; comparing with n keeps its noise-point axes.
-        signal = np.where(norms > n, NOISE_FREE_LAYER_SINR, 0.0)
+        # Kept only where the noise is 0; comparing with it keeps its noise-point axes.
+        signal = np.where(norms > noise_var, NOISE_FREE_LAYER_SINR, 0.0)
         free = (signal, np.ones_like(signal))
         if not np.any(noise_var):
             return free
         noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), empty)
-        return tuple(np.where(n > 0.0, a, b) for a, b in zip(noisy, free))
+        return tuple(np.where(noise_var > 0.0, a, b) for a, b in zip(noisy, free))
     # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
     # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
     # where x_l = e + |g_l|^2, y_l = o_l + n and D = x_l + y_l.  At rank 2
@@ -197,42 +203,75 @@ def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, 
     # rank 1.  Both products of det take their column-0 factor first, so
     # det is exactly 0 when one row of G is a power-of-two multiple of the
     # other, however the complex product rounds.
-    if g.shape[-1] == 2:
-        base = g.shape[:-2]
-        det = np.multiply(g[..., 0, 0], g[..., 1, 1], out=empty("det", base, complex))
-        det -= np.multiply(g[..., 1, 0], g[..., 0, 1], out=empty("det_b", base, complex))
-        e = np.abs(det, out=empty("e", base))
-        np.square(e, out=e)
-        points = np.broadcast_shapes(base, noise_var.shape)
-        e = np.divide(e, noise_var, out=empty("e_n", points))
-        pair = points + (2,)
-        x = np.add(e[..., None], norms, out=empty("x", pair))
-        y = np.add(norms[..., ::-1], n, out=empty("y", pair))
+    # The per-point terms are written out whole before they meet a whole
+    # array: NumPy buffers a broadcast operand of a ufunc whose other
+    # operands are whole, when the rows it iterates are short.
+    full = np.broadcast_shapes(shape, noise_var.shape)
+    x, y = empty("x", full), empty("y", full)
+    if g.shape[-2] == 2:
+        base = shape[:-2] + (1,) + shape[-1:]
+        # One contiguous plane per (row, layer), so that no factor is strided.
+        planes = empty("planes", (2, 2) + base, complex)
+        planes[...] = np.moveaxis(g, -2, 1)[..., None, :]
+        (g00, g01), (g10, g11) = planes
+        det = np.multiply(g00, g11, out=empty("det", base, complex))
+        det -= np.multiply(g10, g01, out=empty("det_b", base, complex))
+        e = np.square(det.real, out=empty("e", base))
+        e += np.square(det.imag, out=empty("e_im", base))
+        x[...] = e
+        x /= noise_var
+        x += norms
+        y[...] = norms[..., ::-1, :]
+        y += noise_var
     else:
-        x, y = norms, n
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    d = np.add(x, y, out=empty("d", shape))
-    s = np.divide(x, d, out=empty("s", shape))
+        x[...], y[...] = norms, noise_var
+    d = np.add(x, y, out=empty("d", full))
+    s = np.divide(x, d, out=empty("s", full))
     t = np.divide(y, d, out=d)
     np.multiply(s, t, out=t)
     return np.multiply(s, s, out=s), t
 
 
-def layer_powers(subscripts: str, mats: np.ndarray, w: np.ndarray, shape: tuple[int, ...],
-                 noise_var, scratch: Scratch) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE signal and interference+noise power of each layer of ``mats`` under precoders ``w``.
+def effective_channels(mats: np.ndarray, cb: PrecoderCodebook, scratch: Scratch) -> np.ndarray:
+    """Every candidate's effective channel ``H @ W`` on every subcarrier of ``mats``.
 
-    The PMI search and the pair pass both come here.  The effective
-    channels, shape ``shape + (n_layers,)``, are written into ``scratch``
-    one precoder column at a time, ``np.einsum(subscripts, mats, w[...,
-    l])`` for layer ``l``: at rank 2 the product over both columns at once
-    is about 3x slower, and matmul rounds differently.  ``noise_var``
-    broadcasts against ``shape[:-1]`` (see :func:`_split_batch`).
+    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``.  Returns receive-row
+    planes of shape ``(2, n_blocks, n_eval, rank, n_cand)``, a view of a
+    ``scratch`` buffer, from one 2-D BLAS product: the rows of ``mats``,
+    receive row first, by the whole codebook, ``cb.columns``.  A product
+    over a subset of the rows rounds like the rows of the whole product,
+    but one by a subset of the columns may not (a single column takes
+    NumPy's matrix-vector path), so every caller multiplies by all of
+    ``cb.columns``.
     """
-    g = scratch("g", shape + w.shape[-1:], complex)
-    for l in range(w.shape[-1]):
-        np.einsum(subscripts, mats, w[..., l], out=g[..., l])
-    return _split_batch(g, noise_var, scratch)
+    n_tx = mats.shape[-1]
+    rows = scratch("rows", (2,) + mats.shape[:-2] + (n_tx,), complex)
+    np.copyto(rows, np.moveaxis(mats, -2, 0))
+    g = scratch("g", rows.shape[:-1] + (cb.rank, len(cb.precoders)), complex)
+    np.matmul(rows.reshape(-1, n_tx), cb.columns, out=g.reshape(-1, cb.columns.shape[1]))
+    return g
+
+
+def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scratch,
+                 pmi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE signal and interference+noise power of each layer of ``mats`` under ``cb``'s precoders.
+
+    The PMI search and the pair pass both come here.  ``mats`` has shape
+    ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var`` shape ``(...,
+    n_blocks)``.  Without ``pmi`` both results have shape ``(...,
+    n_blocks, n_eval, rank, n_cand)``, one entry per candidate; with
+    ``pmi``, shape ``(..., n_blocks)`` like ``noise_var``, they have shape
+    ``(..., n_blocks, n_eval, rank, 1)``, block ``b`` under candidate
+    ``pmi[..., b]``.  Either way the effective channels come from
+    :func:`effective_channels` (the reported candidates are gathered from
+    the whole product), so a candidate's powers have the same bits in both.
+    """
+    g = effective_channels(mats, cb, scratch)
+    if pmi is not None:
+        pmi = np.asarray(pmi)
+        g = np.take_along_axis(g.reshape(g.shape[:1] + (1,) * (pmi.ndim - 1) + g.shape[1:]),
+                               pmi[None, ..., None, None, None], axis=-1)
+    return _split_batch(g, np.asarray(noise_var)[..., None, None, None], scratch)
 
 
 def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
@@ -254,11 +293,10 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     """
     if cb.ports != mats.shape[-1]:
         raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
-    signal, noise_interf = layer_powers(
-        "bsij,cj->bcsi", mats, cb.precoders, (len(mats), len(cb.precoders), *mats.shape[1:-1]),
-        np.asarray(noise_var)[..., None, None], Scratch() if scratch is None else scratch)
-    sig = signal.sum(axis=(-2, -1))
-    nin = noise_interf.sum(axis=(-2, -1))
+    signal, noise_interf = layer_powers(mats, cb, noise_var,
+                                        Scratch() if scratch is None else scratch)
+    sig = signal.sum(axis=(-3, -2))
+    nin = noise_interf.sum(axis=(-3, -2))
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
     best = np.max(ratios, axis=-1, keepdims=True)
     winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
@@ -289,8 +327,8 @@ def blocks_per_search(n_eval: int, n_points: int,
 
     Sized so that the largest temporary of the largest search stays within
     ``BATCH_ELEMS`` elements.  The effective channels and their powers are
-    (blocks, candidates, subcarriers, 2, layers), the per-point terms of
-    the SINRs (points, blocks, candidates, subcarriers, layers); no array
+    (2, blocks, subcarriers, layers, candidates), the per-point terms of
+    the SINRs (points, blocks, subcarriers, layers, candidates); no array
     has both the points axis and the two receive rows.
     """
     per_cand = max(len(cb.precoders) * cb.rank for cb in codebooks.values())

@@ -9,8 +9,8 @@ statistics.
 
 A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
-all sweep points), :func:`drop_csi` computes the reports and, one array
-call per rank, the effective SINRs at every noise point (shared by all
+all sweep points), :func:`drop_csi` computes the reports and, in an array
+call or a few per rank, the effective SINRs at every noise point (shared by all
 forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
 the drop in whole-array rounds: each slot is decided under its own
 report, then redecided where the ACKs show its block follows an older
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import block_rx_power, estimate_blocks, estimate_streams
-from .codebook import build_codebook_set
+from .codebook import PrecoderCodebook, build_codebook_set
 from . import csi as csi_module
 from .csi import CsiReports, Scratch, blocks_per_search, layer_powers, make_reports
 from .scenario import Scenario
@@ -86,24 +86,23 @@ def tbs(mcs: int, n_layers: int, n_prb: int) -> int:
             * e.modulation_order * e.rate_x1024) // 1024
 
 
-def effective_sinrs_db(mats: np.ndarray, w: np.ndarray, noise_var,
+def effective_sinrs_db(mats: np.ndarray, cb: PrecoderCodebook, pmi: np.ndarray, noise_var,
                        cap_db: float) -> np.ndarray:
     """Mean per-layer linear SINR over the band, in dB, ceilinged at ``cap_db``.
 
-    One value per block: ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``,
-    ``w`` shape ``(..., n_blocks, n_tx, n_layers)``, each block's precoder at
-    the rank whose ceiling is ``cap_db``, ``noise_var`` and the result shape
-    ``(..., n_blocks)``.  A layer's SINR is its signal over its
-    interference+noise from :func:`csi.layer_powers`, the PMI search's
-    kernel, and 0 where that denominator is 0.  The rank-dependent ceiling
-    models the fixed receiver impairment that keeps high modulation orders
-    from becoming error free even when the channel SNR grows without bound.
+    One value per block: ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``;
+    block ``b`` is sent on ``cb.precoders[pmi[..., b]]``, ``cb`` being the
+    codebook of the rank whose ceiling is ``cap_db``; ``pmi``,
+    ``noise_var`` and the result have shape ``(..., n_blocks)``.  A
+    layer's SINR is its signal over its interference+noise from
+    :func:`csi.layer_powers`, the PMI search's kernel, and 0 where that
+    denominator is 0.  The rank-dependent ceiling models the fixed receiver
+    impairment that keeps high modulation orders from becoming error free
+    even when the channel SNR grows without bound.
     """
-    signal, noise_interf = layer_powers(
-        "bsij,...bj->...bsi", mats, w, w.shape[:-2] + mats.shape[1:-1],
-        np.asarray(noise_var)[..., None], Scratch())
+    signal, noise_interf = layer_powers(mats, cb, noise_var, Scratch(), pmi)
     lin = np.divide(signal, noise_interf, out=np.zeros_like(signal), where=noise_interf > 0.0)
-    mean_lin = np.mean(lin, axis=(-2, -1))
+    mean_lin = np.mean(lin, axis=(-3, -2, -1))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
                      for m in mean_lin.ravel().tolist()]).reshape(mean_lin.shape)
 
@@ -252,8 +251,8 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     estimate, RI and the candidates' effective channels do not depend on
     the noise, so one pass serves every noise point, and every forced CQI.
     To bound memory, estimates are taken a few blocks at a time, and pair
-    SINRs as many noise points at a time as fit ``csi.BATCH_ELEMS`` (at
-    least one); the estimates' random streams are derived once per drop.
+    SINRs as many pairs at a time as fit ``csi.BATCH_ELEMS`` (at least
+    one); the estimates' random streams are derived once per drop.
     """
     n_tx = scenario.n_tx
     codebooks = build_codebook_set(n_tx)
@@ -273,14 +272,18 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     pair_rank = reports.ri[chan.pair_report]
     eff = np.empty((len(noise_vars), chan.pair_report.size))
     for rank in np.flatnonzero(np.bincount(pair_rank)).tolist():  # the ranks present
-        rows = np.flatnonzero(pair_rank == rank)
-        blocks, pair_pmi = chan.pair_block[rows], reports.pmi[:, chan.pair_report[rows]]
-        mats, precoders = chan.h[blocks][:, None], codebooks[(n_tx, rank)].precoders
-        step = max(1, csi_module.BATCH_ELEMS // (rows.size * 2 * rank))
-        for lo in range(0, len(noise_vars), step):
-            eff[lo:lo + step, rows] = effective_sinrs_db(
-                mats, precoders[pair_pmi[lo:lo + step]], noise_vars[lo:lo + step, blocks],
-                float(scenario.sinr_cap_db[rank]))
+        cb = codebooks[(n_tx, rank)]
+        # Each pair's effective channels under every candidate, and under its
+        # reported one at every noise point.
+        step = max(1, csi_module.BATCH_ELEMS
+                   // (2 * rank * max(len(cb.precoders), len(noise_vars))))
+        pairs = np.flatnonzero(pair_rank == rank)
+        for lo in range(0, pairs.size, step):
+            rows = pairs[lo:lo + step]
+            blocks = chan.pair_block[rows]
+            eff[:, rows] = effective_sinrs_db(
+                chan.h[blocks][:, None], cb, reports.pmi[:, chan.pair_report[rows]],
+                noise_vars[:, blocks], float(scenario.sinr_cap_db[rank]))
     return DropCsi(chan=chan, reports=reports, pair_eff_db=eff)
 
 

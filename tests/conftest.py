@@ -141,60 +141,77 @@ class LayerPowers(NamedTuple):
 
 def split_oracle(g: np.ndarray, noise_var) -> LayerPowers:
     """Bitwise oracle of the engine's per-layer MMSE split: both fields in
-    one pass, column norms as a sum over the receive rows, no array
-    updated in place.  ``g`` has shape ``(..., 2, n_layers)`` and
-    ``noise_var`` broadcasts against ``g.shape[:-2]``."""
+    one pass, ``|g|^2`` as ``re^2 + im^2``, column norms as the sum of the
+    two receive rows' powers, no array updated in place.  ``g`` holds
+    receive-row planes, shape ``(2, ..., n_layers, n_cand)``, and
+    ``noise_var`` broadcasts against ``g.shape[1:]`` with a layer axis of 1."""
     noise_var = np.asarray(noise_var, dtype=np.float64)
-    norms = np.sum(np.abs(g) ** 2, axis=-2)
-    n = noise_var[..., None]
+    power = g.real ** 2 + g.imag ** 2
+    norms = power[0] + power[1]
     if not np.all(noise_var):
-        signal = np.where(norms > n, NOISE_FREE_LAYER_SINR, 0.0)
+        signal = np.where(norms > noise_var, NOISE_FREE_LAYER_SINR, 0.0)
         free = LayerPowers(signal, np.ones_like(signal))
         if not np.any(noise_var):
             return free
         noisy = split_oracle(g, np.where(noise_var > 0.0, noise_var, 1.0))
-        return LayerPowers(*(np.where(n > 0.0, a, b) for a, b in zip(noisy, free)))
-    if g.shape[-1] == 2:
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 1, 0] * g[..., 0, 1]
-        x = (np.abs(det) ** 2 / noise_var)[..., None] + norms
-        y = norms[..., ::-1] + n
+        return LayerPowers(*(np.where(noise_var > 0.0, a, b) for a, b in zip(noisy, free)))
+    if g.shape[-2] == 2:
+        det = g[0, ..., :1, :] * g[1, ..., 1:, :] - g[1, ..., :1, :] * g[0, ..., 1:, :]
+        x = (det.real ** 2 + det.imag ** 2) / noise_var + norms
+        y = norms[..., ::-1, :] + noise_var
     else:
-        x, y = norms, n
+        x, y = norms, noise_var
     d = x + y
     s, t = x / d, y / d
     return LayerPowers(s * s, s * t)
 
 
+def block_planes_oracle(mats: np.ndarray, cb) -> list[np.ndarray]:
+    """Every candidate's effective channels, block by block: the block's
+    rows, receive row first, times the whole codebook laid out as
+    ``(ports, rank * n_cand)``, layer by layer, in one 2-D matmul, as
+    planes ``(2, n_eval, rank, n_cand)``."""
+    whole = np.concatenate([cb.precoders[:, :, l].T for l in range(cb.rank)], axis=1)
+    return [(np.concatenate([block[:, 0], block[:, 1]]) @ whole)
+            .reshape(2, len(block), cb.rank, len(cb.precoders)) for block in mats]
+
+
 def select_pmi_oracle(mats: np.ndarray, noise_var, cb) -> tuple[np.ndarray, np.ndarray]:
     """Bitwise oracle of ``csi.select_pmi_blocks``: every candidate's
-    effective channels from one einsum over all precoder columns, then
-    :func:`split_oracle`."""
-    g = np.einsum("bsij,cjl->bcsil", mats, cb.precoders)
-    split = split_oracle(g, np.asarray(noise_var)[..., None, None])
-    sig = split.signal.sum(axis=(-2, -1))
-    nin = split.noise_interf.sum(axis=(-2, -1))
+    effective channels from one matmul per block (:func:`block_planes_oracle`),
+    then :func:`split_oracle` and the sums over subcarriers and layers,
+    block by block."""
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    sums = [[powers.sum(axis=(-3, -2))
+             for powers in split_oracle(g, noise_var[..., b, None, None, None])]
+            for b, g in enumerate(block_planes_oracle(mats, cb))]
+    sig, nin = (np.stack([block[k] for block in sums], axis=-2) for k in (0, 1))
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
     best = np.max(ratios, axis=-1, keepdims=True)
     winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
     return winners, np.take_along_axis(ratios, winners[..., None], axis=-1)[..., 0]
 
 
-def pair_layer_sinrs_oracle(mats: np.ndarray, w: np.ndarray, noise_var) -> np.ndarray:
+def pair_layer_sinrs_oracle(mats: np.ndarray, cb, pmi, noise_var) -> np.ndarray:
     """Bitwise oracle of the per-layer SINRs ``link.effective_sinrs_db``
-    averages, at one noise point: each block's effective channels from one
-    einsum over all precoder columns, then :func:`split_oracle`'s signal
-    over its interference+noise, 0 where that is 0."""
-    split = split_oracle(np.einsum("bsij,bjl->bsil", mats, w), np.asarray(noise_var)[:, None])
+    averages, at one noise point: block ``b``'s effective channels under
+    ``cb.precoders[pmi[b]]``, taken from its product with the whole
+    codebook (:func:`block_planes_oracle`), then :func:`split_oracle`'s
+    signal over its interference+noise, 0 where that is 0.  Shape
+    ``(n_blocks, n_eval, n_layers)``."""
+    g = np.stack([planes[..., [k]] for planes, k in zip(block_planes_oracle(mats, cb), pmi)],
+                 axis=1)
+    split = split_oracle(g, np.asarray(noise_var)[:, None, None, None])
     return np.divide(split.signal, split.noise_interf, out=np.zeros_like(split.signal),
-                     where=split.noise_interf > 0.0)
+                     where=split.noise_interf > 0.0)[..., 0]
 
 
-def eff_sinrs_db_oracle(mats: np.ndarray, w: np.ndarray, noise_var, cap_db: float) -> np.ndarray:
+def eff_sinrs_db_oracle(mats: np.ndarray, cb, pmi, noise_var, cap_db: float) -> np.ndarray:
     """Bitwise oracle of ``link.effective_sinrs_db`` at one noise point: each
     block's mean layer SINR (:func:`pair_layer_sinrs_oracle`), then
     ``math.log10`` and ``min`` value by value, -inf where the mean is not
     positive."""
-    mean = pair_layer_sinrs_oracle(mats, w, noise_var).mean(axis=(-2, -1))
+    mean = pair_layer_sinrs_oracle(mats, cb, pmi, noise_var).mean(axis=(-2, -1))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
                      for m in mean.tolist()])
 
@@ -207,13 +224,13 @@ def pair_eff_db_oracle(scenario: Scenario, chan: DropChannel, reports: CsiReport
     pair_rank = reports.ri[chan.pair_report]
     eff = np.empty((len(noise_vars), chan.pair_report.size))
     for point, noise_var in enumerate(noise_vars):
-        for rank in (1, 2):
+        for rank in np.unique(pair_rank).tolist():
             rows = np.flatnonzero(pair_rank == rank)
             blocks = chan.pair_block[rows]
             pmi = reports.pmi[point, chan.pair_report[rows]]
-            w = codebooks[(scenario.n_tx, rank)].precoders[pmi]
-            eff[point, rows] = eff_sinrs_db_oracle(chan.h[blocks][:, None], w, noise_var[blocks],
-                                                   float(scenario.sinr_cap_db[rank]))
+            eff[point, rows] = eff_sinrs_db_oracle(
+                chan.h[blocks][:, None], codebooks[(scenario.n_tx, rank)], pmi,
+                noise_var[blocks], float(scenario.sinr_cap_db[rank]))
     return eff
 
 

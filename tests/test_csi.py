@@ -65,22 +65,32 @@ class LayerSinrs(NamedTuple):
     noise_interf: np.ndarray
 
 
+def _codebook_sinrs(mats, cb, pmi, noise_var):
+    """The per-layer SINRs ``link.effective_sinrs_db`` averages: block ``b``
+    of ``mats`` under ``cb.precoders[pmi[..., b]]``, signal over
+    interference+noise of the shared kernel, 0 where that is 0.  Shape
+    ``pmi.shape + (n_eval, n_layers)``."""
+    signal, noise_interf = layer_powers(mats, cb, noise_var, Scratch(), pmi)
+    return np.divide(signal, noise_interf, out=np.zeros_like(signal),
+                     where=noise_interf > 0.0)[..., 0]
+
+
 def _pair_sinrs(mats, w, noise_var):
-    """The per-layer SINRs ``link.effective_sinrs_db`` averages: each block
-    of ``mats`` under its own precoder in ``w``, signal over
-    interference+noise of the shared kernel, 0 where that is 0."""
-    signal, noise_interf = layer_powers("bsij,...bj->...bsi", mats, w,
-                                        w.shape[:-2] + mats.shape[1:-1],
-                                        np.asarray(noise_var)[..., None], Scratch())
-    return np.divide(signal, noise_interf, out=np.zeros_like(signal), where=noise_interf > 0.0)
+    """:func:`_codebook_sinrs` under any precoders ``w``, shape ``(...,
+    n_blocks, n_tx, n_layers)``: they make up the codebook."""
+    w = np.asarray(w, dtype=complex)
+    precoders = w.reshape((-1,) + w.shape[-2:])
+    cb = PrecoderCodebook(w.shape[-2], w.shape[-1], np.zeros((len(precoders), 4), dtype=int),
+                          precoders)
+    return _codebook_sinrs(mats, cb, np.arange(len(precoders)).reshape(w.shape[:-2]), noise_var)
 
 
 def _layer_sinrs(h, w, noise_var):
     """Per-layer MMSE SINR and split of one subcarrier under one precoder."""
     h, w = np.asarray(h, dtype=complex), np.asarray(w, dtype=complex)
-    signal, noise_interf = _split_batch(h @ w, noise_var, Scratch())
+    signal, noise_interf = _split_batch((h @ w)[..., None], noise_var, Scratch())
     return LayerSinrs(_pair_sinrs(_flat(h), w[None], [noise_var])[0, 0],
-                      signal, noise_interf)
+                      signal[..., 0], noise_interf[..., 0])
 
 
 def _report(mats, noise_var, cfg, cbs):
@@ -381,6 +391,22 @@ class TestSelectPmi:
             tracemalloc.stop()
         assert peaks[1] < peaks[0] / 2
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_warmed_search_copies_no_operand(self, rank):
+        # With a Scratch that earlier searches have sized, a full-band search
+        # allocates only its small per-candidate results: no ufunc buffers a
+        # strided or broadcast operand (such copies took 55 KB at rank 1 and
+        # 108 KB at rank 2 with layers innermost; 7-8 KB is measured here).
+        mats = _random_mats(6, 106, 4)[None]
+        noise_var = [[1.0], [0.1], [0.01]]
+        cb, scratch = build_codebook(4, rank), Scratch()
+        select_pmi_blocks(mats, noise_var, cb, scratch)
+        tracemalloc.start()
+        select_pmi_blocks(mats, noise_var, cb, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 1024
+
     def test_scratch_changes_no_result(self):
         # One Scratch serves searches of both ranks, growing its buffers,
         # zero noise included; no result changes, and none is overwritten
@@ -442,13 +468,27 @@ def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
     want = [_oracle_layer_sinrs(h, w, noise_var) for h in mats]
     assert got.ravel() == pytest.approx(np.ravel(want), rel=1e-9)
 
-    signal, noise_interf = _split_batch(np.einsum("sij,cjl->csil", mats, cb.precoders),
-                                        noise_var, Scratch())
-    ratios = signal.sum(axis=(-2, -1)) / noise_interf.sum(axis=(-2, -1))
+    signal, noise_interf = layer_powers(mats[None], cb, [noise_var], Scratch())
+    ratios = signal.sum(axis=(-3, -2))[0] / noise_interf.sum(axis=(-3, -2))[0]
     want_ratios = _oracle_wideband_ratios(mats, cb, noise_var)
     assert ratios == pytest.approx(want_ratios, rel=1e-9)
     _, best = select_pmi_blocks(mats[None], [noise_var], cb)
     assert best[0] == pytest.approx(max(want_ratios), rel=1e-9)
+
+
+def _noise_vars(rng, noise: str, shape) -> np.ndarray:
+    """Noise variances from 1e-6 to 1e3, all of them ``"positive"``, all
+    ``"zero"``, or ``"mixed"``: about half zero, the first zero and the
+    last not."""
+    noise_var = 10.0 ** rng.uniform(-6.0, 3.0, shape)
+    if noise == "zero":
+        noise_var[:] = 0.0
+    elif noise == "mixed":
+        assume(noise_var.size > 1)
+        zero = rng.random(noise_var.shape) < 0.5
+        zero.flat[0], zero.flat[-1] = True, False
+        noise_var[zero] = 0.0
+    return noise_var
 
 
 @settings(max_examples=120, deadline=None)
@@ -467,14 +507,7 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
     rng = np.random.default_rng(seed)
     mats = (rng.standard_normal((n_blocks, n_eval, 2, n_tx))
             + 1j * rng.standard_normal((n_blocks, n_eval, 2, n_tx)))
-    noise_var = 10.0 ** rng.uniform(-6.0, 3.0, (n_points, n_blocks))
-    if noise == "zero":
-        noise_var[:] = 0.0
-    elif noise == "mixed":
-        assume(noise_var.size > 1)
-        zero = rng.random(noise_var.shape) < 0.5
-        zero.flat[0], zero.flat[-1] = True, False
-        noise_var[zero] = 0.0
+    noise_var = _noise_vars(rng, noise, (n_points, n_blocks))
     cb = build_codebook(n_tx, rank)
     want_winners, want_ratios = select_pmi_oracle(mats, noise_var, cb)
     # A new Scratch, then one whose buffers a search at the other rank has
@@ -488,13 +521,40 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
         assert ratios.tobytes() == want_ratios.tobytes()
     # Every noise point in one broadcast pass, each with its own precoders,
     # against one oracle call per point.
-    w = cb.precoders[rng.integers(len(cb.precoders), size=(n_points, n_blocks))]
-    got, got_db = _pair_sinrs(mats, w, noise_var), effective_sinrs_db(mats, w, noise_var, math.inf)
+    pmi = rng.integers(len(cb.precoders), size=(n_points, n_blocks))
+    got = _codebook_sinrs(mats, cb, pmi, noise_var)
+    got_db = effective_sinrs_db(mats, cb, pmi, noise_var, math.inf)
     for point, row in enumerate(noise_var):
-        want = pair_layer_sinrs_oracle(mats, w[point], row)
+        want = pair_layer_sinrs_oracle(mats, cb, pmi[point], row)
         assert got[point].shape == want.shape and got[point].tobytes() == want.tobytes()
-        want_db = eff_sinrs_db_oracle(mats, w[point], row, math.inf)
+        want_db = eff_sinrs_db_oracle(mats, cb, pmi[point], row, math.inf)
         assert got_db[point].tobytes() == want_db.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2]), n_blocks=st.integers(1, 12),
+       n_points=st.integers(1, 4), noise=st.sampled_from(["zero", "mixed", "positive"]))
+def test_pair_pass_is_the_search_for_every_candidate_bitwise(seed, n_tx, rank, n_blocks,
+                                                             n_points, noise):
+    # On flat blocks the pair pass's per-layer signal and interference+noise
+    # of (block, k) have the bits of the search's for candidate k, for every
+    # k and not only the winner.  Both take the product with the whole
+    # codebook, over whichever rows the pairs bring; a product with only the
+    # reported precoders' columns would not round alike.
+    rng = np.random.default_rng(seed)
+    mats = (rng.standard_normal((n_blocks, 1, 2, n_tx))
+            + 1j * rng.standard_normal((n_blocks, 1, 2, n_tx)))
+    noise_var = _noise_vars(rng, noise, (n_points, n_blocks))
+    cb = build_codebook(n_tx, rank)
+    search = layer_powers(mats, cb, noise_var, Scratch())
+    # Every (block, candidate) once, in a random order, as the pairs of one pass.
+    block, k = np.divmod(rng.permutation(n_blocks * len(cb.precoders)), len(cb.precoders))
+    pairs = layer_powers(mats[block], cb, noise_var[:, block], Scratch(),
+                         np.broadcast_to(k, (n_points, k.size)))
+    for got, want in zip(pairs, search):
+        assert got.shape == (n_points, k.size, 1, rank, 1)
+        assert got[..., 0].tobytes() == want[:, block, :, :, k].swapaxes(0, 1).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,7 +28,7 @@ from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
 from conftest import (at_snr, eff_sinrs_db_oracle, estimate_blocks_oracle, pair_eff_db_oracle,
-                      precoder_for, rice1_blocks_oracle, simulate_drop, with_forced_cqi)
+                      rice1_blocks_oracle, simulate_drop, with_forced_cqi)
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -66,10 +66,9 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
         if slot % scenario.csi_period == 0 and report_block != block:
             report = make_reports(est, noise_var, scenario.csi, codebooks)
             ri, cqi = int(report.ri[0]), int(report.cqi[0])
-            key = codebooks[(scenario.n_tx, ri)].keys[report.pmi[0]].tolist()
             mcs = mcs_from_cqi(cqi)
-            # (layers, precoder, MCS, CQI, transport-block bits)
-            grant = (ri, precoder_for(key, ri, scenario.n_tx), mcs, cqi,
+            # (layers, codebook, precoder row, MCS, CQI, transport-block bits)
+            grant = (ri, codebooks[(scenario.n_tx, ri)], int(report.pmi[0]), mcs, cqi,
                      tbs(mcs, ri, scenario.n_prb))
             report_block = block
 
@@ -77,9 +76,9 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             tb_grant = grant
             tb_tries = 0
 
-        layers, w, mcs, cqi, bits = tb_grant
+        layers, cb, pmi, mcs, cqi, bits = tb_grant
         cap = float(scenario.sinr_cap_db[layers])
-        eff = eff_sinrs_db_oracle(h[:, None], w[None], noise_var, cap)[0]
+        eff = eff_sinrs_db_oracle(h[:, None], cb, [pmi], noise_var, cap)[0]
         p_err = bler(eff, mcs)
 
         attempts += 1

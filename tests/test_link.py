@@ -9,7 +9,7 @@ import pytest
 
 from nrlinksim import csi, link
 from nrlinksim.channel import derive_seed
-from nrlinksim.codebook import build_codebook_set
+from nrlinksim.codebook import build_codebook, build_codebook_set
 from nrlinksim.csi import blocks_per_search
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
                             bler, decode_threshold_db, drop_channel, drop_csi,
@@ -17,7 +17,7 @@ from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
 from nrlinksim.scenario import parse_scenario, scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
-from conftest import precoder_for, scenario_path, simulate_drop
+from conftest import scenario_path, simulate_drop
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
@@ -103,15 +103,23 @@ class TestTbs:
             tb_bits(2, 0.0, 1, 1)
 
 
-def effective_sinr_db(h, w, noise_var, caps) -> float:
-    """Effective SINR of one flat block under precoder ``w``, capped per rank."""
+def effective_sinr_db(h, precoder, noise_var, caps) -> float:
+    """Effective SINR of one flat block under ``precoder``, a (codebook, row)
+    pair, capped per rank."""
+    cb, row = precoder
     mats = np.asarray(h, dtype=complex)[None, None]
-    return float(effective_sinrs_db(mats, w[None], [noise_var],
-                                    float(caps[w.shape[1]]))[0])
+    return float(effective_sinrs_db(mats, cb, [row], [noise_var], float(caps[cb.rank]))[0])
 
 
-def _precoder(ri, key=(0, 0, 0, 0)) -> np.ndarray:
-    return precoder_for(key, ri, 4)
+def _row(cb, key) -> int:
+    """The row of ``key`` in ``cb.keys``."""
+    return cb.keys.tolist().index(list(key))
+
+
+def _precoder(ri, key=(0, 0, 0, 0)):
+    """The 4-port codebook of rank ``ri`` and the row of ``key`` in it."""
+    cb = build_codebook(4, ri)
+    return cb, _row(cb, key)
 
 
 class TestEffectiveSinr:
@@ -148,13 +156,14 @@ class TestEffectiveSinr:
         rng = np.random.default_rng(3)
         mats = rng.standard_normal((3, 5, 2, 4)) + 1j * rng.standard_normal((3, 5, 2, 4))
         mats[1] = 0.0
-        keys = [(i, 0, 1, i % 4) for i in range(3)]
-        w = np.stack([[precoder_for(k, rank, 4) for k in keys[p:] + keys[:p]] for p in range(3)])
+        cb = build_codebook(4, rank)
+        keys = [(i, 0, rank - 1, i % 2) for i in range(3)]
+        pmi = np.array([[_row(cb, k) for k in keys[p:] + keys[:p]] for p in range(3)])
         noise = np.array([[0.1, 0.0, 2.0], [0.0, 0.0, 0.0], [1e-3, 0.5, 0.0]])
-        got = effective_sinrs_db(mats, w, noise, self.CAPS[rank])
+        got = effective_sinrs_db(mats, cb, pmi, noise, self.CAPS[rank])
         assert got.shape == (3, 3)
         for p in range(3):
-            want = effective_sinrs_db(mats, w[p], noise[p], self.CAPS[rank])
+            want = effective_sinrs_db(mats, cb, pmi[p], noise[p], self.CAPS[rank])
             assert got[p].tobytes() == want.tobytes()
         assert got[:, 1].tolist() == [-math.inf] * 3
 
@@ -169,7 +178,7 @@ class TestEffectiveSinr:
         noise_var = 10.0 ** rng.uniform(-3.0, 3.0, 2250)
         cb = build_codebook_set(n_tx)[(n_tx, 1)]
         winners, ratios = csi.select_pmi_blocks(mats, noise_var, cb)
-        got = effective_sinrs_db(mats, cb.precoders[winners], noise_var, math.inf)
+        got = effective_sinrs_db(mats, cb, winners, noise_var, math.inf)
         want = np.array([10.0 * math.log10(r) for r in ratios.tolist()])
         assert np.count_nonzero(got != want) == 0
 
@@ -385,16 +394,17 @@ class TestThroughputStats:
 
 @pytest.mark.parametrize("name", ["snr_sweep_fixed_2x2.json", "snr_sweep_fixed_2x4.json",
                                   "snr_sweep_rice1_2x2.json", "snr_sweep_rice1_2x4.json"])
-def test_one_point_per_pair_pass_changes_nothing(name, monkeypatch):
-    # Every noise point in one pair pass per rank, then one point per pass
-    # per rank: the same bytes.
+def test_one_pair_per_pair_pass_changes_nothing(name, monkeypatch):
+    # Every pair of a rank in one pair pass, at every noise point, then one
+    # pair per pass: the same bytes.
     scenario = parse_scenario(scenario_path(name))
     chan = drop_channel(scenario, derive_seed(scenario.seed, 0))
     calls = []
 
-    def counted(mats, w, noise_var, cap_db):
-        calls.append((w.shape[-1], len(w)))
-        return effective_sinrs_db(mats, w, noise_var, cap_db)
+    def counted(mats, cb, pmi, noise_var, cap_db):
+        assert pmi.shape == noise_var.shape == (len(scenario.noise_vars(chan.p_rx)), len(mats))
+        calls.append((cb.rank, len(mats)))
+        return effective_sinrs_db(mats, cb, pmi, noise_var, cap_db)
 
     monkeypatch.setattr(link, "effective_sinrs_db", counted)
     runs = []
@@ -402,11 +412,10 @@ def test_one_point_per_pair_pass_changes_nothing(name, monkeypatch):
         monkeypatch.setattr(csi, "BATCH_ELEMS", budget)
         calls.clear()
         runs.append(drop_csi(scenario, chan))
-        ranks = sorted(set(runs[-1].reports.ri[chan.pair_report].tolist()))
-        n_points = len(runs[-1].pair_eff_db)
-        per_pass = n_points if budget > 1 else 1
-        assert calls == [(rank, per_pass) for rank in ranks for _ in range(n_points // per_pass)]
-    assert n_points > 1
+        pairs = Counter(runs[-1].reports.ri[chan.pair_report].tolist())
+        assert calls == [(rank, pairs[rank]) if budget > 1 else (rank, 1)
+                         for rank in sorted(pairs) for _ in range(1 if budget > 1 else pairs[rank])]
+    assert len(runs[0].pair_eff_db) > 1
     for got, want in zip(runs[1].reports, runs[0].reports):
         assert np.array_equal(got, want)
     assert runs[1].pair_eff_db.tobytes() == runs[0].pair_eff_db.tobytes()

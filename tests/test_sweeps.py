@@ -3,8 +3,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +471,34 @@ class TestCli:
         assert cli.main(args + ["--out", str(b), "--workers", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(started) == 1
+
+    LARGE_CHUNKS = ("import sys; from nrlinksim import cli, csi; csi.BATCH_ELEMS = 1 << 19; "
+                    "sys.exit(cli.main(sys.argv[1:]))")
+
+    def test_blas_threads_change_no_byte(self, tmp_path):
+        # The PMI search and the pair pass take their effective channels from
+        # BLAS products, which a threaded BLAS splits among its threads: a
+        # full-band sweep at one and two BLAS threads, and at two workers,
+        # writes the same CSV.  Eight times the usual chunk makes each
+        # product large enough for OpenBLAS to split (above 2^18
+        # multiply-adds); chunking itself changes no byte.
+        config = tmp_path / "esterr.json"
+        config.write_text(json.dumps({
+            "n_tx": 4, "n_prb": 106, "n_slots": 200, "n_drops": 2, "csi_period": 10,
+            "seed": 9, "est_error_var": 0.01,
+            "channel": {"type": "rice1", "k_factor": 1.0, "coherence_slots": 10},
+            "noise": {"mode": "snr_sweep", "snr_db_list": [0, 10, 20]}}))
+        src = str(Path(sweeps.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        runs = [("1", []), ("2", []), ("1", ["--workers", "2"])]
+        for k, (threads, extra) in enumerate(runs):
+            subprocess.run([sys.executable, "-c", self.LARGE_CHUNKS, "sweep-snr",
+                            "--config", str(config), "--out", str(tmp_path / f"{k}.csv"), *extra],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True)
+        csvs = [(tmp_path / f"{k}.csv").read_bytes() for k in range(len(runs))]
+        assert csvs[0].count(b"\n") == 4
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_rejected(self, workers, tmp_path):

@@ -129,12 +129,6 @@ class BlockStreams:
             self.gen.standard_normal(out=row)
         return buf
 
-    def complex_normals(self, shape: tuple[int, ...]) -> np.ndarray:
-        """``standard_normal(shape) + 1j * standard_normal(shape)`` from each
-        stream (see :meth:`normals`).  Returns shape ``(len(self),) + shape``."""
-        buf = self.normals(shape)
-        return buf[:, 0] + 1j * buf[:, 1]
-
 
 def block_streams(tag: int, seed: int, block_ids) -> BlockStreams:
     """The streams ``default_rng([tag, seed, b])`` of each ``b`` in ``block_ids``, in bulk.
@@ -183,7 +177,8 @@ def rice1_blocks(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray
         raise ValueError(f"k_factor must be >= 0, got {k_factor}")
     if n_tx not in (2, 4):
         raise ValueError(f"n_tx must be 2 or 4, got {n_tx}")
-    scat = block_streams(_NLOS_STREAM, seed, block_ids).complex_normals((2, n_tx))
+    buf = block_streams(_NLOS_STREAM, seed, block_ids).normals((2, n_tx))
+    scat = buf[:, 0] + 1j * buf[:, 1]
     theta = np.random.default_rng([_LOS_STREAM, seed]).uniform(0.0, 2.0 * np.pi)
     los = np.full((2, n_tx), np.exp(1j * theta), dtype=np.complex128)
     scat /= np.sqrt(2.0)

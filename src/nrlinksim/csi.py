@@ -183,11 +183,12 @@ def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, 
     shape = g.shape[1:]
     # |g|^2 of each receive row as re^2 + im^2, then the column norms as
     # one add of the two rows.
-    rows = [np.square(plane.real, out=empty(name, shape))
-            for plane, name in ((g[0], "power_0"), (g[1], "power_1"))]
-    for plane, power in zip(g, rows):
-        power += np.square(plane.imag, out=empty("norms", shape))
-    norms = np.add(*rows, out=empty("norms", shape))
+    rows = []
+    for name, plane in zip(("power_0", "power_1"), g):
+        power = np.square(plane.real, out=empty(name, shape))
+        power += np.square(plane.imag, out=empty("power_im", shape))
+        rows.append(power)
+    norms = np.add(*rows, out=rows[0])
     if not np.all(noise_var):
         # Kept only where the noise is 0; comparing with it keeps its noise-point axes.
         signal = np.where(norms > noise_var, NOISE_FREE_LAYER_SINR, 0.0)
@@ -232,26 +233,6 @@ def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, 
     return np.multiply(s, s, out=s), t
 
 
-def effective_channels(mats: np.ndarray, cb: PrecoderCodebook, scratch: Scratch) -> np.ndarray:
-    """Every candidate's effective channel ``H @ W`` on every subcarrier of ``mats``.
-
-    ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)``.  Returns receive-row
-    planes of shape ``(2, n_blocks, n_eval, rank, n_cand)``, a view of a
-    ``scratch`` buffer, from one 2-D BLAS product: the rows of ``mats``,
-    receive row first, by the whole codebook, ``cb.columns``.  A product
-    over a subset of the rows rounds like the rows of the whole product,
-    but one by a subset of the columns may not (a single column takes
-    NumPy's matrix-vector path), so every caller multiplies by all of
-    ``cb.columns``.
-    """
-    n_tx = mats.shape[-1]
-    rows = scratch("rows", (2,) + mats.shape[:-2] + (n_tx,), complex)
-    np.copyto(rows, np.moveaxis(mats, -2, 0))
-    g = scratch("g", rows.shape[:-1] + (cb.rank, len(cb.precoders)), complex)
-    np.matmul(rows.reshape(-1, n_tx), cb.columns, out=g.reshape(-1, cb.columns.shape[1]))
-    return g
-
-
 def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scratch,
                  pmi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """MMSE signal and interference+noise power of each layer of ``mats`` under ``cb``'s precoders.
@@ -262,14 +243,25 @@ def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scr
     n_blocks, n_eval, rank, n_cand)``, one entry per candidate; with
     ``pmi``, shape ``(..., n_blocks)`` like ``noise_var``, they have shape
     ``(..., n_blocks, n_eval, rank, 1)``, block ``b`` under candidate
-    ``pmi[..., b]``.  Either way the effective channels come from
-    :func:`effective_channels` (the reported candidates are gathered from
-    the whole product), so a candidate's powers have the same bits in both.
+    ``pmi[..., b]``.
+
+    Every candidate's effective channels ``H @ W`` come from one 2-D BLAS
+    product into ``scratch``: the rows of ``mats``, receive row first, by
+    the whole codebook, ``cb.columns``, as receive-row planes ``(2,
+    n_blocks, n_eval, rank, n_cand)``; ``pmi`` gathers from them.  A
+    product over a subset of the rows rounds like those rows of the whole
+    product, but one by a subset of the columns may not (a single column
+    takes NumPy's matrix-vector path), so a candidate's powers have the
+    same bits with and without ``pmi``, whichever blocks come together.
     """
-    g = effective_channels(mats, cb, scratch)
+    n_blocks, n_eval, _, n_tx = mats.shape
+    rows = scratch("rows", (2, n_blocks, n_eval, n_tx), complex)
+    np.copyto(rows, mats.transpose(2, 0, 1, 3))
+    g = scratch("g", rows.shape[:-1] + (cb.rank, len(cb.precoders)), complex)
+    np.matmul(rows.reshape(-1, n_tx), cb.columns, out=g.reshape(-1, cb.columns.shape[1]))
     if pmi is not None:
         pmi = np.asarray(pmi)
-        g = np.take_along_axis(g.reshape(g.shape[:1] + (1,) * (pmi.ndim - 1) + g.shape[1:]),
+        g = np.take_along_axis(np.expand_dims(g, tuple(range(1, pmi.ndim))),
                                pmi[None, ..., None, None, None], axis=-1)
     return _split_batch(g, np.asarray(noise_var)[..., None, None, None], scratch)
 

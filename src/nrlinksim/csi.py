@@ -24,11 +24,11 @@ NOISE_FREE_LAYER_SINR = 1e4
 
 # Upper bound on the elements of the largest temporary array one batched
 # step over coherence blocks, or over the (report, block) pairs of the
-# pair SINRs, builds.  A step gets at least one block or pair, which keeps
-# memory as low as processing them one by one.  At 2^16 a full-band 2x4 search at
-# three noise points takes 3 blocks per step and a flat one hundreds; in
-# measured sweeps 6 or 12 full-band blocks per step were no faster, and
-# cost 1.3 and 4.6 MB more peak memory.
+# pair SINRs, builds.  A step gets at least one block or pair, which
+# keeps memory as low as processing them one by one.  At 2^16 a full-band
+# 2x4 search at three noise points takes 3 blocks per step and a flat one
+# hundreds; in measured sweeps 6 or 12 full-band blocks per step were no
+# faster, and cost 1.3 and 4.6 MB more peak memory.
 BATCH_ELEMS = 1 << 16
 
 # Relative tolerance of the wideband-metric tie-break.  Precoders that

@@ -9,9 +9,9 @@ statistics.
 
 A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
-all sweep points), :func:`drop_csi` computes the reports and, in an array
-call or a few per rank, the effective SINRs at every noise point (shared by all
-forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
+all sweep points), :func:`drop_csi` computes the reports and, in one
+array call or a few per rank, the effective SINRs at every noise point
+(shared by all forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
 the drop in whole-array rounds: each slot is decided under its own
 report, then redecided where the ACKs show its block follows an older
 one, until no decision changes.

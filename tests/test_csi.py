@@ -394,9 +394,9 @@ class TestSelectPmi:
     @pytest.mark.parametrize("rank", [1, 2])
     def test_warmed_search_copies_no_operand(self, rank):
         # With a Scratch that earlier searches have sized, a full-band search
-        # allocates only its small per-candidate results: no ufunc buffers a
-        # strided or broadcast operand (such copies took 55 KB at rank 1 and
-        # 108 KB at rank 2 with layers innermost; 7-8 KB is measured here).
+        # allocates only its small per-candidate results, 7-8 KB: no ufunc
+        # buffers a strided or broadcast operand.  Such copies took 55 KB at
+        # rank 1 and 108 KB at rank 2 when the layers were the innermost axis.
         mats = _random_mats(6, 106, 4)[None]
         noise_var = [[1.0], [0.1], [0.01]]
         cb, scratch = build_codebook(4, rank), Scratch()

@@ -413,8 +413,10 @@ def test_one_pair_per_pair_pass_changes_nothing(name, monkeypatch):
         calls.clear()
         runs.append(drop_csi(scenario, chan))
         pairs = Counter(runs[-1].reports.ri[chan.pair_report].tolist())
-        assert calls == [(rank, pairs[rank]) if budget > 1 else (rank, 1)
-                         for rank in sorted(pairs) for _ in range(1 if budget > 1 else pairs[rank])]
+        if budget > 1:
+            assert calls == [(rank, pairs[rank]) for rank in sorted(pairs)]
+        else:
+            assert calls == [(rank, 1) for rank in sorted(pairs) for _ in range(pairs[rank])]
     assert len(runs[0].pair_eff_db) > 1
     for got, want in zip(runs[1].reports, runs[0].reports):
         assert np.array_equal(got, want)

@@ -269,6 +269,7 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
                               scenario.n_prb)
         parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
+    del scratch  # free the searches' temporaries before the pairs make theirs
     pair_rank = reports.ri[chan.pair_report]
     eff = np.empty((len(noise_vars), chan.pair_report.size))
     for rank in np.flatnonzero(np.bincount(pair_rank)).tolist():  # the ranks present

@@ -188,18 +188,10 @@ def rice1_blocks(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray
     return h
 
 
-def block_rx_power(h: np.ndarray, n_sc: int) -> np.ndarray:
-    """Mean received power per transmit antenna of each block: mean of ``|h|^2``.
-
-    The mean runs over the band, ``n_sc`` identical copies of ``h[b]``, and
-    not over the one matrix: the two differ in the last bits, and the
-    noise levels, hence every output, were fixed with the mean over the
-    band.  Equals the mean over subcarriers and receive antennas of
-    ``row_norm^2 / n_tx``.  Returns shape ``(n_blocks,)``.
-    """
-    p = np.abs(h) ** 2
-    return np.mean(np.broadcast_to(p[:, None], (p.shape[0], n_sc) + p.shape[1:]),
-                   axis=(1, 2, 3))
+def block_rx_power(h: np.ndarray) -> np.ndarray:
+    """Mean received power per transmit antenna of each block, shape ``(n_blocks,)``:
+    the mean of ``|h|^2`` over the one matrix every subcarrier of the block holds."""
+    return np.mean(np.abs(h) ** 2, axis=(1, 2))
 
 
 def snr_noise_variance(snr_db: float, p_rx):

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .codebook import ConfigurationError, PrecoderCodebook
-from .linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
+from .linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -53,6 +53,9 @@ class CsiConfig:
     force_cqi: int | None = None
 
     def __post_init__(self):
+        for name in ("force_ri", "force_cqi"):
+            if type(getattr(self, name)) not in (type(None), int):
+                raise ValueError(f"csi.{name} must be an integer, got {getattr(self, name)!r}")
         if not self.gamma_th >= 2.0:
             raise ValueError(f"csi.gamma_th must be >= 2, got {self.gamma_th}")
         if self.force_ri not in (None, 1, 2):
@@ -76,51 +79,6 @@ class CsiReports(NamedTuple):
     cqi: np.ndarray
 
 
-# Half-width of the band, relative, in which the fast RI vote defers to
-# gamma_stack.  Take u = 2^-53, tr = r0 + r1 and at most 4 terms per row.
-# The fast num = r0^2 + r1^2 + 2|m01|^2 is within about 30u num of its
-# exact value, and det = r0 r1 - |m01|^2 within about 27u r0 r1 <= 7u tr^2.
-# gamma_stack's Gram products obey bounds of the same form, about twice as
-# wide.  So the two det tests differ by at most about 20u tr^2.  Since
-# tr^2 = num + 2 det = (gamma + 2) det, two finite metrics differ by at
-# most about 60u (gamma + 2) gamma: the cancellation in det grows with the
-# metric.  A band of 2^-44 = 512u, in units of tr^2 at the det edge and of
-# (gamma_th + 2) gamma_th at gamma_th, holds either bound 8 times over, so
-# outside it both forms vote alike.  The bounds are relative: they hold
-# while tr lies within 2^+-450, where tr^2 neither overflows nor
-# underflows and what underflows inside det is far below the band.  A
-# subcarrier outside that range is redone too.
-RI_REDO_REL = 2.0 ** -44
-
-
-def _votes_two(mats: np.ndarray, gamma_th: float) -> np.ndarray:
-    """``gamma_stack(mats) < gamma_th``, computed elementwise from the Gram's entries.
-
-    The row powers ``r0``, ``r1`` and the cross term ``m01`` of each
-    2x2 Gram give the metric as ``num / det``; the subcarriers whose vote
-    the rounding of either form could flip (see ``RI_REDO_REL``) are
-    voted again with :func:`gamma_stack`, so every vote equals gamma_stack's.
-    """
-    r = np.einsum("...ij,...ij->...i", mats.real, mats.real)
-    r += np.einsum("...ij,...ij->...i", mats.imag, mats.imag)
-    r0, r1 = r[..., 0], r[..., 1]
-    m01 = np.einsum("...j,...j->...", mats[..., 0, :], np.conj(mats[..., 1, :]))
-    cross = m01.real * m01.real + m01.imag * m01.imag
-    tr = r0 + r1
-    tr2 = tr * tr
-    det = r0 * r1 - cross
-    edge = det - DET_EPS * tr2
-    gamma = np.divide(r0 * r0 + r1 * r1 + 2.0 * cross, det,
-                      out=np.full(det.shape, np.inf), where=edge > 0.0)
-    two = gamma < gamma_th
-    redo = np.abs(gamma - gamma_th) <= RI_REDO_REL * (gamma_th + 2.0) * gamma_th
-    redo |= np.abs(edge) <= RI_REDO_REL * tr2
-    redo |= ~((tr > 2.0 ** -450) & (tr < 2.0 ** 450))
-    if redo.any():
-        two[redo] = gamma_stack(mats[redo]) < gamma_th
-    return two
-
-
 def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     """Rank decision of each block from its per-subcarrier condition metric.
 
@@ -131,13 +89,11 @@ def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
     ``gamma_th``; a block reports rank 2 only when rank-2 votes strictly
     outnumber rank-1 votes (ties fall back to the safe single layer).
     Rank-deficient channels, single columns included, never vote for two
-    layers; ``force_ri`` overrides everything.  The votes come from a
-    faster elementwise form of the metric and equal those of
-    ``gamma_stack`` exactly.
+    layers; ``force_ri`` overrides everything.
     """
     if cfg.force_ri is not None:
         return np.full(mats.shape[0], cfg.force_ri)
-    votes2 = np.count_nonzero(_votes_two(mats, cfg.gamma_th), axis=-1)
+    votes2 = np.count_nonzero(gamma_stack(mats) < cfg.gamma_th, axis=-1)
     return np.where(2 * votes2 > mats.shape[1], 2, 1)
 
 

@@ -25,7 +25,9 @@ def gamma_stack(mats: np.ndarray) -> np.ndarray:
     The metric is ``sum |m_ij|^2 / det(M)``.  For eigenvalues
     ``s1 >= s2 > 0`` of ``M`` it equals ``s1/s2 + s2/s1``, so it is always
     >= 2 and approaches 2 for well-conditioned channels.  Rank-deficient
-    Grams (determinant at most ``DET_EPS * trace^2``) give ``+inf``.
+    Grams (determinant at most ``DET_EPS * trace^2``) give ``+inf``.  From
+    the Gram's row powers ``r0``, ``r1`` and cross term ``m01``, ``num =
+    r0^2 + r1^2 + 2|m01|^2`` and ``det = r0 r1 - |m01|^2``.
 
     Parameters
     ----------
@@ -38,13 +40,15 @@ def gamma_stack(mats: np.ndarray) -> np.ndarray:
         Shape ``mats.shape[:-2]`` array of condition metrics, ``+inf``
         where the Gram determinant vanishes.
     """
-    g = mats @ np.conj(np.swapaxes(mats, -1, -2))
-    num = np.sum(np.abs(g) ** 2, axis=(-2, -1))
-    tr = (g[..., 0, 0] + g[..., 1, 1]).real
-    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
-    ok = det > DET_EPS * tr * tr
-    out = np.full(mats.shape[:-2], np.inf)
-    np.divide(num, det, out=out, where=ok)
+    r = np.einsum("...ij,...ij->...i", mats.real, mats.real)
+    r += np.einsum("...ij,...ij->...i", mats.imag, mats.imag)
+    r0, r1 = r[..., 0], r[..., 1]
+    m01 = np.einsum("...j,...j->...", mats[..., 0, :], np.conj(mats[..., 1, :]))
+    cross = m01.real * m01.real + m01.imag * m01.imag
+    tr = r0 + r1
+    det = r0 * r1 - cross
+    out = np.full(det.shape, np.inf)
+    np.divide(r0 * r0 + r1 * r1 + 2.0 * cross, det, out=out, where=det > DET_EPS * (tr * tr))
     return out
 
 

@@ -214,7 +214,7 @@ def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
     return DropChannel(
         seed=seed,
         h=h,
-        p_rx=block_rx_power(h, scenario.n_prb),
+        p_rx=block_rx_power(h),
         report_block=report_block,
         slot_block=slot_block,
         slot_report=slot_report,

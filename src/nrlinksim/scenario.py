@@ -82,12 +82,19 @@ class ChannelModel:
         if self.kind == "fixed" and self.matrix is None:
             raise ScenarioError("channel.matrix is required for a fixed channel")
         if self.matrix is not None:
-            rows = np.asarray(self.matrix, dtype=np.complex128).tolist()
-            object.__setattr__(self, "matrix", tuple(map(tuple, rows)))
+            try:
+                m = np.asarray(self.matrix)
+            except ValueError:  # ragged
+                m = np.empty(0)
+            if m.ndim != 2 or m.size == 0 or m.dtype.kind not in "iufc":
+                raise ScenarioError(f"channel.matrix must be a nonempty 2-D matrix of numbers, "
+                                    f"got {self.matrix!r}")
+            object.__setattr__(self, "matrix", tuple(map(tuple, m.astype(np.complex128).tolist())))
         if self.kind == "fixed" and not np.all(np.isfinite(self.matrix)):
             raise ScenarioError("channel.matrix entries must be finite")
         if not 0 <= self.k_factor < inf:
             raise ScenarioError(f"channel.k_factor must be finite and >= 0, got {self.k_factor}")
+        _integer(self.coherence_slots, "channel.coherence_slots")
         if not 1 <= self.coherence_slots <= MAX_N_SLOTS:
             raise ScenarioError(f"channel.coherence_slots must be in [1, {MAX_N_SLOTS}], "
                                 f"got {self.coherence_slots}")
@@ -117,6 +124,7 @@ class NoiseModel:
     variance: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "snr_db_list", tuple(map(float, self.snr_db_list)))
         if self.mode not in ("noise_free", "snr", "snr_sweep", "variance"):
             raise ScenarioError(f"noise.mode {self.mode!r} unknown")
         for key, owner, given in (("snr_db", "snr", self.snr_db is not None),
@@ -167,6 +175,8 @@ class Scenario:
                                if self.channel.kind == "fixed" else 4)
         object.__setattr__(self, "sinr_cap_db",
                            RankCaps({**DEFAULT_SINR_CAP_DB, **self.sinr_cap_db}))
+        for name in ("n_tx", "n_prb", "n_slots", "n_drops", "csi_period", "seed", "max_harq_tx"):
+            _integer(getattr(self, name), f"scenario.{name}")
         if self.n_tx not in (2, 4):
             raise ScenarioError(f"scenario.n_tx must be 2 or 4, got {self.n_tx}")
         if not 1 <= self.n_prb <= MAX_N_PRB:

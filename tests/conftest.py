@@ -22,7 +22,7 @@ from nrlinksim.channel import _EST_STREAM, _LOS_STREAM, _NLOS_STREAM
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
                            NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL, CsiReports)
-from nrlinksim.linalg import DB_CEIL, DB_FLOOR
+from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS
 from nrlinksim.link import DropChannel, ThroughputStats, drop_channel, drop_csi, run_harq
 from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
@@ -78,6 +78,29 @@ def estimate_blocks_oracle(h: np.ndarray, est_error_var: float, seed: int,
         noise *= np.sqrt(est_error_var / 2.0)
         out[i] = h[i] + noise
     return out
+
+
+class GramMetric(NamedTuple):
+    """Condition metric of each channel's receive Gram, with the Gram's
+    determinant and trace it comes from."""
+
+    gamma: np.ndarray
+    det: np.ndarray
+    tr: np.ndarray
+
+
+def gram_metric_oracle(mats: np.ndarray) -> GramMetric:
+    """Oracle of ``linalg.gamma_stack`` from the Gram matrix itself: ``M = H
+    @ H^H`` by one ``matmul``, then ``sum |m_ij|^2 / det(M)``, ``+inf`` where
+    ``det(M) <= DET_EPS * trace(M)^2``.  Rounds apart from ``gamma_stack``'s
+    elementwise form in the last bits."""
+    g = mats @ np.conj(np.swapaxes(mats, -1, -2))
+    num = np.sum(np.abs(g) ** 2, axis=(-2, -1))
+    tr = (g[..., 0, 0] + g[..., 1, 1]).real
+    det = (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]).real
+    gamma = np.full(mats.shape[:-2], np.inf)
+    np.divide(num, det, out=gamma, where=det > DET_EPS * tr * tr)
+    return GramMetric(gamma, det, tr)
 
 
 def scalar_lin_to_int_db(x: float) -> int:

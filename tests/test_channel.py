@@ -1,6 +1,7 @@
 """Unit tests for block-array channels, Rician fading, noise resolution, seeding."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestRice1Grid:
     def test_unit_mean_entry_power(self):
         for k in (0.0, 1.0, 5.0):
             p = np.mean([block_rx_power(rice1_blocks(seed=s, k_factor=k, n_tx=4,
-                                                     block_ids=range(40)), 1)
+                                                     block_ids=range(40)))
                          for s in range(8)])
             assert p == pytest.approx(1.0, rel=0.08), k
 
@@ -122,29 +123,34 @@ class TestNoise:
     def test_mean_rx_power_reference(self):
         h = np.asarray([H_2X4_REF, H_2X4_REF], dtype=complex)
         # grand mean of |h|^2 = 2*(1 + 1/4 + 1/16 + 1/64)/8, an exact dyadic
-        assert np.array_equal(block_rx_power(h, n_sc=6), [0.33203125, 0.33203125])
+        assert np.array_equal(block_rx_power(h), [0.33203125, 0.33203125])
 
     @pytest.mark.parametrize("n_sc", [1, 7, 106, 275])
     def test_rx_power_is_the_mean_over_a_tiled_band(self, n_sc):
-        # Bit for bit the mean over n_sc materialized copies of each block,
-        # which fixed the noise levels of every golden output.
+        # The mean over the one matrix stands for the mean over n_sc
+        # materialized copies of it, to within rounding of the two sums.
         rng = np.random.default_rng(n_sc)
         scale = 10.0 ** rng.uniform(-5.0, 5.0, (40, 1, 1))
         h = scale * (rng.standard_normal((40, 2, 4)) + 1j * rng.standard_normal((40, 2, 4)))
-        tiled = np.repeat(h[:, None], n_sc, axis=1)
-        assert np.array_equal(block_rx_power(h, n_sc),
-                              np.mean(np.abs(tiled) ** 2, axis=(1, 2, 3)))
+        tiled = np.mean(np.abs(np.repeat(h[:, None], n_sc, axis=1)) ** 2, axis=(1, 2, 3))
+        assert np.allclose(block_rx_power(h), tiled, rtol=1e-15, atol=0.0)
+        # Dyadic entries, each real or imaginary, so that |h| and every sum
+        # is exact: the mean is the exact value.
+        dyadic = np.ldexp(rng.integers(-64, 64, (40, 2, 4)), -6) * rng.choice([1, 1j], (40, 2, 4))
+        exact = [float(sum(Fraction(abs(x)) ** 2 for x in block.ravel().tolist()) / 8)
+                 for block in dyadic]
+        assert block_rx_power(dyadic).tolist() == exact
 
     def test_noise_free(self):
         sc = _fixed(H_2X4_REF)
         assert np.array_equal(sc.noise_vars(np.array([0.5, 2.0])), [[0.0, 0.0]])
 
     def test_snr_resolution_unit_power(self):
-        p = block_rx_power(np.ones((1, 2, 2), dtype=complex), n_sc=2)
+        p = block_rx_power(np.ones((1, 2, 2), dtype=complex))
         assert snr_noise_variance(10.0, p)[0] == 0.1
 
     def test_snr_resolution_formula(self):
-        p = block_rx_power(np.asarray([H_2X4_REF], dtype=complex), n_sc=2)
+        p = block_rx_power(np.asarray([H_2X4_REF], dtype=complex))
         assert snr_noise_variance(7.0, p)[0] == pytest.approx(0.33203125 / 10 ** 0.7,
                                                              rel=1e-15)
 
@@ -163,7 +169,7 @@ class TestNoise:
             NoiseModel(variance=1.0)
 
     def test_snr_on_zero_channel_rejected(self):
-        p = block_rx_power(np.zeros((1, 2, 2), dtype=complex), n_sc=1)
+        p = block_rx_power(np.zeros((1, 2, 2), dtype=complex))
         with pytest.raises(ValueError):
             snr_noise_variance(0.0, p)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nrlinksim.channel import estimate_blocks, estimate_streams, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
@@ -18,7 +19,8 @@ from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
 from nrlinksim.link import effective_sinrs_db
 
-from conftest import eff_sinrs_db_oracle, pair_layer_sinrs_oracle, select_cqi, select_pmi_oracle
+from conftest import (eff_sinrs_db_oracle, gram_metric_oracle, pair_layer_sinrs_oracle, select_cqi,
+                      select_pmi_oracle)
 
 H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
@@ -210,42 +212,31 @@ class TestComputeRi:
             assert _ri(mats[None] * c, CsiConfig()) == base
 
 
-def _unchecked_votes(mats: np.ndarray, gamma_th: float) -> np.ndarray:
-    """The elementwise metric ``compute_ri_blocks`` votes with, without the
-    redo that makes each vote equal ``gamma_stack``'s."""
-    r = np.einsum("...ij,...ij->...i", mats.real, mats.real)
-    r += np.einsum("...ij,...ij->...i", mats.imag, mats.imag)
-    m01 = np.einsum("...j,...j->...", mats[..., 0, :], np.conj(mats[..., 1, :]))
-    cross = m01.real * m01.real + m01.imag * m01.imag
-    tr = r[..., 0] + r[..., 1]
-    det = r[..., 0] * r[..., 1] - cross
-    ok = det - DET_EPS * (tr * tr) > 0.0
-    num = r[..., 0] * r[..., 0] + r[..., 1] * r[..., 1] + 2.0 * cross
-    return ok & (num / np.where(ok, det, 1.0) < gamma_th)
-
-
-class TestRiVoteRedo:
-    """Subcarriers on which the elementwise metric and ``gamma_stack`` round
-    to opposite sides of a vote's edge; each must vote as ``gamma_stack``."""
+class TestRiVoteEdges:
+    """Each subcarrier votes as ``gamma_stack(mats) < gamma_th`` on both sides
+    of each edge of the vote, and a block reports their strict majority."""
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** -268], ids=["unit", "subnormal_gram"])
-    def test_metric_just_across_gamma_th(self, scale):
-        # gamma_th sits at a subcarrier's gamma_stack metric or one ulp above
-        # it, on whichever side the unchecked elementwise vote differs.  At
-        # 2^-268 the Gram's products are subnormal, outside the error bound.
+    def test_metric_at_and_one_ulp_above_gamma_th(self, scale):
+        # gamma_th sits at each subcarrier's metric, which then votes for one
+        # layer, and one ulp above it, which votes for two.  Thresholds near
+        # the median put the block's vote at a tie and one vote past it.  At
+        # 2^-268 the Gram's products are subnormal.
         rng = np.random.default_rng(11)
         mats = (rng.standard_normal((300, 2, 4)) + 1j * rng.standard_normal((300, 2, 4))) * scale
-        cases = [(m, th, g < th) for m, g in zip(mats, gamma_stack(mats).tolist()) if 2.0 < g < math.inf
-                 for th in (g, math.nextafter(g, math.inf)) if _unchecked_votes(m, th) != (g < th)]
-        if not cases:
-            pytest.skip("the elementwise metric rounds as gamma_stack on every probed channel here")
-        for m, th, two in cases:
-            assert _ri(_flat(m), CsiConfig(gamma_th=th)) == (2 if two else 1)
+        gammas = gamma_stack(mats)
+        assert np.all((gammas > 2.0) & np.isfinite(gammas))
+        for g in gammas.tolist():
+            for th in (g, math.nextafter(g, math.inf)):
+                two = gammas < th
+                cfg = CsiConfig(gamma_th=th)
+                assert np.array_equal(compute_ri_blocks(mats[:, None], cfg), np.where(two, 2, 1))
+                assert _ri(mats[None], cfg) == (2 if 2 * np.count_nonzero(two) > len(mats) else 1)
 
     def test_det_just_across_its_edge(self):
         # Rows h0 and h0 + eps v with eps swept across det = DET_EPS tr^2.
         # gamma_th is far above every finite metric, so a subcarrier votes
-        # for two layers exactly where its Gram passes the det test.
+        # for two layers exactly where its metric is finite.
         rng = np.random.default_rng(0)
         h0 = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
         v = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
@@ -253,12 +244,98 @@ class TestRiVoteRedo:
         sweep = 1.0 + np.linspace(-0.5, 0.5, 4001)[:, None, None]
         mats = np.stack([np.broadcast_to(h0, sweep.shape[:1] + h0.shape),
                          h0 + eps[:, None] * sweep * v], axis=-2).reshape(-1, 2, 4)
-        want = np.isfinite(gamma_stack(mats))
-        cases = mats[_unchecked_votes(mats, 1e13) != want]
-        if not cases.size:
-            pytest.skip("the elementwise det rounds as gamma_stack's on every probed channel here")
-        got = compute_ri_blocks(cases[:, None], CsiConfig(gamma_th=1e13))
-        assert np.array_equal(got, np.where(np.isfinite(gamma_stack(cases)), 2, 1))
+        gammas = gamma_stack(mats)
+        finite = np.isfinite(gammas)
+        assert finite.any() and not finite.all()
+        assert gammas[finite].max() < 1e13
+        got = compute_ri_blocks(mats[:, None], CsiConfig(gamma_th=1e13))
+        assert np.array_equal(got, np.where(finite, 2, 1))
+        # Clear of the band where the two forms may part, the Gram oracle's
+        # det test gives the same edge.
+        oracle = gram_metric_oracle(mats)
+        tr2 = oracle.tr * oracle.tr
+        clear = np.abs(oracle.det - DET_EPS * tr2) > VOTE_BAND_REL * tr2
+        assert 0 < np.count_nonzero(clear) < len(mats)
+        assert np.array_equal(finite[clear], np.isfinite(oracle.gamma)[clear])
+
+
+# Where gamma_stack and the Gram oracle may vote apart.  Take u = 2^-53,
+# tr = r0 + r1 and at most 4 terms per row.  gamma_stack's num = r0^2 +
+# r1^2 + 2|m01|^2 is within about 30u num of its exact value, and its
+# det = r0 r1 - |m01|^2 within about 27u r0 r1 <= 7u tr^2.  The oracle's
+# Gram products obey bounds of the same form, about twice as wide.  So
+# the two det tests differ by at most about 20u tr^2.  Since tr^2 = num +
+# 2 det = (gamma + 2) det, two finite metrics differ by at most about
+# 60u (gamma + 2) gamma: the cancellation in det grows with the metric.
+# A band of 2^-44 = 512u, in units of tr^2 at the det edge and of
+# (gamma_th + 2) gamma_th at gamma_th, holds either bound 8 times over,
+# so outside it both forms vote alike.  The bounds are relative: they
+# hold while tr lies within 2^+-450, where tr^2 neither overflows nor
+# underflows and what underflows inside det is far below the band.
+VOTE_BAND_REL = 2.0 ** -44
+
+
+@st.composite
+def ri_vote_cases(draw):
+    """A block of channels near the edges of the vote, and a gamma_th.
+
+    The second row of each channel is either a multiple of the first plus a
+    perturbation 2^-k as large, k from 0 to 24, so that det runs from
+    generic down past the edge; or the first plus a perturbation orthogonal
+    to it that puts det / tr^2 at DET_EPS (1 +- 2^-j), j from 0 to 6,
+    across the det band, which is about 6 % of DET_EPS wide.  gamma_th is
+    at one subcarrier's oracle metric times 1 +- 2^-j, j from 1 to 52,
+    within and beyond the metric band; or log-uniform up to 2^47; or 2^47,
+    above every finite metric clear of the det band (at most about 1 /
+    DET_EPS), where a subcarrier votes for two layers if its det passes.
+    """
+    n_sc = draw(st.integers(1, 6))
+    n_tx = draw(st.sampled_from([2, 4]))
+    parts = draw(hnp.arrays(np.int64, (4, n_sc, n_tx), elements=st.integers(-999, 999),
+                             fill=st.nothing())) / 999.0
+    h0, v = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    p0 = np.sum(np.abs(h0) ** 2, axis=-1, keepdims=True)
+    if draw(st.booleans()):
+        c = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+        h1 = c * h0 + 2.0 ** -draw(st.floats(0.0, 24.0)) * v
+    else:
+        # With v orthogonal to h0, det / tr^2 = x / (2 + x)^2 at x = eps^2 |v|^2 / |h0|^2.
+        v -= np.sum(v * np.conj(h0), axis=-1, keepdims=True) / np.where(p0 > 0.0, p0, 1.0) * h0
+        pv = np.sum(np.abs(v) ** 2, axis=-1, keepdims=True)
+        x = 4.0 * DET_EPS * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -draw(st.floats(0.0, 6.0)))
+        h1 = h0 + np.sqrt(x * p0 / np.where(pv > 0.0, pv, np.inf)) * v
+    mats = np.stack([h0, h1], axis=-2) * 2.0 ** draw(st.integers(-235, 235))
+    with np.errstate(over="ignore", invalid="ignore"):  # tr beyond 2^+-450
+        gammas = gram_metric_oracle(mats).gamma
+    finite = gammas[np.isfinite(gammas)].tolist()
+    mode = draw(st.sampled_from(["near", "free", "above"]))
+    if mode == "near" and finite:
+        g = draw(st.sampled_from(finite))
+        gamma_th = g * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -draw(st.integers(1, 52)))
+    elif mode == "above":
+        gamma_th = 2.0 ** 47
+    else:
+        gamma_th = 2.0 ** draw(st.floats(1.0, 47.0))
+    return mats[None], max(gamma_th, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ri_vote_cases())
+@example(case=(np.array([[[[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]]], dtype=complex), 2.7))
+def test_ri_votes_match_the_gram_oracle(case):
+    mats, gamma_th = case
+    with np.errstate(over="ignore", invalid="ignore"):  # tr beyond 2^+-450
+        oracle = gram_metric_oracle(mats)
+        tr2 = oracle.tr * oracle.tr
+        clear = ((np.abs(oracle.gamma - gamma_th) > VOTE_BAND_REL * (gamma_th + 2.0) * gamma_th)
+                 & (np.abs(oracle.det - DET_EPS * tr2) > VOTE_BAND_REL * tr2)
+                 & (oracle.tr > 2.0 ** -450) & (oracle.tr < 2.0 ** 450))
+        votes = gamma_stack(mats) < gamma_th
+    want = oracle.gamma < gamma_th
+    assert np.array_equal(votes[clear], want[clear])
+    if clear.all():
+        ri = compute_ri_blocks(mats, CsiConfig(gamma_th=gamma_th))
+        assert ri.tolist() == [2 if 2 * np.count_nonzero(want) > want.size else 1]
 
 
 class TestCsiConfig:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from nrlinksim import csi as csi_module
 from nrlinksim import link
-from nrlinksim.channel import block_rx_power, derive_seed
+from nrlinksim.channel import derive_seed
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
@@ -62,7 +62,9 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             h = block_channel(scenario, seed, block)
             est = estimate_blocks_oracle(h, scenario.est_error_var, seed, [block],
                                          scenario.n_prb)
-            noise_var = scenario.noise_vars(block_rx_power(h, scenario.n_prb))[0]
+            # Received power: the mean of |h|^2 over the block's one matrix.
+            p_rx = np.sum(np.abs(h) ** 2) / h.size
+            noise_var = scenario.noise_vars(np.array([p_rx]))[0]
         if slot % scenario.csi_period == 0 and report_block != block:
             report = make_reports(est, noise_var, scenario.csi, codebooks)
             ri, cqi = int(report.ri[0]), int(report.cqi[0])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from nrlinksim.linalg import (_DB_EDGES, DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack,
                               lin_to_int_db)
 
-from conftest import scalar_lin_to_int_db
+from conftest import gram_metric_oracle, scalar_lin_to_int_db
 
 # Reference channels used across the suite (also encoded in the golden
 # scenario files).
@@ -80,6 +80,15 @@ class TestGammaStack:
         assert np.array_equal(got, want)
         # Any leading shape: blocks x subcarriers.
         assert np.array_equal(gamma_stack(mats.reshape(8, 5, 2, 4)), want.reshape(8, 5))
+
+    def test_within_rounding_of_the_gram_oracle(self):
+        # The elementwise form and the Gram matmul round apart by at most
+        # about 60 ulps of (gamma + 2) gamma: det cancels (see VOTE_BAND_REL
+        # in test_csi.py).
+        mats = _random_channels(500, 4, seed=8)
+        got = gamma_stack(mats)
+        want = gram_metric_oracle(mats).gamma
+        assert np.all(np.abs(got - want) <= 2.0 ** -47 * (want + 2.0) * want)
 
     def test_inf_where_singular(self):
         mats = np.stack([np.array([[1.0, 2.0], [2.0, 4.0]]),

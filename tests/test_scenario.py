@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +169,27 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="n_slots"):
             scenario_from_dict({"channel": "rice1", "n_slots": 10.5})
 
+    @pytest.mark.parametrize("value", [1.0, 20.5, True], ids=["integral_float", "float", "bool"])
+    @pytest.mark.parametrize("where", [
+        "scenario.n_tx", "scenario.n_prb", "scenario.n_slots", "scenario.n_drops",
+        "scenario.csi_period", "scenario.seed", "scenario.max_harq_tx",
+        "channel.coherence_slots", "csi.force_ri", "csi.force_cqi",
+    ])
+    def test_integer_fields_reject_non_integers_naming_the_field(self, where, value):
+        # Built through the API: the JSON reader rejects them first.
+        section, name = where.split(".")
+        build = {"scenario": lambda **kw: Scenario(channel=ChannelModel(kind="rice1"), **kw),
+                 "channel": lambda **kw: ChannelModel(kind="rice1", **kw),
+                 "csi": CsiConfig}[section]
+        with pytest.raises(ValueError, match=re.escape(where) + " must be an integer"):
+            build(**{name: value})
+
+    @pytest.mark.parametrize("matrix", [(), [], [1, 2], [[1, 2], [3]], [[]], [[1, "x"], [0, 1]],
+                                        [[True, False], [False, True]], [[[1, 2]], [[3, 4]]]])
+    def test_bad_matrix_rejected_at_construction(self, matrix):
+        with pytest.raises(ScenarioError, match=r"channel\.matrix must be a nonempty 2-D"):
+            ChannelModel(kind="fixed", matrix=matrix)
+
     def test_csi_field_validation(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict({"channel": "rice1", "csi": {"force_ri": 3}})
@@ -325,6 +348,15 @@ class TestFixedChannelIsAValue:
         assert scenario_from_dict({"channel": {"type": "fixed", "matrix": changed}}) != base
         assert scenario_from_dict(_fixed_cfg(seed=1)) != base
 
+    def test_snr_list_is_stored_as_a_tuple_of_floats(self):
+        from_list = NoiseModel(mode="snr_sweep", snr_db_list=[0, 5.0, 10])
+        from_tuple = NoiseModel(mode="snr_sweep", snr_db_list=(0.0, 5.0, 10.0))
+        assert from_list == from_tuple
+        assert from_list.snr_db_list == (0.0, 5.0, 10.0)
+        assert all(type(p) is float for p in from_list.snr_db_list)
+        scenario = Scenario(channel=ChannelModel(kind="rice1"), noise=from_list)
+        assert hash(scenario) == hash(replace(scenario, noise=from_tuple))
+
     def test_matrix_cannot_be_written(self):
         sc = parse_scenario(scenario_path("csi_fixed_2x4.json"))
         with pytest.raises(TypeError):
@@ -387,7 +419,7 @@ class TestDerivedHelpers:
         assert sc.coherence_slots == 10 and sc.is_fading
 
     def test_noise_for_modes(self):
-        p_rx = block_rx_power(scenario_from_dict(_fixed_cfg()).block_channels(0, 1), 106)
+        p_rx = block_rx_power(scenario_from_dict(_fixed_cfg()).block_channels(0, 1))
         free = scenario_from_dict(_fixed_cfg())
         assert free.noise_vars(p_rx).tolist() == [[0.0]]
         var = scenario_from_dict(_fixed_cfg(noise={"mode": "variance",

@@ -283,12 +283,14 @@ def ri_vote_cases(draw):
     perturbation 2^-k as large, k from 0 to 24, so that det runs from
     generic down past the edge; or the first plus a perturbation orthogonal
     to it that puts det / tr^2 at DET_EPS (1 +- 2^-j), j from 0 to 6,
-    across the det band, which is about 6 % of DET_EPS wide.  gamma_th is
+    across the det band, which is about 6 % of DET_EPS wide.  The block is
+    scaled by 2^s, |s| <= 235, so that tr runs past 2^+-450.  gamma_th is
     at one subcarrier's oracle metric times 1 +- 2^-j, j from 1 to 52,
     within and beyond the metric band; or log-uniform up to 2^47; or 2^47,
     above every finite metric clear of the det band (at most about 1 /
     DET_EPS), where a subcarrier votes for two layers if its det passes.
     """
+    sign = st.sampled_from([-1.0, 1.0])
     n_sc = draw(st.integers(1, 6))
     n_tx = draw(st.sampled_from([2, 4]))
     parts = draw(hnp.arrays(np.int64, (4, n_sc, n_tx), elements=st.integers(-999, 999),
@@ -302,16 +304,15 @@ def ri_vote_cases(draw):
         # With v orthogonal to h0, det / tr^2 = x / (2 + x)^2 at x = eps^2 |v|^2 / |h0|^2.
         v -= np.sum(v * np.conj(h0), axis=-1, keepdims=True) / np.where(p0 > 0.0, p0, 1.0) * h0
         pv = np.sum(np.abs(v) ** 2, axis=-1, keepdims=True)
-        x = 4.0 * DET_EPS * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -draw(st.floats(0.0, 6.0)))
+        x = 4.0 * DET_EPS * (1.0 + draw(sign) * 2.0 ** -draw(st.floats(0.0, 6.0)))
         h1 = h0 + np.sqrt(x * p0 / np.where(pv > 0.0, pv, np.inf)) * v
     mats = np.stack([h0, h1], axis=-2) * 2.0 ** draw(st.integers(-235, 235))
-    with np.errstate(over="ignore", invalid="ignore"):  # tr beyond 2^+-450
-        gammas = gram_metric_oracle(mats).gamma
+    gammas = gram_metric_oracle(mats).gamma
     finite = gammas[np.isfinite(gammas)].tolist()
     mode = draw(st.sampled_from(["near", "free", "above"]))
     if mode == "near" and finite:
         g = draw(st.sampled_from(finite))
-        gamma_th = g * (1.0 + draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** -draw(st.integers(1, 52)))
+        gamma_th = g * (1.0 + draw(sign) * 2.0 ** -draw(st.integers(1, 52)))
     elif mode == "above":
         gamma_th = 2.0 ** 47
     else:
@@ -324,13 +325,12 @@ def ri_vote_cases(draw):
 @example(case=(np.array([[[[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]]], dtype=complex), 2.7))
 def test_ri_votes_match_the_gram_oracle(case):
     mats, gamma_th = case
-    with np.errstate(over="ignore", invalid="ignore"):  # tr beyond 2^+-450
-        oracle = gram_metric_oracle(mats)
-        tr2 = oracle.tr * oracle.tr
-        clear = ((np.abs(oracle.gamma - gamma_th) > VOTE_BAND_REL * (gamma_th + 2.0) * gamma_th)
-                 & (np.abs(oracle.det - DET_EPS * tr2) > VOTE_BAND_REL * tr2)
-                 & (oracle.tr > 2.0 ** -450) & (oracle.tr < 2.0 ** 450))
-        votes = gamma_stack(mats) < gamma_th
+    oracle = gram_metric_oracle(mats)
+    tr2 = oracle.tr * oracle.tr
+    clear = ((np.abs(oracle.gamma - gamma_th) > VOTE_BAND_REL * (gamma_th + 2.0) * gamma_th)
+             & (np.abs(oracle.det - DET_EPS * tr2) > VOTE_BAND_REL * tr2)
+             & (oracle.tr > 2.0 ** -450) & (oracle.tr < 2.0 ** 450))
+    votes = gamma_stack(mats) < gamma_th
     want = oracle.gamma < gamma_th
     assert np.array_equal(votes[clear], want[clear])
     if clear.all():

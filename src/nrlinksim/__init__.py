@@ -11,11 +11,10 @@ matrix per coherence block.
 from .channel import (block_rx_power, derive_seed, estimate_blocks, estimate_streams,
                       rice1_blocks)
 from .codebook import PrecoderCodebook, build_codebook, build_codebook_set
-from .csi import (CsiConfig, CsiReports, compute_ri_blocks, make_reports,
-                  select_pmi_blocks)
+from .csi import CsiReports, compute_ri_blocks, make_reports, select_pmi_blocks
 from .linalg import gamma_stack, lin_to_int_db
 from .link import ThroughputStats, bler, effective_sinrs_db, mcs_from_cqi, tbs
-from .scenario import (ChannelModel, NoiseModel, Scenario, ScenarioError,
+from .scenario import (ChannelModel, CsiConfig, NoiseModel, Scenario, ScenarioError,
                        parse_scenario, scenario_from_dict)
 from .sweeps import (CqiSweepRow, CsiInspection, SnrSweepRow, run_csi_inspect,
                      run_drops, run_sweep_cqi, run_sweep_snr)
@@ -26,11 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "block_rx_power", "derive_seed", "estimate_blocks", "estimate_streams", "rice1_blocks",
     "PrecoderCodebook", "build_codebook", "build_codebook_set",
-    "CsiConfig", "CsiReports", "compute_ri_blocks", "make_reports",
-    "select_pmi_blocks",
+    "CsiReports", "compute_ri_blocks", "make_reports", "select_pmi_blocks",
     "gamma_stack", "lin_to_int_db",
     "ThroughputStats", "bler", "effective_sinrs_db", "mcs_from_cqi", "tbs",
-    "ChannelModel", "NoiseModel", "Scenario", "ScenarioError",
+    "ChannelModel", "CsiConfig", "NoiseModel", "Scenario", "ScenarioError",
     "parse_scenario", "scenario_from_dict",
     "CqiSweepRow", "CsiInspection", "SnrSweepRow", "run_csi_inspect",
     "run_drops", "run_sweep_cqi", "run_sweep_snr",

@@ -10,13 +10,15 @@ lookup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
 from .codebook import ConfigurationError, PrecoderCodebook
 from .linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
+
+if TYPE_CHECKING:
+    from .scenario import CsiConfig
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -37,31 +39,6 @@ BATCH_ELEMS = 1 << 16
 # this relative band of the maximum count as tied and the first row of
 # the codebook wins.
 PMI_TIE_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CsiConfig:
-    """UE reporting configuration.
-
-    ``force_ri`` / ``force_cqi`` pin the corresponding report field (the
-    rest of the pipeline still runs); ``gamma_th`` is the conditioning
-    threshold below which a subcarrier votes for two layers.
-    """
-
-    gamma_th: float = 2.5
-    force_ri: int | None = None
-    force_cqi: int | None = None
-
-    def __post_init__(self):
-        for name in ("force_ri", "force_cqi"):
-            if type(getattr(self, name)) not in (type(None), int):
-                raise ValueError(f"csi.{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.gamma_th >= 2.0:
-            raise ValueError(f"csi.gamma_th must be >= 2, got {self.gamma_th}")
-        if self.force_ri not in (None, 1, 2):
-            raise ValueError(f"csi.force_ri must be 1 or 2, got {self.force_ri}")
-        if self.force_cqi is not None and not 0 <= self.force_cqi <= 15:
-            raise ValueError(f"csi.force_cqi must be in [0, 15], got {self.force_cqi}")
 
 
 class CsiReports(NamedTuple):

@@ -2,9 +2,11 @@
 
 A scenario is the single source of truth for one simulated system:
 antenna geometry, resource grid, channel model, noise model, CSI
-reporting options, PHY-abstraction knobs, and run lengths.  Parsing is
-strict — unknown keys and out-of-range values are rejected with the
-offending field named — so golden files cannot silently drift.
+reporting options, PHY-abstraction knobs, and run lengths.  Validation
+is strict — unknown keys and bad or out-of-range values are rejected
+with the offending field named — so golden files cannot silently drift.
+The dataclasses check every value, however they are built; the JSON
+reader only maps a document's keys onto them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .channel import rice1_blocks, snr_noise_variance
-from .csi import CsiConfig
 
 # Largest NR resource grid (TS 38.211 section 4.4.2).
 MAX_N_PRB = 275
@@ -65,6 +66,58 @@ class ScenarioError(ValueError):
     """Raised when a scenario document fails validation."""
 
 
+# Value checks shared by the dataclasses; ``where`` is the dotted field
+# named on error.
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ScenarioError(msg)
+
+
+def _real(v, where: str) -> float:
+    """``v`` as a float: an int or float other than a bool, finite, and
+    within the float range."""
+    try:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    _require(ok, f"{where} must be a finite number")
+    return float(v)
+
+
+def _integer(v, where: str) -> int:
+    _require(isinstance(v, int) and not isinstance(v, bool), f"{where} must be an integer")
+    return v
+
+
+def _snr(v, where: str) -> float:
+    """An SNR in dB whose linear ratio ``10^(v / 10)`` is a positive finite float."""
+    v = _real(v, where)
+    try:
+        ok = 0.0 < 10.0 ** (v / 10.0) < inf
+    except OverflowError:
+        ok = False
+    _require(ok, f"{where} must give a positive finite linear SNR, got {v}")
+    return v
+
+
+def _matrix(m) -> tuple[tuple[complex, ...], ...]:
+    """``channel.matrix`` as complex rows: a nonempty 2-D list, tuple or array
+    whose cells are finite complex numbers or reals as :func:`_real` takes them."""
+    rows = m.tolist() if isinstance(m, np.ndarray) else m
+    _require(isinstance(rows, (list, tuple)) and len(rows) > 0
+             and all(isinstance(r, (list, tuple)) and len(r) == len(rows[0]) > 0 for r in rows),
+             "channel.matrix must be a nonempty 2-D matrix of numbers")
+    return tuple(tuple(_cell(c, f"channel.matrix[{i}][{j}]") for j, c in enumerate(r))
+                 for i, r in enumerate(rows))
+
+
+def _cell(c, where: str) -> complex:
+    if isinstance(c, complex):
+        return complex(_real(c.real, where), _real(c.imag, where))
+    return complex(_real(c, where))
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Channel model selection: a fixed matrix or single-tap Rician fading."""
@@ -73,39 +126,32 @@ class ChannelModel:
     # Stored as complex rows, immutable and compared by value; np.asarray
     # turns it back into an array.
     matrix: tuple[tuple[complex, ...], ...] | None = None
-    k_factor: float = 1.0
-    coherence_slots: int = 10
+    # None: 1.0 and 10 on a "rice1" channel; a "fixed" one takes neither.
+    k_factor: float | None = None
+    coherence_slots: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("fixed", "rice1"):
             raise ScenarioError(f"channel.type must be 'fixed' or 'rice1', got {self.kind!r}")
-        if self.kind == "fixed" and self.matrix is None:
-            raise ScenarioError("channel.matrix is required for a fixed channel")
-        if self.matrix is not None:
-            try:
-                m = np.asarray(self.matrix)
-            except ValueError:  # ragged
-                m = np.empty(0)
-            if m.ndim != 2 or m.size == 0 or m.dtype.kind not in "iufc":
-                raise ScenarioError(f"channel.matrix must be a nonempty 2-D matrix of numbers, "
-                                    f"got {self.matrix!r}")
-            object.__setattr__(self, "matrix", tuple(map(tuple, m.astype(np.complex128).tolist())))
-        if self.kind == "fixed" and not np.all(np.isfinite(self.matrix)):
-            raise ScenarioError("channel.matrix entries must be finite")
-        if not 0 <= self.k_factor < inf:
-            raise ScenarioError(f"channel.k_factor must be finite and >= 0, got {self.k_factor}")
-        _integer(self.coherence_slots, "channel.coherence_slots")
-        if not 1 <= self.coherence_slots <= MAX_N_SLOTS:
+        for name, owner in (("matrix", "fixed"), ("k_factor", "rice1"),
+                            ("coherence_slots", "rice1")):
+            if getattr(self, name) is not None and self.kind != owner:
+                raise ScenarioError(f"channel.{name} applies only to {owner!r}")
+        if self.kind == "fixed":
+            if self.matrix is None:
+                raise ScenarioError("channel.matrix is required for a fixed channel")
+            object.__setattr__(self, "matrix", _matrix(self.matrix))
+            return
+        k = 1.0 if self.k_factor is None else _real(self.k_factor, "channel.k_factor")
+        if not k >= 0:
+            raise ScenarioError(f"channel.k_factor must be >= 0, got {k}")
+        n = 10 if self.coherence_slots is None else _integer(self.coherence_slots,
+                                                             "channel.coherence_slots")
+        if not 1 <= n <= MAX_N_SLOTS:
             raise ScenarioError(f"channel.coherence_slots must be in [1, {MAX_N_SLOTS}], "
-                                f"got {self.coherence_slots}")
-
-
-def _snr_in_range(snr_db: float) -> bool:
-    """Whether ``10^(snr_db / 10)`` is a positive finite float."""
-    try:
-        return 0.0 < 10.0 ** (snr_db / 10.0) < inf
-    except OverflowError:
-        return False
+                                f"got {n}")
+        object.__setattr__(self, "k_factor", k)
+        object.__setattr__(self, "coherence_slots", n)
 
 
 @dataclass(frozen=True)
@@ -120,33 +166,60 @@ class NoiseModel:
 
     mode: str = "noise_free"
     snr_db: float | None = None
-    snr_db_list: tuple[float, ...] = ()
+    snr_db_list: tuple[float, ...] | None = None
     variance: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_db_list", tuple(map(float, self.snr_db_list)))
         if self.mode not in ("noise_free", "snr", "snr_sweep", "variance"):
             raise ScenarioError(f"noise.mode {self.mode!r} unknown")
-        for key, owner, given in (("snr_db", "snr", self.snr_db is not None),
-                                  ("snr_db_list", "snr_sweep", len(self.snr_db_list) > 0),
-                                  ("variance", "variance", self.variance is not None)):
+        for key, owner in (("snr_db", "snr"), ("snr_db_list", "snr_sweep"),
+                           ("variance", "variance")):
+            given = getattr(self, key) is not None
             if given and self.mode != owner:
                 raise ScenarioError(f"noise.{key} applies only to mode {owner!r}")
             if not given and self.mode == owner:
                 raise ScenarioError(f"noise.{key} is required for mode {owner!r}")
-        # A subnormal variance overflows |det G|^2 / n in the PMI search.
-        if self.variance is not None and not self.variance >= np.finfo(float).tiny:
-            raise ScenarioError("noise.variance must be a positive normal float "
-                                f"(>= {np.finfo(float).tiny}) for mode 'variance', "
-                                f"got {self.variance}")
-        if self.snr_db is not None and not _snr_in_range(self.snr_db):
-            raise ScenarioError(
-                f"noise.snr_db must give a positive finite linear SNR, got {self.snr_db}")
-        for p in self.snr_db_list:
-            if not _snr_in_range(p):
-                raise ScenarioError(
-                    f"noise.snr_db_list entries must give a positive finite linear SNR, "
-                    f"got {p}")
+        if self.snr_db is not None:
+            object.__setattr__(self, "snr_db", _snr(self.snr_db, "noise.snr_db"))
+        if self.snr_db_list is not None:
+            _require(isinstance(self.snr_db_list, (list, tuple)) and len(self.snr_db_list) > 0,
+                     "noise.snr_db_list must be a nonempty list of numbers")
+            object.__setattr__(self, "snr_db_list",
+                               tuple(_snr(p, "noise.snr_db_list") for p in self.snr_db_list))
+        if self.variance is not None:
+            v = _real(self.variance, "noise.variance")
+            # A subnormal variance overflows |det G|^2 / n in the PMI search.
+            if not v >= np.finfo(float).tiny:
+                raise ScenarioError("noise.variance must be a positive normal float "
+                                    f"(>= {np.finfo(float).tiny}) for mode 'variance', "
+                                    f"got {v}")
+            object.__setattr__(self, "variance", v)
+
+
+@dataclass(frozen=True)
+class CsiConfig:
+    """UE reporting configuration.
+
+    ``force_ri`` / ``force_cqi`` pin the corresponding report field (the
+    rest of the pipeline still runs); ``gamma_th`` is the conditioning
+    threshold below which a subcarrier votes for two layers.
+    """
+
+    gamma_th: float = 2.5
+    force_ri: int | None = None
+    force_cqi: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma_th", _real(self.gamma_th, "csi.gamma_th"))
+        for name in ("force_ri", "force_cqi"):
+            if getattr(self, name) is not None:
+                _integer(getattr(self, name), f"csi.{name}")
+        if not self.gamma_th >= 2.0:
+            raise ScenarioError(f"csi.gamma_th must be >= 2, got {self.gamma_th}")
+        if self.force_ri not in (None, 1, 2):
+            raise ScenarioError(f"csi.force_ri must be 1 or 2, got {self.force_ri}")
+        if self.force_cqi is not None and not 0 <= self.force_cqi <= 15:
+            raise ScenarioError(f"csi.force_cqi must be in [0, 15], got {self.force_cqi}")
 
 
 @dataclass(frozen=True)
@@ -166,17 +239,30 @@ class Scenario:
     est_error_var: float = 0.0
     max_harq_tx: int = 4
     # Overrides the ceilings of the ranks it names; the others keep the
-    # default.  Stored as a RankCaps.
+    # default.  An infinite ceiling disables it.  Stored as a RankCaps.
     sinr_cap_db: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, cls in (("channel", ChannelModel), ("noise", NoiseModel), ("csi", CsiConfig)):
+            _require(isinstance(getattr(self, name), cls),
+                     f"scenario.{name} must be a {cls.__name__}")
         if self.n_tx is None:
             object.__setattr__(self, "n_tx", len(self.channel.matrix[0])
                                if self.channel.kind == "fixed" else 4)
-        object.__setattr__(self, "sinr_cap_db",
-                           RankCaps({**DEFAULT_SINR_CAP_DB, **self.sinr_cap_db}))
+        _require(isinstance(self.sinr_cap_db, Mapping),
+                 "sinr_cap_db must be a mapping from rank to dB")
+        caps = {**DEFAULT_SINR_CAP_DB, **self.sinr_cap_db}
+        if set(caps) != {1, 2}:
+            raise ScenarioError("sinr_cap_db keys must be ranks 1 and 2")
+        for r, cap in caps.items():
+            caps[r] = cap if cap == inf else _real(cap, f"sinr_cap_db[{r}]")
+            if not caps[r] > 0:
+                raise ScenarioError(f"sinr_cap_db[{r}] must be > 0, got {cap}")
+        object.__setattr__(self, "sinr_cap_db", RankCaps(caps))
         for name in ("n_tx", "n_prb", "n_slots", "n_drops", "csi_period", "seed", "max_harq_tx"):
             _integer(getattr(self, name), f"scenario.{name}")
+        for name in ("dl_duty_factor", "est_error_var"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"scenario.{name}"))
         if self.n_tx not in (2, 4):
             raise ScenarioError(f"scenario.n_tx must be 2 or 4, got {self.n_tx}")
         if not 1 <= self.n_prb <= MAX_N_PRB:
@@ -202,14 +288,9 @@ class Scenario:
                 f"scenario.dl_duty_factor must be in (0, 1], got {self.dl_duty_factor}")
         if self.seed < 0:
             raise ScenarioError(f"scenario.seed must be >= 0, got {self.seed}")
-        if not 0 <= self.est_error_var < inf:
+        if not self.est_error_var >= 0:
             raise ScenarioError(
-                f"scenario.est_error_var must be finite and >= 0, got {self.est_error_var}")
-        if set(self.sinr_cap_db) != {1, 2}:
-            raise ScenarioError("sinr_cap_db keys must be ranks 1 and 2")
-        for r, cap in self.sinr_cap_db.items():
-            if not cap > 0:
-                raise ScenarioError(f"sinr_cap_db[{r}] must be > 0, got {cap}")
+                f"scenario.est_error_var must be >= 0, got {self.est_error_var}")
         if self.channel.kind == "fixed":
             m = np.asarray(self.channel.matrix)
             if m.shape != (2, self.n_tx):
@@ -280,147 +361,73 @@ def _harq_pair_bound(n_slots: int, coherence_slots: int, csi_period: int,
                reports * blocks - reports * (reports - 1) // 2)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(msg)
-
-
-def _check_keys(d: dict, allowed, where: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    _require(not unknown, f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _is_finite_number(v) -> bool:
-    """A JSON number other than NaN, +-Infinity and integers beyond the float
-    range (booleans are not numbers)."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return isfinite(v)
-    except OverflowError:
-        return False
-
-
-# Readers: each checks one set JSON value's type and converts it; the
-# dataclasses check ranges.  ``where`` is the dotted key named on error.
-
-def _number(v, where: str) -> float:
-    _require(_is_finite_number(v), f"{where} must be a finite number")
-    return float(v)
-
-
-def _integer(v, where: str) -> int:
-    _require(isinstance(v, int) and not isinstance(v, bool), f"{where} must be an integer")
-    return v
-
-
-def _string(v, where: str) -> str:
-    _require(isinstance(v, str), f"{where} must be a string")
-    return v
-
-
-def _numbers(v, where: str) -> tuple[float, ...]:
-    _require(isinstance(v, list) and v and all(_is_finite_number(p) for p in v),
-             f"{where} must be a nonempty list of finite numbers")
-    return tuple(float(p) for p in v)
-
-
-def _parse_matrix(rows, where: str) -> list[list[complex]]:
-    """Parse a matrix given as rows of numbers or [re, im] pairs."""
-    _require(isinstance(rows, list) and rows, f"{where} must be a nonempty list of rows")
-    out = []
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and row, f"{where}[{i}] must be a nonempty list")
-        vals = []
-        for j, cell in enumerate(row):
-            if _is_finite_number(cell):
-                vals.append(complex(cell))
-            elif (isinstance(cell, list) and len(cell) == 2
-                  and all(_is_finite_number(c) for c in cell)):
-                vals.append(complex(cell[0], cell[1]))
-            else:
-                raise ScenarioError(
-                    f"{where}[{i}][{j}] must be a finite number or an [re, im] "
-                    "pair of finite numbers")
-        out.append(vals)
-    lens = {len(r) for r in out}
-    _require(len(lens) == 1, f"{where} rows must all have the same length")
-    return out
-
-
-def _fields(d, readers: dict, where: str) -> dict:
-    """The keys object ``d`` sets, each read by its reader; null counts as unset."""
-    _require(isinstance(d, dict), f"{where} must be an object")
-    _check_keys(d, readers, where)
-    return {k: readers[k](v, f"{where}.{k}") for k, v in d.items() if v is not None}
-
-
+# The JSON layer does only what needs the document: unknown keys, null as
+# unset, the "rice1" shorthand, [re, im] matrix cells, the "1"/"2" cap keys
+# and the unstored numerology keys.  The dataclasses check every value.
 # A section names its keys from its own name, as the dataclasses' messages
 # do: channel.k_factor, not scenario.channel.k_factor.
 
-def _parse_channel(d, _where: str) -> ChannelModel:
+def _object(d, keys, where: str) -> dict:
+    _require(isinstance(d, dict), f"{where} must be an object")
+    unknown = sorted(set(d) - set(keys))
+    _require(not unknown, f"unknown key(s) in {where}: {', '.join(unknown)}")
+    return d
+
+
+def _fields(d, keys, where: str) -> dict:
+    """The keys object ``d`` sets; null counts as unset."""
+    return {k: v for k, v in _object(d, keys, where).items() if v is not None}
+
+
+def _complex_cells(rows):
+    """A JSON ``channel.matrix`` with each [re, im] pair cell as a complex."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        return rows
+    return [[complex(*(_real(p, f"channel.matrix[{i}][{j}]") for p in c))
+             if isinstance(c, list) and len(c) == 2 else c
+             for j, c in enumerate(r)] for i, r in enumerate(rows)]
+
+
+def _parse_channel(d) -> ChannelModel:
     if isinstance(d, str):
         # Shorthand: "channel": "rice1" means the model with all defaults.
         _require(d == "rice1", f"channel shorthand must be 'rice1', got {d!r}")
         d = {"type": d}
-    kw = _fields(d, _CHANNEL_KEYS, "channel")
-    kind = kw.pop("type", None)
-    _require(kind != "fixed" or not {"k_factor", "coherence_slots"} & set(kw),
-             "channel.k_factor/coherence_slots apply only to 'rice1'")
-    _require(kind != "rice1" or "matrix" not in kw, "channel.matrix applies only to 'fixed'")
-    return ChannelModel(kind, **kw)
+    kw = _fields(d, ("type", "matrix", "k_factor", "coherence_slots"), "channel")
+    if "matrix" in kw:
+        kw["matrix"] = _complex_cells(kw["matrix"])
+    return ChannelModel(kw.pop("type", None), **kw)
 
 
-def _parse_noise(d, _where: str) -> NoiseModel:
-    return NoiseModel(**_fields(d, _NOISE_KEYS, "noise"))
-
-
-def _parse_csi(d, _where: str) -> CsiConfig:
-    return CsiConfig(**_fields(d, _CSI_KEYS, "csi"))
-
-
-def _parse_caps(d, _where: str) -> dict[int, float]:
-    _require(isinstance(d, dict), "sinr_cap_db must be an object")
-    _check_keys(d, ("1", "2"), "sinr_cap_db")
-    for key, v in d.items():
-        _require(v is None or _is_finite_number(v) or v == inf,
-                 f"sinr_cap_db.{key} must be a number or null")
-    # An explicit null disables that rank's ceiling.
-    return {int(key): inf if v is None else float(v) for key, v in d.items()}
-
-
-_CHANNEL_KEYS = {"type": _string, "matrix": _parse_matrix, "k_factor": _number,
-                 "coherence_slots": _integer}
-_NOISE_KEYS = {"mode": _string, "snr_db": _number, "snr_db_list": _numbers,
-               "variance": _number}
-_CSI_KEYS = {"gamma_th": _number, "force_ri": _integer, "force_cqi": _integer}
-_SCENARIO_KEYS = {
-    "channel": _parse_channel, "noise": _parse_noise, "csi": _parse_csi,
-    "sinr_cap_db": _parse_caps, "n_tx": _integer, "n_prb": _integer, "n_slots": _integer,
-    "n_drops": _integer, "csi_period": _integer, "dl_duty_factor": _number,
-    "seed": _integer, "est_error_var": _number, "max_harq_tx": _integer,
+_SCENARIO_KEYS = (
+    "channel", "noise", "csi", "sinr_cap_db", "n_tx", "n_prb", "n_slots", "n_drops",
+    "csi_period", "dl_duty_factor", "seed", "est_error_var", "max_harq_tx",
     # Accepted so that scenario files can state the numerology, which the
     # model fixes (two receive antennas, 30 kHz subcarrier spacing), and a
     # band label; none of the three is stored.
-    "n_rx": _integer, "scs_khz": _integer, "band": _string,
-}
+    "n_rx", "scs_khz", "band",
+)
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
     """Build and validate a :class:`Scenario` from a parsed JSON object."""
-    try:
-        kw = _fields(cfg, _SCENARIO_KEYS, "scenario")
-        _require("channel" in kw, "scenario is missing required key 'channel'")
-        for key, only in (("n_rx", 2), ("scs_khz", 30)):
-            v = kw.pop(key, only)
-            _require(v == only, f"scenario.{key} must be {only}, got {v}")
-        kw.pop("band", None)
-        return Scenario(**kw)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as e:
-        # CsiConfig, which cannot import ScenarioError, raises ValueError.
-        raise ScenarioError(str(e)) from None
+    kw = _fields(cfg, _SCENARIO_KEYS, "scenario")
+    _require("channel" in kw, "scenario is missing required key 'channel'")
+    for key, only in (("n_rx", 2), ("scs_khz", 30)):
+        v = kw.pop(key, only)
+        _require(_integer(v, f"scenario.{key}") == only, f"scenario.{key} must be {only}, got {v}")
+    _require(isinstance(kw.pop("band", ""), str), "scenario.band must be a string")
+    kw["channel"] = _parse_channel(kw["channel"])
+    if "noise" in kw:
+        kw["noise"] = NoiseModel(**_fields(kw["noise"], ("mode", "snr_db", "snr_db_list",
+                                                         "variance"), "noise"))
+    if "csi" in kw:
+        kw["csi"] = CsiConfig(**_fields(kw["csi"], ("gamma_th", "force_ri", "force_cqi"), "csi"))
+    if "sinr_cap_db" in kw:
+        # An explicit null disables that rank's ceiling.
+        kw["sinr_cap_db"] = {int(k): inf if v is None else v for k, v in
+                             _object(kw["sinr_cap_db"], ("1", "2"), "sinr_cap_db").items()}
+    return Scenario(**kw)
 
 
 def parse_scenario(path: str | Path) -> Scenario:

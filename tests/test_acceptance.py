@@ -13,10 +13,10 @@ import numpy as np
 
 from nrlinksim import cli
 from nrlinksim.codebook import build_codebook, build_codebook_set
-from nrlinksim.csi import CQI_FROM_SINR, CsiConfig, compute_ri_blocks, select_pmi_blocks
+from nrlinksim.csi import CQI_FROM_SINR, compute_ri_blocks, select_pmi_blocks
 from nrlinksim.linalg import DB_FLOOR, gamma_stack, lin_to_int_db
 from nrlinksim.link import SLOT_DURATION_S, tbs
-from nrlinksim.scenario import scenario_from_dict
+from nrlinksim.scenario import CsiConfig, scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr, write_snr_sweep_csv
 
 from conftest import scenario_path

@@ -14,10 +14,11 @@ from nrlinksim.channel import estimate_blocks, estimate_streams, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
 from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
-                           CsiConfig, CsiReports, Scratch, _split_batch, compute_ri_blocks,
+                           CsiReports, Scratch, _split_batch, compute_ri_blocks,
                            layer_powers, make_reports, select_pmi_blocks)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
 from nrlinksim.link import effective_sinrs_db
+from nrlinksim.scenario import CsiConfig, ScenarioError
 
 from conftest import (eff_sinrs_db_oracle, gram_metric_oracle, pair_layer_sinrs_oracle, select_cqi,
                       select_pmi_oracle)
@@ -352,7 +353,7 @@ class TestCsiConfig:
         dict(gamma_th=math.nan),
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match=r"csi\." + next(iter(kwargs))):
             CsiConfig(**kwargs)
 
 
@@ -446,6 +447,20 @@ class TestSelectPmi:
         winner = next(i for i, r in enumerate(ratios) if r >= best * (1 - 1e-12))
         assert idx == tuple(cb.keys[winner])
         assert sinr_db == int(np.clip(round(10 * math.log10(ratios[winner])), -10, 40))
+
+    @pytest.mark.parametrize("gap,winner", [(1e-10, 1), (1e-13, 0)])
+    def test_tie_band_is_narrow(self, gap, winner):
+        # Two candidates whose wideband ratios differ by ``gap`` (relative),
+        # the later one higher: only inside PMI_TIE_REL_TOL does the first
+        # win.  A band of 1e-9 would tie the 1e-10 pair.
+        cb = build_codebook(2, 1)
+        precoders = cb.precoders[[0, 0]]
+        precoders[1] *= math.sqrt(1.0 + gap)
+        two = PrecoderCodebook(2, 1, cb.keys[:2], precoders)
+        ratios = [select_pmi_blocks(_flat(H_2X2_REF), [0.1], _rows(two, [k]))[1][0]
+                  for k in (0, 1)]
+        assert ratios[1] / ratios[0] - 1 == pytest.approx(gap, rel=1e-3)
+        assert select_pmi_blocks(_flat(H_2X2_REF), [0.1], two)[0][0] == winner
 
     def test_single_candidate_codebook(self):
         full = build_codebook(4, 1)

@@ -215,17 +215,23 @@ class TestBler:
         assert all(0.0 <= v <= 1.0 for v in wide)
 
 
-def _exp_mismatches(per_cqi: int = 6) -> list[tuple[int, float]]:
-    """(CQI, effective SINR) pairs whose logistic argument ``np.exp`` (on an
-    array) and ``math.exp`` round differently."""
+def _exp_mismatches(per_sign: int = 3) -> list[tuple[int, float]]:
+    """(CQI, effective SINR) pairs whose BLER on an array, as ``run_harq``
+    takes it with ``np.exp``, differs from the scalar :func:`bler`, which
+    takes ``math.exp``: for each CQI, up to ``per_sign`` where the array
+    value is above the scalar one and as many where it is below."""
     cases = []
     for cqi in (4, 9, 12, 15):
-        th = decode_threshold_db(mcs_from_cqi(cqi))
+        mcs = mcs_from_cqi(cqi)
+        th = decode_threshold_db(mcs)
         eff = th + np.linspace(-3.0, 3.0, 2001)
-        neg_abs_x = -np.abs(2.0 * (eff - th))
-        differ = np.flatnonzero(np.exp(neg_abs_x)
-                                != np.array([math.exp(v) for v in neg_abs_x.tolist()]))
-        cases += [(cqi, float(eff[i])) for i in differ[::max(1, differ.size // per_cqi)]]
+        x = 2.0 * (eff - th)
+        e = np.exp(-np.abs(x))
+        p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+        scalar = np.array([bler(v, mcs) for v in eff.tolist()])
+        for differ in (np.flatnonzero(p_err > scalar), np.flatnonzero(p_err < scalar)):
+            picked = differ[::max(1, differ.size // per_sign)][:per_sign]
+            cases += [(cqi, float(eff[i])) for i in picked]
     return cases
 
 
@@ -233,7 +239,8 @@ class TestAckDecisions:
     def test_draws_at_the_scalar_bler_decide_as_the_scalar(self):
         # Point i has one (CQI, SINR) case; slots 2i and 2i + 1 draw exactly
         # bler(case i) and one ulp below it.  Every point's ACKs must count
-        # the draws u >= its scalar bler, also where the array exp differs.
+        # the draws u >= its scalar bler, also where the array BLER differs:
+        # where it is above, the draw bler(case i) lies between the two.
         cases = _exp_mismatches()
         if not cases:
             pytest.skip("np.exp equals math.exp on every probed input here")

@@ -4,7 +4,7 @@ import json
 import math
 import pickle
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from nrlinksim.channel import block_rx_power
 from nrlinksim.link import drop_channel
-from nrlinksim.csi import CsiConfig
 from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_HARQ_PAIRS, MAX_N_SLOTS, ChannelModel,
-                                NoiseModel, Scenario, ScenarioError, _harq_pair_bound,
+                                CsiConfig, NoiseModel, Scenario, ScenarioError, _harq_pair_bound,
                                 parse_scenario, scenario_from_dict)
 
 from conftest import SCENARIO_DIR, scenario_path
@@ -96,7 +95,7 @@ class TestValidation:
             scenario_from_dict({"channel": {"type": "fixed"}})
 
     def test_rice_params_rejected_on_fixed(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=r"channel\.k_factor applies only to 'rice1'"):
             scenario_from_dict({"channel": {"type": "fixed", "matrix": H_2X4_REF,
                                             "k_factor": 2.0}})
 
@@ -130,7 +129,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_rejected_at_construction(self, value):
-        # Built through the API, not the JSON reader, which rejects them first.
         with pytest.raises(ScenarioError, match=r"channel\.k_factor"):
             ChannelModel(kind="rice1", k_factor=value)
         with pytest.raises(ScenarioError, match=r"scenario\.est_error_var"):
@@ -176,18 +174,23 @@ class TestValidation:
         "channel.coherence_slots", "csi.force_ri", "csi.force_cqi",
     ])
     def test_integer_fields_reject_non_integers_naming_the_field(self, where, value):
-        # Built through the API: the JSON reader rejects them first.
         section, name = where.split(".")
         build = {"scenario": lambda **kw: Scenario(channel=ChannelModel(kind="rice1"), **kw),
                  "channel": lambda **kw: ChannelModel(kind="rice1", **kw),
                  "csi": CsiConfig}[section]
-        with pytest.raises(ValueError, match=re.escape(where) + " must be an integer"):
+        with pytest.raises(ScenarioError, match=re.escape(where) + " must be an integer"):
             build(**{name: value})
 
-    @pytest.mark.parametrize("matrix", [(), [], [1, 2], [[1, 2], [3]], [[]], [[1, "x"], [0, 1]],
-                                        [[True, False], [False, True]], [[[1, 2]], [[3, 4]]]])
-    def test_bad_matrix_rejected_at_construction(self, matrix):
-        with pytest.raises(ScenarioError, match=r"channel\.matrix must be a nonempty 2-D"):
+    @pytest.mark.parametrize("matrix,message", [
+        *(((m, "channel.matrix must be a nonempty 2-D") for m in ((), [], [1, 2], [[1, 2], [3]],
+                                                                  [[]]))),
+        ([[1, "x"], [0, 1]], "channel.matrix[0][1] must be a finite number"),
+        ([[True, False], [False, True]], "channel.matrix[0][0] must be a finite number"),
+        ([[[1, 2]], [[3, 4]]], "channel.matrix[0][0] must be a finite number"),
+    ])
+    def test_bad_matrix_rejected_at_construction(self, matrix, message):
+        # A bad shape is named as the matrix, a bad cell by its index.
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             ChannelModel(kind="fixed", matrix=matrix)
 
     def test_csi_field_validation(self):
@@ -332,6 +335,132 @@ def test_any_json_document_parses_or_raises_scenario_error(doc):
     except ScenarioError:
         return
     assert isinstance(sc, Scenario)
+
+
+# Valid keyword sets for each dataclass, one for each field that only some
+# settings use, so that every field is checked where it applies.
+_API_BASES = {
+    ChannelModel: [{"kind": "rice1"}, {"kind": "fixed", "matrix": [[1, 0.5], [0.5, 1]]}],
+    NoiseModel: [{"mode": "snr", "snr_db": 5.0}, {"mode": "snr_sweep", "snr_db_list": [0, 10]},
+                 {"mode": "variance", "variance": 0.1}],
+    CsiConfig: [{}],
+    Scenario: [{"channel": ChannelModel("rice1")},
+               {"channel": ChannelModel("fixed", matrix=[[1, 0.5], [0.5, 1]])}],
+}
+_SECTION = {ChannelModel: "channel", NoiseModel: "noise", CsiConfig: "csi", Scenario: "scenario"}
+_API_FIELDS = [(cls, base, f.name) for cls, bases in _API_BASES.items() for base in bases
+               for f in fields(cls)]
+# What a field's value holds, for the fields that hold numbers in a container.
+_NESTED = {"matrix": lambda v: [[v, 0.5], [0.5, 1]], "snr_db_list": lambda v: [0, v],
+           "sinr_cap_db": lambda v: {1: v}}
+_BAD_VALUES = st.sampled_from([True, False, "3", "", [], [2.0], {}, math.nan, math.inf,
+                               -math.inf, 10 ** 400, -10 ** 400, 1j, complex(2, 0)])
+
+
+@st.composite
+def _api_field_cases(draw):
+    cls, base, name = draw(st.sampled_from(_API_FIELDS))
+    value = draw(_BAD_VALUES)
+    if name in _NESTED and draw(st.booleans()):
+        value = _NESTED[name](value)
+    return cls, base, name, value
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_api_field_cases())
+@example(case=(NoiseModel, {"mode": "variance"}, "variance", True))
+@example(case=(Scenario, {"channel": ChannelModel("rice1")}, "sinr_cap_db", {1: True}))
+@example(case=(ChannelModel, {"kind": "rice1"}, "matrix", [[1, 0.5], [0.5, 1]]))
+@example(case=(ChannelModel, {"kind": "fixed", "matrix": [[1, 0.5], [0.5, 1]]}, "k_factor", 5.0))
+@example(case=(CsiConfig, {}, "gamma_th", "3"))
+@example(case=(NoiseModel, {"mode": "snr"}, "snr_db", "3"))
+@example(case=(Scenario, {"channel": ChannelModel("rice1")}, "est_error_var", "0.1"))
+@example(case=(ChannelModel, {"kind": "rice1"}, "k_factor", True))
+@example(case=(Scenario, {"channel": ChannelModel("rice1")}, "dl_duty_factor", True))
+@example(case=(NoiseModel, {"mode": "snr_sweep"}, "snr_db_list", "12"))
+@example(case=(ChannelModel, {"kind": "fixed"}, "matrix", [[1, 10 ** 400], [0, 1]]))
+def test_api_field_is_accepted_or_rejected_naming_it(case):
+    # Never a TypeError or OverflowError: only a ScenarioError names what is wrong.
+    cls, base, name, value = case
+    where = {"kind": "channel.type", "sinr_cap_db": "sinr_cap_db"}.get(
+        name, f"{_SECTION[cls]}.{name}")
+    try:
+        cls(**{**base, name: value})
+    except ScenarioError as e:
+        assert where in str(e)
+
+
+# Well-formed documents: every section an object of known keys, and each
+# value mostly valid, else any JSON value that is wrong in its own right.
+_ANY = _NUM | st.sampled_from([None, True, False, "3", [], [2.0]])
+
+
+def _mostly(valid: st.SearchStrategy) -> st.SearchStrategy:
+    return valid | valid | _ANY
+
+
+_PAIR = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
+_WELL_FORMED_DOCS = st.fixed_dictionaries({
+    "channel": st.fixed_dictionaries({"type": st.just("fixed"), "matrix": _mostly(
+        st.lists(st.lists(_mostly(st.floats(-2.0, 2.0) | _PAIR), min_size=2, max_size=2),
+                 min_size=2, max_size=2))}) | st.fixed_dictionaries({"type": st.just("rice1")},
+        optional={"k_factor": _mostly(st.floats(0.0, 10.0)),
+                  "coherence_slots": _mostly(st.integers(1, 20))})}, optional={
+    "noise": st.fixed_dictionaries({}, optional={
+        "mode": _mostly(st.sampled_from(["noise_free", "snr", "snr_sweep", "variance"])),
+        "snr_db": _mostly(st.floats(-10.0, 30.0)),
+        "snr_db_list": _mostly(st.lists(_mostly(st.floats(-10.0, 30.0)), max_size=3)),
+        "variance": _mostly(st.floats(1e-3, 1.0))}),
+    "csi": st.fixed_dictionaries({}, optional={
+        "gamma_th": _mostly(st.floats(2.0, 5.0)), "force_ri": _mostly(st.sampled_from([1, 2])),
+        "force_cqi": _mostly(st.integers(0, 15))}),
+    "sinr_cap_db": st.fixed_dictionaries({}, optional={
+        k: _mostly(st.floats(1.0, 30.0) | st.just(math.inf)) for k in ("1", "2")}),
+    "n_tx": _mostly(st.sampled_from([2, 4])), "n_prb": _mostly(st.integers(1, 275)),
+    "n_slots": _mostly(st.integers(1, 100)), "n_drops": _mostly(st.integers(1, 5)),
+    "csi_period": _mostly(st.integers(1, 20)), "dl_duty_factor": _mostly(st.floats(0.1, 1.0)),
+    "seed": _mostly(st.integers(0, 2 ** 64)), "est_error_var": _mostly(st.floats(0.0, 1.0)),
+    "max_harq_tx": _mostly(st.integers(1, 8)),
+})
+
+
+def _api_outcome(doc):
+    """What the API calls equivalent to ``doc`` build, or their ScenarioError's
+    message: the JSON-only forms (null, [re, im] cells, "1"/"2" cap keys) are
+    mapped here by hand."""
+    def without_nulls(d):
+        return {k: v for k, v in d.items() if v is not None}
+    kw = without_nulls(doc)
+    channel = without_nulls(kw["channel"])
+    if isinstance(channel.get("matrix"), list):
+        channel["matrix"] = [[complex(*c) if isinstance(c, list) and len(c) == 2 else c
+                              for c in row] if isinstance(row, list) else row
+                             for row in channel["matrix"]]
+    try:
+        kw["channel"] = ChannelModel(channel.pop("type"), **channel)
+        if "noise" in kw:
+            kw["noise"] = NoiseModel(**without_nulls(kw["noise"]))
+        if "csi" in kw:
+            kw["csi"] = CsiConfig(**without_nulls(kw["csi"]))
+        if "sinr_cap_db" in kw:
+            kw["sinr_cap_db"] = {int(k): math.inf if v is None else v
+                                 for k, v in kw["sinr_cap_db"].items()}
+        return Scenario(**kw)
+    except ScenarioError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_WELL_FORMED_DOCS)
+@example(doc={"channel": {"type": "rice1"}, "noise": {"mode": "variance", "variance": True}})
+@example(doc={"channel": {"type": "rice1"}, "sinr_cap_db": {"1": True}})
+@example(doc={"channel": {"type": "rice1", "matrix": [[1, 0.5], [0.5, 1]]}})
+@example(doc={"channel": {"type": "fixed", "matrix": [[1, 0.5], [0.5, 1]], "k_factor": 5.0}})
+@example(doc={"channel": {"type": "rice1"}, "csi": {"gamma_th": "3"}})
+@example(doc={"channel": {"type": "rice1"}, "noise": {"mode": "snr_sweep", "snr_db_list": []}})
+@example(doc={"channel": {"type": "rice1"}, "sinr_cap_db": {"1": math.inf, "2": None}})
+def test_json_document_and_api_call_agree(doc):
+    assert _outcome(doc) == _api_outcome(doc)
 
 
 class TestFixedChannelIsAValue:

@@ -347,20 +347,44 @@ def _first_sent(acked: np.ndarray, max_tx: int) -> np.ndarray:
     return np.subtract(slots, first, out=first)
 
 
-def _point_stats(scenario: Scenario, acked: np.ndarray, first: np.ndarray,
-                 carried: np.ndarray, ri: np.ndarray, cqi: np.ndarray) -> list[ThroughputStats]:
-    """Statistics of each point from its per-slot ACKs, ``acked``, the slots
-    its blocks were first sent, ``first``, and the reports they follow,
-    ``carried``, one row per point; ``cqi`` holds its reports' CQIs."""
-    n, max_tx = scenario.n_slots, scenario.max_harq_tx
-    dropped = np.count_nonzero((first == np.arange(n) - (max_tx - 1)) & ~acked, axis=1)
-    # Slots and ACKs per (point, report followed), counted over flat indices.
-    n_points, n_reports = cqi.shape
-    carried += n_reports * np.arange(n_points)[:, None]
-    sent, acks = (np.bincount(c, minlength=cqi.size).reshape(cqi.shape)
-                  for c in (carried.ravel(), carried[acked]))
+def _ack_runs(acked: np.ndarray, max_tx: int) -> tuple[np.ndarray, np.ndarray]:
+    """ACKs and transport blocks given up in each row of ``acked``.
+
+    A run of ``L`` NACKs after an ACK, or after the drop's start, gives up
+    ``L // max_tx`` blocks; the rest of the run belongs to the block that
+    ends it or, at the drop's end, to one cut off, not dropped.  The runs
+    come from the NACKs' flat positions, with a sentinel ACK before each
+    row so that no run crosses a row.
+    """
+    n_rows, n = acked.shape
+    nacked = np.zeros((n_rows, n + 1), dtype=bool)
+    np.logical_not(acked, out=nacked[:, 1:])
+    at = np.flatnonzero(nacked)
+    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+    runs = np.diff(starts, append=at.size)
+    runs //= max_tx
+    dropped = np.bincount(at[starts] // (n + 1), weights=runs, minlength=n_rows)
+    n_nacks = np.diff(np.searchsorted(at, np.arange(0, nacked.size + 1, n + 1)))
+    return n - n_nacks, dropped.astype(np.intp)
+
+
+def _point_stats(scenario: Scenario, acked: np.ndarray, carried: np.ndarray | None,
+                 ri: np.ndarray, cqi: np.ndarray) -> list[ThroughputStats]:
+    """Statistics of each point from its per-slot ACKs, ``acked``, and the
+    reports its slots' blocks follow, ``carried``, one row per point, or
+    ``None`` when there is one report; ``cqi`` holds its reports' CQIs."""
+    n = scenario.n_slots
+    n_acks, dropped = _ack_runs(acked, scenario.max_harq_tx)
+    if carried is None:
+        acks, sent = n_acks[:, None], np.full((len(acked), 1), n)
+    else:
+        # Slots and ACKs per (point, report followed), counted over flat indices.
+        n_points, n_reports = cqi.shape
+        carried += n_reports * np.arange(n_points)[:, None]
+        sent, acks = (np.bincount(c, minlength=cqi.size).reshape(cqi.shape)
+                      for c in (carried.ravel(), carried[acked]))
     mcs_of_cqi, bits_of_cqi = _grants_by_cqi(scenario.n_prb)
-    columns = (acks.sum(axis=1), dropped, (acks * bits_of_cqi[cqi, ri - 1]).sum(axis=1),
+    columns = (n_acks, dropped, (acks * bits_of_cqi[cqi, ri - 1]).sum(axis=1),
                (sent * mcs_of_cqi[cqi]).sum(axis=1), sent @ ri, (sent * cqi).sum(axis=1))
     return [ThroughputStats(
         slots=n,
@@ -375,6 +399,27 @@ def _point_stats(scenario: Scenario, acked: np.ndarray, first: np.ndarray,
         mean_cqi=sum_cqi / n,
     ) for n_acks, n_dropped, bits, sum_mcs, sum_ri, sum_cqi
         in zip(*(c.tolist() for c in columns))]
+
+
+def _redo_rounds(chan: DropChannel, acked: np.ndarray, p_err: np.ndarray, eff: np.ndarray,
+                 mcs: np.ndarray, max_tx: int) -> np.ndarray:
+    """Redecide, in rounds, the slots of ``acked`` whose block follows an
+    older report than their own, in place; return the report each slot's
+    block follows.  ``p_err``, ``eff`` and ``mcs`` are as for :func:`_acks`."""
+    first = _first_sent(acked, max_tx)
+    carried = chan.slot_report[first]
+    moved = carried != chan.slot_report
+    live = np.arange(len(acked))
+    while moved.any():
+        row, slot = np.nonzero(moved)
+        point = live[row]
+        pair = chan.report_pair_base[carried[point, slot]] + chan.slot_block[slot]
+        acked[point, slot] = _acks(chan.ack_draws[slot], (point, pair), p_err, eff, mcs)
+        live = live[moved.any(axis=1)]
+        now = chan.slot_report[_first_sent(acked[live], max_tx)]
+        moved = now != carried[live]
+        carried[live] = now
+    return carried
 
 
 def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
@@ -395,12 +440,11 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
     earliest wrong decision of a point follows the right report and is
     fixed in the next round, and a round that changes nothing leaves
     every slot following the report the slot-by-slot recurrence gives.
-    A fixed channel has one report, so its check is one gather and one
-    compare.
+    A drop with one report, such as a fixed channel's, runs no round:
+    every block follows that report, so the first decisions are final.
     """
     chan = csi.chan
-    slot_report, max_tx = chan.slot_report, scenario.max_harq_tx
-    own_pair = chan.report_pair_base[slot_report] + chan.slot_block
+    own_pair = chan.report_pair_base[chan.slot_report] + chan.slot_block
     ri, cqi, eff = csi.reports.ri, csi.reports.cqi, csi.pair_eff_db
     n_points, n_pairs = max(len(cqi), len(eff)), chan.pair_report.size
     cqi = np.broadcast_to(cqi, (n_points, ri.size))
@@ -416,21 +460,7 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
         e = np.exp(-np.abs(x))
         p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
         acked = _acks(chan.ack_draws, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
-        first = _first_sent(acked, max_tx)
-        # Once the moved slots are redecided, every decision follows carried.
-        carried = slot_report[first]
-        moved = carried != slot_report
-        live = np.arange(len(acked))
-        while moved.any():
-            row, slot = np.nonzero(moved)
-            point = live[row]
-            pair = chan.report_pair_base[carried[point, slot]] + chan.slot_block[slot]
-            acked[point, slot] = _acks(chan.ack_draws[slot], (point, pair), p_err, point_eff,
-                                       pair_mcs)
-            live = live[moved.any(axis=1)]
-            first[live] = _first_sent(acked[live], max_tx)
-            now = slot_report[first[live]]
-            moved = now != carried[live]
-            carried[live] = now
-        out += _point_stats(scenario, acked, first, carried, ri, point_cqi)
+        carried = (None if ri.size == 1 else _redo_rounds(chan, acked, p_err, point_eff,
+                                                          pair_mcs, scenario.max_harq_tx))
+        out += _point_stats(scenario, acked, carried, ri, point_cqi)
     return out

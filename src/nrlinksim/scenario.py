@@ -435,6 +435,6 @@ def parse_scenario(path: str | Path) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a decode error, or an integer past Python's digit limit
         raise ScenarioError(f"{path}: not valid JSON: {e}") from None
     return scenario_from_dict(cfg)

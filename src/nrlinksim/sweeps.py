@@ -121,45 +121,45 @@ def _cqi_points(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
     return run_harq(scenario, replace(csi, reports=csi.reports._replace(cqi=forced)))
 
 
-def _goodput_and_bler(stats) -> tuple[float, float, float]:
-    """Goodput mean and sample std (0 for one drop), in Mbit/s, and mean BLER."""
-    g = np.array([s.goodput_mbps for s in stats])
-    std = float(np.std(g, ddof=1)) if len(g) > 1 else 0.0
-    return float(np.mean(g)), std, float(np.mean([s.mean_bler for s in stats]))
+def _drop_means(per_drop: list, fields: tuple[str, ...]) -> tuple[list, list, list]:
+    """Each point's drops, in drop order, the mean over them of each of
+    ``fields`` of :class:`ThroughputStats`, and the sample std of the
+    first field (0 for one drop).
+
+    One ``(points, fields, drops)`` table is reduced over its contiguous
+    last axis, which NumPy sums as it sums a 1-D array, so every value has
+    the bits of ``np.mean`` / ``np.std(ddof=1)`` over that point's drops.
+    """
+    points = list(zip(*per_drop))
+    table = np.array([[[getattr(s, f) for s in stats] for f in fields] for stats in points])
+    std = (table[:, 0].std(axis=-1, ddof=1) if len(per_drop) > 1
+           else np.zeros(len(points)))
+    return points, table.mean(axis=-1).tolist(), std.tolist()
 
 
 def run_sweep_cqi(scenario: Scenario, workers: int = 1) -> list[CqiSweepRow]:
     """Force each CQI 0..15 in turn over the same drops."""
     if scenario.noise.mode == "snr_sweep":
         raise ScenarioError("sweep-cqi needs a single noise point, not snr_sweep")
-    per_drop = run_drops(scenario, workers, _cqi_points)
-    rows = []
-    for cqi, stats in enumerate(zip(*per_drop)):
-        mean, std, mean_bler = _goodput_and_bler(stats)
-        rows.append(CqiSweepRow(cqi=cqi, mcs=mcs_from_cqi(cqi), goodput_mbps_mean=mean,
-                                goodput_mbps_std=std, mean_bler=mean_bler, drops=stats))
-    return rows
+    points, means, stds = _drop_means(run_drops(scenario, workers, _cqi_points),
+                                      ("goodput_mbps", "mean_bler"))
+    return [CqiSweepRow(cqi=cqi, mcs=mcs_from_cqi(cqi), goodput_mbps_mean=goodput,
+                        goodput_mbps_std=std, mean_bler=mean_bler, drops=stats)
+            for cqi, (stats, (goodput, mean_bler), std) in enumerate(zip(points, means, stds))]
 
 
 def run_sweep_snr(scenario: Scenario, workers: int = 1) -> list[SnrSweepRow]:
     """Simulate every SNR point of an ``snr_sweep`` scenario over the same drops."""
     if scenario.noise.mode != "snr_sweep":
         raise ScenarioError("sweep-snr needs noise.mode = 'snr_sweep'")
-    per_drop = run_drops(scenario, workers, run_harq)
-    rows = []
-    for snr, stats in zip(scenario.noise.snr_db_list, zip(*per_drop)):
-        mean, std, mean_bler = _goodput_and_bler(stats)
-        rows.append(SnrSweepRow(
-            snr_db=float(snr),
-            mean_ri=float(np.mean([s.mean_ri for s in stats])),
-            mean_cqi=float(np.mean([s.mean_cqi for s in stats])),
-            mean_mcs=float(np.mean([s.mean_mcs for s in stats])),
-            mean_bler=mean_bler,
-            goodput_mbps=mean,
-            goodput_mbps_std=std,
-            drops=stats,
-        ))
-    return rows
+    points, means, stds = _drop_means(run_drops(scenario, workers, run_harq),
+                                      ("goodput_mbps", "mean_ri", "mean_cqi", "mean_mcs",
+                                       "mean_bler"))
+    return [SnrSweepRow(snr_db=float(snr), mean_ri=mean_ri, mean_cqi=mean_cqi,
+                        mean_mcs=mean_mcs, mean_bler=mean_bler, goodput_mbps=goodput,
+                        goodput_mbps_std=std, drops=stats)
+            for snr, stats, (goodput, mean_ri, mean_cqi, mean_mcs, mean_bler), std
+            in zip(scenario.noise.snr_db_list, points, means, stds)]
 
 
 def run_csi_inspect(scenario: Scenario) -> CsiInspection:

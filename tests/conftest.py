@@ -215,6 +215,28 @@ def select_pmi_oracle(mats: np.ndarray, noise_var, cb) -> tuple[np.ndarray, np.n
     return winners, np.take_along_axis(ratios, winners[..., None], axis=-1)[..., 0]
 
 
+def report_oracle(mats: np.ndarray, noise_var: float, cfg, codebooks) -> tuple[int, int, int]:
+    """Oracle of ``csi.make_reports`` for one block: its ``(ri, pmi, cqi)``.
+
+    ``mats`` holds the block's evaluated subcarriers, shape ``(n_eval, 2,
+    n_tx)``.  Each subcarrier votes by :func:`gram_metric_oracle`, the PMI
+    comes from :func:`select_pmi_oracle`, and the CQI from
+    :func:`scalar_lin_to_int_db` and :func:`select_cqi`; ``force_ri`` and
+    ``force_cqi`` of ``cfg`` override.  The Gram form votes as
+    ``gamma_stack`` does except within about 2^-44 (relative) of the vote's
+    edges, which no random draw reaches."""
+    if cfg.force_ri is not None:
+        ri = cfg.force_ri
+    else:
+        votes2 = np.count_nonzero(gram_metric_oracle(mats).gamma < cfg.gamma_th)
+        ri = 2 if 2 * votes2 > len(mats) else 1
+    pmi, ratio = select_pmi_oracle(mats[None], np.array([noise_var]),
+                                   codebooks[(mats.shape[-1], ri)])
+    cqi = (select_cqi(scalar_lin_to_int_db(float(ratio[0])), ri) if cfg.force_cqi is None
+           else cfg.force_cqi)
+    return ri, int(pmi[0]), cqi
+
+
 def pair_layer_sinrs_oracle(mats: np.ndarray, cb, pmi, noise_var) -> np.ndarray:
     """Bitwise oracle of the per-layer SINRs ``link.effective_sinrs_db``
     averages, at one noise point: block ``b``'s effective channels under

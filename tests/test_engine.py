@@ -3,12 +3,13 @@
 ``oracle_drop`` is the closed-loop drop as one loop over slots: it draws
 each block's channel, noise level and estimate when the block starts,
 one block at a time, makes a report on reporting slots and evaluates
-every transport block's effective SINR in the slot that sends it.  The
-engine in ``nrlinksim.link`` reorders that work (all blocks of a drop at
-once, CSI shared across sweep points), so its statistics must equal the
-loop's exactly.  The same random scenarios check that one CSI pass over
-every SNR point equals a pass per point and, with CQI and rank forced,
-the HARQ accounting.
+every transport block's effective SINR in the slot that sends it.  Its
+reports and SINRs come from the oracles in ``conftest``, so it shares no
+CSI code with the engine.  The engine in ``nrlinksim.link`` reorders
+that work (all blocks of a drop at once, CSI shared across sweep
+points), so its statistics must equal the loop's exactly.  The same
+random scenarios check that one CSI pass over every SNR point equals a
+pass per point and, with CQI and rank forced, the HARQ accounting.
 """
 
 from unittest import mock
@@ -21,14 +22,13 @@ from nrlinksim import csi as csi_module
 from nrlinksim import link
 from nrlinksim.channel import derive_seed
 from nrlinksim.codebook import build_codebook_set
-from nrlinksim.csi import make_reports
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
                             drop_channel, drop_csi, mcs_from_cqi, run_harq, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
 from conftest import (at_snr, eff_sinrs_db_oracle, estimate_blocks_oracle, pair_eff_db_oracle,
-                      rice1_blocks_oracle, simulate_drop, with_forced_cqi)
+                      report_oracle, rice1_blocks_oracle, simulate_drop, with_forced_cqi)
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -66,11 +66,10 @@ def oracle_drop(scenario, seed: int) -> ThroughputStats:
             p_rx = np.sum(np.abs(h) ** 2) / h.size
             noise_var = scenario.noise_vars(np.array([p_rx]))[0]
         if slot % scenario.csi_period == 0 and report_block != block:
-            report = make_reports(est, noise_var, scenario.csi, codebooks)
-            ri, cqi = int(report.ri[0]), int(report.cqi[0])
+            ri, pmi, cqi = report_oracle(est[0], float(noise_var[0]), scenario.csi, codebooks)
             mcs = mcs_from_cqi(cqi)
             # (layers, codebook, precoder row, MCS, CQI, transport-block bits)
-            grant = (ri, codebooks[(scenario.n_tx, ri)], int(report.pmi[0]), mcs, cqi,
+            grant = (ri, codebooks[(scenario.n_tx, ri)], pmi, mcs, cqi,
                      tbs(mcs, ri, scenario.n_prb))
             report_block = block
 
@@ -265,18 +264,24 @@ def test_shared_csi_drops_match_oracle():
     assert all(d.tb_dropped > 0 for d in rows[0].drops)
 
 
+def _count_calls(monkeypatch, name: str, arg: int) -> list:
+    """Replace ``link.<name>`` by a wrapper that records the length of each
+    call's argument ``arg``, and return the record."""
+    calls, real = [], getattr(link, name)
+
+    def counted(*args):
+        calls.append(len(args[arg]))
+        return real(*args)
+
+    monkeypatch.setattr(link, name, counted)
+    return calls
+
+
 def test_harq_rounds_match_oracle_point_by_point(monkeypatch):
     # Each redo round takes the first-send slots of the points still
     # changing once more: this drop must need several rounds, and every
     # SNR point must still equal the slot-by-slot loop.
-    passes = []
-    first_sent = link._first_sent
-
-    def counted(acked, max_tx):
-        passes.append(len(acked))
-        return first_sent(acked, max_tx)
-
-    monkeypatch.setattr(link, "_first_sent", counted)
+    passes = _count_calls(monkeypatch, "_first_sent", 0)
     scenario = scenario_from_dict(dict(MANY_ROUNDS, noise={"mode": "snr_sweep",
                                                           "snr_db_list": MANY_ROUNDS_SNRS}))
     rows = run_sweep_snr(scenario)
@@ -284,6 +289,48 @@ def test_harq_rounds_match_oracle_point_by_point(monkeypatch):
     seed = derive_seed(scenario.seed, 0)
     for snr, row in zip(MANY_ROUNDS_SNRS, rows):
         assert row.drops == (oracle_drop(at_snr(scenario, snr), seed),)
+
+
+# A fixed 2x2 channel whose forced CQI fails often at the lower SNR points,
+# so blocks are retransmitted and given up.
+FIXED_2X2 = {
+    "channel": {"type": "fixed", "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+    "noise": {"mode": "snr_sweep", "snr_db_list": [4.0, 8.0]}, "csi": {"force_cqi": 11},
+    "n_slots": 300, "n_drops": 2, "csi_period": 10, "max_harq_tx": 3, "seed": 3,
+}
+
+
+def test_one_report_drop_runs_no_redo_round(monkeypatch):
+    # With one report every block follows it, so the first decisions are
+    # final: a fixed sweep, and a Rician drop whose one report serves five
+    # blocks, never take first-send slots, and equal the slot-by-slot loop.
+    first_sent = _count_calls(monkeypatch, "_first_sent", 0)
+    fixed = scenario_from_dict(FIXED_2X2)
+    rice = scenario_from_dict(dict(STALE_GRANTS, csi_period=9, n_slots=9, noise={
+        "mode": "snr_sweep", "snr_db_list": [-3.0, 6.0, 20.0]}))
+    for scenario in (fixed, rice):
+        seeds = [derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
+        assert drop_channel(scenario, seeds[0]).report_block.size == 1
+        rows = run_sweep_snr(scenario)
+        for snr, row in zip(scenario.noise.snr_db_list, rows):
+            assert row.drops == tuple(oracle_drop(at_snr(scenario, snr), s) for s in seeds)
+    assert drop_channel(rice, 0).h.shape[0] == 5
+    assert all(d.tb_dropped > 0 for d in run_sweep_snr(fixed)[0].drops)
+    assert first_sent == []
+
+
+def test_long_fixed_drop_one_point_per_pass_matches_oracle(monkeypatch):
+    # 20,000 slots, one SNR point per HARQ pass: every point still equals
+    # the slot-by-slot loop, blocks given up included.
+    passes = _count_calls(monkeypatch, "_point_stats", 1)
+    monkeypatch.setattr(link, "HARQ_BATCH_ELEMS", 1)
+    scenario = scenario_from_dict(dict(FIXED_2X2, n_slots=20_000, n_drops=1))
+    seed = derive_seed(scenario.seed, 0)
+    rows = run_sweep_snr(scenario)
+    assert passes == [1, 1]
+    for snr, row in zip(scenario.noise.snr_db_list, rows):
+        assert row.drops == (oracle_drop(at_snr(scenario, snr), seed),)
+    assert rows[0].drops[0].tb_dropped > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrlinksim import csi, link
 from nrlinksim.channel import derive_seed
@@ -388,6 +390,43 @@ class TestSimulateDrop:
         assert stats.mean_ri == 1.0
         assert stats.mean_cqi == 10.0
         assert stats.mean_mcs == 18.0
+
+
+def dropped_by_recurrence(row, max_tx: int) -> int:
+    """Blocks given up in one row of ACKs, slot by slot: a block's attempt
+    count restarts after each ACK and after each block given up."""
+    dropped = tries = 0
+    for ack in row:
+        tries += 1
+        if ack:
+            tries = 0
+        elif tries == max_tx:
+            dropped, tries = dropped + 1, 0
+    return dropped
+
+
+@st.composite
+def ack_matrices(draw):
+    """At least two rows of ACKs, some all ACK or all NACK, and a
+    ``max_harq_tx`` from 1 to 3 past the row length."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.one_of(st.just([True] * n), st.just([False] * n),
+                                   st.lists(st.booleans(), min_size=n, max_size=n)),
+                         min_size=2, max_size=6))
+    return np.array(rows), draw(st.integers(1, n + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ack_matrices())
+# A row that ends in NACKs before one that starts with them: a run joined
+# across the rows would give up a block neither row gives up.
+@example(case=(np.array([[True, False, False], [False, True, True]]), 3))
+@example(case=(np.array([[False] * 4] * 3), 3))
+def test_nack_runs_count_drops_as_the_recurrence(case):
+    acked, max_tx = case
+    n_acks, dropped = link._ack_runs(acked, max_tx)
+    assert n_acks.tolist() == np.count_nonzero(acked, axis=1).tolist()
+    assert dropped.tolist() == [dropped_by_recurrence(row, max_tx) for row in acked.tolist()]
 
 
 class TestThroughputStats:

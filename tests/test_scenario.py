@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nrlinksim import cli
 from nrlinksim.channel import block_rx_power
 from nrlinksim.link import drop_channel
 from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_HARQ_PAIRS, MAX_N_SLOTS, ChannelModel,
@@ -676,6 +677,15 @@ class TestParseScenario:
         p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="JSON"):
             parse_scenario(p)
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # Python's int() refuses a decimal string of more than 4,300 digits.
+        p = tmp_path / "huge.json"
+        p.write_text('{"channel": "rice1", "seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            parse_scenario(p)
+        assert cli.main(["csi", "--config", str(p)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_non_object_document(self, tmp_path):
         p = tmp_path / "list.json"

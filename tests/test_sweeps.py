@@ -214,6 +214,34 @@ class TestRunSweepSnr:
         assert rows[0].drops == rows[1].drops
 
 
+@pytest.mark.parametrize("n_drops", [1, 5, 20])
+def test_row_means_are_the_per_drop_means_bitwise(n_drops):
+    # Each row's means and goodput std have the bits of np.mean and
+    # np.std(ddof=1) over that point's drops.  At 20 drops NumPy sums a
+    # 1-D array pairwise, in eight partial sums: a reduction over the drops
+    # axis of a (drops, points) table, which sums row by row, rounds apart.
+    snr = _small_rice(noise={"mode": "snr_sweep", "snr_db_list": [0, 4, 8, 12, 16]},
+                      n_drops=n_drops, n_slots=40)
+    cqi = _small_fixed(noise={"mode": "variance", "variance": 0.05}, n_drops=n_drops,
+                       n_slots=40)
+    cases = [(row, ("goodput_mbps", "mean_ri", "mean_cqi", "mean_mcs", "mean_bler"),
+              (row.goodput_mbps, row.mean_ri, row.mean_cqi, row.mean_mcs, row.mean_bler),
+              row.goodput_mbps_std) for row in run_sweep_snr(snr)]
+    cases += [(row, ("goodput_mbps", "mean_bler"), (row.goodput_mbps_mean, row.mean_bler),
+               row.goodput_mbps_std) for row in run_sweep_cqi(cqi)]
+    for row, fields, means, std in cases:
+        assert len(row.drops) == n_drops
+        per_drop = {f: [getattr(d, f) for d in row.drops] for f in fields}
+        for field, mean in zip(fields, means):
+            assert mean.hex() == float(np.mean(per_drop[field])).hex(), (row, field)
+        goodput = per_drop["goodput_mbps"]
+        want = float(np.std(goodput, ddof=1)) if n_drops > 1 else 0.0
+        assert std.hex() == want.hex(), row
+    if n_drops == 20:
+        # The drops differ enough that the two summation orders can part.
+        assert len({d.goodput_mbps for row, *_ in cases for d in row.drops}) > 20
+
+
 class TestRunCsiInspect:
     def test_reference_golden(self):
         insp = run_csi_inspect(parse_scenario(scenario_path("csi_fixed_2x4.json")))

@@ -11,14 +11,14 @@ A drop runs in three phases, so that sweeps can share the first two:
 :func:`drop_channel` draws every coherence block of the drop (shared by
 all sweep points), :func:`drop_csi` computes the reports and, in one
 array call or a few per rank, the effective SINRs at every noise point
-(shared by all forced CQIs), and :func:`run_harq` runs HARQ for every sweep point of
-the drop in whole-array rounds: each slot is decided under its own
-report, then redecided where the ACKs show its block follows an older
-one, until no decision changes.
+(shared by all forced CQIs), and :func:`run_harq` runs HARQ for every
+sweep point of the drop, against the drop's :func:`ack_draws`, in
+whole-array rounds: each slot is decided under its own report, then
+redecided where the ACKs show its block follows an older one, until no
+decision changes.
 
 When ``Scenario.drop_invariant_csi`` holds, only a drop's ACK draws
-(:func:`ack_draws`) depend on its seed, so a sweep can share the first
-two phases across its drops too.
+depend on its seed, so its drops can share one read-only :class:`DropCsi`.
 """
 
 from __future__ import annotations
@@ -160,16 +160,15 @@ class DropChannel:
     ``h`` holds the true channel of each coherence block of drop ``seed``,
     shape ``(n_blocks, 2, n_tx)``, and ``p_rx`` its mean received power.
     A block carries a report at its first slot on the reporting grid, if
-    it has one: ``report_block`` lists those blocks.  Per slot,
-    ``slot_block`` and ``slot_report`` give the block and the report in
-    force, and ``ack_draws`` the one uniform variate drawn against the
-    block-error probability.
+    it has one: ``report_block`` lists those blocks.  Per slot, ``slot_block``
+    and ``slot_report`` give the block and the report in force.
 
     A transport block keeps the grant of the report in force when it was
     first sent, for up to ``max_harq_tx`` attempts, so it can meet the
     blocks that follow.  The (report, block) pairs that can occur are
     numbered report by report: ``(k, b)`` is pair ``report_pair_base[k] + b``
-    of ``pair_report`` and ``pair_block``.  Every field is an array.
+    of ``pair_report`` and ``pair_block``.  Every field but ``seed`` is an
+    array.
     """
 
     seed: int
@@ -178,7 +177,6 @@ class DropChannel:
     report_block: np.ndarray
     slot_block: np.ndarray
     slot_report: np.ndarray
-    ack_draws: np.ndarray
     pair_report: np.ndarray
     pair_block: np.ndarray
     report_pair_base: np.ndarray
@@ -218,7 +216,6 @@ def drop_channel(scenario: Scenario, seed: int) -> DropChannel:
         report_block=report_block,
         slot_block=slot_block,
         slot_report=slot_report,
-        ack_draws=ack_draws(seed, n),
         pair_report=pair_report,
         pair_block=pair_block,
         report_pair_base=first_pair - report_block,
@@ -234,9 +231,9 @@ class DropCsi:
     ``(n_points, n_blocks)``.  ``pair_eff_db``, shape
     ``(n_points, n_pairs)``, holds the effective SINR of each
     (report, block) pair: the report's precoder on the block's true
-    channel and noise.  :func:`run_harq` broadcasts ``cqi`` against
-    ``pair_eff_db``, so a forced-CQI sweep can stack its CQIs in ``cqi``
-    alone.
+    channel and noise.  A forced-CQI sweep passes its CQIs to
+    :func:`run_harq`, which broadcasts them against ``pair_eff_db`` in place
+    of ``reports.cqi``.
     """
 
     chan: DropChannel
@@ -401,11 +398,12 @@ def _point_stats(scenario: Scenario, acked: np.ndarray, carried: np.ndarray | No
         in zip(*(c.tolist() for c in columns))]
 
 
-def _redo_rounds(chan: DropChannel, acked: np.ndarray, p_err: np.ndarray, eff: np.ndarray,
-                 mcs: np.ndarray, max_tx: int) -> np.ndarray:
+def _redo_rounds(chan: DropChannel, acked: np.ndarray, u: np.ndarray, p_err: np.ndarray,
+                 eff: np.ndarray, mcs: np.ndarray, max_tx: int) -> np.ndarray:
     """Redecide, in rounds, the slots of ``acked`` whose block follows an
     older report than their own, in place; return the report each slot's
-    block follows.  ``p_err``, ``eff`` and ``mcs`` are as for :func:`_acks`."""
+    block follows.  ``u`` holds one draw per slot; ``p_err``, ``eff`` and
+    ``mcs`` are as for :func:`_acks`."""
     first = _first_sent(acked, max_tx)
     carried = chan.slot_report[first]
     moved = carried != chan.slot_report
@@ -414,7 +412,7 @@ def _redo_rounds(chan: DropChannel, acked: np.ndarray, p_err: np.ndarray, eff: n
         row, slot = np.nonzero(moved)
         point = live[row]
         pair = chan.report_pair_base[carried[point, slot]] + chan.slot_block[slot]
-        acked[point, slot] = _acks(chan.ack_draws[slot], (point, pair), p_err, eff, mcs)
+        acked[point, slot] = _acks(u[slot], (point, pair), p_err, eff, mcs)
         live = live[moved.any(axis=1)]
         now = chan.slot_report[_first_sent(acked[live], max_tx)]
         moved = now != carried[live]
@@ -422,14 +420,17 @@ def _redo_rounds(chan: DropChannel, acked: np.ndarray, p_err: np.ndarray, eff: n
     return carried
 
 
-def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
+def run_harq(scenario: Scenario, csi: DropCsi, u: np.ndarray,
+             cqi: np.ndarray | None = None) -> list[ThroughputStats]:
     """Stop-and-wait HARQ over one drop, one result per sweep point of ``csi``.
 
     Each slot carries one transport block: a new one on the rank and
     precoder of the report in force, with the MCS and size that its CQI
     maps to, or the pending one, resent as first sent up to
-    ``max_harq_tx`` attempts and then dropped.  Exactly one uniform
-    variate per slot is drawn against the block-error probability.
+    ``max_harq_tx`` attempts and then dropped.  ``u``, the drop's
+    :func:`ack_draws`, holds the one uniform variate per slot drawn against
+    the block-error probability.  ``cqi``, if given, stands for
+    ``csi.reports.cqi``; ``sweep-cqi`` passes ``np.arange(N_CQI)[:, None]``.
 
     No loop runs over the slots.  Every slot is first decided under its
     own report.  Then, in rounds, the ACKs give each slot's first-send
@@ -445,7 +446,8 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
     """
     chan = csi.chan
     own_pair = chan.report_pair_base[chan.slot_report] + chan.slot_block
-    ri, cqi, eff = csi.reports.ri, csi.reports.cqi, csi.pair_eff_db
+    ri, eff = csi.reports.ri, csi.pair_eff_db
+    cqi = csi.reports.cqi if cqi is None else cqi
     n_points, n_pairs = max(len(cqi), len(eff)), chan.pair_report.size
     cqi = np.broadcast_to(cqi, (n_points, ri.size))
     eff = np.broadcast_to(eff, (n_points, n_pairs))
@@ -459,8 +461,8 @@ def run_harq(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
         x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])
         e = np.exp(-np.abs(x))
         p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
-        acked = _acks(chan.ack_draws, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
-        carried = (None if ri.size == 1 else _redo_rounds(chan, acked, p_err, point_eff,
+        acked = _acks(u, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
+        carried = (None if ri.size == 1 else _redo_rounds(chan, acked, u, p_err, point_eff,
                                                           pair_mcs, scenario.max_harq_tx))
         out += _point_stats(scenario, acked, carried, ri, point_cqi)
     return out

@@ -72,14 +72,15 @@ class CsiInspection:
 
 
 def run_drops(scenario: Scenario, workers: int, points) -> list:
-    """``points(scenario, csi)`` on the CSI of every drop of one scenario, in
-    drop order.
+    """``points(scenario, csi, u)`` on the CSI and ACK draws of every drop of
+    one scenario, in drop order.
 
-    A drop's CSI is ``drop_csi(scenario, drop_channel(scenario, seed))``.
-    When ``scenario.drop_invariant_csi`` holds, it is computed once, made
-    read-only, and each drop gets it with its own ``seed`` and ACK draws
-    swapped in; otherwise each drop computes its own.  ``workers > 1`` fans
-    the drops out to one process pool, which is sent the shared CSI or
+    A drop's CSI is ``drop_csi(scenario, drop_channel(scenario, seed))`` and
+    its draws ``u`` are ``ack_draws(seed, n_slots)``, made once.  When
+    ``scenario.drop_invariant_csi`` holds, the CSI is computed once, made
+    read-only, and every drop gets that same object; otherwise each drop
+    computes its own.  ``workers > 1`` fans the drops out to one process
+    pool of at most one process per drop, which is sent the shared CSI or
     computes each drop's; the ordered gather keeps results identical to the
     sequential run.
     """
@@ -89,7 +90,7 @@ def run_drops(scenario: Scenario, workers: int, points) -> list:
     shared = _shared_csi(scenario, seeds[0]) if scenario.drop_invariant_csi else None
     if workers == 1:
         return [_drop(scenario, points, shared, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as ex:
         return list(ex.map(_drop, repeat(scenario), repeat(points), repeat(shared), seeds))
 
 
@@ -104,21 +105,15 @@ def _shared_csi(scenario: Scenario, seed: int) -> DropCsi:
 
 
 def _drop(scenario: Scenario, points, shared: DropCsi | None, seed: int) -> list:
-    """``points`` on the CSI of drop ``seed``: ``shared`` with the drop's seed
-    and ACK draws, or without it, the drop's own."""
-    if shared is None:
-        csi = drop_csi(scenario, drop_channel(scenario, seed))
-    else:
-        csi = replace(shared, chan=replace(shared.chan, seed=seed,
-                                           ack_draws=ack_draws(seed, scenario.n_slots)))
-    return points(scenario, csi)
+    """``points`` on the ACK draws of drop ``seed`` and on ``shared`` or,
+    without it, the drop's own CSI."""
+    return points(scenario, shared or drop_csi(scenario, drop_channel(scenario, seed)),
+                  ack_draws(seed, scenario.n_slots))
 
 
-def _cqi_points(scenario: Scenario, csi: DropCsi) -> list[ThroughputStats]:
-    """One drop at every forced CQI: one HARQ pass whose ``cqi`` column holds
-    one row per CQI."""
-    forced = np.broadcast_to(np.arange(N_CQI)[:, None], (N_CQI, csi.reports.ri.size))
-    return run_harq(scenario, replace(csi, reports=csi.reports._replace(cqi=forced)))
+def _cqi_points(scenario: Scenario, csi: DropCsi, u: np.ndarray) -> list[ThroughputStats]:
+    """One drop at every forced CQI: one HARQ pass with one row per CQI."""
+    return run_harq(scenario, csi, u, np.arange(N_CQI)[:, None])
 
 
 def _drop_means(per_drop: list, fields: tuple[str, ...]) -> tuple[list, list, list]:

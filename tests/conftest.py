@@ -23,7 +23,8 @@ from nrlinksim.codebook import build_codebook_set
 from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
                            NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL, CsiReports)
 from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS
-from nrlinksim.link import DropChannel, ThroughputStats, drop_channel, drop_csi, run_harq
+from nrlinksim.link import (DropChannel, ThroughputStats, ack_draws, drop_channel, drop_csi,
+                            run_harq)
 from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
@@ -34,10 +35,16 @@ def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / name
 
 
+def drop_stats(scenario: Scenario, seed: int) -> list[ThroughputStats]:
+    """Drop ``seed`` at every sweep point of the scenario: the three engine
+    phases run back to back, on the drop's own ACK draws."""
+    return run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)),
+                    ack_draws(seed, scenario.n_slots))
+
+
 def simulate_drop(scenario: Scenario, seed: int) -> ThroughputStats:
-    """One closed-loop drop at the scenario's own noise point and CQI setting:
-    the three engine phases run back to back."""
-    [stats] = run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
+    """One closed-loop drop at the scenario's own noise point and CQI setting."""
+    [stats] = drop_stats(scenario, seed)
     return stats
 
 

@@ -23,12 +23,13 @@ from nrlinksim import link
 from nrlinksim.channel import derive_seed
 from nrlinksim.codebook import build_codebook_set
 from nrlinksim.link import (_ACK_STREAM, SLOT_DURATION_S, ThroughputStats, bler,
-                            drop_channel, drop_csi, mcs_from_cqi, run_harq, tbs)
+                            drop_channel, drop_csi, mcs_from_cqi, tbs)
 from nrlinksim.scenario import scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
-from conftest import (at_snr, eff_sinrs_db_oracle, estimate_blocks_oracle, pair_eff_db_oracle,
-                      report_oracle, rice1_blocks_oracle, simulate_drop, with_forced_cqi)
+from conftest import (at_snr, drop_stats, eff_sinrs_db_oracle, estimate_blocks_oracle,
+                      pair_eff_db_oracle, report_oracle, rice1_blocks_oracle, simulate_drop,
+                      with_forced_cqi)
 
 
 def block_channel(scenario, seed: int, block: int) -> np.ndarray:
@@ -239,8 +240,7 @@ def test_shared_csi_sweep_matches_per_drop_composition(sweep):
     if command == "sweep-snr":
         rows = run_sweep_snr(scenario)
         for d, seed in enumerate(seeds):
-            alone = run_harq(scenario, drop_csi(scenario, drop_channel(scenario, seed)))
-            assert [row.drops[d] for row in rows] == alone
+            assert [row.drops[d] for row in rows] == drop_stats(scenario, seed)
     else:
         for row in run_sweep_cqi(scenario):
             forced = with_forced_cqi(scenario, row.cqi)

@@ -253,11 +253,9 @@ class TestAckDecisions:
             "noise": {"mode": "variance", "variance": 0.1},
             "n_slots": draws.size, "n_drops": 1, "max_harq_tx": 1,
         })
-        chan = replace(drop_channel(sc, seed=0), ack_draws=draws)
-        csi = drop_csi(sc, chan)
-        csi = replace(csi, pair_eff_db=np.array([[eff] for _, eff in cases]),
-                      reports=csi.reports._replace(cqi=np.array([[cqi] for cqi, _ in cases])))
-        got = [s.tb_acks for s in run_harq(sc, csi)]
+        csi = replace(drop_csi(sc, drop_channel(sc, seed=0)),
+                      pair_eff_db=np.array([[eff] for _, eff in cases]))
+        got = [s.tb_acks for s in run_harq(sc, csi, draws, np.array([[c] for c, _ in cases]))]
         assert got == [int(np.count_nonzero(draws >= b)) for b in p_err]
         assert all(draws[2 * i] >= b > draws[2 * i + 1] for i, b in enumerate(p_err))
 
@@ -278,15 +276,14 @@ class TestAckDecisions:
             "noise": {"mode": "variance", "variance": 0.1},
             "n_slots": draws.size, "n_drops": 1, "csi_period": 1, "max_harq_tx": 2,
         })
-        chan = replace(drop_channel(sc, seed=0), ack_draws=draws)
-        csi = drop_csi(sc, chan)
+        chan = drop_channel(sc, seed=0)
         resent = chan.pair_block == chan.pair_report + 1
         eff = np.full((len(cases), chan.pair_report.size), -np.inf)
         for i, (_, case_eff) in enumerate(cases):
             eff[i, resent & (chan.pair_report // 4 == i)] = case_eff
-        csi = replace(csi, pair_eff_db=eff, reports=csi.reports._replace(
-            cqi=np.repeat([[cqi] for cqi, _ in cases], chan.report_block.size, axis=1)))
-        assert [s.tb_acks for s in run_harq(sc, csi)] == [1] * len(cases)
+        csi = replace(drop_csi(sc, chan), pair_eff_db=eff)
+        stats = run_harq(sc, csi, draws, np.array([[cqi] for cqi, _ in cases]))
+        assert [s.tb_acks for s in stats] == [1] * len(cases)
 
 
 def _noise_free_scenario(**extra):

@@ -85,6 +85,27 @@ class TestRunDrops:
         assert sweep(sc, workers=2) == sweep(sc, workers=1)
         assert len(started) == 1
 
+    def test_pool_has_no_more_processes_than_drops(self, monkeypatch):
+        # Under fork a pool starts all its processes at the first submit.
+        started = _count_pools(monkeypatch)
+        sc = _small_rice(n_drops=2, n_slots=40)
+        assert run_drops(sc, 3, run_harq) == run_drops(sc, 1, run_harq)
+        assert [kwargs["max_workers"] for kwargs in started] == [2]
+
+    @pytest.mark.parametrize("small", [_small_rice, _small_fixed], ids=["rice1", "fixed"])
+    def test_each_drop_draws_its_ack_variates_once(self, monkeypatch, small):
+        calls, real = [], link.ack_draws
+
+        def counted(seed, n_slots):
+            calls.append(seed)
+            return real(seed, n_slots)
+
+        monkeypatch.setattr(link, "ack_draws", counted)
+        monkeypatch.setattr(sweeps, "ack_draws", counted)
+        sc = small(n_drops=3, n_slots=40)
+        run_sweep_cqi(sc)
+        assert calls == [derive_seed(sc.seed, d) for d in range(3)]
+
 
 def _count_pools(monkeypatch) -> list:
     """Patch ``sweeps.ProcessPoolExecutor`` to log each pool it starts."""
@@ -99,8 +120,8 @@ def _count_pools(monkeypatch) -> list:
     return started
 
 
-def _csi_of(scenario, csi):
-    return csi
+def _csi_of(scenario, csi, u):
+    return csi, u
 
 
 class TestSharedCsi:
@@ -111,12 +132,12 @@ class TestSharedCsi:
         sc = _small_fixed()
         assert sc.drop_invariant_csi
         seeds = [derive_seed(sc.seed, d) for d in range(sc.n_drops)]
-        csis = run_drops(sc, 1, _csi_of)
-        assert [c.chan.seed for c in csis] == seeds
-        for c, seed in zip(csis, seeds):
-            assert c.reports is csis[0].reports and c.pair_eff_db is csis[0].pair_eff_db
-            assert c.chan.ack_draws.tobytes() == link.ack_draws(seed, sc.n_slots).tobytes()
-        shared = csis[0]
+        runs = run_drops(sc, 1, _csi_of)
+        shared = runs[0][0]
+        for (csi, u), seed in zip(runs, seeds):
+            assert csi is shared
+            assert u.tobytes() == link.ack_draws(seed, sc.n_slots).tobytes()
+        assert len({u.tobytes() for _, u in runs}) == len(seeds)
         for a in (shared.chan.h, shared.chan.slot_report, shared.chan.pair_block,
                   shared.reports.cqi, shared.reports.pmi, shared.pair_eff_db):
             with pytest.raises(ValueError, match="read-only"):
@@ -128,7 +149,7 @@ class TestSharedCsi:
     ], ids=[*(p.stem for p in RICE1_SCENARIOS), "fixed_esterr"])
     def test_drop_dependent_csi_is_computed_per_drop(self, sc):
         assert not sc.drop_invariant_csi
-        got = [c.reports for c in run_drops(sc, 1, _csi_of)]
+        got = [csi.reports for csi, _ in run_drops(sc, 1, _csi_of)]
         for d, reports in enumerate(got):
             chan = drop_channel(sc, derive_seed(sc.seed, d))
             for col, want in zip(reports, drop_csi(sc, chan).reports):

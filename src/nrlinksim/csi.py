@@ -27,11 +27,12 @@ NOISE_FREE_LAYER_SINR = 1e4
 # Upper bound on the elements of the largest temporary array one batched
 # step over coherence blocks, or over the (report, block) pairs of the
 # pair SINRs, builds.  A step gets at least one block or pair, which
-# keeps memory as low as processing them one by one.  At 2^16 a full-band
-# 2x4 search at three noise points takes 3 blocks per step and a flat one
-# hundreds; in measured sweeps 6 or 12 full-band blocks per step were no
-# faster, and cost 1.3 and 4.6 MB more peak memory.
-BATCH_ELEMS = 1 << 16
+# keeps memory as low as processing them one by one.  At 2^15 a full-band
+# 2x4 drop at three noise points is estimated 19 blocks at a time and
+# searched 3 rank-1 or 1 rank-2 blocks at a time, a flat one hundreds.
+# On that drop 2^16 (38; 6 and 3 blocks) was within a few percent as fast
+# and peaked 2.6 MB higher (tracemalloc).
+BATCH_ELEMS = 1 << 15
 
 # Relative tolerance of the wideband-metric tie-break.  Precoders that
 # are equivalent in exact arithmetic can differ by a few ulps in float
@@ -98,19 +99,23 @@ class Scratch:
         return buf[:size].reshape(shape)
 
 
-def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, np.ndarray]:
-    """MMSE signal and interference+noise power of each layer of a stack of effective channels.
+def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, ...]:
+    """MMSE signal and interference+noise power of each layer of a stack of
+    effective channels, as factors ``(p, s, t)``: signal ``p * s``,
+    interference+noise ``s * t``.
 
     ``g`` holds effective channels ``H @ W`` as receive-row planes, shape
     ``(2, ..., n_layers, n_cand)``: ``g[r, ..., l, k]`` is row ``r`` of
     layer ``l`` of candidate ``k``.  ``noise_var`` is a scalar or an array,
     with no negative entry, broadcasting against ``g.shape[1:]`` with a
     layer axis of 1.  Where the noise is positive, a layer of SINR
-    ``x / y`` gets signal ``s^2`` and interference+noise ``s t``,
-    ``s = x / (x + y)``, ``t = y / (x + y)``.  With zero noise, layers
-    with nonzero effective gain clamp to ``NOISE_FREE_LAYER_SINR`` over 1;
-    zero-gain layers get 0 over 1.  Both results have the broadcast shape
-    of ``g.shape[1:]`` and ``noise_var``; temporaries come from ``empty``.
+    ``x / y`` gets ``s = x / (x + y)``, ``t = y / (x + y)`` and ``p = s``
+    (one array when every noise is), so that a sum over layers can take
+    each product in one pass.  With zero noise, layers with nonzero
+    effective gain clamp to ``NOISE_FREE_LAYER_SINR`` over 1, zero-gain
+    layers get 0 over 1: ``p`` is that signal and ``s = t = 1``, so both
+    products are exact.  Every factor has the broadcast shape of
+    ``g.shape[1:]`` and ``noise_var``; temporaries come from ``empty``.
     """
     noise_var = np.asarray(noise_var, dtype=np.float64)
     shape = g.shape[1:]
@@ -125,11 +130,11 @@ def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, 
     if not np.all(noise_var):
         # Kept only where the noise is 0; comparing with it keeps its noise-point axes.
         signal = np.where(norms > noise_var, NOISE_FREE_LAYER_SINR, 0.0)
-        free = (signal, np.ones_like(signal))
+        one = np.ones_like(signal)
         if not np.any(noise_var):
-            return free
+            return signal, one, one
         noisy = _split_batch(g, np.where(noise_var > 0.0, noise_var, 1.0), empty)
-        return tuple(np.where(noise_var > 0.0, a, b) for a, b in zip(noisy, free))
+        return tuple(np.where(noise_var > 0.0, a, b) for a, b in zip(noisy, (signal, one, one)))
     # Closed form of s_l = [G^H (G G^H + n I)^-1 G]_ll and t_l = 1 - s_l,
     # with nothing that cancels as n -> 0: s_l = x_l / D and t_l = y_l / D,
     # where x_l = e + |g_l|^2, y_l = o_l + n and D = x_l + y_l.  At rank 2
@@ -160,23 +165,22 @@ def _split_batch(g: np.ndarray, noise_var, empty: Scratch) -> tuple[np.ndarray, 
     else:
         x[...], y[...] = norms, noise_var
     d = np.add(x, y, out=empty("d", full))
-    s = np.divide(x, d, out=empty("s", full))
-    t = np.divide(y, d, out=d)
-    np.multiply(s, t, out=t)
-    return np.multiply(s, s, out=s), t
+    s = np.divide(x, d, out=x)
+    return s, s, np.divide(y, d, out=d)
 
 
 def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scratch,
-                 pmi: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 pmi: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """MMSE signal and interference+noise power of each layer of ``mats`` under ``cb``'s precoders.
 
-    The PMI search and the pair pass both come here.  ``mats`` has shape
-    ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var`` shape ``(...,
-    n_blocks)``.  Without ``pmi`` both results have shape ``(...,
-    n_blocks, n_eval, rank, n_cand)``, one entry per candidate; with
-    ``pmi``, shape ``(..., n_blocks)`` like ``noise_var``, they have shape
-    ``(..., n_blocks, n_eval, rank, 1)``, block ``b`` under candidate
-    ``pmi[..., b]``.
+    The PMI search and the pair pass both come here.  The powers come as
+    :func:`_split_batch`'s factors ``(p, s, t)``: signal ``p * s``,
+    interference+noise ``s * t``.  ``mats`` has shape ``(n_blocks, n_eval,
+    2, n_tx)`` and ``noise_var`` shape ``(..., n_blocks)``.  Without ``pmi``
+    the factors have shape ``(..., n_blocks, n_eval, rank, n_cand)``, one
+    entry per candidate; with ``pmi``, shape ``(..., n_blocks)`` like
+    ``noise_var``, they have shape ``(..., n_blocks, n_eval, rank, 1)``,
+    block ``b`` under candidate ``pmi[..., b]``.
 
     Every candidate's effective channels ``H @ W`` come from one 2-D BLAS
     product into ``scratch``: the rows of ``mats``, receive row first, by
@@ -218,10 +222,11 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     """
     if cb.ports != mats.shape[-1]:
         raise ConfigurationError(f"codebook ports {cb.ports} != channel n_tx {mats.shape[-1]}")
-    signal, noise_interf = layer_powers(mats, cb, noise_var,
-                                        Scratch() if scratch is None else scratch)
-    sig = signal.sum(axis=(-3, -2))
-    nin = noise_interf.sum(axis=(-3, -2))
+    p, s, t = layer_powers(mats, cb, noise_var, Scratch() if scratch is None else scratch)
+    # Each sum of products in one pass.  With two or more candidates it adds
+    # in the order of a sum over the written-out products, so no bit moves.
+    sig = np.einsum("...frc,...frc->...c", p, s)
+    nin = np.einsum("...frc,...frc->...c", s, t)
     ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
     best = np.max(ratios, axis=-1, keepdims=True)
     winners = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
@@ -245,19 +250,17 @@ CQI_FROM_SINR = np.array([
     for table, top in ((_CQI_FROM_SINR_RANK1, 15), (_CQI_FROM_SINR_RANK2, 13))])
 
 
-def blocks_per_search(n_eval: int, n_points: int,
-                      codebooks: Mapping[tuple[int, int], PrecoderCodebook]) -> int:
-    """Blocks of ``n_eval`` subcarriers one call of :func:`make_reports` at
-    ``n_points`` noise points should get.
+def blocks_per_search(n_eval: int, n_points: int, cb: PrecoderCodebook) -> int:
+    """Blocks of ``n_eval`` subcarriers one :func:`select_pmi_blocks` call
+    over ``cb`` at ``n_points`` noise points should get.
 
-    Sized so that the largest temporary of the largest search stays within
+    Sized so that the search's largest temporary stays within
     ``BATCH_ELEMS`` elements.  The effective channels and their powers are
     (2, blocks, subcarriers, layers, candidates), the per-point terms of
     the SINRs (points, blocks, subcarriers, layers, candidates); no array
     has both the points axis and the two receive rows.
     """
-    per_cand = max(len(cb.precoders) * cb.rank for cb in codebooks.values())
-    return max(1, BATCH_ELEMS // (n_eval * max(n_points, 2) * per_cand))
+    return max(1, BATCH_ELEMS // (n_eval * max(n_points, 2) * len(cb.precoders) * cb.rank))
 
 
 def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
@@ -269,19 +272,24 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
     shape ``(..., n_blocks)``, one value per block at each noise point;
     ``ri`` has one entry per block, the other columns ``noise_var``'s shape.
     ``codebooks`` maps ``(ports, rank)`` to prebuilt codebooks covering the
-    port count at both ranks.  For memory, see :func:`blocks_per_search`;
-    ``scratch`` is passed to every :func:`select_pmi_blocks`.
+    port count at both ranks.  The blocks of each rank are searched
+    together, a few at a time to bound memory (:func:`blocks_per_search`),
+    whatever blocks of the other rank lie between them; ``scratch`` is
+    passed to every :func:`select_pmi_blocks`.
     """
-    n_tx = mats.shape[-1]
+    n_eval, n_tx = mats.shape[1], mats.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
     ri = compute_ri_blocks(mats, cfg)
     pmi = np.zeros(noise_var.shape, dtype=np.intp)
     ratio = np.zeros(noise_var.shape)
     for rank in (1, 2):
+        cb = codebooks[(n_tx, rank)]
         rows = np.flatnonzero(ri == rank)
-        if rows.size:
-            pmi[..., rows], ratio[..., rows] = select_pmi_blocks(
-                mats[rows], noise_var[..., rows], codebooks[(n_tx, rank)], scratch)
+        step = blocks_per_search(n_eval, math.prod(noise_var.shape[:-1]), cb)
+        for lo in range(0, rows.size, step):
+            sub = rows[lo:lo + step]
+            pmi[..., sub], ratio[..., sub] = select_pmi_blocks(
+                mats[sub], noise_var[..., sub], cb, scratch)
     sinr_db = lin_to_int_db(ratio)
     if cfg.force_cqi is None:
         cqi = CQI_FROM_SINR[ri - 1, sinr_db - DB_FLOOR]

@@ -32,7 +32,7 @@ import numpy as np
 from .channel import block_rx_power, estimate_blocks, estimate_streams
 from .codebook import PrecoderCodebook, build_codebook_set
 from . import csi as csi_module
-from .csi import CsiReports, Scratch, blocks_per_search, layer_powers, make_reports
+from .csi import CsiReports, Scratch, layer_powers, make_reports
 from .scenario import Scenario
 from .tables import N_CQI, load_cqi_table, load_mcs_table
 
@@ -100,7 +100,8 @@ def effective_sinrs_db(mats: np.ndarray, cb: PrecoderCodebook, pmi: np.ndarray, 
     impairment that keeps high modulation orders from becoming error free
     even when the channel SNR grows without bound.
     """
-    signal, noise_interf = layer_powers(mats, cb, noise_var, Scratch(), pmi)
+    p, s, t = layer_powers(mats, cb, noise_var, Scratch(), pmi)
+    signal, noise_interf = p * s, s * t
     lin = np.divide(signal, noise_interf, out=np.zeros_like(signal), where=noise_interf > 0.0)
     mean_lin = np.mean(lin, axis=(-3, -2, -1))
     return np.array([-math.inf if m <= 0.0 else min(10.0 * math.log10(m), cap_db)
@@ -247,15 +248,17 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     The UE reports from its estimate, decoding sees the true channel.  The
     estimate, RI and the candidates' effective channels do not depend on
     the noise, so one pass serves every noise point, and every forced CQI.
-    To bound memory, estimates are taken a few blocks at a time, and pair
-    SINRs as many pairs at a time as fit ``csi.BATCH_ELEMS`` (at least
-    one); the estimates' random streams are derived once per drop.
+    To bound memory, reporting blocks go in estimate chunks, as many as
+    keep the estimation-error normals, ``(blocks, 2, n_eval, 2, n_tx)``
+    floats, within ``csi.BATCH_ELEMS`` (at least one); each chunk is one
+    :func:`make_reports` call.  Pair SINRs go as many pairs at a time as
+    fit ``csi.BATCH_ELEMS``.  The estimates' streams are derived once per drop.
     """
     n_tx = scenario.n_tx
     codebooks = build_codebook_set(n_tx)
     noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
-    step = blocks_per_search(n_eval, len(noise_vars), codebooks)
+    step = max(1, csi_module.BATCH_ELEMS // (4 * n_eval * n_tx))
     streams = (estimate_streams(chan.seed, chan.report_block)
                if scenario.est_error_var else None)
     parts, scratch = [], Scratch()
@@ -265,6 +268,7 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
                               None if streams is None else streams[lo:lo + step],
                               scenario.n_prb)
         parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
+        del est  # free it before the next chunk's normals
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
     del scratch  # free the searches' temporaries before the pairs make theirs
     pair_rank = reports.ri[chan.pair_report]

@@ -73,7 +73,8 @@ def _codebook_sinrs(mats, cb, pmi, noise_var):
     of ``mats`` under ``cb.precoders[pmi[..., b]]``, signal over
     interference+noise of the shared kernel, 0 where that is 0.  Shape
     ``pmi.shape + (n_eval, n_layers)``."""
-    signal, noise_interf = layer_powers(mats, cb, noise_var, Scratch(), pmi)
+    p, s, t = layer_powers(mats, cb, noise_var, Scratch(), pmi)
+    signal, noise_interf = p * s, s * t
     return np.divide(signal, noise_interf, out=np.zeros_like(signal),
                      where=noise_interf > 0.0)[..., 0]
 
@@ -91,9 +92,9 @@ def _pair_sinrs(mats, w, noise_var):
 def _layer_sinrs(h, w, noise_var):
     """Per-layer MMSE SINR and split of one subcarrier under one precoder."""
     h, w = np.asarray(h, dtype=complex), np.asarray(w, dtype=complex)
-    signal, noise_interf = _split_batch((h @ w)[..., None], noise_var, Scratch())
+    p, s, t = _split_batch((h @ w)[..., None], noise_var, Scratch())
     return LayerSinrs(_pair_sinrs(_flat(h), w[None], [noise_var])[0, 0],
-                      signal[..., 0], noise_interf[..., 0])
+                      (p * s)[..., 0], (s * t)[..., 0])
 
 
 def _report(mats, noise_var, cfg, cbs):
@@ -560,8 +561,8 @@ def test_split_matches_oracles(seed, n_tx, rank, n_sc, snr_db):
     want = [_oracle_layer_sinrs(h, w, noise_var) for h in mats]
     assert got.ravel() == pytest.approx(np.ravel(want), rel=1e-9)
 
-    signal, noise_interf = layer_powers(mats[None], cb, [noise_var], Scratch())
-    ratios = signal.sum(axis=(-3, -2))[0] / noise_interf.sum(axis=(-3, -2))[0]
+    p, s, t = layer_powers(mats[None], cb, [noise_var], Scratch())
+    ratios = (p * s).sum(axis=(-3, -2))[0] / (s * t).sum(axis=(-3, -2))[0]
     want_ratios = _oracle_wideband_ratios(mats, cb, noise_var)
     assert ratios == pytest.approx(want_ratios, rel=1e-9)
     _, best = select_pmi_blocks(mats[None], [noise_var], cb)
@@ -629,8 +630,8 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
        n_points=st.integers(1, 4), noise=st.sampled_from(["zero", "mixed", "positive"]))
 def test_pair_pass_is_the_search_for_every_candidate_bitwise(seed, n_tx, rank, n_blocks,
                                                              n_points, noise):
-    # On flat blocks the pair pass's per-layer signal and interference+noise
-    # of (block, k) have the bits of the search's for candidate k, for every
+    # On flat blocks the pair pass's per-layer power factors (p, s, t) of
+    # (block, k) have the bits of the search's for candidate k, for every
     # k and not only the winner.  Both take the product with the whole
     # codebook, over whichever rows the pairs bring; a product with only the
     # reported precoders' columns would not round alike.
@@ -647,6 +648,33 @@ def test_pair_pass_is_the_search_for_every_candidate_bitwise(seed, n_tx, rank, n
     for got, want in zip(pairs, search):
         assert got.shape == (n_points, k.size, 1, rank, 1)
         assert got[..., 0].tobytes() == want[:, block, :, :, k].swapaxes(0, 1).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
+       rank=st.sampled_from([1, 2]), n_eval=st.sampled_from([1, 7, 106]),
+       n_blocks=st.integers(1, 7), n_points=st.integers(1, 11),
+       noise=st.sampled_from(["zero", "mixed", "positive"]))
+@example(seed=5, n_tx=4, rank=2, n_eval=106, n_blocks=3, n_points=11, noise="mixed")
+@example(seed=6, n_tx=4, rank=1, n_eval=106, n_blocks=7, n_points=3, noise="positive")
+def test_fused_sums_are_the_written_out_sums_bitwise(seed, n_tx, rank, n_eval, n_blocks,
+                                                     n_points, noise):
+    # The search sums each candidate's signal p*s and interference+noise s*t
+    # over subcarriers and layers in one einsum pass each.  Its ratios and
+    # winners have the bytes of sums over the written-out products.
+    rng = np.random.default_rng(seed)
+    mats = (rng.standard_normal((n_blocks, n_eval, 2, n_tx))
+            + 1j * rng.standard_normal((n_blocks, n_eval, 2, n_tx)))
+    noise_var = _noise_vars(rng, noise, (n_points, n_blocks))
+    cb = build_codebook(n_tx, rank)
+    p, s, t = layer_powers(mats, cb, noise_var, Scratch())
+    sig, nin = (p * s).sum(axis=(-3, -2)), (s * t).sum(axis=(-3, -2))
+    ratios = np.divide(sig, nin, out=np.zeros_like(sig), where=nin > 0.0)
+    best = np.max(ratios, axis=-1, keepdims=True)
+    want = np.argmax(ratios >= best - PMI_TIE_REL_TOL * np.abs(best), axis=-1)
+    winners, got = select_pmi_blocks(mats, noise_var, cb)
+    assert np.array_equal(winners, want)
+    assert got.tobytes() == np.take_along_axis(ratios, want[..., None], axis=-1)[..., 0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

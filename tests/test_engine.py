@@ -395,6 +395,27 @@ def test_pair_pass_matches_per_point_oracle(doc):
     assert csi.pair_eff_db.tobytes() == want.tobytes()
 
 
+def _chunk_scenario(n_tx, force_ri, snrs, est_error_var, n_prb, coherence, csi_period,
+                    n_slots, seed):
+    return scenario_from_dict({
+        "channel": {"type": "rice1", "k_factor": 1.0, "coherence_slots": coherence},
+        "n_tx": n_tx, "n_prb": n_prb, "n_slots": n_slots, "csi_period": csi_period,
+        "est_error_var": est_error_var, "csi": {"force_ri": force_ri}, "seed": seed,
+        "noise": {"mode": "snr_sweep", "snr_db_list": snrs}})
+
+
+def _mid_budget(scenario) -> int:
+    """A ``csi.BATCH_ELEMS`` at which an estimate chunk holds 12 blocks.  At 4
+    ports, full band and three points, a rank-1 search then takes 2 of them
+    and a rank-2 search 1."""
+    return 12 * 4 * scenario.n_prb * scenario.n_tx
+
+
+# Both ranks in one estimate chunk at the middle budget, each in several searches.
+MIXED_RANK_CHUNK = dict(n_tx=4, force_ri=None, snrs=[0.0, 10.0, 20.0], est_error_var=0.01,
+                        n_prb=106, coherence=1, csi_period=1, n_slots=24, seed=5)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n_tx=st.sampled_from([2, 4]), force_ri=st.sampled_from([None, 1, 2]),
        snrs=st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=5),
@@ -403,25 +424,54 @@ def test_pair_pass_matches_per_point_oracle(doc):
        seed=st.integers(0, 2 ** 32))
 @example(n_tx=4, force_ri=None, snrs=[0.0, 10.0, 20.0], est_error_var=0.01, n_prb=106,
          coherence=10, csi_period=10, n_slots=200, seed=3)
+@example(**MIXED_RANK_CHUNK)
 def test_chunk_size_changes_no_csi_byte(n_tx, force_ri, snrs, est_error_var, n_prb,
                                         coherence, csi_period, n_slots, seed):
-    # One reporting block per make_reports call (and one noise point per
-    # pair pass), then every block (and point) in one call: the same bytes.
-    scenario = scenario_from_dict({
-        "channel": {"type": "rice1", "k_factor": 1.0, "coherence_slots": coherence},
-        "n_tx": n_tx, "n_prb": n_prb, "n_slots": n_slots, "csi_period": csi_period,
-        "est_error_var": est_error_var, "csi": {"force_ri": force_ri}, "seed": seed,
-        "noise": {"mode": "snr_sweep", "snr_db_list": snrs}})
+    # One reporting block per estimate chunk and per search (and one noise
+    # point per pair pass), a middle budget, then every block (and point) in
+    # one call: the same bytes.
+    scenario = _chunk_scenario(n_tx, force_ri, snrs, est_error_var, n_prb, coherence,
+                               csi_period, n_slots, seed)
     chan = drop_channel(scenario, derive_seed(scenario.seed, 0))
     runs = []
-    for budget in (1, 1 << 60):
+    for budget in (1, _mid_budget(scenario), 1 << 60):
         with mock.patch.object(csi_module, "BATCH_ELEMS", budget):
             runs.append(drop_csi(scenario, chan))
-    one, whole = runs
-    for got, want in zip(one.reports, whole.reports):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert one.pair_eff_db.tobytes() == whole.pair_eff_db.tobytes()
+    whole = runs[-1]
+    for run in runs[:-1]:
+        for got, want in zip(run.reports, whole.reports):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert run.pair_eff_db.tobytes() == whole.pair_eff_db.tobytes()
+
+
+def test_mid_budget_chunk_searches_each_rank_in_parts():
+    # At the middle budget of test_chunk_size_changes_no_csi_byte, which
+    # runs this scenario too, one estimate chunk votes both ranks, and each
+    # rank's blocks take several searches of that rank alone.
+    scenario = _chunk_scenario(**MIXED_RANK_CHUNK)
+    vote, search = csi_module.compute_ri_blocks, csi_module.select_pmi_blocks
+    chunks = []
+
+    def voted(mats, cfg):
+        chunks.append({"ri": vote(mats, cfg), 1: [], 2: []})
+        return chunks[-1]["ri"]
+
+    def searched(mats, noise_var, cb, scratch=None):
+        chunks[-1][cb.rank].append(vote(mats, scenario.csi))
+        return search(mats, noise_var, cb, scratch)
+
+    with mock.patch.object(csi_module, "BATCH_ELEMS", _mid_budget(scenario)), \
+            mock.patch.object(csi_module, "compute_ri_blocks", voted), \
+            mock.patch.object(csi_module, "select_pmi_blocks", searched):
+        drop_csi(scenario, drop_channel(scenario, derive_seed(scenario.seed, 0)))
+    assert [chunk["ri"].size for chunk in chunks] == [12, 12]
+    mixed = [chunk for chunk in chunks if set(chunk["ri"].tolist()) == {1, 2}]
+    assert any(len(chunk[1]) > 1 and len(chunk[2]) > 1 for chunk in mixed)
+    for chunk in chunks:
+        for rank in (1, 2):
+            assert all(np.all(ri == rank) for ri in chunk[rank])
+            assert sum(ri.size for ri in chunk[rank]) == np.count_nonzero(chunk["ri"] == rank)
 
 
 @settings(max_examples=60, deadline=None)

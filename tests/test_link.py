@@ -1,6 +1,7 @@
 """Unit tests for gNB link adaptation, PHY abstraction, and the drop loop."""
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from nrlinksim import csi, link
 from nrlinksim.channel import derive_seed
 from nrlinksim.codebook import build_codebook, build_codebook_set
-from nrlinksim.csi import blocks_per_search
 from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
                             bler, decode_threshold_db, drop_channel, drop_csi,
                             effective_sinrs_db, mcs_from_cqi, run_harq, tbs)
@@ -467,8 +467,8 @@ def test_one_pair_per_pair_pass_changes_nothing(name, monkeypatch):
 
 
 def _esterr_scenario(n_slots: int):
-    """Rician 2x4, full-band estimation error, three SNR points: reporting
-    blocks are estimated a chunk of ``blocks_per_search`` at a time."""
+    """Rician 2x4, full-band estimation error, three SNR points, one report
+    per 10 slots: at 2000 slots, the shape of the esterr benchmark drop."""
     return scenario_from_dict({
         "n_tx": 4, "n_prb": 106, "n_slots": n_slots, "csi_period": 10,
         "est_error_var": 0.01,
@@ -494,13 +494,49 @@ class TestRandomStreams:
         assert generators(20) == generators(400)
 
     def test_estimate_streams_derived_once_per_drop(self, monkeypatch):
-        scenario = _esterr_scenario(200)
-        chunk = blocks_per_search(scenario.n_prb, 3, build_codebook_set(4))
-        calls = Counter()
-        for name in ("estimate_streams", "estimate_blocks"):
-            def counted(*args, _real=getattr(link, name), _name=name, **kwargs):
+        # The drop's streams are derived once.  Each estimate chunk, as many
+        # blocks as keep its normals within BATCH_ELEMS, is estimated, voted
+        # and quantized once; its PMI searches take blocks of one rank, no
+        # more than keep the search's largest temporary within BATCH_ELEMS.
+        scenario = _esterr_scenario(2000)
+        n_eval, n_tx, n_points = scenario.n_prb, scenario.n_tx, 3
+        chunks = math.ceil(200 / (csi.BATCH_ELEMS // (4 * n_eval * n_tx)))
+        calls, searches = Counter(), []
+        vote = csi.compute_ri_blocks
+        for module, name in ((link, "estimate_streams"), (link, "estimate_blocks"),
+                             (csi, "compute_ri_blocks"), (csi, "lin_to_int_db")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(link, name, counted)
-        drop_csi(scenario, drop_channel(scenario, 7))
-        assert calls == {"estimate_streams": 1, "estimate_blocks": math.ceil(20 / chunk)}
+            monkeypatch.setattr(module, name, counted)
+
+        def search(mats, noise_var, cb, scratch=None, _real=csi.select_pmi_blocks):
+            searches.append((cb, vote(mats, scenario.csi)))
+            return _real(mats, noise_var, cb, scratch)
+        monkeypatch.setattr(csi, "select_pmi_blocks", search)
+        reports = drop_csi(scenario, drop_channel(scenario, 7)).reports
+        assert reports.ri.size == 200 and 1 < chunks < 200
+        assert calls == {"estimate_streams": 1, "estimate_blocks": chunks,
+                         "compute_ri_blocks": chunks, "lin_to_int_db": chunks}
+        assert {cb.rank for cb, _ in searches} == {1, 2}
+        for cb, ri in searches:
+            assert np.all(ri == cb.rank)
+            largest = ri.size * n_eval * n_points * len(cb.precoders) * cb.rank
+            assert largest <= csi.BATCH_ELEMS
+        assert sum(ri.size for _, ri in searches) == 200
+        assert len(searches) < 200
+
+    def test_esterr_drop_csi_memory(self):
+        # One drop's CSI at the esterr benchmark's shape (200 reports of 106
+        # subcarriers, three points) peaks at 2.42 MB of NumPy temporaries;
+        # an estimate chunk or search that grew would show here.
+        scenario = _esterr_scenario(2000)
+        chan = drop_channel(scenario, derive_seed(3, 0))
+        drop_csi(scenario, chan)
+        tracemalloc.start()
+        drop_csi(scenario, chan)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2.6e6
+
+

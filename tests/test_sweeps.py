@@ -528,7 +528,7 @@ class TestCli:
         # The PMI search and the pair pass take their effective channels from
         # BLAS products, which a threaded BLAS splits among its threads: a
         # full-band sweep at one and two BLAS threads, and at two workers,
-        # writes the same CSV.  Eight times the usual chunk makes each
+        # writes the same CSV.  Sixteen times the usual budget makes each
         # product large enough for OpenBLAS to split (above 2^18
         # multiply-adds); chunking itself changes no byte.
         config = tmp_path / "esterr.json"

@@ -25,13 +25,13 @@ if TYPE_CHECKING:
 NOISE_FREE_LAYER_SINR = 1e4
 
 # Upper bound on the elements of the largest temporary array one batched
-# step over coherence blocks, or over the (report, block) pairs of the
-# pair SINRs, builds.  A step gets at least one block or pair, which
-# keeps memory as low as processing them one by one.  At 2^15 a full-band
-# 2x4 drop at three noise points is estimated 19 blocks at a time and
-# searched 3 rank-1 or 1 rank-2 blocks at a time, a flat one hundreds.
-# On that drop 2^16 (38; 6 and 3 blocks) was within a few percent as fast
-# and peaked 2.6 MB higher (tracemalloc).
+# step over coherence blocks, over the (report, block) pairs of the pair
+# SINRs, or over the sweep points of a HARQ pass, builds (:func:`chunks`).
+# A step gets at least one item, which keeps memory as low as processing
+# them one by one.  At 2^15 a full-band 2x4 drop at three noise points is
+# estimated 19 blocks at a time and searched 3 rank-1 or 1 rank-2 blocks
+# at a time, a flat one hundreds.  On that drop 2^16 (38; 6 and 3 blocks)
+# was within a few percent as fast and peaked 2.6 MB higher (tracemalloc).
 BATCH_ELEMS = 1 << 15
 
 # Relative tolerance of the wideband-metric tie-break.  Precoders that
@@ -40,6 +40,14 @@ BATCH_ELEMS = 1 << 15
 # this relative band of the maximum count as tied and the first row of
 # the codebook wins.
 PMI_TIE_REL_TOL = 1e-12
+
+
+def chunks(n: int, elems_per_item: int) -> list[slice]:
+    """The slices that cover ``range(n)`` in order, each of as many items of
+    ``elems_per_item`` elements as fit ``BATCH_ELEMS``, at least one; the
+    last may hold fewer."""
+    step = max(1, BATCH_ELEMS // elems_per_item)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 class CsiReports(NamedTuple):
@@ -250,19 +258,6 @@ CQI_FROM_SINR = np.array([
     for table, top in ((_CQI_FROM_SINR_RANK1, 15), (_CQI_FROM_SINR_RANK2, 13))])
 
 
-def blocks_per_search(n_eval: int, n_points: int, cb: PrecoderCodebook) -> int:
-    """Blocks of ``n_eval`` subcarriers one :func:`select_pmi_blocks` call
-    over ``cb`` at ``n_points`` noise points should get.
-
-    Sized so that the search's largest temporary stays within
-    ``BATCH_ELEMS`` elements.  The effective channels and their powers are
-    (2, blocks, subcarriers, layers, candidates), the per-point terms of
-    the SINRs (points, blocks, subcarriers, layers, candidates); no array
-    has both the points axis and the two receive rows.
-    """
-    return max(1, BATCH_ELEMS // (n_eval * max(n_points, 2) * len(cb.precoders) * cb.rank))
-
-
 def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
                  codebooks: Mapping[tuple[int, int], PrecoderCodebook],
                  scratch: Scratch | None = None) -> CsiReports:
@@ -273,21 +268,24 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
     ``ri`` has one entry per block, the other columns ``noise_var``'s shape.
     ``codebooks`` maps ``(ports, rank)`` to prebuilt codebooks covering the
     port count at both ranks.  The blocks of each rank are searched
-    together, a few at a time to bound memory (:func:`blocks_per_search`),
+    together, a few at a time to bound memory (:func:`chunks`),
     whatever blocks of the other rank lie between them; ``scratch`` is
     passed to every :func:`select_pmi_blocks`.
     """
     n_eval, n_tx = mats.shape[1], mats.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
+    n_points = math.prod(noise_var.shape[:-1])
     ri = compute_ri_blocks(mats, cfg)
     pmi = np.zeros(noise_var.shape, dtype=np.intp)
     ratio = np.zeros(noise_var.shape)
     for rank in (1, 2):
         cb = codebooks[(n_tx, rank)]
         rows = np.flatnonzero(ri == rank)
-        step = blocks_per_search(n_eval, math.prod(noise_var.shape[:-1]), cb)
-        for lo in range(0, rows.size, step):
-            sub = rows[lo:lo + step]
+        # The effective channels and their powers are (2, blocks, subcarriers, layers,
+        # candidates), the SINRs' per-point terms (points, blocks, subcarriers, layers,
+        # candidates); no array has both the points axis and the two receive rows.
+        for part in chunks(rows.size, n_eval * max(n_points, 2) * len(cb.precoders) * cb.rank):
+            sub = rows[part]
             pmi[..., sub], ratio[..., sub] = select_pmi_blocks(
                 mats[sub], noise_var[..., sub], cb, scratch)
     sinr_db = lin_to_int_db(ratio)

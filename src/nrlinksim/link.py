@@ -31,8 +31,7 @@ import numpy as np
 
 from .channel import block_rx_power, estimate_blocks, estimate_streams
 from .codebook import PrecoderCodebook, build_codebook_set
-from . import csi as csi_module
-from .csi import CsiReports, Scratch, layer_powers, make_reports
+from .csi import CsiReports, Scratch, chunks, layer_powers, make_reports
 from .scenario import Scenario
 from .tables import N_CQI, load_cqi_table, load_mcs_table
 
@@ -248,25 +247,23 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     The UE reports from its estimate, decoding sees the true channel.  The
     estimate, RI and the candidates' effective channels do not depend on
     the noise, so one pass serves every noise point, and every forced CQI.
-    To bound memory, reporting blocks go in estimate chunks, as many as
-    keep the estimation-error normals, ``(blocks, 2, n_eval, 2, n_tx)``
-    floats, within ``csi.BATCH_ELEMS`` (at least one); each chunk is one
-    :func:`make_reports` call.  Pair SINRs go as many pairs at a time as
-    fit ``csi.BATCH_ELEMS``.  The estimates' streams are derived once per drop.
+    To bound memory, reporting blocks go in estimate chunks
+    (:func:`csi.chunks`), as many as keep the estimation-error normals,
+    ``(blocks, 2, n_eval, 2, n_tx)`` floats, within ``csi.BATCH_ELEMS``;
+    each chunk is one :func:`make_reports` call.  Pair SINRs go in chunks
+    of pairs too.  The estimates' streams are derived once per drop.
     """
     n_tx = scenario.n_tx
     codebooks = build_codebook_set(n_tx)
     noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
-    step = max(1, csi_module.BATCH_ELEMS // (4 * n_eval * n_tx))
     streams = (estimate_streams(chan.seed, chan.report_block)
                if scenario.est_error_var else None)
     parts, scratch = [], Scratch()
-    for lo in range(0, chan.report_block.size, step):
-        blocks = chan.report_block[lo:lo + step]
+    for part in chunks(chan.report_block.size, 4 * n_eval * n_tx):
+        blocks = chan.report_block[part]
         est = estimate_blocks(chan.h[blocks], scenario.est_error_var,
-                              None if streams is None else streams[lo:lo + step],
-                              scenario.n_prb)
+                              None if streams is None else streams[part], scenario.n_prb)
         parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
         del est  # free it before the next chunk's normals
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
@@ -275,13 +272,11 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     eff = np.empty((len(noise_vars), chan.pair_report.size))
     for rank in np.flatnonzero(np.bincount(pair_rank)).tolist():  # the ranks present
         cb = codebooks[(n_tx, rank)]
+        pairs = np.flatnonzero(pair_rank == rank)
         # Each pair's effective channels under every candidate, and under its
         # reported one at every noise point.
-        step = max(1, csi_module.BATCH_ELEMS
-                   // (2 * rank * max(len(cb.precoders), len(noise_vars))))
-        pairs = np.flatnonzero(pair_rank == rank)
-        for lo in range(0, pairs.size, step):
-            rows = pairs[lo:lo + step]
+        for part in chunks(pairs.size, 2 * rank * max(len(cb.precoders), len(noise_vars))):
+            rows = pairs[part]
             blocks = chan.pair_block[rows]
             eff[:, rows] = effective_sinrs_db(
                 chan.h[blocks][:, None], cb, reports.pmi[:, chan.pair_report[rows]],
@@ -307,11 +302,6 @@ def _thresholds_db() -> np.ndarray:
 # and ``math.exp`` differ by an ulp or so, far inside this margin, so every
 # decision equals the scalar one.
 ACK_REDO_TOL = 1e-12
-
-# Upper bound on the (point, slot) elements of one HARQ pass: sweep points
-# are taken as many at a time as fit, and a long drop gets one point per
-# pass, which keeps memory as low as running the points one by one.
-HARQ_BATCH_ELEMS = 1 << 15
 
 
 def _acks(u: np.ndarray, at: tuple, p_err: np.ndarray, eff: np.ndarray,
@@ -456,10 +446,10 @@ def run_harq(scenario: Scenario, csi: DropCsi, u: np.ndarray,
     cqi = np.broadcast_to(cqi, (n_points, ri.size))
     eff = np.broadcast_to(eff, (n_points, n_pairs))
     mcs_of_cqi, _ = _grants_by_cqi(scenario.n_prb)
-    step = max(1, HARQ_BATCH_ELEMS // scenario.n_slots)
     out = []
-    for lo in range(0, n_points, step):
-        point_cqi, point_eff = cqi[lo:lo + step], eff[lo:lo + step]
+    # Sweep points in chunks of (point, slot) arrays: a long drop gets one per pass.
+    for part in chunks(n_points, scenario.n_slots):
+        point_cqi, point_eff = cqi[part], eff[part]
         pair_mcs = mcs_of_cqi[point_cqi][:, chan.pair_report]
         # bler over arrays; _acks redoes near-ties with the scalar bler.
         x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])

@@ -432,9 +432,8 @@ def scenario_from_dict(cfg: dict) -> Scenario:
 
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        cfg = json.loads(text)
-    except ValueError as e:  # a decode error, or an integer past Python's digit limit
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, huge integers, deep nesting
         raise ScenarioError(f"{path}: not valid JSON: {e}") from None
     return scenario_from_dict(cfg)

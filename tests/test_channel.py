@@ -231,6 +231,7 @@ block_lists = st.lists(st.one_of(st.integers(0, 3), st.integers(0, MAX_N_SLOTS))
 tags = st.sampled_from([_NLOS_STREAM, _EST_STREAM])
 
 
+@pytest.mark.numpy_bits
 class TestBlockStreams:
     """Bulk stream derivation (``block_streams``) against NumPy and the
     per-block generator loops it replaced (``tests/conftest.py`` oracles)."""

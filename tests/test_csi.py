@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nrlinksim import csi
 from nrlinksim.channel import estimate_blocks, estimate_streams, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
@@ -214,6 +216,7 @@ class TestComputeRi:
             assert _ri(mats[None] * c, CsiConfig()) == base
 
 
+@pytest.mark.numpy_bits
 class TestRiVoteEdges:
     """Each subcarrier votes as ``gamma_stack(mats) < gamma_th`` on both sides
     of each edge of the vote, and a block reports their strict majority."""
@@ -322,6 +325,7 @@ def ri_vote_cases(draw):
     return mats[None], max(gamma_th, 2.0)
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=300, deadline=None)
 @given(case=ri_vote_cases())
 @example(case=(np.array([[[[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]]], dtype=complex), 2.7))
@@ -584,6 +588,7 @@ def _noise_vars(rng, noise: str, shape) -> np.ndarray:
     return noise_var
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
        rank=st.sampled_from([1, 2]), n_eval=st.sampled_from([1, 7, 106]),
@@ -624,6 +629,7 @@ def test_search_kernel_matches_the_oracle_bitwise(seed, n_tx, rank, n_eval, n_bl
         assert got_db[point].tobytes() == want_db.tobytes()
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
        rank=st.sampled_from([1, 2]), n_blocks=st.integers(1, 12),
@@ -650,6 +656,7 @@ def test_pair_pass_is_the_search_for_every_candidate_bitwise(seed, n_tx, rank, n
         assert got[..., 0].tobytes() == want[:, block, :, :, k].swapaxes(0, 1).tobytes()
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.sampled_from([2, 4]),
        rank=st.sampled_from([1, 2]), n_eval=st.sampled_from([1, 7, 106]),
@@ -839,3 +846,19 @@ class TestMakeReport:
         reps = make_reports(np.zeros((0, 1, 2, 4), dtype=complex), [], CsiConfig(),
                             build_codebook_set(4))
         assert all(col.shape == (0,) for col in reps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5000), data=st.data())
+def test_chunks_cover_the_range_in_budget_sized_slices(n, data):
+    # Every item once, in order, in slices of the budget's item count but the
+    # last, none empty; elements per item range from 1 to past the budget.
+    budget = data.draw(st.just(csi.BATCH_ELEMS) | st.integers(1, 1 << 20), label="budget")
+    per_item = data.draw(st.integers(1, 2 * budget + 1), label="elems_per_item")
+    with mock.patch.object(csi, "BATCH_ELEMS", budget):
+        slices = csi.chunks(n, per_item)
+        assert csi.chunks(0, per_item) == []
+    assert [i for s in slices for i in range(n)[s]] == list(range(n))
+    step, sizes = max(1, budget // per_item), [len(range(n)[s]) for s in slices]
+    assert all(0 < size <= step for size in sizes)
+    assert all(size == step for size in sizes[:-1])

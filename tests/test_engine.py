@@ -15,6 +15,7 @@ pass per point and, with CQI and rank forced, the HARQ accounting.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -323,7 +324,7 @@ def test_long_fixed_drop_one_point_per_pass_matches_oracle(monkeypatch):
     # 20,000 slots, one SNR point per HARQ pass: every point still equals
     # the slot-by-slot loop, blocks given up included.
     passes = _count_calls(monkeypatch, "_point_stats", 1)
-    monkeypatch.setattr(link, "HARQ_BATCH_ELEMS", 1)
+    monkeypatch.setattr(csi_module, "BATCH_ELEMS", 1)
     scenario = scenario_from_dict(dict(FIXED_2X2, n_slots=20_000, n_drops=1))
     seed = derive_seed(scenario.seed, 0)
     rows = run_sweep_snr(scenario)
@@ -372,6 +373,7 @@ def pair_pass_docs(draw):
     return dict(doc, noise=noise)
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=80, deadline=None)
 @given(doc=pair_pass_docs())
 @example(doc=dict(STALE_GRANTS, noise={"mode": "snr_sweep", "snr_db_list": [0.0, 9.0, 30.0]}))
@@ -416,6 +418,7 @@ MIXED_RANK_CHUNK = dict(n_tx=4, force_ri=None, snrs=[0.0, 10.0, 20.0], est_error
                         n_prb=106, coherence=1, csi_period=1, n_slots=24, seed=5)
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=30, deadline=None)
 @given(n_tx=st.sampled_from([2, 4]), force_ri=st.sampled_from([None, 1, 2]),
        snrs=st.lists(st.floats(-5.0, 30.0), min_size=1, max_size=5),
@@ -445,6 +448,7 @@ def test_chunk_size_changes_no_csi_byte(n_tx, force_ri, snrs, est_error_var, n_p
         assert run.pair_eff_db.tobytes() == whole.pair_eff_db.tobytes()
 
 
+@pytest.mark.numpy_bits
 def test_mid_budget_chunk_searches_each_rank_in_parts():
     # At the middle budget of test_chunk_size_changes_no_csi_byte, which
     # runs this scenario too, one estimate chunk votes both ranks, and each

@@ -169,6 +169,7 @@ class TestEffectiveSinr:
             assert got[p].tobytes() == want.tobytes()
         assert got[:, 1].tolist() == [-math.inf] * 3
 
+    @pytest.mark.numpy_bits
     @pytest.mark.parametrize("n_tx", [2, 4])
     def test_flat_rank1_pair_is_the_search_winner_bitwise(self, n_tx):
         # A flat block at rank 1 has one layer on one subcarrier, so its pair
@@ -413,6 +414,7 @@ def ack_matrices(draw):
     return np.array(rows), draw(st.integers(1, n + 3))
 
 
+@pytest.mark.numpy_bits
 @settings(max_examples=300, deadline=None)
 @given(case=ack_matrices())
 # A row that ends in NACKs before one that starts with them: a run joined
@@ -493,6 +495,7 @@ class TestRandomStreams:
 
         assert generators(20) == generators(400)
 
+    @pytest.mark.numpy_bits
     def test_estimate_streams_derived_once_per_drop(self, monkeypatch):
         # The drop's streams are derived once.  Each estimate chunk, as many
         # blocks as keep its normals within BATCH_ELEMS, is estimated, voted

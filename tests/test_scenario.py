@@ -687,6 +687,20 @@ class TestParseScenario:
         assert cli.main(["csi", "--config", str(p)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, body", [
+        ("latin1.json", b'{"channel": "rice1", "name": "caf\xe9"}'),
+        ("deep.json", b"[" * 200_000),
+    ])
+    def test_undecodable_file_is_named(self, tmp_path, capsys, name, body):
+        # A byte that is not UTF-8, and nesting past the recursion limit.
+        p = tmp_path / name
+        p.write_bytes(body)
+        with pytest.raises(ScenarioError, match=re.escape(f"{p}: not valid JSON")):
+            parse_scenario(p)
+        assert cli.main(["csi", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{p}: not valid JSON" in err and "Traceback" not in err
+
     def test_non_object_document(self, tmp_path):
         p = tmp_path / "list.json"
         p.write_text(json.dumps([1, 2, 3]), encoding="utf-8")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nrlinksim import cli, link, sweeps
+from nrlinksim import cli, csi, link, sweeps
 from nrlinksim.channel import derive_seed
 from nrlinksim.link import drop_channel, drop_csi, mcs_from_cqi, run_harq, tbs
 from nrlinksim.scenario import ScenarioError, parse_scenario, scenario_from_dict
@@ -166,7 +166,8 @@ SWEEP_SCENARIOS = ["cqi_sweep_fixed_2x4.json", "cqi_sweep_rice1_2x4.json",
 @pytest.mark.parametrize("name", SWEEP_SCENARIOS)
 def test_one_point_per_harq_pass_changes_nothing(name, monkeypatch):
     # Two drops of each golden sweep, all points in one HARQ pass per drop,
-    # then one point per pass: every drop's statistics are the same.
+    # then one point per pass: every drop's statistics are the same.  At
+    # budget 1 the CSI also runs one block per search and one pair per pass.
     sc = replace(parse_scenario(scenario_path(name)), n_drops=2)
     sweep = run_sweep_snr if sc.noise.mode == "snr_sweep" else run_sweep_cqi
     passes = []
@@ -179,7 +180,7 @@ def test_one_point_per_harq_pass_changes_nothing(name, monkeypatch):
     monkeypatch.setattr(link, "_point_stats", counted)
     runs = []
     for budget in (1 << 40, 1):
-        monkeypatch.setattr(link, "HARQ_BATCH_ELEMS", budget)
+        monkeypatch.setattr(csi, "BATCH_ELEMS", budget)
         runs.append([row.drops for row in sweep(sc)])
     n_points = len(runs[0])
     assert passes == [n_points] * 2 + [1] * n_points * 2
@@ -235,6 +236,7 @@ class TestRunSweepSnr:
         assert rows[0].drops == rows[1].drops
 
 
+@pytest.mark.numpy_bits
 @pytest.mark.parametrize("n_drops", [1, 5, 20])
 def test_row_means_are_the_per_drop_means_bitwise(n_drops):
     # Each row's means and goodput std have the bits of np.mean and
@@ -524,6 +526,7 @@ class TestCli:
     LARGE_CHUNKS = ("import sys; from nrlinksim import cli, csi; csi.BATCH_ELEMS = 1 << 19; "
                     "sys.exit(cli.main(sys.argv[1:]))")
 
+    @pytest.mark.numpy_bits
     def test_blas_threads_change_no_byte(self, tmp_path):
         # The PMI search and the pair pass take their effective channels from
         # BLAS products, which a threaded BLAS splits among its threads: a

@@ -15,17 +15,14 @@ It records two things about the checkout at ``--repo``:
   --trace 0``, run there as a subprocess;
 - for each scenario in ``scenarios/`` and ``perfbench/scenarios/``, the
   wall time of ``drop_channel``, ``drop_csi`` and ``run_harq``, timed
-  around the calls from outside ``src/`` and
-  summed over the scenario's drops; per phase, the best of
-  ``PHASE_REPEATS`` passes.  The ``drop_channel`` column includes the
-  drop's ``ack_draws``, wherever the checkout makes them, so that
-  checkouts before and after ``run_harq`` took the draws as an argument
-  compare.  A forced-CQI scenario runs ``run_harq`` with its 16 CQI rows,
-  as ``sweep-cqi`` does.  These phases are what
-  one drop costs on its own; a sweep may share work across drops, so
-  the same scenario's whole ``run_sweep_snr`` (``snr_sweep`` noise) or
-  ``run_sweep_cqi`` call is timed too, as ``run_sweep``, best of
-  ``PHASE_REPEATS``.
+  around the calls from outside ``src/`` and summed over the scenario's
+  drops; per phase, the best of ``PHASE_REPEATS`` passes.  The
+  ``drop_channel`` column includes the drop's ``ack_draws``.  A
+  forced-CQI scenario runs ``run_harq`` with its 16 CQI rows, as
+  ``sweep-cqi`` does.  These phases are what one drop costs on its own; a
+  sweep may share work across drops, so the same scenario's whole
+  ``run_sweep_snr`` (``snr_sweep`` noise) or ``run_sweep_cqi`` call is
+  timed too, as ``run_sweep``, best of ``PHASE_REPEATS``.
 
 It writes ``BENCH_<label>.json`` at the root of this checkout, with
 ``nproc``, the Python and NumPy versions, and the git SHA and
@@ -59,18 +56,13 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 # Runs in a fresh interpreter: argv is <src dir> <scenario> <repeats> <forced CQI 0/1>.
 PHASE_CODE = """\
-import inspect, json, sys, time
-from dataclasses import replace
+import json, sys, time
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import nrlinksim
 from nrlinksim.link import ack_draws, drop_channel, drop_csi, run_harq
 scenario = nrlinksim.parse_scenario(sys.argv[2])
-forced_cqi = sys.argv[4] == "1"
-# Older checkouts keep the draws in the DropChannel and take forced CQIs
-# in the reports; newer ones take both as run_harq arguments.
-draws_as_argument = "u" in inspect.signature(run_harq).parameters
-cqi = np.arange(16)[:, None]
+cqi = np.arange(16)[:, None] if sys.argv[4] == "1" else None
 sweep = (nrlinksim.run_sweep_snr if scenario.noise.mode == "snr_sweep"
          else nrlinksim.run_sweep_cqi)
 seeds = [nrlinksim.derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
@@ -83,23 +75,14 @@ for _ in range(int(sys.argv[3])):
     for seed in seeds:
         t0 = time.perf_counter()
         chan = drop_channel(scenario, seed)
-        if draws_as_argument:
-            u = ack_draws(seed, scenario.n_slots)
+        u = ack_draws(seed, scenario.n_slots)
         t1 = time.perf_counter()
         csi = drop_csi(scenario, chan)
         t2 = time.perf_counter()
-        if draws_as_argument:
-            args = (csi, u, cqi) if forced_cqi else (csi, u)
-        elif forced_cqi:
-            reports = csi.reports._replace(cqi=np.broadcast_to(cqi, (16, csi.reports.ri.size)))
-            args = (replace(csi, reports=reports),)
-        else:
-            args = (csi,)
+        run_harq(scenario, csi, u, cqi)
         t3 = time.perf_counter()
-        run_harq(scenario, *args)
-        t4 = time.perf_counter()
         for name, dt in (("drop_channel", t1 - t0), ("drop_csi", t2 - t1),
-                         ("run_harq", t4 - t3)):
+                         ("run_harq", t3 - t2)):
             spent[name] += dt
     best = {k: min(v, best.get(k, v)) for k, v in spent.items()}
 print(json.dumps({"file": nrlinksim.__file__, "drops": len(seeds), "sweep": sweep.__name__,

@@ -11,8 +11,8 @@ matrix per coherence block.
 from .channel import (block_rx_power, derive_seed, estimate_blocks, estimate_streams,
                       rice1_blocks)
 from .codebook import PrecoderCodebook, build_codebook, build_codebook_set
-from .csi import CsiReports, compute_ri_blocks, make_reports, select_pmi_blocks
-from .linalg import gamma_stack, lin_to_int_db
+from .csi import (CsiReports, compute_ri_blocks, gamma_stack, lin_to_int_db, make_reports,
+                  select_pmi_blocks)
 from .link import ThroughputStats, bler, effective_sinrs_db, mcs_from_cqi, tbs
 from .scenario import (ChannelModel, CsiConfig, NoiseModel, Scenario, ScenarioError,
                        parse_scenario, scenario_from_dict)

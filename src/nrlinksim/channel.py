@@ -217,12 +217,17 @@ def estimate_blocks(h: np.ndarray, est_error_var: float, streams: BlockStreams |
     variance is zero.  Returns the subcarriers that need evaluating,
     shape ``(n_blocks, n_eval, 2, n_tx)``: one per block when the error
     variance is zero (the estimate is the flat channel itself), else all
-    ``n_sc``.
+    ``n_sc``.  A negative or non-finite ``est_error_var``, an ``n_sc`` below
+    1 or, at a positive variance, missing streams raise ``ValueError``.
     """
-    if est_error_var < 0:
-        raise ValueError(f"est_error_var must be >= 0, got {est_error_var}")
+    if not 0.0 <= est_error_var < np.inf:
+        raise ValueError(f"est_error_var must be finite and >= 0, got {est_error_var}")
+    if n_sc < 1:
+        raise ValueError(f"n_sc must be >= 1, got {n_sc}")
     if est_error_var == 0:
         return h[:, None]
+    if streams is None:
+        raise ValueError("streams must be given when est_error_var > 0")
     if len(streams) != len(h):
         raise ValueError(f"need one stream per block: {len(streams)} streams, {len(h)} blocks")
     # Each part in one pass, buf * scale + h: the bits of the complex

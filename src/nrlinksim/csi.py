@@ -10,15 +10,22 @@ lookup.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .codebook import ConfigurationError, PrecoderCodebook
-from .linalg import DB_CEIL, DB_FLOOR, gamma_stack, lin_to_int_db
+from .codebook import ConfigurationError, PrecoderCodebook, build_codebook
 
 if TYPE_CHECKING:
     from .scenario import CsiConfig
+
+# Relative determinant threshold below which a Gram matrix is treated as
+# rank deficient (condition metric pinned to +inf).
+DET_EPS = 1e-12
+
+# Reporting range of the integer-dB quantizer.
+DB_FLOOR = -10
+DB_CEIL = 40
 
 # Linear per-layer SINR assigned to active layers when the noise variance
 # is exactly zero; equals the +40 dB reporting ceiling.
@@ -54,7 +61,7 @@ class CsiReports(NamedTuple):
     """Wideband CSI reports of a run of blocks: one entry per block in each column.
 
     ``ri`` is the reported rank (1 or 2), ``pmi`` the row of the winning
-    precoder in ``codebooks[(n_tx, ri)].precoders``,
+    precoder in ``build_codebook(n_tx, ri).precoders``,
     ``wideband_sinr_db`` the integer-dB wideband SINR and ``cqi`` the
     channel-quality index.
     """
@@ -63,6 +70,30 @@ class CsiReports(NamedTuple):
     pmi: np.ndarray
     wideband_sinr_db: np.ndarray
     cqi: np.ndarray
+
+
+def gamma_stack(mats: np.ndarray) -> np.ndarray:
+    """Condition metric of each channel's 2x2 receive Gram ``M = H @ H^H``.
+
+    ``mats`` is a ``(..., 2, n_tx)`` stack of channel matrices, not Grams;
+    the metrics have shape ``mats.shape[:-2]``.  The metric is ``sum
+    |m_ij|^2 / det(M)``.  For eigenvalues ``s1 >= s2 > 0`` of ``M`` it
+    equals ``s1/s2 + s2/s1``, so it is always >= 2 and approaches 2 for
+    well-conditioned channels.  Rank-deficient Grams (determinant at most
+    ``DET_EPS * trace^2``) give ``+inf``.  From the Gram's row powers
+    ``r0``, ``r1`` and cross term ``m01``, ``num = r0^2 + r1^2 +
+    2|m01|^2`` and ``det = r0 r1 - |m01|^2``.
+    """
+    r = np.einsum("...ij,...ij->...i", mats.real, mats.real)
+    r += np.einsum("...ij,...ij->...i", mats.imag, mats.imag)
+    r0, r1 = r[..., 0], r[..., 1]
+    m01 = np.einsum("...j,...j->...", mats[..., 0, :], np.conj(mats[..., 1, :]))
+    cross = m01.real * m01.real + m01.imag * m01.imag
+    tr = r0 + r1
+    det = r0 * r1 - cross
+    out = np.full(det.shape, np.inf)
+    np.divide(r0 * r0 + r1 * r1 + 2.0 * cross, det, out=out, where=det > DET_EPS * (tr * tr))
+    return out
 
 
 def compute_ri_blocks(mats: np.ndarray, cfg: CsiConfig) -> np.ndarray:
@@ -188,7 +219,8 @@ def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scr
     the factors have shape ``(..., n_blocks, n_eval, rank, n_cand)``, one
     entry per candidate; with ``pmi``, shape ``(..., n_blocks)`` like
     ``noise_var``, they have shape ``(..., n_blocks, n_eval, rank, 1)``,
-    block ``b`` under candidate ``pmi[..., b]``.
+    block ``b`` under candidate ``pmi[..., b]``.  A negative or NaN noise
+    variance raises ``ValueError``.
 
     Every candidate's effective channels ``H @ W`` come from one 2-D BLAS
     product into ``scratch``: the rows of ``mats``, receive row first, by
@@ -199,6 +231,9 @@ def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scr
     takes NumPy's matrix-vector path), so a candidate's powers have the
     same bits with and without ``pmi``, whichever blocks come together.
     """
+    noise_var = np.asarray(noise_var)
+    if not np.all(noise_var >= 0.0):
+        raise ValueError("noise_var must be nonnegative and not NaN")
     n_blocks, n_eval, _, n_tx = mats.shape
     rows = scratch("rows", (2, n_blocks, n_eval, n_tx), complex)
     np.copyto(rows, mats.transpose(2, 0, 1, 3))
@@ -208,7 +243,7 @@ def layer_powers(mats: np.ndarray, cb: PrecoderCodebook, noise_var, scratch: Scr
         pmi = np.asarray(pmi)
         g = np.take_along_axis(np.expand_dims(g, tuple(range(1, pmi.ndim))),
                                pmi[None, ..., None, None, None], axis=-1)
-    return _split_batch(g, np.asarray(noise_var)[..., None, None, None], scratch)
+    return _split_batch(g, noise_var[..., None, None, None], scratch)
 
 
 def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
@@ -241,6 +276,32 @@ def select_pmi_blocks(mats: np.ndarray, noise_var, cb: PrecoderCodebook,
     return winners, np.take_along_axis(ratios, winners[..., None], axis=-1)[..., 0]
 
 
+def _db_edge(k: int) -> float:
+    """Smallest float ``x`` with ``round(10 * log10(x)) >= k``, stepped to
+    one ulp at a time from ``10^((k - 0.5) / 10)``, a few ulps away."""
+    x = 10.0 ** ((k - 0.5) / 10.0)
+    while round(10.0 * math.log10(x)) >= k:
+        x = math.nextafter(x, 0.0)
+    while round(10.0 * math.log10(x)) < k:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# Edges of the quantizer: from DB_FLOOR + 1 to DB_CEIL dB, the least ratio
+# reported as that many dB or more.
+_DB_EDGES = np.array([_db_edge(k) for k in range(DB_FLOOR + 1, DB_CEIL + 1)])
+
+
+def lin_to_int_db(x) -> np.ndarray:
+    """Quantize linear power ratios to ``round(10 log10 x)`` integer dB, clamped
+    to ``[DB_FLOOR, DB_CEIL]``: 0 maps to the floor and +inf to the ceiling.
+    Negative and NaN entries are rejected."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x >= 0.0):
+        raise ValueError("power ratios must be nonnegative and not NaN")
+    return DB_FLOOR + np.searchsorted(_DB_EDGES, x, side="right")
+
+
 # Wideband integer SINR (dB) -> CQI, per reporting rank, over the listed band.
 _CQI_FROM_SINR_RANK1 = {
     3: 5, 4: 6, 5: 6, 6: 7, 7: 7, 8: 8, 9: 8, 10: 9, 11: 10, 12: 10,
@@ -259,18 +320,16 @@ CQI_FROM_SINR = np.array([
 
 
 def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
-                 codebooks: Mapping[tuple[int, int], PrecoderCodebook],
                  scratch: Scratch | None = None) -> CsiReports:
     """Full UE feedback for each block: RI, PMI, SINR, CQI.
 
     ``mats`` has shape ``(n_blocks, n_eval, 2, n_tx)`` and ``noise_var``
     shape ``(..., n_blocks)``, one value per block at each noise point;
     ``ri`` has one entry per block, the other columns ``noise_var``'s shape.
-    ``codebooks`` maps ``(ports, rank)`` to prebuilt codebooks covering the
-    port count at both ranks.  The blocks of each rank are searched
-    together, a few at a time to bound memory (:func:`chunks`),
-    whatever blocks of the other rank lie between them; ``scratch`` is
-    passed to every :func:`select_pmi_blocks`.
+    The blocks of each rank are searched together over
+    ``build_codebook(n_tx, rank)``, a few at a time to bound memory
+    (:func:`chunks`), whatever blocks of the other rank lie between them;
+    ``scratch`` is passed to every :func:`select_pmi_blocks`.
     """
     n_eval, n_tx = mats.shape[1], mats.shape[-1]
     noise_var = np.asarray(noise_var, dtype=np.float64)
@@ -279,7 +338,7 @@ def make_reports(mats: np.ndarray, noise_var, cfg: CsiConfig,
     pmi = np.zeros(noise_var.shape, dtype=np.intp)
     ratio = np.zeros(noise_var.shape)
     for rank in (1, 2):
-        cb = codebooks[(n_tx, rank)]
+        cb = build_codebook(n_tx, rank)
         rows = np.flatnonzero(ri == rank)
         # The effective channels and their powers are (2, blocks, subcarriers, layers,
         # candidates), the SINRs' per-point terms (points, blocks, subcarriers, layers,

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import block_rx_power, estimate_blocks, estimate_streams
-from .codebook import PrecoderCodebook, build_codebook_set
+from .codebook import PrecoderCodebook, build_codebook
 from .csi import CsiReports, Scratch, chunks, layer_powers, make_reports
 from .scenario import Scenario
 from .tables import N_CQI, load_cqi_table, load_mcs_table
@@ -254,7 +254,6 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     of pairs too.  The estimates' streams are derived once per drop.
     """
     n_tx = scenario.n_tx
-    codebooks = build_codebook_set(n_tx)
     noise_vars = scenario.noise_vars(chan.p_rx)
     n_eval = 1 if scenario.est_error_var == 0 else scenario.n_prb
     streams = (estimate_streams(chan.seed, chan.report_block)
@@ -264,14 +263,14 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
         blocks = chan.report_block[part]
         est = estimate_blocks(chan.h[blocks], scenario.est_error_var,
                               None if streams is None else streams[part], scenario.n_prb)
-        parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, codebooks, scratch))
+        parts.append(make_reports(est, noise_vars[:, blocks], scenario.csi, scratch))
         del est  # free it before the next chunk's normals
     reports = CsiReports(*(np.concatenate(col, axis=-1) for col in zip(*parts)))
     del scratch  # free the searches' temporaries before the pairs make theirs
     pair_rank = reports.ri[chan.pair_report]
     eff = np.empty((len(noise_vars), chan.pair_report.size))
     for rank in np.flatnonzero(np.bincount(pair_rank)).tolist():  # the ranks present
-        cb = codebooks[(n_tx, rank)]
+        cb = build_codebook(n_tx, rank)
         pairs = np.flatnonzero(pair_rank == rank)
         # Each pair's effective channels under every candidate, and under its
         # reported one at every noise point.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf, isfinite
 from pathlib import Path
 
@@ -379,6 +379,11 @@ def _fields(d, keys, where: str) -> dict:
     return {k: v for k, v in _object(d, keys, where).items() if v is not None}
 
 
+def _keys(cls) -> tuple[str, ...]:
+    """The JSON keys of dataclass ``cls``: its field names, ``kind`` as ``type``."""
+    return tuple("type" if f.name == "kind" else f.name for f in fields(cls))
+
+
 def _complex_cells(rows):
     """A JSON ``channel.matrix`` with each [re, im] pair cell as a complex."""
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
@@ -393,15 +398,13 @@ def _parse_channel(d) -> ChannelModel:
         # Shorthand: "channel": "rice1" means the model with all defaults.
         _require(d == "rice1", f"channel shorthand must be 'rice1', got {d!r}")
         d = {"type": d}
-    kw = _fields(d, ("type", "matrix", "k_factor", "coherence_slots"), "channel")
+    kw = _fields(d, _keys(ChannelModel), "channel")
     if "matrix" in kw:
         kw["matrix"] = _complex_cells(kw["matrix"])
     return ChannelModel(kw.pop("type", None), **kw)
 
 
-_SCENARIO_KEYS = (
-    "channel", "noise", "csi", "sinr_cap_db", "n_tx", "n_prb", "n_slots", "n_drops",
-    "csi_period", "dl_duty_factor", "seed", "est_error_var", "max_harq_tx",
+_SCENARIO_KEYS = _keys(Scenario) + (
     # Accepted so that scenario files can state the numerology, which the
     # model fixes (two receive antennas, 30 kHz subcarrier spacing), and a
     # band label; none of the three is stored.
@@ -418,11 +421,9 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         _require(_integer(v, f"scenario.{key}") == only, f"scenario.{key} must be {only}, got {v}")
     _require(isinstance(kw.pop("band", ""), str), "scenario.band must be a string")
     kw["channel"] = _parse_channel(kw["channel"])
-    if "noise" in kw:
-        kw["noise"] = NoiseModel(**_fields(kw["noise"], ("mode", "snr_db", "snr_db_list",
-                                                         "variance"), "noise"))
-    if "csi" in kw:
-        kw["csi"] = CsiConfig(**_fields(kw["csi"], ("gamma_th", "force_ri", "force_cqi"), "csi"))
+    for key, cls in (("noise", NoiseModel), ("csi", CsiConfig)):
+        if key in kw:
+            kw[key] = cls(**_fields(kw[key], _keys(cls), key))
     if "sinr_cap_db" in kw:
         # An explicit null disables that rank's ceiling.
         kw["sinr_cap_db"] = {int(k): inf if v is None else v for k, v in

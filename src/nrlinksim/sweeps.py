@@ -22,9 +22,8 @@ from typing import TextIO
 import numpy as np
 
 from .channel import derive_seed, estimate_blocks, estimate_streams
-from .codebook import build_codebook, build_codebook_set
-from .csi import make_reports
-from .linalg import gamma_stack
+from .codebook import build_codebook
+from .csi import gamma_stack, make_reports
 from .link import (DropCsi, ThroughputStats, ack_draws, drop_channel, drop_csi, mcs_from_cqi,
                    run_harq)
 from .scenario import Scenario, ScenarioError
@@ -165,7 +164,7 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     est = estimate_blocks(chan.h, scenario.est_error_var, estimate_streams(chan.seed, [0]),
                           scenario.n_prb)
     ri, pmi, sinr_db, cqi = (int(c.flat[0]) for c in make_reports(
-        est, scenario.noise_vars(chan.p_rx), scenario.csi, build_codebook_set(scenario.n_tx)))
+        est, scenario.noise_vars(chan.p_rx), scenario.csi))
     gammas = gamma_stack(est[0])
     return CsiInspection(ri=ri, pmi=tuple(build_codebook(scenario.n_tx, ri).keys[pmi].tolist()),
                          wideband_sinr_db=sinr_db, cqi=cqi, gamma_min=float(np.min(gammas)),

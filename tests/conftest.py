@@ -20,9 +20,8 @@ import pytest
 
 from nrlinksim.channel import _EST_STREAM, _LOS_STREAM, _NLOS_STREAM
 from nrlinksim.codebook import build_codebook_set
-from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2,
-                           NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL, CsiReports)
-from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS
+from nrlinksim.csi import (_CQI_FROM_SINR_RANK1, _CQI_FROM_SINR_RANK2, DB_CEIL, DB_FLOOR,
+                           DET_EPS, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL, CsiReports)
 from nrlinksim.link import (DropChannel, ThroughputStats, ack_draws, drop_channel, drop_csi,
                             run_harq)
 from nrlinksim.scenario import NoiseModel, Scenario, parse_scenario
@@ -97,7 +96,7 @@ class GramMetric(NamedTuple):
 
 
 def gram_metric_oracle(mats: np.ndarray) -> GramMetric:
-    """Oracle of ``linalg.gamma_stack`` from the Gram matrix itself: ``M = H
+    """Oracle of ``csi.gamma_stack`` from the Gram matrix itself: ``M = H
     @ H^H`` by one ``matmul``, then ``sum |m_ij|^2 / det(M)``, ``+inf`` where
     ``det(M) <= DET_EPS * trace(M)^2``.  Rounds apart from ``gamma_stack``'s
     elementwise form in the last bits."""
@@ -111,7 +110,7 @@ def gram_metric_oracle(mats: np.ndarray) -> GramMetric:
 
 
 def scalar_lin_to_int_db(x: float) -> int:
-    """Oracle of ``linalg.lin_to_int_db`` for one ratio:
+    """Oracle of ``csi.lin_to_int_db`` for one ratio:
     ``round(10 log10 x)`` clamped to ``[DB_FLOOR, DB_CEIL]``."""
     if x < 0:
         raise ValueError(f"power ratio must be nonnegative, got {x}")

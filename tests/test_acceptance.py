@@ -13,8 +13,8 @@ import numpy as np
 
 from nrlinksim import cli
 from nrlinksim.codebook import build_codebook, build_codebook_set
-from nrlinksim.csi import CQI_FROM_SINR, compute_ri_blocks, select_pmi_blocks
-from nrlinksim.linalg import DB_FLOOR, gamma_stack, lin_to_int_db
+from nrlinksim.csi import (CQI_FROM_SINR, DB_FLOOR, compute_ri_blocks, gamma_stack,
+                           lin_to_int_db, select_pmi_blocks)
 from nrlinksim.link import SLOT_DURATION_S, tbs
 from nrlinksim.scenario import CsiConfig, scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr, write_snr_sweep_csv

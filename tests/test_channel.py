@@ -208,6 +208,14 @@ class TestEstimate:
         with pytest.raises(ValueError, match="one stream per block"):
             estimate_blocks(h, 0.01, estimate_streams(0, [0]), n_sc=1)
 
+    @pytest.mark.parametrize("var, n_sc, with_streams, name", [
+        (math.nan, 3, True, "est_error_var"), (math.inf, 3, True, "est_error_var"),
+        (0.01, 0, True, "n_sc"), (0.0, 0, True, "n_sc"), (0.01, 3, False, "streams")])
+    def test_rejects_inputs_outside_its_contract(self, var, n_sc, with_streams, name):
+        streams = estimate_streams(0, [0]) if with_streams else None
+        with pytest.raises(ValueError, match=name):
+            estimate_blocks(np.asarray([H_2X4_REF], dtype=complex), var, streams, n_sc)
+
 
 class TestDeriveSeed:
     def test_stable(self):

@@ -15,10 +15,10 @@ from nrlinksim import csi
 from nrlinksim.channel import estimate_blocks, estimate_streams, rice1_blocks
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook,
                                 build_codebook, build_codebook_set)
-from nrlinksim.csi import (CQI_FROM_SINR, NOISE_FREE_LAYER_SINR, PMI_TIE_REL_TOL,
-                           CsiReports, Scratch, _split_batch, compute_ri_blocks,
-                           layer_powers, make_reports, select_pmi_blocks)
-from nrlinksim.linalg import DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack, lin_to_int_db
+from nrlinksim.csi import (CQI_FROM_SINR, DB_CEIL, DB_FLOOR, DET_EPS, NOISE_FREE_LAYER_SINR,
+                           PMI_TIE_REL_TOL, CsiReports, Scratch, _split_batch,
+                           compute_ri_blocks, gamma_stack, layer_powers, lin_to_int_db,
+                           make_reports, select_pmi_blocks)
 from nrlinksim.link import effective_sinrs_db
 from nrlinksim.scenario import CsiConfig, ScenarioError
 
@@ -102,7 +102,7 @@ def _layer_sinrs(h, w, noise_var):
 def _report(mats, noise_var, cfg, cbs):
     """One block's report as (ri, PMI key, wideband SINR dB, CQI); the PMI
     must be a row of the codebook of the reported rank."""
-    rep = make_reports(mats, [noise_var], cfg, cbs)
+    rep = make_reports(mats, [noise_var], cfg)
     ri = int(rep.ri[0])
     keys = cbs[(mats.shape[-1], ri)].keys
     assert 0 <= rep.pmi[0] < len(keys)
@@ -819,7 +819,7 @@ class TestMakeReport:
         cbs = build_codebook_set(4)
         h = rice1_blocks(seed=3, k_factor=1.0, n_tx=4, block_ids=range(24))
         noise_var = np.geomspace(1e-3, 10.0, 24)
-        reps = make_reports(h[:, None], noise_var, cfg, cbs)
+        reps = make_reports(h[:, None], noise_var, cfg)
         assert isinstance(reps, CsiReports)
         assert set(reps.ri.tolist()) == {1, 2}
         for col in reps:
@@ -833,19 +833,31 @@ class TestMakeReport:
         # With a leading axis of noise points, each row reports what the
         # call at that row's noise alone reports; RI keeps one entry per block.
         noise_rows = np.stack([noise_var, noise_var[::-1], np.full(24, 0.3)])
-        multi = make_reports(h[:, None], noise_rows, cfg, cbs)
+        multi = make_reports(h[:, None], noise_rows, cfg)
         assert np.array_equal(multi.ri, reps.ri)
         for col in multi[1:]:
             assert col.shape == (3, 24) and col.dtype.kind == "i"
         for row, nv in enumerate(noise_rows):
-            one = make_reports(h[:, None], nv, cfg, cbs)
+            one = make_reports(h[:, None], nv, cfg)
             for got, want in zip(multi[1:], one[1:]):
                 assert np.array_equal(got[row], want)
 
     def test_no_blocks(self):
-        reps = make_reports(np.zeros((0, 1, 2, 4), dtype=complex), [], CsiConfig(),
-                            build_codebook_set(4))
+        reps = make_reports(np.zeros((0, 1, 2, 4), dtype=complex), [], CsiConfig())
         assert all(col.shape == (0,) for col in reps)
+
+
+@pytest.mark.parametrize("entry", ["select_pmi_blocks", "make_reports", "effective_sinrs_db"])
+@pytest.mark.parametrize("noise_var", [[-0.1], [math.nan], [[0.1], [-0.1]]])
+def test_negative_or_nan_noise_is_rejected(entry, noise_var):
+    # Every SINR pass goes through layer_powers, which checks the noise.
+    mats, cb = _flat(H_2X4_REF), build_codebook(4, 1)
+    calls = {"select_pmi_blocks": lambda: select_pmi_blocks(mats, noise_var, cb),
+             "make_reports": lambda: make_reports(mats, noise_var, CsiConfig()),
+             "effective_sinrs_db": lambda: effective_sinrs_db(
+                 mats, cb, np.zeros(np.shape(noise_var), dtype=int), noise_var, 30.0)}
+    with pytest.raises(ValueError, match="noise_var"):
+        calls[entry]()
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrlinksim.linalg import (_DB_EDGES, DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack,
-                              lin_to_int_db)
+from nrlinksim.csi import (_DB_EDGES, DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack,
+                           lin_to_int_db)
 
 from conftest import gram_metric_oracle, scalar_lin_to_int_db
 

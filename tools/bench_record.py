@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Record ``BENCH_<label>.json``: end-to-end benchmark numbers and drop phase times.
 
-Run from the repository root, against this checkout or another one, or
-against a change and its parent together:
+Run from the repository root, against this checkout alone or against a
+change and its parent together:
 
     python3 tools/bench_record.py --label after
-    python3 tools/bench_record.py --label before --repo ../parent-checkout
     python3 tools/bench_record.py --label pr --parent ../parent-checkout
 
-It records two things about the checkout at ``--repo``:
+It records two things about the checkout it belongs to:
 
 - for each workload that its ``BENCHMARK.json`` gates, the JSON of the
   last stdout line of ``python3 perfbench/run.py --workload W --seconds S
@@ -150,22 +149,19 @@ def record_phases(repo: Path, scenario: Path, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--label", required=True, help="file name is BENCH_<label>.json")
-    ap.add_argument("--repo", type=Path, default=TOOL_ROOT,
-                    help="checkout to measure (default: this one)")
     ap.add_argument("--parent", type=Path,
                     help="checkout to record as BENCH_<label>_parent.json, "
-                         "interleaved with --repo item by item")
+                         "interleaved with this one item by item")
     ap.add_argument("--seconds", type=float, default=15.0,
                     help="run length of each perfbench/run.py workload")
     args = ap.parse_args(argv)
-    sides = {args.label: args.repo.resolve()}
+    sides = {args.label: TOOL_ROOT}
     if args.parent is not None:
         sides[f"{args.label}_parent"] = args.parent.resolve()
-    repo = sides[args.label]
 
-    bench = json.loads((repo / "BENCHMARK.json").read_text())
+    bench = json.loads((TOOL_ROOT / "BENCHMARK.json").read_text())
     items = [("workloads", w["name"]) for w in bench["workloads"]]
-    items += [("phases", scenario) for scenario in scenario_files(repo)]
+    items += [("phases", scenario) for scenario in scenario_files(TOOL_ROOT)]
     results = {label: {"workloads": {}, "phases": {}} for label in sides}
     # Every item runs on each side; the side that goes first alternates.
     for i, (kind, item) in enumerate(items):

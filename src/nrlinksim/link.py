@@ -15,7 +15,9 @@ array call or a few per rank, the effective SINRs at every noise point
 sweep point of the drop, against the drop's :func:`ack_draws`, in
 whole-array rounds: each slot is decided under its own report, then
 redecided where the ACKs show its block follows an older one, until no
-decision changes.
+decision changes.  A drop with one (report, block) pair, as every fixed
+channel's, has one error probability per point, so each point's slots
+are decided against that one value at once.
 
 When ``Scenario.drop_invariant_csi`` holds, only a drop's ACK draws
 depend on its seed, so its drops can share one read-only :class:`DropCsi`.
@@ -333,7 +335,8 @@ def _first_sent(acked: np.ndarray, max_tx: int) -> np.ndarray:
     np.multiply(acked[:, :-1], slots[1:], out=first[:, 1:])
     np.maximum.accumulate(first, axis=1, out=first)
     np.subtract(slots, first, out=first)
-    first %= max_tx
+    # Only NACK runs of max_tx or more reach an attempt count that needs it.
+    np.remainder(first, max_tx, out=first, where=first >= max_tx)
     return np.subtract(slots, first, out=first)
 
 
@@ -343,19 +346,20 @@ def _ack_runs(acked: np.ndarray, max_tx: int) -> tuple[np.ndarray, np.ndarray]:
     A run of ``L`` NACKs after an ACK, or after the drop's start, gives up
     ``L // max_tx`` blocks; the rest of the run belongs to the block that
     ends it or, at the drop's end, to one cut off, not dropped.  The runs
-    come from the NACKs' flat positions, with a sentinel ACK before each
-    row so that no run crosses a row.
+    start and end where the NACK rows, laid end to end with a sentinel ACK
+    before each row and after the last, change value, so that no run
+    crosses a row.
     """
     n_rows, n = acked.shape
-    nacked = np.zeros((n_rows, n + 1), dtype=bool)
-    np.logical_not(acked, out=nacked[:, 1:])
-    at = np.flatnonzero(nacked)
-    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
-    runs = np.diff(starts, append=at.size)
+    nacked = np.zeros(n_rows * (n + 1) + 1, dtype=bool)
+    np.logical_not(acked, out=nacked[:-1].reshape(n_rows, n + 1)[:, 1:])
+    edges = np.flatnonzero(nacked[1:] != nacked[:-1])
+    starts, runs = edges[0::2], edges[1::2] - edges[0::2]
+    row = starts // (n + 1)
+    n_nacks = np.bincount(row, weights=runs, minlength=n_rows)
     runs //= max_tx
-    dropped = np.bincount(at[starts] // (n + 1), weights=runs, minlength=n_rows)
-    n_nacks = np.diff(np.searchsorted(at, np.arange(0, nacked.size + 1, n + 1)))
-    return n - n_nacks, dropped.astype(np.intp)
+    dropped = np.bincount(row, weights=runs, minlength=n_rows)
+    return n - n_nacks.astype(np.intp), dropped.astype(np.intp)
 
 
 def _point_stats(scenario: Scenario, acked: np.ndarray, carried: np.ndarray | None,
@@ -434,28 +438,38 @@ def run_harq(scenario: Scenario, csi: DropCsi, u: np.ndarray,
     earliest wrong decision of a point follows the right report and is
     fixed in the next round, and a round that changes nothing leaves
     every slot following the report the slot-by-slot recurrence gives.
-    A drop with one report, such as a fixed channel's, runs no round:
-    every block follows that report, so the first decisions are final.
+    A drop with one report runs no round: every block follows that
+    report, so the first decisions are final.  A drop with one
+    (report, block) pair, such as a fixed channel's, also has one error
+    probability per point: the point's scalar :func:`bler` decides all of
+    its slots in one compare, with no gather over the slots and no
+    near-tie to redo.
     """
     chan = csi.chan
-    own_pair = chan.report_pair_base[chan.slot_report] + chan.slot_block
     ri, eff = csi.reports.ri, csi.pair_eff_db
     cqi = csi.reports.cqi if cqi is None else cqi
     n_points, n_pairs = max(len(cqi), len(eff)), chan.pair_report.size
     cqi = np.broadcast_to(cqi, (n_points, ri.size))
     eff = np.broadcast_to(eff, (n_points, n_pairs))
     mcs_of_cqi, _ = _grants_by_cqi(scenario.n_prb)
+    own_pair = None if n_pairs == 1 else chan.report_pair_base[chan.slot_report] + chan.slot_block
     out = []
     # Sweep points in chunks of (point, slot) arrays: a long drop gets one per pass.
     for part in chunks(n_points, scenario.n_slots):
         point_cqi, point_eff = cqi[part], eff[part]
         pair_mcs = mcs_of_cqi[point_cqi][:, chan.pair_report]
-        # bler over arrays; _acks redoes near-ties with the scalar bler.
-        x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])
-        e = np.exp(-np.abs(x))
-        p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
-        acked = _acks(u, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
-        carried = (None if ri.size == 1 else _redo_rounds(chan, acked, u, p_err, point_eff,
-                                                          pair_mcs, scenario.max_harq_tx))
+        if own_pair is None:
+            # One error probability per point: its scalar bler decides every slot.
+            p_err = [bler(x, m) for x, m in zip(point_eff.ravel().tolist(),
+                                                pair_mcs.ravel().tolist())]
+            acked, carried = u >= np.array(p_err)[:, None], None
+        else:
+            # bler over arrays; _acks redoes near-ties with the scalar bler.
+            x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])
+            e = np.exp(-np.abs(x))
+            p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+            acked = _acks(u, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
+            carried = (None if ri.size == 1 else _redo_rounds(
+                chan, acked, u, p_err, point_eff, pair_mcs, scenario.max_harq_tx))
         out += _point_stats(scenario, acked, carried, ri, point_cqi)
     return out

@@ -14,7 +14,6 @@ each drop makes only its own ACK draws and HARQ pass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import TextIO
@@ -68,6 +67,23 @@ class CsiInspection:
     gamma_min: float
     gamma_median: float
     gamma_max: float
+
+
+class ProcessPoolExecutor:
+    """A :class:`concurrent.futures.ProcessPoolExecutor`, imported when a
+    pool starts, so that importing the package, or a run without workers,
+    does not load the pool's modules.  Entering it enters, and returns,
+    the real pool."""
+
+    def __init__(self, max_workers: int):
+        from concurrent.futures import ProcessPoolExecutor as Pool
+        self._pool = Pool(max_workers=max_workers)
+
+    def __enter__(self):
+        return self._pool.__enter__()
+
+    def __exit__(self, *exc):
+        return self._pool.__exit__(*exc)
 
 
 def run_drops(scenario: Scenario, workers: int, points) -> list:

@@ -1,11 +1,15 @@
 """The package-level public surface."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import nrlinksim
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # The setup probe of perfbench/run.py calls these from the package, and runs
 # with check=True: a missing one would crash the benchmark, not just fail here.
@@ -32,3 +36,13 @@ def test_readme_export_list_matches_all():
     bullets = section.strip().split("\n\n", 1)[0]
     listed = re.findall(r"`([^`]+)`", bullets)
     assert sorted(listed) == sorted(n for n in nrlinksim.__all__ if n != "__version__")
+
+
+def test_import_loads_no_process_pool():
+    # The pool machinery is imported when a sweep starts a pool, not with the package.
+    code = "import sys, nrlinksim; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert proc.stdout.split() == ["False"]

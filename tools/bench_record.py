@@ -34,6 +34,16 @@ With ``--parent``, the checkout there is recorded too, as
 scenario runs on both checkouts back to back, and which one goes first
 alternates from one item to the next, so drift of the host over the run
 falls on both files alike.
+
+``--pairs N`` (with ``--parent``) runs each workload N times on each
+side, the first side alternating from pair to pair (ABBA order).  Each
+workload's ``metrics`` then hold the medians over its N runs, and its
+``pairs`` entry, in both files, holds per metric the runs in order, the
+median, the quartiles and ``change_wins``: the pairs in which this
+checkout, not the parent, read better by ``BENCHMARK.json``'s
+``better``, ties counting for neither side.
+
+    python3 tools/bench_record.py --label pr --parent ../parent-checkout --pairs 10
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +137,40 @@ def record_workload(repo: Path, workload: str, seconds: float) -> dict:
     return result
 
 
+def summarize(change: list[float], parent: list[float], better: str | None) -> tuple:
+    """Each side's median and quartiles of one metric over pairs of runs,
+    ``change[i]`` paired with ``parent[i]``, and the pairs the change wins
+    when ``better`` ("lower" or "higher") is given, else ``None``."""
+    def side(runs):
+        q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+        return {"runs": runs, "median": statistics.median(runs), "quartiles": [q1, q3]}
+
+    sign = {"lower": -1, "higher": 1}.get(better)
+    wins = None if sign is None else sum(sign * (c - p) > 0 for c, p in zip(change, parent))
+    return side(change), side(parent), wins
+
+
+def pair_records(change: list[dict], parent: list[dict], better: dict) -> tuple[dict, dict]:
+    """The workload entries of the change and of the parent from their
+    paired ``perfbench/run.py`` results, in run order."""
+    records = []
+    for runs in (change, parent):
+        records.append({
+            "correct": all(r["correct"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "exit_status": max(r["exit_status"] for r in runs),
+            "metrics": {}, "pairs": {},
+        })
+    for name, entry in change[0]["metrics"].items():
+        values = [[r["metrics"][name]["value"] for r in runs] for runs in (change, parent)]
+        *sides, wins = summarize(*values, better.get(name))
+        for record, summary in zip(records, sides):
+            record["metrics"][name] = {"value": summary["median"], "unit": entry["unit"]}
+            record["pairs"][name] = dict(summary, change_wins=wins)
+    return records[0], records[1]
+
+
 def scenario_files(repo: Path) -> list[Path]:
     """The scenarios to time, relative to ``repo``."""
     return [p.relative_to(repo) for d in ("scenarios", "perfbench/scenarios")
@@ -154,13 +199,17 @@ def main(argv: list[str] | None = None) -> int:
                          "interleaved with this one item by item")
     ap.add_argument("--seconds", type=float, default=15.0,
                     help="run length of each perfbench/run.py workload")
+    ap.add_argument("--pairs", type=int, default=1,
+                    help="runs of each workload per side, in ABBA order (needs --parent)")
     args = ap.parse_args(argv)
+    if args.pairs < 1 or (args.pairs > 1 and args.parent is None):
+        ap.error("--pairs must be at least 1, and above 1 only with --parent")
     sides = {args.label: TOOL_ROOT}
     if args.parent is not None:
         sides[f"{args.label}_parent"] = args.parent.resolve()
 
     bench = json.loads((TOOL_ROOT / "BENCHMARK.json").read_text())
-    items = [("workloads", w["name"]) for w in bench["workloads"]]
+    items = [("workloads", w["name"]) for w in bench["workloads"] for _ in range(args.pairs)]
     items += [("phases", scenario) for scenario in scenario_files(TOOL_ROOT)]
     results = {label: {"workloads": {}, "phases": {}} for label in sides}
     # Every item runs on each side; the side that goes first alternates.
@@ -169,10 +218,17 @@ def main(argv: list[str] | None = None) -> int:
             where = sides[label]
             if kind == "workloads":
                 print(f"{label}: workload {item} ...", file=sys.stderr)
-                results[label][kind][item] = record_workload(where, item, args.seconds)
+                results[label][kind].setdefault(item, []).append(
+                    record_workload(where, item, args.seconds))
             else:
                 print(f"{label}: phases {item.name} ...", file=sys.stderr)
                 results[label][kind][item.name] = record_phases(where, item, PHASE_REPEATS)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    for name in results[args.label]["workloads"]:
+        runs = [results[label]["workloads"][name] for label in sides]
+        paired = pair_records(*runs, better) if args.pairs > 1 else [r[0] for r in runs]
+        for label, record in zip(sides, paired):
+            results[label]["workloads"][name] = record
 
     nproc = os.cpu_count()
     for label, where in sides.items():
@@ -183,11 +239,14 @@ def main(argv: list[str] | None = None) -> int:
             "nproc": nproc,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "note": (f"Wall-clock timings from a shared {nproc}-core host, one run each; "
-                     "other tenants add run-to-run drift, so compare only files recorded "
-                     "on the same host."),
+            "note": (f"Wall-clock timings from a shared {nproc}-core host, "
+                     + (f"{args.pairs} runs per workload, one reading per phase"
+                        if args.pairs > 1 else "one run each")
+                     + "; other tenants add run-to-run drift, so compare only files "
+                       "recorded on the same host."),
             "interleaved_with": [other for other in sides if other != label],
             "workload_seconds": args.seconds,
+            "workload_pairs": args.pairs,
             "phase_repeats": PHASE_REPEATS,
             **results[label],
         }

@@ -183,12 +183,26 @@ MANY_ROUNDS_SNRS = [-3.0, 3.0, 12.0]
 @example(doc=dict(LONG_HARQ, max_harq_tx=40))
 @example(doc=dict(STALE_GRANTS, max_harq_tx=1))
 @example(doc=dict(MANY_ROUNDS, noise={"mode": "snr", "snr_db": MANY_ROUNDS_SNRS[1]}))
+@example(doc=dict(STALE_GRANTS, channel={"type": "fixed", "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+                  n_tx=2, n_slots=40, est_error_var=0.0))
 def test_drop_and_cqi_sweep_match_oracle(doc):
     scenario = scenario_from_dict(doc)
     seed = derive_seed(scenario.seed, 0)
     assert simulate_drop(scenario, seed) == oracle_drop(scenario, seed)
     for row in run_sweep_cqi(scenario):
         assert row.drops == (oracle_drop(with_forced_cqi(scenario, row.cqi), seed),)
+    csi = drop_csi(scenario, drop_channel(scenario, seed))
+    if csi.chan.pair_report.size == 1:
+        # One error probability per CQI point: plant it, and the double one
+        # ulp below it, in the draws at two slots no other point plants at.
+        rng = np.random.default_rng(scenario.seed)
+        slots, cqis = rng.permutation(scenario.n_slots), rng.permutation(16)
+        u = link.ack_draws(seed, scenario.n_slots)
+        for c, at, below in zip(cqis.tolist(), slots[0::2], slots[1::2]):
+            u[at] = bler(float(csi.pair_eff_db[0, 0]), mcs_from_cqi(c))
+            u[below] = np.nextafter(u[at], 0.0)
+        assert link.run_harq(scenario, csi, u, np.arange(16)[:, None]) == [
+            oracle_drop(with_forced_cqi(scenario, c), seed, u) for c in range(16)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -331,70 +345,6 @@ def test_only_a_one_pair_drop_skips_the_slot_gather(monkeypatch):
     assert gathers == []
     run_sweep_cqi(scenario_from_dict(dict(STALE_GRANTS, csi_period=9, n_slots=9)))
     assert gathers == [9]
-
-
-@st.composite
-def one_pair_drops(draw):
-    """A fixed-channel drop, which has one (report, block) pair, at two to
-    four points: SNR points, or forced CQIs passed to ``run_harq``.  Returns
-    the scenario, the CQIs (``None`` for SNR points) and slot positions at
-    which to plant each point's scalar bler and the double one ulp below it."""
-    n_tx = draw(st.sampled_from([2, 4]))
-    entry = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
-    matrix = [[[draw(entry), draw(entry)] for _ in range(n_tx)] for _ in range(2)]
-    matrix[0][0][0] = draw(st.floats(0.01, 2.0))  # SNR modes need power
-    csi = {"force_ri": draw(st.sampled_from([1, 2]))} if draw(st.booleans()) else {}
-    if draw(st.booleans()):
-        noise = {"mode": "snr_sweep",
-                 "snr_db_list": draw(st.lists(st.floats(-5.0, 30.0), min_size=2, max_size=4))}
-        cqis, n_points = None, len(noise["snr_db_list"])
-        if draw(st.booleans()):
-            csi["force_cqi"] = draw(st.integers(0, 15))
-    else:
-        noise = draw(st.sampled_from([
-            {"mode": "noise_free"},
-            {"mode": "snr", "snr_db": draw(st.floats(-5.0, 30.0))},
-            {"mode": "variance", "variance": draw(st.floats(0.01, 2.0))},
-        ]))
-        cqis = draw(st.lists(st.integers(0, 15), min_size=2, max_size=4))
-        n_points = len(cqis)
-    n_slots = draw(st.integers(1, 60))
-    scenario = scenario_from_dict({
-        "channel": {"type": "fixed", "matrix": matrix}, "n_tx": n_tx, "noise": noise,
-        "csi": csi, "n_prb": draw(st.sampled_from([1, 106])), "n_slots": n_slots,
-        "csi_period": draw(st.integers(1, 9)),
-        "max_harq_tx": draw(st.one_of(st.integers(1, 5), st.integers(1, n_slots + 3))),
-        "est_error_var": draw(st.sampled_from([0.0, 0.01])),
-        "n_drops": 1, "seed": draw(st.integers(0, 2 ** 32)),
-    })
-    slot = st.integers(0, n_slots - 1)
-    planted = draw(st.lists(st.tuples(slot, slot), min_size=n_points, max_size=n_points))
-    return scenario, cqis, planted
-
-
-@settings(max_examples=60, deadline=None)
-@given(drop=one_pair_drops())
-@example(drop=(scenario_from_dict(dict(FIXED_2X2, n_slots=12, n_drops=1)), None,
-               [(0, 1), (5, 6)]))
-def test_one_pair_drop_with_draws_at_each_points_bler_matches_oracle(drop):
-    # Each point's draws include its scalar bler and one ulp below it: the
-    # one decision per point must be the slot-by-slot loop's at every slot.
-    scenario, cqis, planted = drop
-    seed = derive_seed(scenario.seed, 0)
-    csi = drop_csi(scenario, drop_channel(scenario, seed))
-    assert csi.chan.pair_report.size == 1
-    if cqis is None:
-        points = [at_snr(scenario, snr) for snr in scenario.noise.snr_db_list]
-        grants, cqi = csi.reports.cqi[:, 0], None
-    else:
-        points = [with_forced_cqi(scenario, c) for c in cqis]
-        grants, cqi = np.array(cqis), np.array(cqis)[:, None]
-    eff = np.broadcast_to(csi.pair_eff_db[:, 0], grants.shape)
-    u = link.ack_draws(seed, scenario.n_slots)
-    for (at, below), x, c in zip(planted, eff.tolist(), grants.tolist()):
-        u[at] = bler(x, mcs_from_cqi(c))
-        u[below] = np.nextafter(u[at], 0.0)
-    assert link.run_harq(scenario, csi, u, cqi) == [oracle_drop(p, seed, u) for p in points]
 
 
 def test_long_fixed_drop_one_point_per_pass_matches_oracle(monkeypatch):

@@ -27,23 +27,19 @@ It writes ``BENCH_<label>.json`` at the root of this checkout, with
 ``nproc``, the Python and NumPy versions, and the git SHA and
 ``src_lines`` (the ``wc -l`` total of ``src/nrlinksim/*.py``) of the
 measured checkout.  Two files compare only when recorded on the same host:
-timings are wall clock, one run each, on a shared host.
+timings are wall clock, on a shared host.
 
 With ``--parent``, the checkout there is recorded too, as
 ``BENCH_<label>_parent.json``, in the same run: each workload and each
 scenario runs on both checkouts back to back, and which one goes first
 alternates from one item to the next, so drift of the host over the run
-falls on both files alike.
-
-``--pairs N`` (with ``--parent``) runs each workload N times on each
-side, the first side alternating from pair to pair (ABBA order).  Each
-workload's ``metrics`` then hold the medians over its N runs, and its
-``pairs`` entry, in both files, holds per metric the runs in order, the
-median, the quartiles and ``change_wins``: the pairs in which this
-checkout, not the parent, read better by ``BENCHMARK.json``'s
-``better``, ties counting for neither side.
-
-    python3 tools/bench_record.py --label pr --parent ../parent-checkout --pairs 10
+falls on both files alike.  Each workload then runs ``PAIRS`` times on
+each side, so its first side alternates from pair to pair (ABBA order).
+Its ``metrics`` hold the medians over those runs, and its ``pairs``
+entry, in both files, holds per metric the runs in order, the median,
+the quartiles and ``change_wins``: the pairs in which this checkout, not
+the parent, read better by ``BENCHMARK.json``'s ``better``, ties
+counting for neither side.
 """
 
 from __future__ import annotations
@@ -61,6 +57,7 @@ import numpy as np
 
 TOOL_ROOT = Path(__file__).resolve().parents[1]
 PHASE_REPEATS = 3
+PAIRS = 10
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
@@ -199,17 +196,15 @@ def main(argv: list[str] | None = None) -> int:
                          "interleaved with this one item by item")
     ap.add_argument("--seconds", type=float, default=15.0,
                     help="run length of each perfbench/run.py workload")
-    ap.add_argument("--pairs", type=int, default=1,
-                    help="runs of each workload per side, in ABBA order (needs --parent)")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or (args.pairs > 1 and args.parent is None):
-        ap.error("--pairs must be at least 1, and above 1 only with --parent")
     sides = {args.label: TOOL_ROOT}
+    pairs = 1
     if args.parent is not None:
         sides[f"{args.label}_parent"] = args.parent.resolve()
+        pairs = PAIRS
 
     bench = json.loads((TOOL_ROOT / "BENCHMARK.json").read_text())
-    items = [("workloads", w["name"]) for w in bench["workloads"] for _ in range(args.pairs)]
+    items = [("workloads", w["name"]) for w in bench["workloads"] for _ in range(pairs)]
     items += [("phases", scenario) for scenario in scenario_files(TOOL_ROOT)]
     results = {label: {"workloads": {}, "phases": {}} for label in sides}
     # Every item runs on each side; the side that goes first alternates.
@@ -226,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     for name in results[args.label]["workloads"]:
         runs = [results[label]["workloads"][name] for label in sides]
-        paired = pair_records(*runs, better) if args.pairs > 1 else [r[0] for r in runs]
+        paired = pair_records(*runs, better) if args.parent is not None else [r[0] for r in runs]
         for label, record in zip(sides, paired):
             results[label]["workloads"][name] = record
 
@@ -239,14 +234,12 @@ def main(argv: list[str] | None = None) -> int:
             "nproc": nproc,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "note": (f"Wall-clock timings from a shared {nproc}-core host, "
-                     + (f"{args.pairs} runs per workload, one reading per phase"
-                        if args.pairs > 1 else "one run each")
-                     + "; other tenants add run-to-run drift, so compare only files "
-                       "recorded on the same host."),
+            "note": (f"Wall-clock timings from a shared {nproc}-core host, {pairs} "
+                     "run(s) per workload, one reading per phase; other tenants add "
+                     "run-to-run drift, so compare only files recorded on the same host."),
             "interleaved_with": [other for other in sides if other != label],
             "workload_seconds": args.seconds,
-            "workload_pairs": args.pairs,
+            "workload_pairs": pairs,
             "phase_repeats": PHASE_REPEATS,
             **results[label],
         }

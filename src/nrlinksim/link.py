@@ -15,9 +15,9 @@ array call or a few per rank, the effective SINRs at every noise point
 sweep point of the drop, against the drop's :func:`ack_draws`, in
 whole-array rounds: each slot is decided under its own report, then
 redecided where the ACKs show its block follows an older one, until no
-decision changes.  A drop with one (report, block) pair, as every fixed
-channel's, has one error probability per point, so each point's slots
-are decided against that one value at once.
+decision changes.  The one exception is a drop with one (report, block)
+pair, as every fixed channel's: it has one error probability per point,
+so each point's slots are decided against that one value at once.
 
 When ``Scenario.drop_invariant_csi`` holds, only a drop's ACK draws
 depend on its seed, so its drops can share one read-only :class:`DropCsi`.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .channel import block_rx_power, estimate_blocks, estimate_streams
 from .codebook import PrecoderCodebook, build_codebook
 from .csi import CsiReports, Scratch, chunks, layer_powers, make_reports
 from .scenario import Scenario
-from .tables import N_CQI, load_cqi_table, load_mcs_table
+from .tables import N_CQI, N_MCS, load_cqi_table, load_mcs_table
 
 # 30 kHz subcarrier spacing -> 0.5 ms slots.
 SLOT_DURATION_S = 0.5e-3
@@ -68,7 +69,6 @@ def mcs_from_cqi(cqi: int) -> int:
     return max((e.index for e in load_mcs_table() if e.efficiency <= eff), default=0)
 
 
-@lru_cache(maxsize=None)
 def tbs(mcs: int, n_layers: int, n_prb: int) -> int:
     """Transport-block size in bits for one MCS table row.
 
@@ -130,13 +130,12 @@ def bler(eff_sinr_db: float, mcs: int) -> float:
     return 1.0 / (1.0 + math.exp(x))
 
 
-@dataclass(frozen=True)
-class ThroughputStats:
+class ThroughputStats(NamedTuple):
     """Per-drop accounting of one closed-loop run.
 
     ``tb_dropped`` counts the transport blocks given up after
     ``max_harq_tx`` NACKs; one still pending when the drop ends is not
-    dropped.
+    dropped.  As a named tuple, it equals the plain tuple of its values.
     """
 
     slots: int
@@ -286,16 +285,12 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
 
 
 @lru_cache(maxsize=None)
-def _grants_by_cqi(n_prb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The MCS of each CQI and, at ``[cqi, layers - 1]``, its transport-block bits."""
+def _lookup(n_prb: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The MCS of each CQI, at ``[cqi, layers - 1]`` its transport-block
+    bits, and :func:`decode_threshold_db` of each MCS."""
     mcs = [mcs_from_cqi(c) for c in range(N_CQI)]
-    return np.array(mcs), np.array([[tbs(m, 1, n_prb), tbs(m, 2, n_prb)] for m in mcs])
-
-
-@lru_cache(maxsize=None)
-def _thresholds_db() -> np.ndarray:
-    """:func:`decode_threshold_db` of every MCS."""
-    return np.array([decode_threshold_db(m) for m in range(len(load_mcs_table()))])
+    return (np.array(mcs), np.array([[tbs(m, 1, n_prb), tbs(m, 2, n_prb)] for m in mcs]),
+            np.array([decode_threshold_db(m) for m in range(N_MCS)]))
 
 
 # An ACK decision ``u >= p_err`` whose draw ``u`` lies this close to the
@@ -366,7 +361,7 @@ def _point_stats(scenario: Scenario, acked: np.ndarray, carried: np.ndarray | No
                  ri: np.ndarray, cqi: np.ndarray) -> list[ThroughputStats]:
     """Statistics of each point from its per-slot ACKs, ``acked``, and the
     reports its slots' blocks follow, ``carried``, one row per point, or
-    ``None`` when there is one report; ``cqi`` holds its reports' CQIs."""
+    ``None`` for a one-pair drop; ``cqi`` holds its reports' CQIs."""
     n = scenario.n_slots
     n_acks, dropped = _ack_runs(acked, scenario.max_harq_tx)
     if carried is None:
@@ -377,7 +372,7 @@ def _point_stats(scenario: Scenario, acked: np.ndarray, carried: np.ndarray | No
         carried += n_reports * np.arange(n_points)[:, None]
         sent, acks = (np.bincount(c, minlength=cqi.size).reshape(cqi.shape)
                       for c in (carried.ravel(), carried[acked]))
-    mcs_of_cqi, bits_of_cqi = _grants_by_cqi(scenario.n_prb)
+    mcs_of_cqi, bits_of_cqi, _ = _lookup(scenario.n_prb)
     columns = (n_acks, dropped, (acks * bits_of_cqi[cqi, ri - 1]).sum(axis=1),
                (sent * mcs_of_cqi[cqi]).sum(axis=1), sent @ ri, (sent * cqi).sum(axis=1))
     return [ThroughputStats(
@@ -438,12 +433,10 @@ def run_harq(scenario: Scenario, csi: DropCsi, u: np.ndarray,
     earliest wrong decision of a point follows the right report and is
     fixed in the next round, and a round that changes nothing leaves
     every slot following the report the slot-by-slot recurrence gives.
-    A drop with one report runs no round: every block follows that
-    report, so the first decisions are final.  A drop with one
-    (report, block) pair, such as a fixed channel's, also has one error
-    probability per point: the point's scalar :func:`bler` decides all of
-    its slots in one compare, with no gather over the slots and no
-    near-tie to redo.
+    The one shortcut is a drop with one (report, block) pair, such as a
+    fixed channel's: it has one error probability per point, so the
+    point's scalar :func:`bler` decides all of its slots in one compare,
+    with no gather over the slots, no near-tie to redo and no round.
     """
     chan = csi.chan
     ri, eff = csi.reports.ri, csi.pair_eff_db
@@ -451,7 +444,7 @@ def run_harq(scenario: Scenario, csi: DropCsi, u: np.ndarray,
     n_points, n_pairs = max(len(cqi), len(eff)), chan.pair_report.size
     cqi = np.broadcast_to(cqi, (n_points, ri.size))
     eff = np.broadcast_to(eff, (n_points, n_pairs))
-    mcs_of_cqi, _ = _grants_by_cqi(scenario.n_prb)
+    mcs_of_cqi, _, threshold_db = _lookup(scenario.n_prb)
     own_pair = None if n_pairs == 1 else chan.report_pair_base[chan.slot_report] + chan.slot_block
     out = []
     # Sweep points in chunks of (point, slot) arrays: a long drop gets one per pass.
@@ -465,11 +458,11 @@ def run_harq(scenario: Scenario, csi: DropCsi, u: np.ndarray,
             acked, carried = u >= np.array(p_err)[:, None], None
         else:
             # bler over arrays; _acks redoes near-ties with the scalar bler.
-            x = 2.0 * (point_eff - _thresholds_db()[pair_mcs])
+            x = 2.0 * (point_eff - threshold_db[pair_mcs])
             e = np.exp(-np.abs(x))
             p_err = np.where(x > 0, e / (1.0 + e), 1.0 / (1.0 + e))
             acked = _acks(u, np.s_[:, own_pair], p_err, point_eff, pair_mcs)
-            carried = (None if ri.size == 1 else _redo_rounds(
-                chan, acked, u, p_err, point_eff, pair_mcs, scenario.max_harq_tx))
+            carried = _redo_rounds(chan, acked, u, p_err, point_eff, pair_mcs,
+                                   scenario.max_harq_tx)
         out += _point_stats(scenario, acked, carried, ri, point_cqi)
     return out

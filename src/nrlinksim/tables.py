@@ -21,8 +21,9 @@ from importlib import resources
 
 
 @dataclass(frozen=True)
-class McsEntry:
-    """One PDSCH MCS row: modulation order, code rate, efficiency."""
+class RateRow:
+    """One PDSCH MCS or 4-bit CQI row: modulation order, code rate,
+    efficiency.  CQI row 0 is 'out of range', with zero efficiency."""
 
     index: int
     modulation_order: int
@@ -30,24 +31,18 @@ class McsEntry:
     efficiency: float
 
 
-@dataclass(frozen=True)
-class CqiEntry:
-    """One 4-bit CQI row; index 0 is 'out of range' with zero efficiency."""
-
-    index: int
-    modulation_order: int
-    rate_x1024: int
-    efficiency: float
-
+McsEntry = CqiEntry = RateRow
 
 N_MCS = 29
 N_CQI = 16
 
 
-def _read_rows(filename: str) -> list[dict[str, str]]:
+def _read_rows(filename: str) -> tuple[RateRow, ...]:
     path = resources.files(__package__).joinpath("data", filename)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        return tuple(RateRow(int(r["index"]), int(r["modulation_order"]),
+                             int(r["rate_x1024"]), float(r["efficiency"]))
+                     for r in csv.DictReader(fh))
 
 
 def _validate(rows, count: int, allow_zero_row: bool, what: str) -> None:
@@ -70,25 +65,17 @@ def _validate(rows, count: int, allow_zero_row: bool, what: str) -> None:
 
 
 @lru_cache(maxsize=1)
-def load_mcs_table() -> tuple[McsEntry, ...]:
+def load_mcs_table() -> tuple[RateRow, ...]:
     """The 29-row PDSCH MCS table (modulation orders up to 64QAM)."""
-    rows = tuple(
-        McsEntry(int(r["index"]), int(r["modulation_order"]),
-                 int(r["rate_x1024"]), float(r["efficiency"]))
-        for r in _read_rows("mcs_pdsch.csv")
-    )
+    rows = _read_rows("mcs_pdsch.csv")
     _validate(rows, N_MCS, allow_zero_row=False, what="MCS")
     return rows
 
 
 @lru_cache(maxsize=1)
-def load_cqi_table() -> tuple[CqiEntry, ...]:
+def load_cqi_table() -> tuple[RateRow, ...]:
     """The 16-row 4-bit CQI table (index 0 = out of range)."""
-    rows = tuple(
-        CqiEntry(int(r["index"]), int(r["modulation_order"]),
-                 int(r["rate_x1024"]), float(r["efficiency"]))
-        for r in _read_rows("cqi_4bit.csv")
-    )
+    rows = _read_rows("cqi_4bit.csv")
     _validate(rows, N_CQI, allow_zero_row=True, what="CQI")
     for lo, hi in zip(rows[1:], rows[2:]):
         if not hi.efficiency > lo.efficiency:

@@ -46,3 +46,16 @@ def test_pair_records_keep_the_single_run_keys():
         assert record["pairs"]["sweep_s"]["change_wins"] == 3
         assert record["pairs"]["peak_rss_mb"]["change_wins"] == 5
     assert got_parent["pairs"]["sweep_s"]["runs"] == PARENT
+
+
+def test_phase_program_runs_on_this_checkout():
+    # The phase timer is a program string run in a fresh interpreter, so
+    # only a run shows that it still matches the names in ``link``.
+    # record_phases raises unless nrlinksim came from this checkout's src/.
+    root = TOOL.parents[1]
+    got = bench_record.record_phases(root, Path("scenarios/csi_fixed_2x4.json"), 1)
+    assert got.keys() == {"drops", "sweep", "blocks_per_drop", "report_blocks_per_drop",
+                          "seconds"}
+    assert got["seconds"].keys() == {"drop_channel", "drop_csi", "run_harq", "run_sweep"}
+    assert (got["drops"], got["sweep"], got["blocks_per_drop"],
+            got["report_blocks_per_drop"]) == (1, "run_sweep_cqi", 1, 1)

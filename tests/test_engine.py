@@ -319,21 +319,26 @@ FIXED_2X2 = {
 
 def test_one_report_drop_runs_no_redo_round(monkeypatch):
     # With one report every block follows it, so the first decisions are
-    # final: a fixed sweep, and a Rician drop whose one report serves five
-    # blocks, never take first-send slots, and equal the slot-by-slot loop.
+    # final.  A fixed sweep, one pair per drop, never takes first-send
+    # slots; a Rician drop whose one report serves five blocks takes them
+    # once per HARQ pass, and that pass moves nothing, so no round follows.
+    # Both equal the slot-by-slot loop.
     first_sent = _count_calls(monkeypatch, "_first_sent", 0)
+    passes = _count_calls(monkeypatch, "_point_stats", 1)
     fixed = scenario_from_dict(FIXED_2X2)
     rice = scenario_from_dict(dict(STALE_GRANTS, csi_period=9, n_slots=9, noise={
         "mode": "snr_sweep", "snr_db_list": [-3.0, 6.0, 20.0]}))
     for scenario in (fixed, rice):
         seeds = [derive_seed(scenario.seed, d) for d in range(scenario.n_drops)]
         assert drop_channel(scenario, seeds[0]).report_block.size == 1
+        passes.clear()
         rows = run_sweep_snr(scenario)
+        assert first_sent == ([] if scenario is fixed else passes)
         for snr, row in zip(scenario.noise.snr_db_list, rows):
             assert row.drops == tuple(oracle_drop(at_snr(scenario, snr), s) for s in seeds)
+    assert passes == [3]
     assert drop_channel(rice, 0).h.shape[0] == 5
     assert all(d.tb_dropped > 0 for d in run_sweep_snr(fixed)[0].drops)
-    assert first_sent == []
 
 
 def test_only_a_one_pair_drop_skips_the_slot_gather(monkeypatch):

@@ -436,6 +436,14 @@ class TestThroughputStats:
                             mean_cqi=4.0)
         assert s.goodput_mbps == 2.5
 
+    def test_a_tuple_of_its_fields(self):
+        values = (10, 10, 9, 1, 900, 2.5e6, 0.1, 1.0, 1.0, 4.0)
+        s = ThroughputStats(*values)
+        assert s == values and hash(s) == hash(values)
+        assert s._fields[0] == "slots" and s._fields[-1] == "mean_cqi"
+        with pytest.raises(AttributeError):
+            s.tb_acks = 10
+
 
 @pytest.mark.parametrize("name", ["snr_sweep_fixed_2x2.json", "snr_sweep_fixed_2x4.json",
                                   "snr_sweep_rice1_2x2.json", "snr_sweep_rice1_2x4.json"])

@@ -194,17 +194,6 @@ def block_rx_power(h: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(h) ** 2, axis=(1, 2))
 
 
-def snr_noise_variance(snr_db: float, p_rx):
-    """Per-receive-antenna noise variance ``P_rx / 10^(snr/10)``.
-
-    ``p_rx`` is a mean received power per transmit antenna, or an array of
-    them; every one must be positive.
-    """
-    if np.any(np.asarray(p_rx) <= 0.0):
-        raise ValueError("cannot set an SNR on a zero channel; use a direct variance")
-    return p_rx / 10.0 ** (snr_db / 10.0)
-
-
 def estimate_blocks(h: np.ndarray, est_error_var: float, streams: BlockStreams | None,
                     n_sc: int) -> np.ndarray:
     """Channel estimate seen by the UE for each block ``h[i]``.

@@ -18,8 +18,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import lru_cache
 
-from .codebook import ConfigurationError
-from .scenario import ScenarioError, parse_scenario
+from .scenario import parse_scenario
 from .sweeps import (run_csi_inspect, run_sweep_cqi, run_sweep_snr,
                      write_codebook_csv, write_cqi_sweep_csv, write_csi_csv,
                      write_gnuplot_xy, write_snr_sweep_csv)
@@ -108,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_snr_sweep_csv(rows, fh)
             _maybe_gnuplot(args, [(r.snr_db, r.goodput_mbps) for r in rows])
         return 0
-    except (ScenarioError, ConfigurationError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ScenarioError, ConfigurationError are ValueErrors
         print(f"nrlinksim: error: {e}", file=sys.stderr)
         return 2
 

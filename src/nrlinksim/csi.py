@@ -27,9 +27,8 @@ DET_EPS = 1e-12
 DB_FLOOR = -10
 DB_CEIL = 40
 
-# Linear per-layer SINR assigned to active layers when the noise variance
-# is exactly zero; equals the +40 dB reporting ceiling.
-NOISE_FREE_LAYER_SINR = 1e4
+# Linear SINR of each active layer at zero noise variance: the reporting ceiling.
+NOISE_FREE_LAYER_SINR = 10.0 ** (DB_CEIL / 10)
 
 # Upper bound on the elements of the largest temporary array one batched
 # step over coherence blocks, over the (report, block) pairs of the pair

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import rice1_blocks, snr_noise_variance
+from .channel import rice1_blocks
+from .tables import N_CQI
 
 # Largest NR resource grid (TS 38.211 section 4.4.2).
 MAX_N_PRB = 275
@@ -218,7 +219,7 @@ class CsiConfig:
             raise ScenarioError(f"csi.gamma_th must be >= 2, got {self.gamma_th}")
         if self.force_ri not in (None, 1, 2):
             raise ScenarioError(f"csi.force_ri must be 1 or 2, got {self.force_ri}")
-        if self.force_cqi is not None and not 0 <= self.force_cqi <= 15:
+        if self.force_cqi is not None and not 0 <= self.force_cqi < N_CQI:
             raise ScenarioError(f"csi.force_cqi must be in [0, 15], got {self.force_cqi}")
 
 
@@ -333,14 +334,15 @@ class Scenario:
     def noise_vars(self, p_rx: np.ndarray) -> np.ndarray:
         """Noise variance of each block at each noise point, given its received power.
 
-        Shape ``(n_points, n_blocks)``, one row per ``snr_sweep`` point or else one row.
+        Shape ``(n_points, n_blocks)``, one row per ``snr_sweep`` point or else one row;
+        at an SNR the variance per receive antenna is ``p_rx / 10^(snr/10)``.
         """
         if self.noise.mode == "noise_free":
             return np.zeros((1,) + p_rx.shape)
         if self.noise.mode == "variance":
             return np.full((1,) + p_rx.shape, float(self.noise.variance))
         snrs = self.noise.snr_db_list or (self.noise.snr_db,)
-        return np.array([snr_noise_variance(snr, p_rx) for snr in snrs])
+        return np.array([p_rx / 10.0 ** (snr / 10.0) for snr in snrs])
 
 
 def _harq_pair_bound(n_slots: int, coherence_slots: int, csi_period: int,

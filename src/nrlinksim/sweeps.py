@@ -13,7 +13,6 @@ each drop makes only its own ACK draws and HARQ pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import TextIO
@@ -191,10 +190,7 @@ def _fmt(x) -> str:
     """Deterministic CSV cell formatting (ints bare, floats 6 decimals)."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return f"{xf:.6f}"
+    return f"{float(x):.6f}"
 
 
 def write_cqi_sweep_csv(rows: list[CqiSweepRow], fh: TextIO) -> None:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from nrlinksim.channel import (_EST_STREAM, _NLOS_STREAM, _int_words, _seed_words,
                                block_rx_power, block_streams, derive_seed,
-                               estimate_blocks, estimate_streams, rice1_blocks,
-                               snr_noise_variance)
+                               estimate_blocks, estimate_streams, rice1_blocks)
 from nrlinksim.scenario import MAX_N_SLOTS, NoiseModel, ScenarioError, scenario_from_dict
 
 from conftest import estimate_blocks_oracle, rice1_blocks_oracle
@@ -146,13 +145,15 @@ class TestNoise:
         assert np.array_equal(sc.noise_vars(np.array([0.5, 2.0])), [[0.0, 0.0]])
 
     def test_snr_resolution_unit_power(self):
-        p = block_rx_power(np.ones((1, 2, 2), dtype=complex))
-        assert snr_noise_variance(10.0, p)[0] == 0.1
+        sc = _fixed([[1.0, 1.0], [1.0, 1.0]], noise={"mode": "snr", "snr_db": 10.0})
+        p = block_rx_power(sc.block_channels(0, 1))
+        assert sc.noise_vars(p).tolist() == [[0.1]]
 
     def test_snr_resolution_formula(self):
-        p = block_rx_power(np.asarray([H_2X4_REF], dtype=complex))
-        assert snr_noise_variance(7.0, p)[0] == pytest.approx(0.33203125 / 10 ** 0.7,
-                                                             rel=1e-15)
+        sc = _fixed(H_2X4_REF, noise={"mode": "snr", "snr_db": 7.0})
+        p = block_rx_power(sc.block_channels(0, 1))
+        assert p.tolist() == [0.33203125]
+        assert sc.noise_vars(p).tolist() == [[0.33203125 / 10.0 ** 0.7]]
 
     def test_spec_validation(self):
         with pytest.raises(ScenarioError):
@@ -169,9 +170,8 @@ class TestNoise:
             NoiseModel(variance=1.0)
 
     def test_snr_on_zero_channel_rejected(self):
-        p = block_rx_power(np.zeros((1, 2, 2), dtype=complex))
-        with pytest.raises(ValueError):
-            snr_noise_variance(0.0, p)
+        with pytest.raises(ScenarioError, match="nonzero power"):
+            _fixed([[0.0, 0.0], [0.0, 0.0]], noise={"mode": "snr", "snr_db": 0.0})
 
 
 class TestEstimate:

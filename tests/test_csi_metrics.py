@@ -1,4 +1,4 @@
-"""Unit tests for the complex linear-algebra kernels."""
+"""Unit tests for the CSI metrics: the Gram condition metric and the integer-dB quantizer."""
 
 import math
 

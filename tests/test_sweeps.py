@@ -400,8 +400,9 @@ class TestCsvWriters:
 
     def test_gnuplot_writer(self):
         buf = io.StringIO()
-        write_gnuplot_xy([(0, 1.25), (2.0, 3.5)], buf)
-        assert buf.getvalue() == "# x goodput_mbps\n0 1.250000\n2.000000 3.500000\n"
+        write_gnuplot_xy([(0, 1.25), (2.0, 3.5), (-math.inf, math.nan)], buf)
+        assert buf.getvalue() == ("# x goodput_mbps\n0 1.250000\n2.000000 3.500000\n"
+                                  "-inf nan\n")
 
 
 class TestCli:

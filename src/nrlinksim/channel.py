@@ -190,8 +190,9 @@ def rice1_blocks(seed: int, k_factor: float, n_tx: int, block_ids) -> np.ndarray
 
 def block_rx_power(h: np.ndarray) -> np.ndarray:
     """Mean received power per transmit antenna of each block, shape ``(n_blocks,)``:
-    the mean of ``|h|^2`` over the one matrix every subcarrier of the block holds."""
-    return np.mean(np.abs(h) ** 2, axis=(1, 2))
+    the mean of ``|h|^2`` over the one matrix every subcarrier of the block holds.
+    The sum over the count is the bits of ``np.mean``, without its Python overhead."""
+    return (np.abs(h) ** 2).sum(axis=(1, 2)) / (h.shape[1] * h.shape[2])
 
 
 def estimate_blocks(h: np.ndarray, est_error_var: float, streams: BlockStreams | None,

@@ -270,7 +270,7 @@ def drop_csi(scenario: Scenario, chan: DropChannel) -> DropCsi:
     del scratch  # free the searches' temporaries before the pairs make theirs
     pair_rank = reports.ri[chan.pair_report]
     eff = np.empty((len(noise_vars), chan.pair_report.size))
-    for rank in np.flatnonzero(np.bincount(pair_rank)).tolist():  # the ranks present
+    for rank in (1, 2):
         cb = build_codebook(n_tx, rank)
         pairs = np.flatnonzero(pair_rank == rank)
         # Each pair's effective channels under every candidate, and under its

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import rice1_blocks
+from .channel import block_rx_power, rice1_blocks
 from .tables import N_CQI
 
 # Largest NR resource grid (TS 38.211 section 4.4.2).
@@ -67,8 +67,7 @@ class ScenarioError(ValueError):
     """Raised when a scenario document fails validation."""
 
 
-# Value checks shared by the dataclasses; ``where`` is the dotted field
-# named on error.
+# Value checks shared by the dataclasses; ``where`` is the field named on error.
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -89,6 +88,30 @@ def _real(v, where: str) -> float:
 def _integer(v, where: str) -> int:
     _require(isinstance(v, int) and not isinstance(v, bool), f"{where} must be an integer")
     return v
+
+
+def _bounded(obj, section: str, bounds) -> None:
+    """Check each field ``(name, lo, hi)`` of a dataclass's ``_bounds``: an integer
+    if ``lo`` is one, else a float, in ``[lo, hi]``; None where None is its default."""
+    for name, lo, hi in bounds:
+        given = getattr(obj, name)
+        if given is None and obj.__dataclass_fields__[name].default is None:
+            continue
+        where = f"{section}.{name}"
+        v = _integer(given, where) if isinstance(lo, int) else _real(given, where)
+        if not lo <= v <= hi:
+            raise ScenarioError(f"{where} must be "
+                                f"{f'>= {lo}' if hi == inf else f'in [{lo}, {hi}]'}, got {v}")
+        if v is not given:
+            object.__setattr__(obj, name, v)
+
+
+def _owned(obj, section: str, chosen: str, owners, label: str = "") -> None:
+    """Refuse a field ``(name, owner)`` set unless ``chosen`` is its owner, or unset if it is."""
+    for name, owner in owners:
+        if (getattr(obj, name) is not None) != (chosen == owner):
+            verb = "is required for" if chosen == owner else "applies only to"
+            raise ScenarioError(f"{section}.{name} {verb} {label}{owner!r}")
 
 
 def _snr(v, where: str) -> float:
@@ -127,32 +150,23 @@ class ChannelModel:
     # Stored as complex rows, immutable and compared by value; np.asarray
     # turns it back into an array.
     matrix: tuple[tuple[complex, ...], ...] | None = None
-    # None: 1.0 and 10 on a "rice1" channel; a "fixed" one takes neither.
+    # A "fixed" channel takes neither; on "rice1", None is the default below.
     k_factor: float | None = None
     coherence_slots: int | None = None
+    _bounds = (("k_factor", 0.0, inf), ("coherence_slots", 1, MAX_N_SLOTS))
 
     def __post_init__(self):
         if self.kind not in ("fixed", "rice1"):
             raise ScenarioError(f"channel.type must be 'fixed' or 'rice1', got {self.kind!r}")
-        for name, owner in (("matrix", "fixed"), ("k_factor", "rice1"),
-                            ("coherence_slots", "rice1")):
-            if getattr(self, name) is not None and self.kind != owner:
-                raise ScenarioError(f"channel.{name} applies only to {owner!r}")
+        for name, default in (("k_factor", 1.0), ("coherence_slots", 10)):
+            if self.kind == "rice1" and getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        _owned(self, "channel", self.kind, (("matrix", "fixed"), ("k_factor", "rice1"),
+                                            ("coherence_slots", "rice1")))
         if self.kind == "fixed":
-            if self.matrix is None:
-                raise ScenarioError("channel.matrix is required for a fixed channel")
             object.__setattr__(self, "matrix", _matrix(self.matrix))
             return
-        k = 1.0 if self.k_factor is None else _real(self.k_factor, "channel.k_factor")
-        if not k >= 0:
-            raise ScenarioError(f"channel.k_factor must be >= 0, got {k}")
-        n = 10 if self.coherence_slots is None else _integer(self.coherence_slots,
-                                                             "channel.coherence_slots")
-        if not 1 <= n <= MAX_N_SLOTS:
-            raise ScenarioError(f"channel.coherence_slots must be in [1, {MAX_N_SLOTS}], "
-                                f"got {n}")
-        object.__setattr__(self, "k_factor", k)
-        object.__setattr__(self, "coherence_slots", n)
+        _bounded(self, "channel", self._bounds)
 
 
 @dataclass(frozen=True)
@@ -173,13 +187,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in ("noise_free", "snr", "snr_sweep", "variance"):
             raise ScenarioError(f"noise.mode {self.mode!r} unknown")
-        for key, owner in (("snr_db", "snr"), ("snr_db_list", "snr_sweep"),
-                           ("variance", "variance")):
-            given = getattr(self, key) is not None
-            if given and self.mode != owner:
-                raise ScenarioError(f"noise.{key} applies only to mode {owner!r}")
-            if not given and self.mode == owner:
-                raise ScenarioError(f"noise.{key} is required for mode {owner!r}")
+        _owned(self, "noise", self.mode, (("snr_db", "snr"), ("snr_db_list", "snr_sweep"),
+                                          ("variance", "variance")), "mode ")
         if self.snr_db is not None:
             object.__setattr__(self, "snr_db", _snr(self.snr_db, "noise.snr_db"))
         if self.snr_db_list is not None:
@@ -188,12 +197,11 @@ class NoiseModel:
             object.__setattr__(self, "snr_db_list",
                                tuple(_snr(p, "noise.snr_db_list") for p in self.snr_db_list))
         if self.variance is not None:
-            v = _real(self.variance, "noise.variance")
-            # A subnormal variance overflows |det G|^2 / n in the PMI search.
-            if not v >= np.finfo(float).tiny:
+            v, tiny = _real(self.variance, "noise.variance"), np.finfo(float).tiny
+            # Keeps |det G|^2 / n in the PMI search finite near unit channel power only.
+            if not v >= tiny:
                 raise ScenarioError("noise.variance must be a positive normal float "
-                                    f"(>= {np.finfo(float).tiny}) for mode 'variance', "
-                                    f"got {v}")
+                                    f"(>= {tiny}) for mode 'variance', got {v}")
             object.__setattr__(self, "variance", v)
 
 
@@ -209,18 +217,10 @@ class CsiConfig:
     gamma_th: float = 2.5
     force_ri: int | None = None
     force_cqi: int | None = None
+    _bounds = (("gamma_th", 2.0, inf), ("force_ri", 1, 2), ("force_cqi", 0, N_CQI - 1))
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_th", _real(self.gamma_th, "csi.gamma_th"))
-        for name in ("force_ri", "force_cqi"):
-            if getattr(self, name) is not None:
-                _integer(getattr(self, name), f"csi.{name}")
-        if not self.gamma_th >= 2.0:
-            raise ScenarioError(f"csi.gamma_th must be >= 2, got {self.gamma_th}")
-        if self.force_ri not in (None, 1, 2):
-            raise ScenarioError(f"csi.force_ri must be 1 or 2, got {self.force_ri}")
-        if self.force_cqi is not None and not 0 <= self.force_cqi < N_CQI:
-            raise ScenarioError(f"csi.force_cqi must be in [0, 15], got {self.force_cqi}")
+        _bounded(self, "csi", self._bounds)
 
 
 @dataclass(frozen=True)
@@ -242,6 +242,9 @@ class Scenario:
     # Overrides the ceilings of the ranks it names; the others keep the
     # default.  An infinite ceiling disables it.  Stored as a RankCaps.
     sinr_cap_db: Mapping[int, float] = field(default_factory=dict)
+    _bounds = (("n_prb", 1, MAX_N_PRB), ("n_slots", 1, MAX_N_SLOTS), ("n_drops", 1, inf),
+               ("csi_period", 1, MAX_N_SLOTS), ("seed", 0, inf), ("max_harq_tx", 1, MAX_N_SLOTS),
+               ("est_error_var", 0.0, inf))
 
     def __post_init__(self):
         for name, cls in (("channel", ChannelModel), ("noise", NoiseModel), ("csi", CsiConfig)):
@@ -260,20 +263,13 @@ class Scenario:
             if not caps[r] > 0:
                 raise ScenarioError(f"sinr_cap_db[{r}] must be > 0, got {cap}")
         object.__setattr__(self, "sinr_cap_db", RankCaps(caps))
-        for name in ("n_tx", "n_prb", "n_slots", "n_drops", "csi_period", "seed", "max_harq_tx"):
-            _integer(getattr(self, name), f"scenario.{name}")
-        for name in ("dl_duty_factor", "est_error_var"):
-            object.__setattr__(self, name, _real(getattr(self, name), f"scenario.{name}"))
-        if self.n_tx not in (2, 4):
+        if _integer(self.n_tx, "scenario.n_tx") not in (2, 4):
             raise ScenarioError(f"scenario.n_tx must be 2 or 4, got {self.n_tx}")
-        if not 1 <= self.n_prb <= MAX_N_PRB:
-            raise ScenarioError(
-                f"scenario.n_prb must be in [1, {MAX_N_PRB}], got {self.n_prb}")
-        for name in ("n_slots", "csi_period", "max_harq_tx"):
-            value = getattr(self, name)
-            if not 1 <= value <= MAX_N_SLOTS:
-                raise ScenarioError(
-                    f"scenario.{name} must be in [1, {MAX_N_SLOTS}], got {value}")
+        _bounded(self, "scenario", self._bounds)
+        duty = _real(self.dl_duty_factor, "scenario.dl_duty_factor")
+        if not 0.0 < duty <= 1.0:
+            raise ScenarioError(f"scenario.dl_duty_factor must be in (0, 1], got {duty}")
+        object.__setattr__(self, "dl_duty_factor", duty)
         pairs = _harq_pair_bound(self.n_slots, self.coherence_slots, self.csi_period,
                                 self.max_harq_tx)
         if pairs > MAX_HARQ_PAIRS:
@@ -282,26 +278,15 @@ class Scenario:
                 f"csi_period {self.csi_period} and channel.coherence_slots "
                 f"{self.coherence_slots} allows up to {pairs} (report, block) pairs "
                 f"per drop, above {MAX_HARQ_PAIRS}")
-        if self.n_drops < 1:
-            raise ScenarioError(f"scenario.n_drops must be >= 1, got {self.n_drops}")
-        if not 0.0 < self.dl_duty_factor <= 1.0:
-            raise ScenarioError(
-                f"scenario.dl_duty_factor must be in (0, 1], got {self.dl_duty_factor}")
-        if self.seed < 0:
-            raise ScenarioError(f"scenario.seed must be >= 0, got {self.seed}")
-        if not self.est_error_var >= 0:
-            raise ScenarioError(
-                f"scenario.est_error_var must be >= 0, got {self.est_error_var}")
         if self.channel.kind == "fixed":
             m = np.asarray(self.channel.matrix)
             if m.shape != (2, self.n_tx):
                 raise ScenarioError(
                     f"channel.matrix shape {m.shape} does not match "
                     f"(n_rx, n_tx) = (2, {self.n_tx})")
-            if self.noise.mode in ("snr", "snr_sweep") and not np.mean(np.abs(m) ** 2) > 0.0:
-                raise ScenarioError(
-                    f"noise.mode {self.noise.mode!r} needs a channel.matrix with "
-                    "nonzero power; use noise.mode 'variance'")
+            if self.noise.mode in ("snr", "snr_sweep") and not block_rx_power(m[None])[0] > 0:
+                raise ScenarioError(f"noise.mode {self.noise.mode!r} needs a channel.matrix "
+                                    "with nonzero power; use noise.mode 'variance'")
 
     @property
     def is_fading(self) -> bool:

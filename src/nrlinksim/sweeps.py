@@ -176,8 +176,8 @@ def run_csi_inspect(scenario: Scenario) -> CsiInspection:
     if scenario.noise.mode == "snr_sweep":
         raise ScenarioError("csi inspection needs a single noise point, not snr_sweep")
     chan = drop_channel(replace(scenario, n_slots=1), derive_seed(scenario.seed, 0))
-    est = estimate_blocks(chan.h, scenario.est_error_var, estimate_streams(chan.seed, [0]),
-                          scenario.n_prb)
+    streams = estimate_streams(chan.seed, [0]) if scenario.est_error_var else None
+    est = estimate_blocks(chan.h, scenario.est_error_var, streams, scenario.n_prb)
     ri, pmi, sinr_db, cqi = (int(c.flat[0]) for c in make_reports(
         est, scenario.noise_vars(chan.p_rx), scenario.csi))
     gammas = gamma_stack(est[0])

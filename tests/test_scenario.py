@@ -285,6 +285,47 @@ def test_rejected_at_parse_naming_the_field(doc, field, tmp_path):
     assert field in str(exc.value)
 
 
+# Every bounded field with its bounds, restated here rather than imported
+# from the package: (section, field, lo, hi), hi None where none is set.
+BOUNDED_FIELDS = [
+    ("scenario", "n_prb", 1, 275),
+    ("scenario", "n_slots", 1, 10 ** 6),
+    ("scenario", "n_drops", 1, None),
+    ("scenario", "csi_period", 1, 10 ** 6),
+    ("scenario", "seed", 0, None),
+    ("scenario", "max_harq_tx", 1, 10 ** 6),
+    ("scenario", "est_error_var", 0.0, None),
+    ("channel", "k_factor", 0.0, None),
+    ("channel", "coherence_slots", 1, 10 ** 6),
+    ("csi", "gamma_th", 2.0, None),
+    ("csi", "force_ri", 1, 2),
+    ("csi", "force_cqi", 0, 15),
+]
+
+
+@pytest.mark.parametrize("section,name,lo,hi", BOUNDED_FIELDS,
+                         ids=[f"{s}.{n}" for s, n, _, _ in BOUNDED_FIELDS])
+def test_bounded_field_takes_its_ends_and_names_its_bound_one_step_past(section, name, lo, hi):
+    def parse(value):
+        doc = {"channel": {"type": "rice1"}, "csi": {}}
+        (doc if section == "scenario" else doc[section])[name] = value
+        sc = scenario_from_dict(doc)
+        return getattr(sc if section == "scenario" else getattr(sc, section), name)
+
+    def past(v, direction):  # one integer, or one float, beyond v
+        return v + direction if isinstance(lo, int) else math.nextafter(v, direction * math.inf)
+
+    far = 10 ** 30 if isinstance(lo, int) else 1e300  # where no upper bound is set
+    for v in (lo, far if hi is None else hi):
+        got = parse(v)
+        assert got == v and type(got) is type(lo)
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    for v in [past(lo, -1)] + ([] if hi is None else [past(hi, 1)]):
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"{section}.{name} must be {bound}, got {v}")):
+            parse(v)
+
+
 # Any JSON value: null, booleans, integers of any size, floats including
 # NaN and +-Infinity (Python's json accepts both), strings, lists, objects.
 _EXTREME = st.sampled_from([10 ** 400, -10 ** 400, math.nan, math.inf, -math.inf])

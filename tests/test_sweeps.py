@@ -314,16 +314,29 @@ class TestHighSnrReports:
             "csi": {"force_ri": ri}, "n_slots": 20, "n_drops": 1,
         })
 
-    @pytest.mark.parametrize("ri", [1, 2])
-    @pytest.mark.parametrize("matrix", [H_2X4_REF, H_RANK1], ids=["full_rank", "rank1"])
-    def test_sweep_snr(self, matrix, ri):
-        sc = self._scenario(matrix, ri, {"mode": "snr_sweep",
-                                         "snr_db_list": self.HIGH_SNR_DB})
+    @pytest.mark.parametrize("matrix,ri,snrs", [
+        pytest.param(H_2X4_REF, 1, HIGH_SNR_DB, id="full_rank-1"),
+        pytest.param(H_2X4_REF, 2, HIGH_SNR_DB, id="full_rank-2"),
+        pytest.param(H_RANK1, 1, HIGH_SNR_DB, id="rank1-1"),
+        pytest.param(H_RANK1, 2, HIGH_SNR_DB, id="rank1-2"),
+        # At 3040 dB the noise variance is 3.3e-299, a normal float that every
+        # parse rule accepts.
+        pytest.param([[1000 * x for x in row] for row in H_2X4_REF], 2, [100, 3000, 3040],
+                     id="x1000_past_the_float_range-2", marks=pytest.mark.xfail(
+                         strict=True, raises=(RuntimeWarning, AssertionError),
+                         reason="the rank-2 search's x /= noise_var in _split_batch overflows "
+                                "at 3040 dB on a channel of power 3.3e5, and the report moves "
+                                "from PMI row 0 to row 16, key (4, 0, 0, 0); exact block "
+                                "scaling and a parse-time range check, ROADMAP item 5 (b)/(c), "
+                                "would mend it")),
+    ])
+    def test_sweep_snr(self, matrix, ri, snrs):
+        sc = self._scenario(matrix, ri, {"mode": "snr_sweep", "snr_db_list": snrs})
         chan = drop_channel(sc, derive_seed(sc.seed, 0))
         reports = drop_csi(sc, chan).reports
-        assert reports.pmi.shape == reports.cqi.shape == (len(self.HIGH_SNR_DB), 1)
-        assert reports.pmi.tolist() == [reports.pmi[0].tolist()] * len(self.HIGH_SNR_DB)
-        assert reports.cqi.tolist() == [reports.cqi[0].tolist()] * len(self.HIGH_SNR_DB)
+        assert reports.pmi.shape == reports.cqi.shape == (len(snrs), 1)
+        assert reports.pmi.tolist() == [reports.pmi[0].tolist()] * len(snrs)
+        assert reports.cqi.tolist() == [reports.cqi[0].tolist()] * len(snrs)
         rows = run_sweep_snr(sc)
         assert [r.drops for r in rows] == [rows[0].drops] * len(rows)
 

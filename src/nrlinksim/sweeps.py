@@ -193,26 +193,29 @@ def _fmt(x) -> str:
     return f"{float(x):.6f}"
 
 
-def write_cqi_sweep_csv(rows: list[CqiSweepRow], fh: TextIO) -> None:
-    fh.write("cqi,mcs,goodput_mbps_mean,goodput_mbps_std,mean_bler\n")
-    for r in rows:
-        cells = [r.cqi, r.mcs, r.goodput_mbps_mean, r.goodput_mbps_std, r.mean_bler]
+def _write_csv(fh: TextIO, header: str, rows) -> None:
+    """The header line, then one line per row: its cells through :func:`_fmt`."""
+    fh.write(header + "\n")
+    for cells in rows:
         fh.write(",".join(_fmt(c) for c in cells) + "\n")
+
+
+def write_cqi_sweep_csv(rows: list[CqiSweepRow], fh: TextIO) -> None:
+    _write_csv(fh, "cqi,mcs,goodput_mbps_mean,goodput_mbps_std,mean_bler",
+               ((r.cqi, r.mcs, r.goodput_mbps_mean, r.goodput_mbps_std, r.mean_bler)
+                for r in rows))
 
 
 def write_snr_sweep_csv(rows: list[SnrSweepRow], fh: TextIO) -> None:
-    fh.write("snr_db,mean_ri,mean_cqi,mean_mcs,mean_bler,goodput_mbps\n")
-    for r in rows:
-        cells = [r.snr_db, r.mean_ri, r.mean_cqi, r.mean_mcs, r.mean_bler,
-                 r.goodput_mbps]
-        fh.write(",".join(_fmt(c) for c in cells) + "\n")
+    _write_csv(fh, "snr_db,mean_ri,mean_cqi,mean_mcs,mean_bler,goodput_mbps",
+               ((r.snr_db, r.mean_ri, r.mean_cqi, r.mean_mcs, r.mean_bler, r.goodput_mbps)
+                for r in rows))
 
 
 def write_csi_csv(insp: CsiInspection, fh: TextIO) -> None:
-    fh.write("ri,i11,i12,i13,i2,sinr_db,cqi,gamma_min,gamma_median,gamma_max\n")
-    cells = [insp.ri, *insp.pmi, insp.wideband_sinr_db, insp.cqi,
-             insp.gamma_min, insp.gamma_median, insp.gamma_max]
-    fh.write(",".join(_fmt(c) for c in cells) + "\n")
+    _write_csv(fh, "ri,i11,i12,i13,i2,sinr_db,cqi,gamma_min,gamma_median,gamma_max",
+               [(insp.ri, *insp.pmi, insp.wideband_sinr_db, insp.cqi,
+                 insp.gamma_min, insp.gamma_median, insp.gamma_max)])
 
 
 def write_gnuplot_xy(points: list[tuple[float, float]], fh: TextIO) -> None:

@@ -29,6 +29,18 @@ from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
+# Reference channels used across the suite (the first two are also encoded
+# in the golden scenario files), and a 2x4 one with orthogonal rows.
+H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
+H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
+H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+
+# The condition metric of H_2X4_REF; 16498/6201 in exact arithmetic.
+GAMMA_2X4_REF = 2.6605386228027736
+
+# Precoders in each Type I codebook, keyed by (ports, rank).
+EXPECTED_SIZES = {(4, 1): 32, (4, 2): 32, (2, 1): 4, (2, 2): 2}
+
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / name

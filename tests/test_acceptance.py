@@ -19,12 +19,7 @@ from nrlinksim.link import SLOT_DURATION_S, tbs
 from nrlinksim.scenario import CsiConfig, scenario_from_dict
 from nrlinksim.sweeps import run_sweep_cqi, run_sweep_snr, write_snr_sweep_csv
 
-from conftest import scenario_path
-
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
-H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
-
-EXPECTED_SIZES = {(4, 1): 32, (4, 2): 32, (2, 1): 4, (2, 2): 2}
+from conftest import EXPECTED_SIZES, H_2X2_REF, H_2X4_REF, scenario_path
 
 # Independent copy of the SINR -> CQI contract used by criterion 5.
 _RANK1_CQI = {3: 5, 4: 6, 5: 6, 6: 7, 7: 7, 8: 8, 9: 8, 10: 9, 11: 10,

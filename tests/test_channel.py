@@ -13,9 +13,7 @@ from nrlinksim.channel import (_EST_STREAM, _NLOS_STREAM, _int_words, _seed_word
                                estimate_blocks, estimate_streams, rice1_blocks)
 from nrlinksim.scenario import MAX_N_SLOTS, NoiseModel, ScenarioError, scenario_from_dict
 
-from conftest import estimate_blocks_oracle, rice1_blocks_oracle
-
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
+from conftest import H_2X4_REF, estimate_blocks_oracle, rice1_blocks_oracle
 
 
 def _fixed(matrix, **extra):

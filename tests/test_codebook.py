@@ -8,9 +8,7 @@ import pytest
 from nrlinksim.codebook import (ConfigurationError, PrecoderCodebook, SUPPORTED,
                                 build_codebook, build_codebook_set)
 
-from conftest import precoder_for
-
-EXPECTED_SIZES = {(4, 1): 32, (4, 2): 32, (2, 1): 4, (2, 2): 2}
+from conftest import EXPECTED_SIZES, precoder_for
 
 
 def by_key(key, rank, ports) -> np.ndarray:

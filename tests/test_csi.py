@@ -22,13 +22,8 @@ from nrlinksim.csi import (CQI_FROM_SINR, DB_CEIL, DB_FLOOR, DET_EPS, NOISE_FREE
 from nrlinksim.link import effective_sinrs_db
 from nrlinksim.scenario import CsiConfig, ScenarioError
 
-from conftest import (eff_sinrs_db_oracle, gram_metric_oracle, pair_layer_sinrs_oracle, select_cqi,
-                      select_pmi_oracle)
-
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
-H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
-H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
-GAMMA_2X4_REF = 2.6605386228027736
+from conftest import (GAMMA_2X4_REF, H_2X2_REF, H_2X4_REF, H_ORTHO, eff_sinrs_db_oracle,
+                      gram_metric_oracle, pair_layer_sinrs_oracle, select_cqi, select_pmi_oracle)
 
 
 def _chan_with_gamma(gamma: float) -> np.ndarray:

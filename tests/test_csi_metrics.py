@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 from nrlinksim.csi import (_DB_EDGES, DB_CEIL, DB_FLOOR, DET_EPS, gamma_stack,
                            lin_to_int_db)
 
-from conftest import gram_metric_oracle, scalar_lin_to_int_db
+from conftest import GAMMA_2X4_REF, H_2X2_REF, H_2X4_REF, gram_metric_oracle, scalar_lin_to_int_db
 
-# Reference channels used across the suite (also encoded in the golden
-# scenario files).
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
-H_2X2_REF = [[1.0, 0.5], [0.5, 1.0]]
-
-# Their condition metrics in exact arithmetic: 16498/6201 and 82/9.
-GAMMA_2X4_REF = 2.6605386228027736
+# The condition metric of H_2X2_REF in exact arithmetic.
 GAMMA_2X2_REF = 82.0 / 9.0
 
 

@@ -19,10 +19,7 @@ from nrlinksim.link import (DATA_RE_PER_PRB, SLOT_DURATION_S, ThroughputStats,
 from nrlinksim.scenario import parse_scenario, scenario_from_dict
 from nrlinksim.tables import load_mcs_table
 
-from conftest import scenario_path, simulate_drop
-
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
-H_ORTHO = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+from conftest import H_2X4_REF, H_ORTHO, scenario_path, simulate_drop
 
 # Every CQI and the MCS the scheduler maps it to.
 MCS_FROM_CQI = {0: 0, 1: 0, 2: 0, 3: 2, 4: 4, 5: 6, 6: 8, 7: 11, 8: 13,

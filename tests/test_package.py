@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nrlinksim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,9 +40,11 @@ def test_readme_export_list_matches_all():
     assert sorted(listed) == sorted(n for n in nrlinksim.__all__ if n != "__version__")
 
 
-def test_import_loads_no_process_pool():
-    # The pool machinery is imported when a sweep starts a pool, not with the package.
-    code = "import sys, nrlinksim; print('concurrent.futures.process' in sys.modules)"
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "csv"])
+def test_import_loads_no_process_pool(module):
+    # The pool machinery is imported when a sweep starts a pool, not with the
+    # package, and the tables are constants, not parsed from files.
+    code = f"import sys, nrlinksim; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -18,9 +18,7 @@ from nrlinksim.scenario import (DEFAULT_SINR_CAP_DB, MAX_HARQ_PAIRS, MAX_N_SLOTS
                                 CsiConfig, NoiseModel, Scenario, ScenarioError, _harq_pair_bound,
                                 parse_scenario, scenario_from_dict)
 
-from conftest import SCENARIO_DIR, scenario_path
-
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
+from conftest import H_2X4_REF, SCENARIO_DIR, scenario_path
 
 
 def _fixed_cfg(**extra):

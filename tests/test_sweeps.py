@@ -22,9 +22,8 @@ from nrlinksim.sweeps import (run_csi_inspect, run_drops, run_sweep_cqi,
                               write_cqi_sweep_csv, write_csi_csv,
                               write_gnuplot_xy, write_snr_sweep_csv)
 
-from conftest import SCENARIO_DIR, scenario_path
+from conftest import H_2X4_REF, SCENARIO_DIR, scenario_path
 
-H_2X4_REF = [[1.0, 0.5, 0.25, 0.125], [0.125, 0.25, 0.5, 1.0]]
 # Rank 1 in exact arithmetic and in float: the second row is half the first.
 H_RANK1 = [[1.0, 0.5, 0.25, 0.125], [0.5, 0.25, 0.125, 0.0625]]
 

@@ -1,24 +1,36 @@
-"""Unit tests for the bundled MCS / CQI table data."""
-
-import hashlib
-from importlib import resources
+"""Unit tests for the MCS / CQI tables."""
 
 import pytest
 
 from nrlinksim.tables import (CqiEntry, McsEntry, N_CQI, N_MCS, load_cqi_table,
                               load_mcs_table)
 
-# Content digests pin the bundled data files against accidental edits.
-DATA_SHA256 = {
-    "mcs_pdsch.csv": "0ad23aedf6dbe0c819a752812208fb4f305bdd511405863f4d1cc844251a8717",
-    "cqi_4bit.csv": "3d9c72f0274d2b2b8d26c7047db1de01c8ea5d36e4bfb90b8b90ebe4f52d8421",
-}
+# Every row of both tables as (index, modulation order, rate x 1024),
+# restated from TS 38.214 to pin the constants against accidental edits.
+MCS_ROWS = [
+    (0, 2, 120), (1, 2, 157), (2, 2, 193), (3, 2, 251), (4, 2, 308), (5, 2, 379),
+    (6, 2, 449), (7, 2, 526), (8, 2, 602), (9, 2, 679), (10, 4, 340), (11, 4, 378),
+    (12, 4, 434), (13, 4, 490), (14, 4, 553), (15, 4, 616), (16, 4, 658), (17, 6, 438),
+    (18, 6, 466), (19, 6, 517), (20, 6, 567), (21, 6, 616), (22, 6, 666), (23, 6, 719),
+    (24, 6, 772), (25, 6, 822), (26, 6, 873), (27, 6, 910), (28, 6, 948),
+]
+CQI_ROWS = [
+    (0, 0, 0), (1, 2, 78), (2, 2, 120), (3, 2, 193), (4, 2, 308), (5, 2, 449),
+    (6, 2, 602), (7, 4, 378), (8, 4, 490), (9, 4, 616), (10, 6, 466), (11, 6, 567),
+    (12, 6, 666), (13, 6, 772), (14, 6, 873), (15, 6, 948),
+]
 
 
-def test_data_file_digests():
-    for name, want in DATA_SHA256.items():
-        blob = resources.files("nrlinksim").joinpath("data", name).read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == want, name
+@pytest.mark.parametrize("load,rows", [(load_mcs_table, MCS_ROWS), (load_cqi_table, CQI_ROWS)],
+                         ids=["mcs", "cqi"])
+def test_rows_pinned(load, rows):
+    assert [(e.index, e.modulation_order, e.rate_x1024) for e in load()] == rows
+
+
+def test_rates_inside_unit_interval():
+    # Every row but CQI 0, the out-of-range row, codes at a rate in (0, 1).
+    for e in load_mcs_table() + load_cqi_table()[1:]:
+        assert 0 < e.rate_x1024 < 1024, e
 
 
 class TestMcsTable:
@@ -65,6 +77,9 @@ class TestCqiTable:
 
     def test_zero_row(self):
         assert load_cqi_table()[0] == CqiEntry(0, 0, 0, 0.0)
+
+    def test_modulation_orders_after_zero(self):
+        assert {e.modulation_order for e in load_cqi_table()[1:]} == {2, 4, 6}
 
     @pytest.mark.parametrize("index,qm,rate,eff", [
         (1, 2, 78, 0.15234375),
